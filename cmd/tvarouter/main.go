@@ -54,8 +54,8 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text exposition at /metrics on this address (e.g. 127.0.0.1:9100)")
 	metricsEvery := flag.Duration("metrics-interval", time.Second, "metrics sampling / health detector tick interval")
 	metricsWindow := flag.Int("metrics-window", 600, "retained metrics rows (ticks)")
-	batch := flag.Int("batch", 1, "datagrams per socket burst (recvmmsg/sendmmsg where available); 1 = per-datagram path")
-	shards := flag.Int("shards", 0, "per-flow worker shards for capability processing (needs -batch > 1; 0/1 = single engine)")
+	batch := flag.Int("batch", 1, "burst width of the data path: datagrams per recvmmsg/sendmmsg (where available), engine and scheduler crossing; 0/1 = one")
+	shards := flag.Int("shards", 0, "per-flow worker shards for capability processing (0/1 = one, inline on the receive goroutine)")
 	var routes routeList
 	flag.Var(&routes, "route", "addr=udphost:port (repeatable)")
 	def := flag.String("default", "", "default next hop udphost:port")

@@ -60,121 +60,6 @@ func TestBatchConnRoundTrip(t *testing.T) {
 	}
 }
 
-// batchNet is testNet with the batched data path and shard workers on.
-func batchNet(t *testing.T, batch, shards int) (*Router, *Host, *Host) {
-	t.Helper()
-	r, err := NewRouter(RouterConfig{
-		Listen: "127.0.0.1:0",
-		Core:   core.RouterConfig{Suite: capability.Crypto, TrustBoundary: true},
-		Batch:  batch,
-		Shards: shards,
-	})
-	if err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	t.Cleanup(func() { r.Close() })
-	mkHost := func(addr packet.Addr, policy core.Policy) *Host {
-		h, err := NewHost(HostConfig{
-			Addr:    addr,
-			Listen:  "127.0.0.1:0",
-			Gateway: r.Addr().String(),
-			Policy:  policy,
-			Shim:    core.ShimConfig{Suite: capability.Crypto, AutoReturn: true},
-		})
-		if err != nil {
-			t.Fatalf("host: %v", err)
-		}
-		t.Cleanup(func() { h.Close() })
-		if err := r.AddRoute(addr, h.UDPAddr().String()); err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		return h
-	}
-	alice := mkHost(packet.AddrFrom(10, 0, 0, 1), core.NewClientPolicy())
-	bob := mkHost(packet.AddrFrom(10, 0, 0, 2), core.NewServerPolicy())
-	return r, alice, bob
-}
-
-// TestOverlayBatchedHandshake runs the full capability handshake and
-// protected transfer through the batched+sharded data path: behavior
-// must match the per-datagram router exactly.
-func TestOverlayBatchedHandshake(t *testing.T) {
-	r, alice, bob := batchNet(t, 8, 2)
-
-	if err := alice.Send(bob.Addr(), []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	msg := recvWithin(t, bob, 2*time.Second)
-	if string(msg.Payload) != "hello" || msg.Src != alice.Addr() {
-		t.Fatalf("got %+v", msg)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !alice.HasCaps(bob.Addr()) {
-		if time.Now().After(deadline) {
-			t.Fatal("alice never obtained capabilities")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for i := 0; i < 20; i++ {
-		if err := alice.Send(bob.Addr(), []byte("again")); err != nil {
-			t.Fatal(err)
-		}
-		msg = recvWithin(t, bob, 2*time.Second)
-		if string(msg.Payload) != "again" {
-			t.Fatalf("message %d corrupted: %q", i, msg.Payload)
-		}
-	}
-	r.Close()
-	if r.Received.Load() == 0 || r.Forwarded.Load() == 0 {
-		t.Errorf("router stats empty: recv=%d fwd=%d", r.Received.Load(), r.Forwarded.Load())
-	}
-	if r.RxBursts.Load() == 0 || r.RxBurstPkts.Load() < r.RxBursts.Load() {
-		t.Errorf("burst accounting wrong: bursts=%d pkts=%d", r.RxBursts.Load(), r.RxBurstPkts.Load())
-	}
-	if st := r.CoreStats(); st.Requests == 0 {
-		t.Errorf("sharded stats saw no requests: %+v", st)
-	}
-}
-
-// TestOverlayBatchedRefused mirrors TestOverlayRefusedSenderDemoted on
-// the batched path: policy outcomes must not change with batching.
-func TestOverlayBatchedRefused(t *testing.T) {
-	r, err := NewRouter(RouterConfig{
-		Listen: "127.0.0.1:0",
-		Core:   core.RouterConfig{Suite: capability.Crypto, TrustBoundary: true},
-		Batch:  8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	mkHost := func(addr packet.Addr, policy core.Policy) *Host {
-		h, err := NewHost(HostConfig{
-			Addr: addr, Listen: "127.0.0.1:0", Gateway: r.Addr().String(),
-			Policy: policy, Shim: core.ShimConfig{Suite: capability.Crypto, AutoReturn: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { h.Close() })
-		if err := r.AddRoute(addr, h.UDPAddr().String()); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	alice := mkHost(packet.AddrFrom(10, 0, 0, 1), core.NewClientPolicy())
-	bob := mkHost(packet.AddrFrom(10, 0, 0, 2), core.RefuseAllPolicy{})
-	for i := 0; i < 3; i++ {
-		if err := alice.Send(bob.Addr(), []byte("knock")); err != nil {
-			t.Fatal(err)
-		}
-		recvWithin(t, bob, 2*time.Second)
-	}
-	if alice.HasCaps(bob.Addr()) {
-		t.Error("refused sender believes it is authorized")
-	}
-}
-
 // shardWorkload builds a deterministic stream of mixed packets (fresh
 // requests and capability-carrying regular packets across many flows)
 // for the shard equivalence tests.
@@ -230,10 +115,11 @@ func runSharded(t *testing.T, shards int, pkts []*packet.Packet, now tvatime.Tim
 	return classes
 }
 
-// TestShardedProcessEquivalence checks the scatter/gather engine
-// classifies exactly as one unsharded router would (caches are
-// per-shard but flows hash wholly onto one shard, so no flow observes
-// a difference), and that the sharded run is deterministic.
+// TestShardedProcessEquivalence checks the engine classifies exactly
+// as one core.Router would, whether it runs inline (one worker) or
+// scatters across four (caches are per-shard but flows hash wholly
+// onto one shard, so no flow observes a difference), and that the
+// sharded run is deterministic.
 func TestShardedProcessEquivalence(t *testing.T) {
 	suite := capability.Fast
 	auth := capability.NewAuthority(suite, 0)
@@ -249,9 +135,13 @@ func TestShardedProcessEquivalence(t *testing.T) {
 		want[i] = single.Process(&c, 0, now)
 	}
 
+	inline := runSharded(t, 1, pkts, now, auth)
 	got := runSharded(t, 4, pkts, now, auth)
 	again := runSharded(t, 4, pkts, now, auth)
 	for i := range want {
+		if inline[i] != want[i] {
+			t.Fatalf("packet %d: inline class %v, single %v", i, inline[i], want[i])
+		}
 		if got[i] != want[i] {
 			t.Fatalf("packet %d: sharded class %v, single %v", i, got[i], want[i])
 		}

@@ -386,12 +386,13 @@ var BatchSizes = []int{1, 8, 32, 128}
 // MeasureForwardingBatch measures the production overlay data path end
 // to end over real UDP on loopback: a driver socket offers workload
 // packets to a full overlay.Router built with RouterConfig.Batch set
-// to batchSize, routed straight back to the driver. batchSize 1 runs
-// the legacy per-datagram path (one read syscall, one scheduler
+// to batchSize, routed straight back to the driver. Every size runs
+// the same loops (receiveLoop → port.enqueue → portLoop); batchSize 1
+// is their narrowest setting (one read syscall, one scheduler
 // crossing, one write syscall, and a cross-goroutine handoff per
-// packet); larger sizes run receiveLoopBatched → enqueueBatch →
-// portLoopBatched with recvmmsg/sendmmsg, so the ratio between sizes
-// is exactly what this batching buys on this machine. The driver keeps
+// packet) and larger sizes amortize each of those over a
+// recvmmsg/sendmmsg burst, so the ratio between sizes is exactly
+// what burst width buys on this machine. The driver keeps
 // a window of batchSize packets in flight (a NIC ring of that depth),
 // refilling as forwarded packets land, and returns the sustained rate
 // in packets/second. A non-nil error means the window stalled (a

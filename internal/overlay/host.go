@@ -239,10 +239,6 @@ func (h *Host) receiveLoop() {
 	for {
 		n, _, err := h.conn.ReadFromUDP(buf)
 		if err != nil {
-			select {
-			case <-h.closed:
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"sort"
 	"sync"
 
 	"tva/internal/flowstats"
@@ -89,34 +88,28 @@ func (r *Router) Metrics(window int, health metrics.DetectorConfig) *RouterMetri
 	mustReg(reg.Gauge(metrics.NameTxBurstFill, nil,
 		"Mean datagrams per send burst across ports.", r.TxBurstFill))
 
-	// Per-port scheduler gauges, labelled by neighbour address. Ports
-	// created after this point (late AddRoute) are not re-registered:
-	// the series set seals at the first Tick.
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.ports))
-	for k := range r.ports {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // stable column order regardless of map iteration
-	ports := make([]*port, len(keys))
-	for i, k := range keys {
-		ports[i] = r.ports[k]
-	}
-	r.mu.Unlock()
-	for i, k := range keys {
-		k, p := k, ports[i]
+	// Per-port scheduler gauges, labelled by neighbour address (in
+	// portList's sorted order, so columns are stable). Ports created
+	// after this point (late AddRoute) are not re-registered: the
+	// series set seals at the first Tick.
+	for _, p := range r.portList() {
+		k := p.key
+		// occupancy reads one scheduler figure under the port lock.
+		occupancy := func(f func(*sched.TVA) int) func() float64 {
+			return func() float64 {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return float64(f(p.q))
+			}
+		}
 		mustReg(reg.Gauge(metrics.NameQueuePkts, metrics.L("port", k, "class", "request"),
-			"Backlogged packets per port and class.",
-			func() float64 { return float64(portBacklog(p, 0)) }))
+			"Backlogged packets per port and class.", occupancy((*sched.TVA).RequestBacklog)))
 		mustReg(reg.Gauge(metrics.NameQueuePkts, metrics.L("port", k, "class", "regular"),
-			"Backlogged packets per port and class.",
-			func() float64 { return float64(portBacklog(p, 1)) }))
+			"Backlogged packets per port and class.", occupancy((*sched.TVA).RegularBacklog)))
 		mustReg(reg.Gauge(metrics.NameQueuePkts, metrics.L("port", k, "class", "legacy"),
-			"Backlogged packets per port and class.",
-			func() float64 { return float64(portBacklog(p, 2)) }))
+			"Backlogged packets per port and class.", occupancy((*sched.TVA).LegacyBacklog)))
 		mustReg(reg.Gauge(metrics.NameRegularQueues, metrics.L("port", k),
-			"Live per-destination fair queues.",
-			func() float64 { return float64(portBacklog(p, 3)) }))
+			"Live per-destination fair queues.", occupancy((*sched.TVA).RegularQueues)))
 		mustReg(reg.Gauge(metrics.NameTokenBucket, metrics.L("port", k),
 			"Request-channel token bucket level in bytes.",
 			func() float64 { return portTokenLevel(p, r.clock) }))
@@ -197,39 +190,11 @@ func mustReg(err error) {
 	}
 }
 
-// portBacklog reads one scheduler occupancy figure under the port
-// lock: 0=request, 1=regular, 2=legacy backlog, 3=live fair queues.
-// Non-TVA schedulers report their total length as regular.
-func portBacklog(p *port, which int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tva, ok := p.q.(*sched.TVA)
-	if !ok {
-		if which == 1 {
-			return p.q.Len()
-		}
-		return 0
-	}
-	switch which {
-	case 0:
-		return tva.RequestBacklog()
-	case 1:
-		return tva.RegularBacklog()
-	case 2:
-		return tva.LegacyBacklog()
-	default:
-		return tva.RegularQueues()
-	}
-}
-
 // portTokenLevel reads the request channel's token level at the
 // current wall time.
 func portTokenLevel(p *port, clock tvatime.Clock) float64 {
 	now := clock.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if tva, ok := p.q.(*sched.TVA); ok {
-		return tva.TokenLevel(now)
-	}
-	return 0
+	return p.q.TokenLevel(now)
 }

@@ -2,45 +2,42 @@
 
 // Portable stand-in for the linux/amd64 recvmmsg/sendmmsg path: the
 // same batchConn surface backed by one syscall per datagram, so the
-// batched forwarding code runs unchanged everywhere — it just stops
-// amortizing the socket crossings.
+// one forwarding path runs unchanged everywhere — it just stops
+// amortizing the socket crossings. This is the only datagram I/O on
+// every platform but linux/amd64.
 package overlay
 
 import "net"
 
-// batchIOSupported reports whether recvBatch can return more than one
-// datagram per call on this platform.
-const batchIOSupported = false
-
-// batchConn carries only the receive buffer; every call degenerates to
-// the connection's per-datagram methods.
+// batchConn carries only the one receive buffer (allocated by the
+// first recvBatch, so send-only ports never pay for it); every call
+// degenerates to the connection's per-datagram methods.
 type batchConn struct {
 	conn *net.UDPConn
-	bufs [][]byte
-	ns   []int
+	rbuf []byte
+	rlen int
 }
 
-func newBatchConn(conn *net.UDPConn, n int) (*batchConn, error) {
-	b := &batchConn{conn: conn, bufs: make([][]byte, n), ns: make([]int, n)}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, maxDatagram)
-	}
-	return b, nil
+func newBatchConn(conn *net.UDPConn, _ int) (*batchConn, error) {
+	return &batchConn{conn: conn}, nil
 }
 
 // recvBatch reads exactly one datagram (blocking); bursts never grow
 // past one without recvmmsg.
 func (b *batchConn) recvBatch() (int, error) {
-	n, _, err := b.conn.ReadFromUDP(b.bufs[0])
+	if b.rbuf == nil {
+		b.rbuf = make([]byte, maxDatagram)
+	}
+	n, _, err := b.conn.ReadFromUDP(b.rbuf)
 	if err != nil {
 		return 0, err
 	}
-	b.ns[0] = n
+	b.rlen = n
 	return 1, nil
 }
 
-// buf returns the i-th received payload after recvBatch.
-func (b *batchConn) buf(i int) []byte { return b.bufs[i][:b.ns[i]] }
+// buf returns the received payload after recvBatch (i is always 0).
+func (b *batchConn) buf(int) []byte { return b.rbuf[:b.rlen] }
 
 // sendBatch writes each packet with its own syscall.
 func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (int, error) {

@@ -4,7 +4,7 @@
 // burst between the socket and the forwarding path. Raw syscall
 // numbers are used (x/net is unavailable here); the build tag pins the
 // ABI this file assumes, and mmsg_fallback.go serves everything else
-// with per-datagram reads.
+// with one syscall per datagram.
 package overlay
 
 import (
@@ -17,10 +17,6 @@ import (
 const (
 	sysRecvmmsg = 299 // linux/amd64
 	sysSendmmsg = 307 // linux/amd64
-
-	// batchIOSupported reports whether recvBatch can return more than
-	// one datagram per call on this platform.
-	batchIOSupported = true
 )
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled
@@ -34,12 +30,27 @@ type mmsghdr struct {
 
 // batchConn owns the scatter-gather state for bursts on one UDP
 // socket: fixed header/iovec arrays sized at the batch cap, reused for
-// every call so the steady state allocates nothing.
+// every call so the steady state allocates nothing. One goroutine per
+// batchConn: the router's reader has one, each port's sender its own.
 type batchConn struct {
 	rc   syscall.RawConn
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
+	// bufs are the receive buffers, allocated by the first recvBatch: a
+	// send-only batchConn (one per port) never pays n × maxDatagram.
 	bufs [][]byte
+	// to/name cache the last sendBatch destination's raw sockaddr. A
+	// port always sends to the same *net.UDPAddr, so it is built once
+	// (matched by pointer: callers never mutate an address in place).
+	to   *net.UDPAddr
+	name []byte
+	// recvFn/sendFn are the RawConn callbacks, built once: a closure per
+	// call costs three heap objects per syscall, which at width 1 is
+	// per datagram. n (datagrams moved), want (datagrams to send) and
+	// serr carry one call's arguments and results.
+	recvFn, sendFn func(fd uintptr) bool
+	n, want        int
+	serr           error
 }
 
 // newBatchConn prepares burst I/O of up to n datagrams of maxDatagram
@@ -53,11 +64,8 @@ func newBatchConn(conn *net.UDPConn, n int) (*batchConn, error) {
 		rc:   rc,
 		hdrs: make([]mmsghdr, n),
 		iovs: make([]syscall.Iovec, n),
-		bufs: make([][]byte, n),
 	}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, maxDatagram)
-	}
+	b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
 	return b, nil
 }
 
@@ -65,56 +73,54 @@ func newBatchConn(conn *net.UDPConn, n int) (*batchConn, error) {
 // drains as many as are ready (up to the batch cap) with one recvmmsg.
 // It returns the count; buf(i)/size(i) address the i-th payload.
 func (b *batchConn) recvBatch() (int, error) {
+	if b.bufs == nil {
+		b.bufs = make([][]byte, len(b.hdrs))
+		for i := range b.bufs {
+			b.bufs[i] = make([]byte, maxDatagram)
+		}
+	}
 	for i := range b.hdrs {
 		b.iovs[i] = syscall.Iovec{Base: &b.bufs[i][0], Len: uint64(len(b.bufs[i]))}
 		b.hdrs[i].hdr = syscall.Msghdr{Iov: &b.iovs[i], Iovlen: 1}
 		b.hdrs[i].len = 0
 	}
-	var (
-		n    int
-		serr error
-	)
-	err := b.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // netpoller waits for readability, then retries
-		}
-		if errno != 0 {
-			serr = os.NewSyscallError("recvmmsg", errno)
-			return true
-		}
-		n = int(r1)
-		return true
-	})
-	if err != nil {
+	b.n, b.serr = 0, nil
+	if err := b.rc.Read(b.recvFn); err != nil {
 		return 0, err
 	}
-	return n, serr
+	return b.n, b.serr
+}
+
+// recvmmsg is recvBatch's RawConn callback.
+func (b *batchConn) recvmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false // netpoller waits for readability, then retries
+	}
+	if errno != 0 {
+		b.serr = os.NewSyscallError("recvmmsg", errno)
+		return true
+	}
+	b.n = int(r1)
+	return true
 }
 
 // buf returns the i-th received payload after recvBatch.
 func (b *batchConn) buf(i int) []byte { return b.bufs[i][:b.hdrs[i].len] }
 
 // sockaddrFor builds the raw sockaddr bytes for a UDP destination.
-func sockaddrFor(to *net.UDPAddr) ([]byte, uint32, error) {
+func sockaddrFor(to *net.UDPAddr) []byte {
+	port := uint16(to.Port>>8) | uint16(to.Port&0xff)<<8 // network byte order
 	if ip4 := to.IP.To4(); ip4 != nil {
-		var sa syscall.RawSockaddrInet4
-		sa.Family = syscall.AF_INET
-		sa.Port = uint16(to.Port>>8) | uint16(to.Port&0xff)<<8 // network byte order
+		sa := syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: port}
 		copy(sa.Addr[:], ip4)
-		raw := make([]byte, syscall.SizeofSockaddrInet4)
-		copy(raw, (*(*[syscall.SizeofSockaddrInet4]byte)(unsafe.Pointer(&sa)))[:])
-		return raw, syscall.SizeofSockaddrInet4, nil
+		return append([]byte(nil), (*(*[syscall.SizeofSockaddrInet4]byte)(unsafe.Pointer(&sa)))[:]...)
 	}
-	var sa syscall.RawSockaddrInet6
-	sa.Family = syscall.AF_INET6
-	sa.Port = uint16(to.Port>>8) | uint16(to.Port&0xff)<<8
+	sa := syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: port}
 	copy(sa.Addr[:], to.IP.To16())
-	raw := make([]byte, syscall.SizeofSockaddrInet6)
-	copy(raw, (*(*[syscall.SizeofSockaddrInet6]byte)(unsafe.Pointer(&sa)))[:])
-	return raw, syscall.SizeofSockaddrInet6, nil
+	return append([]byte(nil), (*(*[syscall.SizeofSockaddrInet6]byte)(unsafe.Pointer(&sa)))[:]...)
 }
 
 // sendBatch transmits pkts to one destination with as few sendmmsg
@@ -125,11 +131,9 @@ func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (int, error) {
 	if len(pkts) == 0 {
 		return 0, nil
 	}
-	raw, rawLen, err := sockaddrFor(to)
-	if err != nil {
-		return 0, err
+	if to != b.to {
+		b.to, b.name = to, sockaddrFor(to)
 	}
-	name := &raw[0]
 	n := len(pkts)
 	if n > len(b.hdrs) {
 		n = len(b.hdrs)
@@ -137,33 +141,34 @@ func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (int, error) {
 	for i := 0; i < n; i++ {
 		b.iovs[i] = syscall.Iovec{Base: &pkts[i][0], Len: uint64(len(pkts[i]))}
 		b.hdrs[i].hdr = syscall.Msghdr{
-			Name:    name,
-			Namelen: rawLen,
+			Name:    &b.name[0],
+			Namelen: uint32(len(b.name)),
 			Iov:     &b.iovs[i],
 			Iovlen:  1,
 		}
 		b.hdrs[i].len = 0
 	}
-	sent := 0
-	var serr error
-	err = b.rc.Write(func(fd uintptr) bool {
-		for sent < n {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.hdrs[sent])), uintptr(n-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false // wait for writability, resume where we left off
-			}
-			if errno != 0 {
-				serr = os.NewSyscallError("sendmmsg", errno)
-				return true
-			}
-			sent += int(r1)
-		}
-		return true
-	})
-	if err != nil {
-		return sent, err
+	b.n, b.want, b.serr = 0, n, nil
+	if err := b.rc.Write(b.sendFn); err != nil {
+		return b.n, err
 	}
-	return sent, serr
+	return b.n, b.serr
+}
+
+// sendmmsg is sendBatch's RawConn callback.
+func (b *batchConn) sendmmsg(fd uintptr) bool {
+	for b.n < b.want {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.hdrs[b.n])), uintptr(b.want-b.n),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if errno == syscall.EAGAIN {
+			return false // wait for writability, resume where we left off
+		}
+		if errno != 0 {
+			b.serr = os.NewSyscallError("sendmmsg", errno)
+			return true
+		}
+		b.n += int(r1)
+	}
+	return true
 }

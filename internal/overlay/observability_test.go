@@ -3,12 +3,12 @@ package overlay
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/metrics"
 	"tva/internal/packet"
-	"tva/internal/telemetry"
 	"tva/internal/tvatime"
 )
 
@@ -77,18 +77,26 @@ func TestBatchObservabilityEquivalence(t *testing.T) {
 
 // TestShardObservabilityEquivalence requires the shard engine's merged
 // counters to be independent of the shard count: flows hash wholly
-// onto one shard, so slicing the same traffic 1, 2, or 4 ways must
-// yield identical aggregate stats and demotion attribution.
+// onto one shard, so slicing the same traffic 1 (inline), 2, or 4 ways
+// must yield the aggregate stats and demotion attribution of one
+// core.Router fed the same packets one Process call at a time.
 func TestShardObservabilityEquivalence(t *testing.T) {
 	suite := capability.Fast
 	auth := capability.NewAuthority(suite, 0)
 	now := tvatime.FromSeconds(1)
 	pkts := mixedWorkload(auth, 400, now)
 
-	run := func(shards int) (core.RouterStats, telemetry.DropCounters) {
+	ref := core.NewRouter(core.RouterConfig{Suite: suite, Authority: auth})
+	for _, p := range pkts {
+		ref.Process(clonePkt(p), 0, now)
+	}
+	if ref.Demotions.Total() == 0 {
+		t.Fatal("workload produced no demotion attribution")
+	}
+
+	for _, shards := range []int{1, 2, 4} {
 		base := core.RouterConfig{Suite: suite, Authority: auth}
 		e := newShardEngine(shards, func() *core.Router { return core.NewRouter(base) })
-		defer e.close()
 		const burstLen = 16
 		b := packet.NewBatch(burstLen)
 		for i := 0; i < len(pkts); i += burstLen {
@@ -102,63 +110,70 @@ func TestShardObservabilityEquivalence(t *testing.T) {
 			e.process(b, now)
 			b.Reset()
 		}
-		return e.stats(), e.demotions()
-	}
-
-	baseStats, baseDem := run(1)
-	for _, shards := range []int{2, 4} {
-		st, dem := run(shards)
-		if st != baseStats {
-			t.Errorf("shards=%d: stats %+v != shards=1 %+v", shards, st, baseStats)
+		e.close()
+		if st := e.stats(); st != ref.Stats {
+			t.Errorf("shards=%d: stats %+v != reference %+v", shards, st, ref.Stats)
 		}
-		if dem != baseDem {
-			t.Errorf("shards=%d: demotions %v != shards=1 %v", shards, dem, baseDem)
+		if dem := e.demotions(); dem != ref.Demotions {
+			t.Errorf("shards=%d: demotions %v != reference %v", shards, dem, ref.Demotions)
 		}
-	}
-	if baseDem.Total() == 0 {
-		t.Fatal("workload produced no demotion attribution")
 	}
 }
 
-// TestRouterMetricsExposition boots a socketless registry off a real
-// router and checks the exposition parses strictly, carries the
-// shared-name series tvatop requires, and that burst-fill gauges in
-// the registry agree exactly with the router's own accessors.
+// TestRouterMetricsExposition builds a registry off a real router
+// that has forwarded traffic and checks the exposition parses
+// strictly, carries the shared-name series tvatop requires, and that
+// burst-fill gauges in the registry agree exactly with the router's
+// own accessors — which at the default width read exactly 1, the
+// simulator's figure for the same shared series.
 func TestRouterMetricsExposition(t *testing.T) {
-	r, alice, bob := batchNet(t, 8, 2)
-	_ = alice
-	_ = bob
-
-	m := r.Metrics(16, metrics.DetectorConfig{})
-	m.Tick(tvatime.WallClock{}.Now())
-	m.Tick(tvatime.WallClock{}.Now() + tvatime.Time(tvatime.Second))
-
-	var buf bytes.Buffer
-	if err := m.Registry.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := metrics.ParseProm(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
-	}
-	for _, name := range []string{
-		"tva_router_received_total", "tva_router_forwarded_total",
-		"tva_sched_drops_total", "tva_demotions_total",
-		"tva_flowcache_entries", "tva_queue_wait_ns", "tva_queue_wait_ewma_us",
-		"tva_rx_burst_fill", "tva_tx_burst_fill",
-		"tva_queue_pkts", "tva_regular_queues", "tva_token_bucket_bytes",
-		"tva_port_sent_pkts_total", "tva_port_dropped_pkts_total",
-		"tva_health_state", "tva_health_transitions_total",
-		"tva_router_received_total:rate", // synthetic rate after 2 ticks
-	} {
-		if !sc.Has(name) {
-			t.Errorf("exposition missing %s", name)
+	for _, w := range []struct{ batch, shards int }{{0, 0}, {8, 2}} {
+		r, alice, bob := testNetAt(t, w.batch, w.shards, core.NewClientPolicy(), core.NewServerPolicy())
+		if err := alice.Send(bob.Addr(), []byte("x")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, ok := sc.Get("tva_rx_burst_fill"); !ok || got.Value != r.RxBurstFill() {
-		t.Errorf("registry rx burst fill %v, router says %v", got.Value, r.RxBurstFill())
-	}
-	if got, ok := sc.Get("tva_tx_burst_fill"); !ok || got.Value != r.TxBurstFill() {
-		t.Errorf("registry tx burst fill %v, router says %v", got.Value, r.TxBurstFill())
+		recvWithin(t, bob, 2*time.Second)
+		// Closing first freezes the counters, so the registry sample and
+		// the accessor reads below see the same values.
+		alice.Close()
+		bob.Close()
+		r.Close()
+
+		m := r.Metrics(16, metrics.DetectorConfig{})
+		m.Tick(tvatime.WallClock{}.Now())
+		m.Tick(tvatime.WallClock{}.Now() + tvatime.Time(tvatime.Second))
+
+		var buf bytes.Buffer
+		if err := m.Registry.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := metrics.ParseProm(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+		}
+		for _, name := range []string{
+			"tva_router_received_total", "tva_router_forwarded_total",
+			"tva_sched_drops_total", "tva_demotions_total",
+			"tva_flowcache_entries", "tva_queue_wait_ns", "tva_queue_wait_ewma_us",
+			"tva_rx_burst_fill", "tva_tx_burst_fill",
+			"tva_queue_pkts", "tva_regular_queues", "tva_token_bucket_bytes",
+			"tva_port_sent_pkts_total", "tva_port_dropped_pkts_total",
+			"tva_health_state", "tva_health_transitions_total",
+			"tva_router_received_total:rate", // synthetic rate after 2 ticks
+		} {
+			if !sc.Has(name) {
+				t.Errorf("exposition missing %s", name)
+			}
+		}
+		rx, tx := r.RxBurstFill(), r.TxBurstFill()
+		if got, ok := sc.Get("tva_rx_burst_fill"); !ok || got.Value != rx {
+			t.Errorf("registry rx burst fill %v, router says %v", got.Value, rx)
+		}
+		if got, ok := sc.Get("tva_tx_burst_fill"); !ok || got.Value != tx {
+			t.Errorf("registry tx burst fill %v, router says %v", got.Value, tx)
+		}
+		if w.batch <= 1 && (rx != 1 || tx != 1) {
+			t.Errorf("width-1 burst fill rx=%v tx=%v, want exactly 1", rx, tx)
+		}
 	}
 }

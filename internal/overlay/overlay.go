@@ -6,10 +6,16 @@
 // and Fig. 2 link scheduling as the simulator; a Host offers a
 // capability-protected datagram service to applications.
 //
-// Concurrency model: one goroutine owns all protocol state (core is
-// single-threaded by design); per-neighbour output goroutines pace
-// transmissions at the configured link rate through the shared
-// scheduler under a lock. This mirrors a router's line-card queues.
+// Concurrency model: one data path at every width. The receive
+// goroutine runs rx.recvBatch → decode → shards.process → dispatch on
+// bursts of up to RouterConfig.Batch datagrams; capability state lives
+// in RouterConfig.Shards core.Router replicas, each guarded by its
+// worker's lock (one replica is driven inline on the receive
+// goroutine, more by flow-hashed worker goroutines — see shard.go).
+// Each neighbour has one port goroutine running dequeue → encode →
+// transmit (tx.sendBatch) → pace; port.mu guards that port's
+// scheduler, which the receive goroutine fills and the port goroutine
+// drains. This mirrors a router's line-card queues.
 package overlay
 
 import (
@@ -48,16 +54,16 @@ type RouterConfig struct {
 	LinkBps int64
 	// RequestFraction is the request-channel share (default 5%).
 	RequestFraction float64
-	// Batch is the socket burst size: how many datagrams one
-	// recvmmsg/sendmmsg crossing may carry (clamped to
-	// packet.DefaultBatchCap). 0 or 1 keeps the per-datagram path. On
-	// platforms without mmsg syscalls reads degenerate to one datagram
-	// per call but the batched forwarding path still runs.
+	// Batch is the burst width of the data path: how many datagrams
+	// one recvmmsg/sendmmsg crossing, one ProcessBatch and one
+	// scheduler crossing may carry (0 and 1 both mean one; clamped to
+	// packet.DefaultBatchCap). Every width runs the same loops. On
+	// platforms without mmsg syscalls reads return one datagram per
+	// call whatever the width.
 	Batch int
-	// Shards fans capability processing across this many flow-hashed
-	// workers sharing one authority (see shard.go). 0 or 1 processes
-	// on the receive goroutine. Requires Batch > 1 to matter: the
-	// scatter unit is the receive burst.
+	// Shards is the number of flow-hashed capability-processing
+	// workers sharing one authority (see shard.go). 0 and 1 both mean
+	// one, which runs inline on the receive goroutine.
 	Shards int
 	// Spans, if non-nil, records packet-lifecycle spans: every received
 	// packet gets a fresh trace ID at this router's ingress and its
@@ -73,29 +79,22 @@ type RouterConfig struct {
 // Router is a userspace TVA capability router.
 type Router struct {
 	conn  *net.UDPConn
-	core  *core.Router
 	clock tvatime.Clock
 	cfg   RouterConfig
 
-	// rx is the batched socket reader (nil on the per-datagram path);
-	// shards is the flow-hashed processing fan-out (nil unsharded).
+	// rx is the socket burst reader, touched only by the receive
+	// goroutine; shards is the capability engine (cfg.Shards replicas,
+	// each guarded by its worker's mu).
 	rx     *batchConn
 	shards *shardEngine
-
-	// coreMu guards the unsharded engine's plain counters (Stats,
-	// Demotions, flow cache): held by the receive goroutine around
-	// Process/ProcessBatch and by snapshot readers (metrics gauges).
-	// Sharded routers guard per worker instead (shardWorker.mu).
-	coreMu sync.Mutex
 
 	mu     sync.Mutex
 	routes map[packet.Addr]*port
 	ports  map[string]*port // keyed by neighbour UDP address
 	def    *port
 
-	closed  chan struct{}
-	wg      sync.WaitGroup
-	started time.Time
+	closed chan struct{}
+	wg     sync.WaitGroup
 
 	// waitEWMA is the router-wide EWMA of output-queue wait in
 	// microseconds, updated by the port goroutines and read (via
@@ -107,21 +106,27 @@ type Router struct {
 
 	// Stats, written by the receive goroutine and read concurrently by
 	// the metrics registry, stats printers, and tests — atomics so a
-	// live scrape never races the data path. RxBursts/RxBurstPkts
-	// count socket read bursts and the datagrams they carried; their
-	// ratio is the ingress fill level (RxBurstFill).
-	Received, Forwarded, Unroutable, Malformed atomic.Uint64
-	RxBursts, RxBurstPkts                      atomic.Uint64
+	// live scrape never races the data path. Every datagram read ends
+	// in exactly one of the four outcomes: Received == Forwarded +
+	// Unroutable + Malformed + Expired (TTL ran out here).
+	// RxBursts/RxBurstPkts count socket read bursts and the datagrams
+	// they carried; their ratio is the ingress fill level (RxBurstFill).
+	Received, Forwarded, Unroutable, Malformed, Expired atomic.Uint64
+	RxBursts, RxBurstPkts                               atomic.Uint64
 }
 
 // port is one neighbour link: an output scheduler paced at the link
 // rate by its own goroutine.
 type port struct {
+	key  string // neighbour UDP address, the r.ports key
 	to   *net.UDPAddr
 	bps  int64
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    sched.Scheduler
+	q    *sched.TVA
+	// refuse counts and releases a packet the scheduler turned away;
+	// built once per port so enqueue allocates nothing per run.
+	refuse func(*packet.Packet)
 
 	// waitSketch streams this port's per-packet output-queue waits
 	// (nanoseconds). The router-wide sketch mixes every port's traffic;
@@ -141,9 +146,17 @@ type port struct {
 	Sent, Dropped         atomic.Uint64
 	TxBursts, TxBurstPkts atomic.Uint64
 
-	// nextTx is when the emulated link next frees up; only the port's
-	// own output goroutine touches it (see pace).
-	nextTx tvatime.Time
+	// Egress burst state, touched only by the port's own output
+	// goroutine: tx is its sendmmsg state, pkts the dequeued burst,
+	// backing the per-slot marshal buffers, out the encoded datagrams,
+	// txs their pending tx spans, and nextTx when the emulated link
+	// next frees up (see pace).
+	tx      *batchConn
+	pkts    []*packet.Packet
+	backing [][]byte
+	out     [][]byte
+	txs     []trace.Span
+	nextTx  tvatime.Time
 }
 
 // paceCredit bounds how far behind its emulated transmit schedule a
@@ -175,17 +188,18 @@ func (p *port) pace(clock tvatime.Clock, wireBytes int) {
 // and, when recording, one mutex crossing — the overlay is not the
 // zero-alloc hot path, so clarity wins here.
 func (p *port) span(pkt *packet.Packet, edge trace.Edge, now tvatime.Time) {
-	if p.spans == nil || pkt.TraceID == 0 {
-		return
+	if p.spans != nil && pkt.TraceID != 0 {
+		p.spans.Record(p.spanAt(pkt, edge, now))
 	}
-	p.spans.Record(trace.Span{
-		ID:   pkt.TraceID,
-		Time: now,
-		Src:  uint32(pkt.Src), Dst: uint32(pkt.Dst),
-		Size: uint32(pkt.Size),
-		Hop:  p.hop,
-		Edge: edge, Class: uint8(pkt.Class),
-	})
+}
+
+// spanAt builds pkt's span for one edge at this port's hop.
+func (p *port) spanAt(pkt *packet.Packet, edge trace.Edge, now tvatime.Time) trace.Span {
+	return trace.Span{
+		ID: pkt.TraceID, Time: now,
+		Src: uint32(pkt.Src), Dst: uint32(pkt.Dst), Size: uint32(pkt.Size),
+		Hop: p.hop, Edge: edge, Class: uint8(pkt.Class),
+	}
 }
 
 // NewRouter binds the router's socket and starts its receive loop.
@@ -201,63 +215,54 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RequestFraction <= 0 {
 		cfg.RequestFraction = 0.05
 	}
-	if cfg.Batch > packet.DefaultBatchCap {
-		cfg.Batch = packet.DefaultBatchCap
-	}
+	cfg.Batch = min(max(cfg.Batch, 1), packet.DefaultBatchCap)
+	cfg.Shards = max(cfg.Shards, 1)
 	// Shard replicas must share the path-identifier tagger, so pin it
 	// before any router replica is built (core would otherwise mint a
 	// private one per replica and tags would disagree across shards).
 	if cfg.Core.TrustBoundary && cfg.Core.Tagger == nil {
 		cfg.Core.Tagger = pathid.New()
 	}
+	rx, err := newBatchConn(conn, cfg.Batch)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("overlay: batch io: %w", err)
+	}
 	r := &Router{
-		conn:    conn,
-		core:    core.NewRouter(cfg.Core),
-		clock:   tvatime.WallClock{},
-		cfg:     cfg,
-		routes:  make(map[packet.Addr]*port),
-		ports:   make(map[string]*port),
-		closed:  make(chan struct{}),
-		started: time.Now(),
+		conn:   conn,
+		clock:  tvatime.WallClock{},
+		cfg:    cfg,
+		rx:     rx,
+		routes: make(map[packet.Addr]*port),
+		ports:  make(map[string]*port),
+		closed: make(chan struct{}),
 	}
-	// Hop-wait attribution: requests that opt in (WantHops) get stamped
-	// with this router's current queue-wait estimate, which travels back
-	// to the sender in return information (tvaping shows it per hop).
-	r.core.HopWait = r.waitEWMA.Load
-	// Per-sender accounting: one collector per state owner, guarded by
-	// that owner's existing lock (coreMu here, shardWorker.mu per shard,
-	// port.mu per port scheduler); FlowSnapshot merges them.
-	r.core.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
-	if cfg.Shards > 1 && cfg.Batch > 1 {
-		sub := cfg.Core
-		sub.Authority = r.core.Authority()
-		r.shards = newShardEngine(cfg.Shards, func() *core.Router {
-			w := core.NewRouter(sub)
-			w.HopWait = r.waitEWMA.Load
-			w.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
-			return w
-		})
-	}
+	sub := cfg.Core
+	r.shards = newShardEngine(cfg.Shards, func() *core.Router {
+		w := core.NewRouter(sub)
+		// The first replica mints the authority (unless the caller
+		// supplied one); every later replica shares it, so all shards
+		// mint and validate identical capabilities.
+		sub.Authority = w.Authority()
+		// Hop-wait attribution: requests that opt in (WantHops) get
+		// stamped with this router's current queue-wait estimate, which
+		// travels back to the sender in return information (tvaping
+		// shows it per hop).
+		w.HopWait = r.waitEWMA.Load
+		// Per-sender accounting: one collector per state owner, guarded
+		// by that owner's existing lock (shardWorker.mu per replica,
+		// port.mu per port scheduler); FlowSnapshot merges them.
+		w.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
+		return w
+	})
 	r.wg.Add(1)
-	if cfg.Batch > 1 {
-		rx, err := newBatchConn(conn, cfg.Batch)
-		if err != nil {
-			conn.Close()
-			if r.shards != nil {
-				r.shards.close()
-			}
-			return nil, fmt.Errorf("overlay: batch io: %w", err)
-		}
-		r.rx = rx
-		go r.receiveLoopBatched()
-	} else {
-		go r.receiveLoop()
-	}
+	go r.receiveLoop()
 	return r, nil
 }
 
-// RxBurstFill returns the mean datagrams per socket read burst (1.0
-// when unbatched or idle; approaches the batch size under load).
+// RxBurstFill returns the mean datagrams per socket read burst:
+// exactly 1.0 at width 1, approaching the batch size under load at
+// larger widths, 0 before the first datagram.
 func (r *Router) RxBurstFill() float64 {
 	if r.RxBursts.Load() == 0 {
 		return 0
@@ -266,94 +271,47 @@ func (r *Router) RxBurstFill() float64 {
 }
 
 // TxBurstFill returns the mean datagrams per send burst across all
-// ports.
+// ports (the same scale as RxBurstFill).
 func (r *Router) TxBurstFill() float64 {
 	var bursts, pkts uint64
-	r.mu.Lock()
-	for _, p := range r.ports {
+	for _, p := range r.portList() {
 		bursts += p.TxBursts.Load()
 		pkts += p.TxBurstPkts.Load()
 	}
-	r.mu.Unlock()
 	if bursts == 0 {
 		return 0
 	}
 	return float64(pkts) / float64(bursts)
 }
 
-// CoreStats aggregates processing outcomes across shard replicas (or
-// returns the single engine's counters when unsharded).
-func (r *Router) CoreStats() core.RouterStats {
-	if r.shards != nil {
-		return r.shards.stats()
-	}
-	r.coreMu.Lock()
-	defer r.coreMu.Unlock()
-	return r.core.Stats
-}
+// CoreStats aggregates processing outcomes across shard replicas.
+func (r *Router) CoreStats() core.RouterStats { return r.shards.stats() }
 
 // CoreDemotions aggregates demotion attribution across shard replicas.
-func (r *Router) CoreDemotions() telemetry.DropCounters {
-	if r.shards != nil {
-		return r.shards.demotions()
-	}
-	r.coreMu.Lock()
-	defer r.coreMu.Unlock()
-	return r.core.Demotions
-}
+func (r *Router) CoreDemotions() telemetry.DropCounters { return r.shards.demotions() }
 
 // FlowCacheEntries sums live flow-cache entries across shard replicas.
 func (r *Router) FlowCacheEntries() int {
-	if r.shards == nil {
-		r.coreMu.Lock()
-		defer r.coreMu.Unlock()
-		return r.core.Cache().Len()
-	}
 	n := 0
-	for _, w := range r.shards.workers {
-		w.mu.Lock()
-		n += w.core.Cache().Len()
-		w.mu.Unlock()
-	}
+	r.shards.each(func(c *core.Router) { n += c.Cache().Len() })
 	return n
 }
 
 // FlowSnapshot merges every owner's per-sender table — the capability
-// engine (or its shard replicas) and each port scheduler's drop
-// accounting — into one top-K view, plus the total bytes the engines
-// observed. MergeSamples keys the fold and fixes the final order
-// (bytes descending, key ascending), so the result is deterministic
-// regardless of shard count, port map iteration, or merge order: the
-// same traffic always yields the same rows.
+// engine's shard replicas and each port scheduler's drop accounting —
+// into one top-K view, plus the total bytes the engines observed.
+// MergeSamples keys the fold and fixes the final order (bytes
+// descending, key ascending), so the result is deterministic
+// regardless of shard count, port order, or merge order: the same
+// traffic always yields the same rows.
 func (r *Router) FlowSnapshot() ([]flowstats.Sample, uint64) {
 	var samples []flowstats.Sample
 	var total uint64
-	if r.shards != nil {
-		for _, w := range r.shards.workers {
-			w.mu.Lock()
-			samples = w.core.Flows.AppendSamples(samples)
-			total += w.core.Flows.TotalBytes()
-			w.mu.Unlock()
-		}
-	} else {
-		r.coreMu.Lock()
-		samples = r.core.Flows.AppendSamples(samples)
-		total = r.core.Flows.TotalBytes()
-		r.coreMu.Unlock()
-	}
-	r.mu.Lock()
-	ports := make([]*port, 0, len(r.ports))
-	for _, p := range r.ports {
-		ports = append(ports, p)
-	}
-	r.mu.Unlock()
-	for _, p := range ports {
-		p.mu.Lock()
-		if tva, ok := p.q.(*sched.TVA); ok {
-			samples = tva.Flows.AppendSamples(samples)
-		}
-		p.mu.Unlock()
-	}
+	r.shards.each(func(c *core.Router) {
+		samples = c.Flows.AppendSamples(samples)
+		total += c.Flows.TotalBytes()
+	})
+	r.eachPort(func(p *port) { samples = p.q.Flows.AppendSamples(samples) })
 	return flowstats.MergeSamples(samples, flowstats.DefaultTopK), total
 }
 
@@ -382,41 +340,51 @@ func (r *Router) PortWaitSketch(neighbor string) *metrics.Sketch {
 
 // PortSchedDrops returns the reason-attributed drop counts of the
 // scheduler on the port toward neighbor (zero counters when the port
-// does not exist or its scheduler does not attribute drops).
+// does not exist).
 func (r *Router) PortSchedDrops(neighbor string) telemetry.DropCounters {
 	r.mu.Lock()
 	p := r.ports[neighbor]
 	r.mu.Unlock()
 	var out telemetry.DropCounters
-	if p == nil {
-		return out
+	if p != nil {
+		p.mu.Lock()
+		out.Merge(p.q.DropReasons())
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	if rc, ok := p.q.(sched.ReasonCounter); ok {
-		out.Merge(rc.DropReasons())
-	}
-	p.mu.Unlock()
 	return out
 }
 
-// RequestBacklog sums backlogged request-class packets across all
-// ports — the request-channel pressure signal the health detector
-// watches (a request flood backs this up before anything overflows).
-func (r *Router) RequestBacklog() int {
+// portList snapshots the ports under r.mu, sorted by neighbour
+// address so every per-port view (gauges, registry columns, merges)
+// has a stable order regardless of map iteration. Callers take each
+// port's own lock afterwards, never while holding r.mu.
+func (r *Router) portList() []*port {
 	r.mu.Lock()
 	ports := make([]*port, 0, len(r.ports))
 	for _, p := range r.ports {
 		ports = append(ports, p)
 	}
 	r.mu.Unlock()
-	n := 0
-	for _, p := range ports {
+	sort.Slice(ports, func(i, j int) bool { return ports[i].key < ports[j].key })
+	return ports
+}
+
+// eachPort runs f on every port in portList order under that port's
+// lock — how readers outside the data path reach scheduler state.
+func (r *Router) eachPort(f func(*port)) {
+	for _, p := range r.portList() {
 		p.mu.Lock()
-		if tva, ok := p.q.(*sched.TVA); ok {
-			n += tva.RequestBacklog()
-		}
+		f(p)
 		p.mu.Unlock()
 	}
+}
+
+// RequestBacklog sums backlogged request-class packets across all
+// ports — the request-channel pressure signal the health detector
+// watches (a request flood backs this up before anything overflows).
+func (r *Router) RequestBacklog() int {
+	n := 0
+	r.eachPort(func(p *port) { n += p.q.RequestBacklog() })
 	return n
 }
 
@@ -442,57 +410,66 @@ func (r *Router) observeWait(p *port, d time.Duration) {
 // Addr returns the bound UDP address.
 func (r *Router) Addr() *net.UDPAddr { return r.conn.LocalAddr().(*net.UDPAddr) }
 
-// linkSched builds the Fig. 2 scheduler for one neighbour.
-func (r *Router) linkSched() sched.Scheduler {
-	bps := r.cfg.LinkBps
-	if bps <= 0 {
-		bps = 1_000_000_000 // effectively unpaced; still classful
+// portFor returns (creating it and starting its output goroutine if
+// needed) the port toward the neighbour at via.
+func (r *Router) portFor(via string) (*port, error) {
+	to, err := net.ResolveUDPAddr("udp", via)
+	if err != nil {
+		return nil, fmt.Errorf("overlay: route via %q: %w", via, err)
 	}
-	return sched.NewTVA(sched.TVAConfig{
-		LinkBps:         bps,
-		RequestFraction: r.cfg.RequestFraction,
-	})
-}
-
-// portFor returns (creating if needed) the port toward a neighbour.
-func (r *Router) portFor(to *net.UDPAddr) *port {
 	key := to.String()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p, ok := r.ports[key]; ok {
-		return p
+		return p, nil
 	}
-	p := &port{to: to, bps: r.cfg.LinkBps, q: r.linkSched(), hop: trace.NoHop}
-	if tva, ok := p.q.(*sched.TVA); ok {
-		// Drop attribution feeds the same per-sender tables; the
-		// collector is owned by this port's scheduler under p.mu.
-		tva.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
+	tx, err := newBatchConn(r.conn, r.cfg.Batch)
+	if err != nil {
+		return nil, fmt.Errorf("overlay: port %s: batch io: %w", key, err)
 	}
+	bps := r.cfg.LinkBps
+	if bps <= 0 {
+		bps = 1_000_000_000 // effectively unpaced; still classful
+	}
+	burst := r.cfg.Batch
+	p := &port{
+		key: key, to: to, bps: r.cfg.LinkBps, hop: trace.NoHop,
+		// The Fig. 2 scheduler for this neighbour.
+		q:       sched.NewTVA(sched.TVAConfig{LinkBps: bps, RequestFraction: r.cfg.RequestFraction}),
+		tx:      tx,
+		pkts:    make([]*packet.Packet, burst),
+		backing: make([][]byte, burst),
+		out:     make([][]byte, 0, burst),
+		txs:     make([]trace.Span, 0, burst),
+	}
+	for i := range p.backing {
+		p.backing[i] = make([]byte, 0, 2048)
+	}
+	// Drop attribution feeds the same per-sender tables; the collector
+	// is owned by this port's scheduler under p.mu.
+	p.q.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
 	p.cond = sync.NewCond(&p.mu)
+	p.refuse = func(pkt *packet.Packet) {
+		p.Dropped.Add(1)
+		packet.Release(pkt)
+	}
 	if r.cfg.Spans != nil {
 		p.spans = r.cfg.Spans
 		p.hop = r.cfg.Spans.RegisterHop(r.Addr().String() + "->" + key)
 	}
 	r.ports[key] = p
 	r.wg.Add(1)
-	if bs, ok := p.q.(sched.BatchScheduler); ok && r.cfg.Batch > 1 {
-		if tx, err := newBatchConn(r.conn, r.cfg.Batch); err == nil {
-			go r.portLoopBatched(p, bs, tx)
-			return p
-		}
-	}
 	go r.portLoop(p)
-	return p
+	return p, nil
 }
 
 // AddRoute installs a route: packets for dst leave toward the
 // neighbour at via.
 func (r *Router) AddRoute(dst packet.Addr, via string) error {
-	to, err := net.ResolveUDPAddr("udp", via)
+	p, err := r.portFor(via)
 	if err != nil {
-		return fmt.Errorf("overlay: route via %q: %w", via, err)
+		return err
 	}
-	p := r.portFor(to)
 	r.mu.Lock()
 	r.routes[dst] = p
 	r.mu.Unlock()
@@ -501,38 +478,26 @@ func (r *Router) AddRoute(dst packet.Addr, via string) error {
 
 // SetDefaultRoute installs the default next hop.
 func (r *Router) SetDefaultRoute(via string) error {
-	to, err := net.ResolveUDPAddr("udp", via)
+	p, err := r.portFor(via)
 	if err != nil {
-		return fmt.Errorf("overlay: default via %q: %w", via, err)
+		return err
 	}
-	p := r.portFor(to)
 	r.mu.Lock()
 	r.def = p
 	r.mu.Unlock()
 	return nil
 }
 
-// Core exposes the router's protocol engine (for diagnostics
-// endpoints; its counters are owned by the receive goroutine, so reads
-// are approximate while traffic flows).
-func (r *Router) Core() *core.Router { return r.core }
+// Core exposes the router's protocol engine — shard replica 0; every
+// replica shares its Authority — for diagnostics endpoints. Its
+// counters are owned by that replica's worker, so reads are
+// approximate while traffic flows; CoreStats is the locked aggregate.
+func (r *Router) Core() *core.Router { return r.shards.workers[0].core }
 
 // SchedDrops sums per-reason drop counts across all port schedulers.
 func (r *Router) SchedDrops() telemetry.DropCounters {
 	var total telemetry.DropCounters
-	r.mu.Lock()
-	ports := make([]*port, 0, len(r.ports))
-	for _, p := range r.ports {
-		ports = append(ports, p)
-	}
-	r.mu.Unlock()
-	for _, p := range ports {
-		p.mu.Lock()
-		if rc, ok := p.q.(sched.ReasonCounter); ok {
-			total.Merge(rc.DropReasons())
-		}
-		p.mu.Unlock()
-	}
+	r.eachPort(func(p *port) { total.Merge(p.q.DropReasons()) })
 	return total
 }
 
@@ -552,44 +517,20 @@ type PortGauges struct {
 // each port's lock briefly.
 func (r *Router) Gauges() []PortGauges {
 	now := r.clock.Now()
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.ports))
-	for k := range r.ports {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ports := make([]*port, len(keys))
-	for i, k := range keys {
-		ports[i] = r.ports[k]
-	}
-	r.mu.Unlock()
-
-	out := make([]PortGauges, len(ports))
-	for i, p := range ports {
-		p.mu.Lock()
-		g := PortGauges{Neighbor: keys[i], Sent: p.Sent.Load(), Dropped: p.Dropped.Load()}
-		if tva, ok := p.q.(*sched.TVA); ok {
-			g.RequestPkts = tva.RequestBacklog()
-			g.RegularPkts = tva.RegularBacklog()
-			g.LegacyPkts = tva.LegacyBacklog()
-			g.RegularQueues = tva.RegularQueues()
-			g.TokenBytes = tva.TokenLevel(now)
-		} else {
-			g.RegularPkts = p.q.Len()
-		}
-		p.mu.Unlock()
-		out[i] = g
-	}
+	var out []PortGauges
+	r.eachPort(func(p *port) {
+		out = append(out, PortGauges{
+			Neighbor:      p.key,
+			RequestPkts:   p.q.RequestBacklog(),
+			RegularPkts:   p.q.RegularBacklog(),
+			LegacyPkts:    p.q.LegacyBacklog(),
+			RegularQueues: p.q.RegularQueues(),
+			TokenBytes:    p.q.TokenLevel(now),
+			Sent:          p.Sent.Load(),
+			Dropped:       p.Dropped.Load(),
+		})
+	})
 	return out
-}
-
-func (r *Router) route(dst packet.Addr) *port {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.routes[dst]; ok {
-		return p
-	}
-	return r.def
 }
 
 // Close shuts the router down and waits for its goroutines.
@@ -601,81 +542,25 @@ func (r *Router) Close() error {
 	}
 	close(r.closed)
 	err := r.conn.Close()
-	r.mu.Lock()
-	for _, p := range r.ports {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-	r.mu.Unlock()
+	r.eachPort(func(p *port) { p.cond.Broadcast() })
 	r.wg.Wait()
-	if r.shards != nil {
-		// After wg.Wait the receive goroutine is gone, so no more jobs
-		// can be scattered; the workers can drain and exit.
-		r.shards.close()
-	}
+	// After wg.Wait the receive goroutine is gone, so no more jobs can
+	// be scattered; the shard workers can drain and exit.
+	r.shards.close()
 	return err
 }
 
-// receiveLoop is the single goroutine that owns capability state.
+// receiveLoop is the ingress half of the data path, one burst at a
+// time: rx.recvBatch → decode → shards.process → dispatch. It is the
+// only goroutine that reads the socket and the only one that enqueues
+// onto ports, so packets leave toward each port in arrival order.
 func (r *Router) receiveLoop() {
 	defer r.wg.Done()
-	buf := make([]byte, maxDatagram)
-	for {
-		n, _, err := r.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		r.Received.Add(1)
-		pkt := packet.AcquirePacket()
-		if err := pkt.UnmarshalReuse(buf[:n]); err != nil {
-			r.Malformed.Add(1)
-			packet.Release(pkt)
-			continue
-		}
-		if pkt.TTL == 0 {
-			packet.Release(pkt)
-			continue
-		}
-		pkt.TTL--
-		if r.cfg.Spans != nil {
-			// Fresh ID per router: trace IDs are in-memory only, never
-			// on the wire, so each router contributes its own per-hop
-			// span fragment to the shared recorder.
-			pkt.TraceID = r.cfg.Spans.NextID()
-		}
-		// Interface index 0: the overlay's single socket is one
-		// ingress; deployments with multiple trust boundaries run one
-		// router process per boundary.
-		r.coreMu.Lock()
-		r.core.Process(pkt, 0, r.clock.Now())
-		r.coreMu.Unlock()
-		out := r.route(pkt.Dst)
-		if out == nil {
-			r.Unroutable.Add(1)
-			packet.Release(pkt)
-			continue
-		}
-		r.Forwarded.Add(1)
-		out.enqueue(pkt, r.clock.Now())
-	}
-}
-
-// receiveLoopBatched is the burst form of receiveLoop: one recvmmsg
-// fills a burst, one ProcessBatch (or a shard scatter) classifies it,
-// and packets leave toward their ports in arrival order with one
-// scheduler crossing per same-port run.
-func (r *Router) receiveLoopBatched() {
-	defer r.wg.Done()
-	run := packet.NewBatch(r.cfg.Batch) // same-port run scratch
+	// One burst and one same-port run scratch for the goroutine's
+	// lifetime: every slot is handed on or released before the next
+	// read, so neither needs the batch pool.
+	b := packet.NewBatch(r.cfg.Batch)
+	run := packet.NewBatch(r.cfg.Batch)
 	for {
 		n, err := r.rx.recvBatch()
 		if err != nil {
@@ -689,286 +574,202 @@ func (r *Router) receiveLoopBatched() {
 			}
 			continue
 		}
-		b := packet.AcquireBatch()
-		for i := 0; i < n; i++ {
-			r.Received.Add(1)
-			pkt := packet.AcquirePacket()
-			if err := pkt.UnmarshalReuse(r.rx.buf(i)); err != nil {
-				r.Malformed.Add(1)
-				packet.Release(pkt)
-				continue
-			}
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				continue
-			}
-			pkt.TTL--
-			if r.cfg.Spans != nil {
-				pkt.TraceID = r.cfg.Spans.NextID()
-			}
-			b.Append(pkt)
-		}
+		r.decode(n, b)
 		if b.Len() == 0 {
-			packet.ReleaseBatch(b)
 			continue
 		}
 		r.RxBursts.Add(1)
 		r.RxBurstPkts.Add(uint64(b.Len()))
 		now := r.clock.Now()
-		if r.shards != nil {
-			r.shards.process(b, now)
-		} else {
-			r.coreMu.Lock()
-			r.core.ProcessBatch(b, 0, now)
-			r.coreMu.Unlock()
-		}
-		// Forward in arrival order, flushing maximal same-port runs so
-		// each run costs one port lock and one scheduler batch call.
-		var cur *port
-		for i, pkt := range b.Pkts() {
-			if pkt == nil {
-				continue
-			}
-			out := r.route(pkt.Dst)
-			if out == nil {
-				r.Unroutable.Add(1)
-				packet.Release(b.Take(i))
-				continue
-			}
-			r.Forwarded.Add(1)
-			if out != cur {
-				if cur != nil && run.Len() > 0 {
-					cur.enqueueBatch(run, now)
-				}
-				cur = out
-			}
-			run.Append(b.Take(i))
-		}
-		if cur != nil && run.Len() > 0 {
-			cur.enqueueBatch(run, now)
-		}
-		packet.ReleaseBatch(b)
+		r.shards.process(b, now)
+		r.dispatch(b, run, now)
+		b.Reset()
 	}
 }
 
-func (p *port) enqueue(pkt *packet.Packet, now tvatime.Time) {
-	pkt.EnqueuedAt = now
-	p.span(pkt, trace.EdgeEnqueue, now)
-	p.mu.Lock()
-	if !p.q.Enqueue(pkt, now) {
-		p.Dropped.Add(1)
-		p.mu.Unlock()
-		packet.Release(pkt)
-		return
-	}
-	p.cond.Signal()
-	p.mu.Unlock()
-}
-
-// enqueueBatch admits one same-port run under a single lock
-// acquisition: one BatchScheduler crossing when the port's scheduler
-// supports it, a tight per-packet loop otherwise. The run batch is
-// consumed (reset) either way.
-func (p *port) enqueueBatch(b *packet.Batch, now tvatime.Time) {
-	for _, pkt := range b.Pkts() {
-		if pkt != nil {
-			pkt.EnqueuedAt = now
-			p.span(pkt, trace.EdgeEnqueue, now)
-		}
-	}
-	p.mu.Lock()
-	if bs, ok := p.q.(sched.BatchScheduler); ok {
-		dropped := 0
-		accepted := bs.EnqueueBatch(b, now, func(pkt *packet.Packet) {
-			dropped++
+// decode is the parse stage: the n datagrams of the last read become
+// pooled packets in b, minus the malformed and the TTL-expired (each
+// counted). Receive goroutine only; touches no lock.
+func (r *Router) decode(n int, b *packet.Batch) {
+	r.Received.Add(uint64(n))
+	for i := 0; i < n; i++ {
+		pkt := packet.AcquirePacket()
+		if err := pkt.UnmarshalReuse(r.rx.buf(i)); err != nil {
+			r.Malformed.Add(1)
 			packet.Release(pkt)
-		})
-		p.Dropped.Add(uint64(dropped))
-		if accepted > 0 {
-			p.cond.Signal()
-		}
-		p.mu.Unlock()
-		return
-	}
-	accepted := 0
-	for i, pkt := range b.Pkts() {
-		if pkt == nil {
 			continue
 		}
-		if p.q.Enqueue(pkt, now) {
-			accepted++
-		} else {
-			p.Dropped.Add(1)
+		if pkt.TTL == 0 {
+			r.Expired.Add(1)
 			packet.Release(pkt)
+			continue
 		}
-		b.Take(i)
+		pkt.TTL--
+		if r.cfg.Spans != nil {
+			// Fresh ID per router: trace IDs are in-memory only, never
+			// on the wire, so each router contributes its own per-hop
+			// span fragment to the shared recorder.
+			pkt.TraceID = r.cfg.Spans.NextID()
+		}
+		b.Append(pkt)
 	}
-	if accepted > 0 {
+}
+
+// dispatch is the route + schedule stage: the classified burst leaves
+// toward its ports in arrival order, flushing maximal same-port runs
+// so each run costs one port lock and one scheduler batch call. Every
+// slot of b is consumed (enqueued, or released as unroutable). Receive
+// goroutine only; takes r.mu per lookup and then the run's port.mu,
+// never both at once.
+func (r *Router) dispatch(b, run *packet.Batch, now tvatime.Time) {
+	var cur *port
+	for i, pkt := range b.Pkts() {
+		out := r.route(pkt.Dst)
+		if out == nil {
+			r.Unroutable.Add(1)
+			packet.Release(b.Take(i))
+			continue
+		}
+		r.Forwarded.Add(1)
+		if out != cur {
+			if cur != nil {
+				cur.enqueue(run, now)
+			}
+			cur = out
+		}
+		run.Append(b.Take(i))
+	}
+	if cur != nil {
+		cur.enqueue(run, now)
+	}
+}
+
+func (r *Router) route(dst packet.Addr) *port {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p, ok := r.routes[dst]; ok {
+		return p
+	}
+	return r.def
+}
+
+// enqueue admits one same-port run with a single scheduler crossing
+// under p.mu, releasing whatever the scheduler refuses. The run batch
+// is consumed (reset).
+func (p *port) enqueue(run *packet.Batch, now tvatime.Time) {
+	for _, pkt := range run.Pkts() {
+		pkt.EnqueuedAt = now
+		p.span(pkt, trace.EdgeEnqueue, now)
+	}
+	p.mu.Lock()
+	if p.q.EnqueueBatch(run, now, p.refuse) > 0 {
 		p.cond.Signal()
 	}
 	p.mu.Unlock()
-	b.Reset()
 }
 
-// portLoopBatched drains one neighbour's scheduler a burst at a time:
-// one DequeueBatch under the lock, then marshal and one sendmmsg off
-// it, with pacing applied to the burst's total wire bytes.
-func (r *Router) portLoopBatched(p *port, bs sched.BatchScheduler, tx *batchConn) {
+// portLoop is the egress half of the data path for one neighbour, one
+// burst at a time: dequeue → encode → transmit → pace. Only the
+// dequeue stage takes p.mu; the rest works on the port goroutine's own
+// burst state.
+func (r *Router) portLoop(p *port) {
 	defer r.wg.Done()
-	burst := r.cfg.Batch
-	pkts := make([]*packet.Packet, burst)
-	out := make([][]byte, 0, burst)
-	txs := make([]trace.Span, 0, burst)
-	backing := make([][]byte, burst)
-	for i := range backing {
-		backing[i] = make([]byte, 0, 2048)
-	}
 	for {
-		p.mu.Lock()
-		var n int
-		for {
-			select {
-			case <-r.closed:
-				p.mu.Unlock()
-				return
-			default:
-			}
-			var retry tvatime.Time
-			n, retry = bs.DequeueBatch(pkts, r.clock.Now())
-			if n > 0 {
-				break
-			}
-			if retry > 0 {
-				d := time.Duration(retry - r.clock.Now())
-				if d < time.Millisecond {
-					d = time.Millisecond
-				}
-				timer := time.AfterFunc(d, func() {
-					p.mu.Lock()
-					p.cond.Broadcast()
-					p.mu.Unlock()
-				})
-				p.cond.Wait()
-				timer.Stop()
-				continue
-			}
-			p.cond.Wait()
+		n := r.dequeue(p)
+		if n == 0 {
+			return
 		}
-		p.mu.Unlock()
-
-		now := r.clock.Now()
-		out = out[:0]
-		txs = txs[:0]
-		wireBytes := 0
-		for i := 0; i < n; i++ {
-			pkt := pkts[i]
-			pkts[i] = nil
-			if pkt.EnqueuedAt > 0 {
-				if w := now.Sub(pkt.EnqueuedAt); w >= 0 {
-					r.observeWait(p, w)
-				}
-			}
-			p.span(pkt, trace.EdgeDequeue, now)
-			if p.spans != nil && pkt.TraceID != 0 {
-				txs = append(txs, trace.Span{
-					ID: pkt.TraceID, Src: uint32(pkt.Src), Dst: uint32(pkt.Dst),
-					Size: uint32(pkt.Size), Hop: p.hop,
-					Edge: trace.EdgeTx, Class: uint8(pkt.Class),
-				})
-			}
-			data, err := pkt.Marshal(backing[i][:0])
-			packet.Release(pkt)
-			if err != nil {
-				continue
-			}
-			backing[i] = data[:0]
-			out = append(out, data)
-			wireBytes += len(data)
-		}
-		if len(out) > 0 {
-			sent, _ := tx.sendBatch(out, p.to)
-			p.Sent.Add(uint64(sent))
-			p.TxBursts.Add(1)
-			p.TxBurstPkts.Add(uint64(len(out)))
-			if p.spans != nil && len(txs) > 0 {
-				done := r.clock.Now()
-				for i := range txs {
-					txs[i].Time = done
-					p.spans.Record(txs[i])
-				}
-			}
-		}
+		wireBytes := r.encode(p, n)
+		r.transmit(p)
 		p.pace(r.clock, wireBytes)
 	}
 }
 
-// portLoop drains one neighbour's scheduler, pacing at the link rate.
-func (r *Router) portLoop(p *port) {
-	defer r.wg.Done()
-	buf := make([]byte, 0, maxDatagram)
+// dequeue blocks until the port's scheduler yields a burst into
+// p.pkts and returns its length, or 0 once the router is closed. Holds
+// p.mu around DequeueBatch and the condition wait.
+func (r *Router) dequeue(p *port) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		p.mu.Lock()
-		var pkt *packet.Packet
-		for {
-			select {
-			case <-r.closed:
-				p.mu.Unlock()
-				return
-			default:
-			}
-			var retry tvatime.Time
-			pkt, retry = p.q.Dequeue(r.clock.Now())
-			if pkt != nil {
-				break
-			}
-			if retry > 0 {
-				// Rate-limited backlog: wake up when tokens accrue.
-				d := time.Duration(retry - r.clock.Now())
-				if d < time.Millisecond {
-					d = time.Millisecond
-				}
-				timer := time.AfterFunc(d, func() {
-					p.mu.Lock()
-					p.cond.Broadcast()
-					p.mu.Unlock()
-				})
-				p.cond.Wait()
-				timer.Stop()
-				continue
-			}
-			p.cond.Wait()
+		select {
+		case <-r.closed:
+			return 0
+		default:
 		}
-		p.mu.Unlock()
+		n, retry := p.q.DequeueBatch(p.pkts, r.clock.Now())
+		if n > 0 {
+			return n
+		}
+		if retry > 0 {
+			// Rate-limited backlog: wake up when tokens accrue.
+			d := time.Duration(retry - r.clock.Now())
+			if d < time.Millisecond {
+				d = time.Millisecond
+			}
+			timer := time.AfterFunc(d, func() {
+				p.mu.Lock()
+				p.cond.Broadcast()
+				p.mu.Unlock()
+			})
+			p.cond.Wait()
+			timer.Stop()
+			continue
+		}
+		p.cond.Wait()
+	}
+}
 
-		now := r.clock.Now()
+// encode marshals the n dequeued packets of p.pkts into p.out,
+// observing each one's queue wait and recording its dequeue span, and
+// releases them; it returns the burst's wire bytes for pacing. Port
+// goroutine only; no lock.
+func (r *Router) encode(p *port, n int) (wireBytes int) {
+	now := r.clock.Now()
+	p.out = p.out[:0]
+	p.txs = p.txs[:0]
+	for i := 0; i < n; i++ {
+		pkt := p.pkts[i]
+		p.pkts[i] = nil
 		if pkt.EnqueuedAt > 0 {
 			if w := now.Sub(pkt.EnqueuedAt); w >= 0 {
 				r.observeWait(p, w)
 			}
 		}
 		p.span(pkt, trace.EdgeDequeue, now)
-		wantTx := p.spans != nil && pkt.TraceID != 0
-		var txSpan trace.Span
-		if wantTx {
-			txSpan = trace.Span{
-				ID: pkt.TraceID, Src: uint32(pkt.Src), Dst: uint32(pkt.Dst),
-				Size: uint32(pkt.Size), Hop: p.hop,
-				Edge: trace.EdgeTx, Class: uint8(pkt.Class),
-			}
+		if p.spans != nil && pkt.TraceID != 0 {
+			// Built now, while the packet is still ours; transmit stamps
+			// the send time.
+			p.txs = append(p.txs, p.spanAt(pkt, trace.EdgeTx, 0))
 		}
-		data, err := pkt.Marshal(buf[:0])
+		data, err := pkt.Marshal(p.backing[i][:0])
 		packet.Release(pkt)
 		if err != nil {
 			continue
 		}
-		buf = data[:0]
-		if _, err := r.conn.WriteToUDP(data, p.to); err == nil {
-			p.Sent.Add(1)
-			if wantTx {
-				txSpan.Time = r.clock.Now()
-				p.spans.Record(txSpan)
-			}
+		p.backing[i] = data[:0]
+		p.out = append(p.out, data)
+		wireBytes += len(data)
+	}
+	return wireBytes
+}
+
+// transmit hands p.out to the socket in one burst and stamps the
+// pending tx spans with the send time. Port goroutine only; no lock
+// (the socket is shared, the kernel serializes sends).
+func (r *Router) transmit(p *port) {
+	if len(p.out) == 0 {
+		return
+	}
+	sent, _ := p.tx.sendBatch(p.out, p.to)
+	p.Sent.Add(uint64(sent))
+	p.TxBursts.Add(1)
+	p.TxBurstPkts.Add(uint64(len(p.out)))
+	if len(p.txs) > 0 {
+		done := r.clock.Now()
+		for i := range p.txs {
+			p.txs[i].Time = done
+			p.spans.Record(p.txs[i])
 		}
-		p.pace(r.clock, len(data))
 	}
 }

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -10,13 +12,26 @@ import (
 	"tva/internal/tvatime"
 )
 
-// testNet builds router←→{alice, bob} on loopback and returns a
-// cleanup-registered trio.
+// widths are the (Batch, Shards) settings every end-to-end behaviour
+// must hold at — they are widths of one data path, not modes: the
+// defaults, explicit ones, a burst, a burst across shards, and shards
+// without a burst.
+var widths = []struct{ batch, shards int }{{0, 0}, {1, 1}, {8, 1}, {8, 2}, {1, 4}}
+
+// testNet builds router←→{alice, bob} on loopback at the default
+// widths and returns a cleanup-registered trio.
 func testNet(t *testing.T, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host) {
+	t.Helper()
+	return testNetAt(t, 0, 0, aPolicy, bPolicy)
+}
+
+func testNetAt(t *testing.T, batch, shards int, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host) {
 	t.Helper()
 	r, err := NewRouter(RouterConfig{
 		Listen: "127.0.0.1:0",
 		Core:   core.RouterConfig{Suite: capability.Crypto, TrustBoundary: true},
+		Batch:  batch,
+		Shards: shards,
 	})
 	if err != nil {
 		t.Fatalf("router: %v", err)
@@ -45,6 +60,68 @@ func testNet(t *testing.T, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host)
 	return r, alice, bob
 }
 
+// forEachWidth runs f as one subtest per (Batch, Shards) setting and
+// then holds the router to the invariants no width may break: every
+// datagram read is accounted for exactly once, burst accounting is
+// sane (exactly one datagram per burst at width one, the simulator's
+// figure), and every pooled packet is back after Close.
+func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *testing.T, r *Router, alice, bob *Host)) {
+	for _, w := range widths {
+		t.Run(fmt.Sprintf("batch%d_shards%d", w.batch, w.shards), func(t *testing.T) {
+			live := packet.Live()
+			r, alice, bob := testNetAt(t, w.batch, w.shards, aPolicy(), bPolicy())
+			f(t, r, alice, bob)
+
+			// One datagram for each outcome besides Forwarded: garbage, an
+			// expired TTL, and a destination with no route.
+			raw, err := net.DialUDP("udp", nil, r.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			h := &packet.CapHdr{Kind: packet.KindRequest, Proto: packet.ProtoRaw}
+			expired, err := (&packet.Packet{Src: alice.Addr(), Dst: bob.Addr(), TTL: 0,
+				Proto: packet.ProtoRaw, Hdr: h, Size: packet.OuterHdrLen + h.WireSize()}).Marshal(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw.Write([]byte("not a tva packet"))
+			raw.Write(expired)
+			alice.Send(packet.AddrFrom(99, 9, 9, 9), []byte("void"))
+			deadline := time.Now().Add(2 * time.Second)
+			for r.Malformed.Load() == 0 || r.Expired.Load() == 0 || r.Unroutable.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("outcomes not counted: malformed=%d expired=%d unroutable=%d",
+						r.Malformed.Load(), r.Expired.Load(), r.Unroutable.Load())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			if got, want := len(r.shards.workers), max(w.shards, 1); got != want {
+				t.Errorf("%d shard workers, want %d", got, want)
+			}
+			alice.Close()
+			bob.Close()
+			r.Close()
+			rx, fwd := r.Received.Load(), r.Forwarded.Load()
+			if fwd == 0 || rx != fwd+r.Unroutable.Load()+r.Malformed.Load()+r.Expired.Load() {
+				t.Errorf("counters not conserved: received=%d forwarded=%d unroutable=%d malformed=%d expired=%d",
+					rx, fwd, r.Unroutable.Load(), r.Malformed.Load(), r.Expired.Load())
+			}
+			if st := r.CoreStats(); st.Requests == 0 {
+				t.Errorf("engine saw no requests: %+v", st)
+			}
+			rxFill, txFill := r.RxBurstFill(), r.TxBurstFill()
+			if width := float64(max(w.batch, 1)); rxFill < 1 || rxFill > width || txFill < 1 || txFill > width {
+				t.Errorf("burst fill outside [1, %v]: rx=%v tx=%v", width, rxFill, txFill)
+			}
+			if got := packet.Live(); got != live {
+				t.Errorf("pool not back to baseline after Close: %d live, started at %d", got, live)
+			}
+		})
+	}
+}
+
 func recvWithin(t *testing.T, h *Host, d time.Duration) Message {
 	t.Helper()
 	select {
@@ -56,37 +133,44 @@ func recvWithin(t *testing.T, h *Host, d time.Duration) Message {
 	}
 }
 
+// TestOverlayHandshakeAndDelivery runs the full capability handshake
+// and a protected transfer at every width: behaviour must not depend
+// on how wide the data path is.
 func TestOverlayHandshakeAndDelivery(t *testing.T) {
-	_, alice, bob := testNet(t, core.NewClientPolicy(), core.NewServerPolicy())
-
-	if err := alice.Send(bob.Addr(), []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	msg := recvWithin(t, bob, 2*time.Second)
-	if string(msg.Payload) != "hello" || msg.Src != alice.Addr() {
-		t.Fatalf("got %+v", msg)
-	}
-
-	// The grant should have arrived back at alice (carrier or
-	// piggyback); subsequent sends are capability-protected.
-	deadline := time.Now().Add(2 * time.Second)
-	for !alice.HasCaps(bob.Addr()) {
-		if time.Now().After(deadline) {
-			t.Fatal("alice never obtained capabilities")
+	client := func() core.Policy { return core.NewClientPolicy() }
+	server := func() core.Policy { return core.NewServerPolicy() }
+	forEachWidth(t, client, server, func(t *testing.T, _ *Router, alice, bob *Host) {
+		if err := alice.Send(bob.Addr(), []byte("hello")); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := alice.Send(bob.Addr(), []byte("again")); err != nil {
-		t.Fatal(err)
-	}
-	msg = recvWithin(t, bob, 2*time.Second)
-	if string(msg.Payload) != "again" {
-		t.Fatalf("second message corrupted: %q", msg.Payload)
-	}
-	st := alice.Stats()
-	if st.RequestsSent == 0 || st.GrantsReceived == 0 {
-		t.Errorf("handshake stats wrong: %+v", st)
-	}
+		msg := recvWithin(t, bob, 2*time.Second)
+		if string(msg.Payload) != "hello" || msg.Src != alice.Addr() {
+			t.Fatalf("got %+v", msg)
+		}
+
+		// The grant should have arrived back at alice (carrier or
+		// piggyback); subsequent sends are capability-protected.
+		deadline := time.Now().Add(2 * time.Second)
+		for !alice.HasCaps(bob.Addr()) {
+			if time.Now().After(deadline) {
+				t.Fatal("alice never obtained capabilities")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		for i := 0; i < 20; i++ {
+			if err := alice.Send(bob.Addr(), []byte("again")); err != nil {
+				t.Fatal(err)
+			}
+			msg = recvWithin(t, bob, 2*time.Second)
+			if string(msg.Payload) != "again" {
+				t.Fatalf("message %d corrupted: %q", i, msg.Payload)
+			}
+		}
+		st := alice.Stats()
+		if st.RequestsSent == 0 || st.GrantsReceived == 0 {
+			t.Errorf("handshake stats wrong: %+v", st)
+		}
+	})
 }
 
 func TestOverlayBidirectional(t *testing.T) {
@@ -104,19 +188,24 @@ func TestOverlayBidirectional(t *testing.T) {
 	}
 }
 
+// TestOverlayRefusedSenderDemoted: policy outcomes must not change
+// with the width either.
 func TestOverlayRefusedSenderDemoted(t *testing.T) {
 	// Bob refuses everyone; alice's packets stay requests/legacy but
 	// still arrive (low priority) on an idle network.
-	_, alice, bob := testNet(t, core.NewClientPolicy(), core.RefuseAllPolicy{})
-	for i := 0; i < 3; i++ {
-		if err := alice.Send(bob.Addr(), []byte("knock")); err != nil {
-			t.Fatal(err)
+	client := func() core.Policy { return core.NewClientPolicy() }
+	refuse := func() core.Policy { return core.RefuseAllPolicy{} }
+	forEachWidth(t, client, refuse, func(t *testing.T, _ *Router, alice, bob *Host) {
+		for i := 0; i < 3; i++ {
+			if err := alice.Send(bob.Addr(), []byte("knock")); err != nil {
+				t.Fatal(err)
+			}
+			recvWithin(t, bob, 2*time.Second)
 		}
-		recvWithin(t, bob, 2*time.Second)
-	}
-	if alice.HasCaps(bob.Addr()) {
-		t.Error("refused sender believes it is authorized")
-	}
+		if alice.HasCaps(bob.Addr()) {
+			t.Error("refused sender believes it is authorized")
+		}
+	})
 }
 
 func TestOverlayRouterStats(t *testing.T) {

@@ -38,8 +38,9 @@ type TopoConfig struct {
 	// CacheEntries sizes each router's flow cache (default 4096, the
 	// simulator harness's setting).
 	CacheEntries int
-	// Batch/Shards select the batched socket path per router (see
-	// RouterConfig); the loopback default is the per-datagram path.
+	// Batch/Shards set each router's burst width and capability worker
+	// count (see RouterConfig); the loopback default is width one on
+	// one worker — the same data path as any larger setting.
 	Batch, Shards int
 	// SpanCapacity, if positive, attaches a shared packet-lifecycle
 	// flight recorder across all routers: each router assigns fresh
