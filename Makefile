@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Repo-total statement coverage floor enforced by `make cover`.
 COVER_FLOOR ?= 70
 
-.PHONY: all build cross vet lint test race bench bench-guard bench-batch fuzz-smoke cover trace-smoke metrics-smoke xcheck check
+.PHONY: all build cross vet lint test race bench bench-guard bench-batch bench-pairs fuzz-smoke cover trace-smoke metrics-smoke xcheck check
 
 all: check
 
@@ -40,13 +40,15 @@ lint:
 test:
 	go test -vet=all ./...
 
-# The extra -count=2 pass re-runs the overlay shard/batch tests and the
-# (Batch, Shards) width tables so the race detector sees worker startup
-# and teardown — the one-worker inline engine included — twice in one
-# process: the window the goleak analyzer reasons about statically.
+# The extra -count=2 pass re-runs the overlay shard/batch tests, the
+# (Batch, Shards) width tables and the segmented-egress tests (mixed
+# runs, caps, kernel refusal, head-of-line) so the race detector sees
+# worker startup and teardown — the one-worker inline engine included —
+# twice in one process: the window the goleak analyzer reasons about
+# statically.
 race:
 	go test -race -vet=off ./...
-	go test -race -vet=off -count=2 -run 'Batch|Shard|Handshake|Refused' ./internal/overlay
+	go test -race -vet=off -count=2 -run 'Batch|Shard|Handshake|Refused|Segment' ./internal/overlay
 
 # bench writes a machine-readable snapshot (Table 1 ns/op + allocs/op,
 # Fig. 12 peak kpps, scenario completion fractions) keyed by revision.
@@ -66,6 +68,18 @@ bench-guard:
 # rate (the amortization burst width exists for).
 bench-batch:
 	go run ./cmd/tvabench -guard-batch
+
+# bench-pairs is the paired procedure a performance claim rests on:
+# BASE_REF is checked out beside the working tree, bench/run.sh runs
+# PAIRS times on each, alternating which goes first, and the two result
+# sets go through `bench/run.sh compare` plus a pairs-won count, e.g.
+# `make bench-pairs BASE_REF=HEAD~1 WORKLOAD=sock_fastpath`.
+BASE_REF ?= HEAD
+WORKLOAD ?= sock_fastpath
+PAIRS ?= 10
+RUN_SECONDS ?= 20
+bench-pairs:
+	bash scripts/bench_pairs.sh $(BASE_REF) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # fuzz-smoke gives each native fuzz target $(FUZZTIME) of mutation on
 # top of the seed corpus (go permits one -fuzz pattern per invocation).

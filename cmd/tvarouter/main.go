@@ -54,7 +54,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text exposition at /metrics on this address (e.g. 127.0.0.1:9100)")
 	metricsEvery := flag.Duration("metrics-interval", time.Second, "metrics sampling / health detector tick interval")
 	metricsWindow := flag.Int("metrics-window", 600, "retained metrics rows (ticks)")
-	batch := flag.Int("batch", 1, "burst width of the data path: datagrams per recvmmsg/sendmmsg (where available), engine and scheduler crossing; 0/1 = one")
+	batch := flag.Int("batch", 1, "burst width of the data path: datagrams per recvmmsg/sendmmsg (where available), engine and scheduler crossing; equal-length runs of a send burst leave as one UDP_SEGMENT message where the kernel accepts it; 0/1 = one")
 	shards := flag.Int("shards", 0, "per-flow worker shards for capability processing (0/1 = one, inline on the receive goroutine)")
 	var routes routeList
 	flag.Var(&routes, "route", "addr=udphost:port (repeatable)")
@@ -167,7 +167,7 @@ func main() {
 	if *debugAddr != "" {
 		// /debug/pprof (profiles) and /debug/vars (expvar) on the
 		// default mux; both packages register themselves on import.
-		expvar.Publish("tva", expvar.Func(func() any { return diagnostics(m) }))
+		expvar.Publish("tva", expvar.Func(func() any { return diagnostics(m, r.Gauges()) }))
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pprof:", err)
@@ -274,8 +274,11 @@ func isClosed(err error) bool {
 // /debug/vars can never disagree. The shape matches the pre-metrics
 // output: forwarding totals, reason-attributed scheduler drops,
 // demotion causes, flow-cache occupancy, the hop-wait estimate, burst
-// fill levels, and one structured gauge block per neighbour port.
-func diagnostics(m *overlay.RouterMetrics) map[string]any {
+// fill levels, and one structured gauge block per neighbour port. The
+// two egress figures with no registry series — datagrams that failed to
+// leave and kernel messages used (sent_pkts / tx_msgs is the segment
+// coalescing ratio) — come from the port gauges.
+func diagnostics(m *overlay.RouterMetrics, gauges []overlay.PortGauges) map[string]any {
 	out := map[string]any{}
 	drops := map[string]uint64{}
 	demotions := map[string]uint64{}
@@ -333,6 +336,12 @@ func diagnostics(m *overlay.RouterMetrics) map[string]any {
 			out["health"] = metrics.State(s.Value).String()
 		}
 	})
+	for _, g := range gauges {
+		if blk, ok := portBlocks[g.Neighbor]; ok {
+			blk["tx_failed_pkts"] = g.TxFailed
+			blk["tx_msgs"] = g.TxMsgs
+		}
+	}
 	out["sched_drops"] = drops
 	out["sched_drops_total"] = dropsTotal
 	out["demotions"] = demotions

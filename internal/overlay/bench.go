@@ -439,7 +439,7 @@ func MeasureForwardingBatch(w *Workload, batchSize int, dur time.Duration) (outp
 		if end > len(w.seeds) {
 			end = len(w.seeds)
 		}
-		if _, serr := dbc.sendBatch(w.seeds[i:end], rAddr); serr != nil {
+		if _, _, serr := dbc.sendBatch(w.seeds[i:end], rAddr); serr != nil {
 			return 0, serr
 		}
 		for need := end - i; need > 0; {
@@ -461,7 +461,7 @@ func MeasureForwardingBatch(w *Workload, batchSize int, dur time.Duration) (outp
 				idx = 0
 			}
 		}
-		_, serr := dbc.sendBatch(burst[:k], rAddr)
+		_, _, serr := dbc.sendBatch(burst[:k], rAddr)
 		return serr
 	}
 	var forwarded int64

@@ -39,12 +39,19 @@ func (b *batchConn) recvBatch() (int, error) {
 // buf returns the received payload after recvBatch (i is always 0).
 func (b *batchConn) buf(int) []byte { return b.rbuf[:b.rlen] }
 
-// sendBatch writes each packet with its own syscall.
-func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (int, error) {
-	for i, p := range pkts {
-		if _, err := b.conn.WriteToUDP(p, to); err != nil {
-			return i, err
+// sendBatch writes each packet with its own syscall, so messages equal
+// datagrams here. A packet the kernel rejects is skipped and the burst
+// carries on behind it: sent counts the ones accepted, err is the
+// first rejection.
+func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (sent, msgs int, err error) {
+	for _, p := range pkts {
+		if _, werr := b.conn.WriteToUDP(p, to); werr != nil {
+			if err == nil {
+				err = werr
+			}
+			continue
 		}
+		sent++
 	}
-	return len(pkts), nil
+	return sent, sent, err
 }

@@ -1,10 +1,13 @@
 //go:build linux && amd64
 
 // recvmmsg/sendmmsg batched datagram I/O: one syscall moves a whole
-// burst between the socket and the forwarding path. Raw syscall
-// numbers are used (x/net is unavailable here); the build tag pins the
-// ABI this file assumes, and mmsg_fallback.go serves everything else
-// with one syscall per datagram.
+// burst between the socket and the forwarding path, and on the way out
+// each run of equal-length datagrams is one UDP_SEGMENT message, so the
+// run crosses the kernel's UDP/IP output path once and is cut back into
+// datagrams at the far end of it (the NIC, or on loopback the receiving
+// socket). Raw syscall numbers are used (x/net is unavailable here); the
+// build tag pins the ABI this file assumes, and mmsg_fallback.go serves
+// everything else with one syscall per datagram.
 package overlay
 
 import (
@@ -17,6 +20,14 @@ import (
 const (
 	sysRecvmmsg = 299 // linux/amd64
 	sysSendmmsg = 307 // linux/amd64
+
+	solUDP     = 17  // SOL_UDP
+	udpSegment = 103 // UDP_SEGMENT: cmsg carrying the uint16 segment length
+
+	// Limits of one segmented message: the kernel's UDP_MAX_SEGMENTS
+	// (64 since 4.18) and a payload that still fits one IP datagram.
+	maxSegs     = 64
+	maxSegBytes = 65000
 )
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled
@@ -28,6 +39,15 @@ type mmsghdr struct {
 	_   uint32
 }
 
+// segCmsg is the one control message a segmented send carries:
+// cmsghdr{SOL_UDP, UDP_SEGMENT} and the segment length, padded to
+// CMSG_SPACE(2).
+type segCmsg struct {
+	hdr syscall.Cmsghdr
+	seg uint16
+	_   [6]byte
+}
+
 // batchConn owns the scatter-gather state for bursts on one UDP
 // socket: fixed header/iovec arrays sized at the batch cap, reused for
 // every call so the steady state allocates nothing. One goroutine per
@@ -36,6 +56,7 @@ type batchConn struct {
 	rc   syscall.RawConn
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
+	ctls []segCmsg // ctls[i] is hdrs[i]'s control buffer when it is segmented
 	// bufs are the receive buffers, allocated by the first recvBatch: a
 	// send-only batchConn (one per port) never pays n × maxDatagram.
 	bufs [][]byte
@@ -44,13 +65,21 @@ type batchConn struct {
 	// (matched by pointer: callers never mutate an address in place).
 	to   *net.UDPAddr
 	name []byte
+	// segCeil is the coalescing ceiling: only datagrams shorter than it
+	// join a segmented message. It starts at maxDatagram and drops to
+	// every length the kernel refuses, so it converges to "off" where
+	// UDP_SEGMENT is unavailable and keeps small-packet offload where
+	// only over-MTU segments are refused.
+	segCeil int
 	// recvFn/sendFn are the RawConn callbacks, built once: a closure per
 	// call costs three heap objects per syscall, which at width 1 is
-	// per datagram. n (datagrams moved), want (datagrams to send) and
-	// serr carry one call's arguments and results.
+	// per datagram. n (messages moved), want (messages to send), serr
+	// (receive error) and errno (why hdrs[n] was not sent) carry one
+	// call's arguments and results.
 	recvFn, sendFn func(fd uintptr) bool
 	n, want        int
 	serr           error
+	errno          syscall.Errno
 }
 
 // newBatchConn prepares burst I/O of up to n datagrams of maxDatagram
@@ -64,6 +93,9 @@ func newBatchConn(conn *net.UDPConn, n int) (*batchConn, error) {
 		rc:   rc,
 		hdrs: make([]mmsghdr, n),
 		iovs: make([]syscall.Iovec, n),
+		ctls: make([]segCmsg, n),
+
+		segCeil: maxDatagram,
 	}
 	b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
 	return b, nil
@@ -123,52 +155,108 @@ func sockaddrFor(to *net.UDPAddr) []byte {
 	return append([]byte(nil), (*(*[syscall.SizeofSockaddrInet6]byte)(unsafe.Pointer(&sa)))[:]...)
 }
 
-// sendBatch transmits pkts to one destination with as few sendmmsg
-// calls as possible (normally one). All packets of a port burst share
-// the next hop, so a single sockaddr serves every header. It returns
-// how many datagrams were handed to the kernel.
-func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (int, error) {
-	if len(pkts) == 0 {
-		return 0, nil
-	}
+// sendBatch transmits pkts to one destination with as few kernel
+// messages and sendmmsg calls as possible (normally one call; all
+// packets of a port burst share the next hop, so one sockaddr serves
+// every header). It returns how many datagrams the kernel accepted and
+// how many messages carried them. The other len(pkts)-sent failed: a
+// message the kernel rejects (EMSGSIZE, say) is skipped and the burst
+// carries on behind it; err is the first such rejection. Only a dead
+// socket ends the call early.
+//
+// A segmented message the kernel refuses (EINVAL/EIO: no UDP_SEGMENT
+// before 4.18, SO_NO_CHECK set, segment above the path MTU) loses
+// nothing: its length becomes segCeil and the same datagrams are
+// rebuilt as plain messages within this call.
+func (b *batchConn) sendBatch(pkts [][]byte, to *net.UDPAddr) (sent, msgs int, err error) {
 	if to != b.to {
 		b.to, b.name = to, sockaddrFor(to)
 	}
-	n := len(pkts)
-	if n > len(b.hdrs) {
-		n = len(b.hdrs)
-	}
-	for i := 0; i < n; i++ {
-		b.iovs[i] = syscall.Iovec{Base: &pkts[i][0], Len: uint64(len(pkts[i]))}
-		b.hdrs[i].hdr = syscall.Msghdr{
-			Name:    &b.name[0],
-			Namelen: uint32(len(b.name)),
-			Iov:     &b.iovs[i],
-			Iovlen:  1,
+	for at := 0; at < len(pkts); {
+		b.n, b.want, b.errno = 0, b.build(pkts[at:]), 0
+		if werr := b.rc.Write(b.sendFn); werr != nil {
+			return sent, msgs, werr
 		}
-		b.hdrs[i].len = 0
+		msgs += b.n
+		for i := 0; i < b.n; i++ {
+			n := int(b.hdrs[i].hdr.Iovlen)
+			sent, at = sent+n, at+n
+		}
+		if b.errno == 0 {
+			continue
+		}
+		bad := &b.hdrs[b.n].hdr
+		if bad.Controllen != 0 && (b.errno == syscall.EINVAL || b.errno == syscall.EIO) {
+			b.segCeil = len(pkts[at])
+			continue
+		}
+		if err == nil {
+			err = os.NewSyscallError("sendmmsg", b.errno)
+		}
+		at += int(bad.Iovlen)
 	}
-	b.n, b.want, b.serr = 0, n, nil
-	if err := b.rc.Write(b.sendFn); err != nil {
-		return b.n, err
-	}
-	return b.n, b.serr
+	return sent, msgs, err
 }
 
-// sendmmsg is sendBatch's RawConn callback.
+// build is the one message builder: it packs a prefix of pkts into
+// hdrs/iovs, one message per maximal run of consecutive equal-length
+// datagrams shorter than segCeil (at most maxSegs segments and
+// maxSegBytes payload), and returns the message count. A run of one is
+// the plain single-iovec message with no control data; a longer run
+// spans its iovecs and carries UDP_SEGMENT = that length.
+func (b *batchConn) build(pkts [][]byte) (msgs int) {
+	for used := 0; used < len(pkts) && used < len(b.iovs); msgs++ {
+		size := len(pkts[used])
+		run := 1
+		if 0 < size && size < b.segCeil {
+			limit := min(maxSegs, maxSegBytes/size, len(pkts)-used, len(b.iovs)-used)
+			for run < limit && len(pkts[used+run]) == size {
+				run++
+			}
+		}
+		for i, p := range pkts[used : used+run] {
+			b.iovs[used+i] = syscall.Iovec{Base: unsafe.SliceData(p), Len: uint64(size)}
+		}
+		h := &b.hdrs[msgs]
+		h.hdr = syscall.Msghdr{
+			Name:    &b.name[0],
+			Namelen: uint32(len(b.name)),
+			Iov:     &b.iovs[used],
+			Iovlen:  uint64(run),
+		}
+		h.len = 0
+		if run > 1 {
+			c := &b.ctls[msgs]
+			c.hdr = syscall.Cmsghdr{Len: syscall.SizeofCmsghdr + 2, Level: solUDP, Type: udpSegment}
+			c.seg = uint16(size)
+			h.hdr.Control = (*byte)(unsafe.Pointer(c))
+			h.hdr.Controllen = uint64(unsafe.Sizeof(*c))
+		}
+		used += run
+	}
+	return msgs
+}
+
+// sendmmsg is sendBatch's RawConn callback: it hands hdrs[n:want] to
+// the kernel, resuming after partial sends and EAGAIN, and stops at the
+// first message the kernel rejects (errno says why hdrs[n] was not
+// sent — sendmmsg reports an error only for the first message of a
+// call).
 func (b *batchConn) sendmmsg(fd uintptr) bool {
 	for b.n < b.want {
 		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&b.hdrs[b.n])), uintptr(b.want-b.n),
 			syscall.MSG_DONTWAIT, 0, 0)
-		if errno == syscall.EAGAIN {
+		switch errno {
+		case 0:
+			b.n += int(r1)
+		case syscall.EAGAIN:
 			return false // wait for writability, resume where we left off
-		}
-		if errno != 0 {
-			b.serr = os.NewSyscallError("sendmmsg", errno)
+		case syscall.EINTR: // nothing was sent; call again
+		default:
+			b.errno = errno
 			return true
 		}
-		b.n += int(r1)
 	}
 	return true
 }

@@ -15,7 +15,12 @@
 // Each neighbour has one port goroutine running dequeue → encode →
 // transmit (tx.sendBatch) → pace; port.mu guards that port's
 // scheduler, which the receive goroutine fills and the port goroutine
-// drains. This mirrors a router's line-card queues.
+// drains. This mirrors a router's line-card queues. On linux/amd64
+// tx.sendBatch is segment-offloaded: each run of equal-length datagrams
+// in a burst goes to the kernel as one UDP_SEGMENT message, so a port
+// burst crosses the UDP/IP stack once per run instead of once per
+// datagram (mmsg_linux.go); the burst's lengths and the kernel's reply
+// decide it, there is no option.
 package overlay
 
 import (
@@ -57,9 +62,11 @@ type RouterConfig struct {
 	// Batch is the burst width of the data path: how many datagrams
 	// one recvmmsg/sendmmsg crossing, one ProcessBatch and one
 	// scheduler crossing may carry (0 and 1 both mean one; clamped to
-	// packet.DefaultBatchCap). Every width runs the same loops. On
-	// platforms without mmsg syscalls reads return one datagram per
-	// call whatever the width.
+	// packet.DefaultBatchCap). Every width runs the same loops. Within
+	// a send burst, equal-length neighbours share one segmented kernel
+	// message, so the width also bounds how much egress coalesces
+	// (width 1 always sends plain messages). On platforms without mmsg
+	// syscalls reads return one datagram per call whatever the width.
 	Batch int
 	// Shards is the number of flow-hashed capability-processing
 	// workers sharing one authority (see shard.go). 0 and 1 both mean
@@ -140,14 +147,20 @@ type port struct {
 	hop   uint16
 
 	// Sent/Dropped and the burst counters are written by the port
-	// goroutine and read concurrently by diagnostics — atomics for the
-	// same reason as the Router totals. TxBursts/TxBurstPkts count
-	// egress send bursts and the datagrams they carried.
-	Sent, Dropped         atomic.Uint64
-	TxBursts, TxBurstPkts atomic.Uint64
+	// goroutine (Dropped by the receive goroutine) and read concurrently
+	// by diagnostics — atomics for the same reason as the Router totals.
+	// Every dequeued packet ends in exactly one of Sent (the kernel took
+	// its datagram) or TxFailed (it would not marshal, or the kernel
+	// rejected it). TxBursts/TxBurstPkts count egress send bursts and
+	// the datagrams they offered, TxMsgs the kernel messages that
+	// carried the accepted ones: TxBurstPkts/TxMsgs is the coalescing
+	// ratio (1 where nothing coalesces).
+	Sent, Dropped, TxFailed       atomic.Uint64
+	TxBursts, TxBurstPkts, TxMsgs atomic.Uint64
 
 	// Egress burst state, touched only by the port's own output
-	// goroutine: tx is its sendmmsg state, pkts the dequeued burst,
+	// goroutine: tx is its sendmmsg state (per-run segmented messages
+	// and the port's segment ceiling), pkts the dequeued burst,
 	// backing the per-slot marshal buffers, out the encoded datagrams,
 	// txs their pending tx spans, and nextTx when the emulated link
 	// next frees up (see pace).
@@ -510,6 +523,10 @@ type PortGauges struct {
 	RegularQueues int
 	TokenBytes    float64
 	Sent, Dropped uint64
+	// TxFailed counts dequeued packets that never became a datagram on
+	// the wire (dequeued = Sent + TxFailed); TxMsgs the kernel messages
+	// that carried the Sent ones (fewer than Sent where runs coalesce).
+	TxFailed, TxMsgs uint64
 }
 
 // Gauges snapshots every port's scheduler occupancy, sorted by
@@ -528,6 +545,8 @@ func (r *Router) Gauges() []PortGauges {
 			TokenBytes:    p.q.TokenLevel(now),
 			Sent:          p.Sent.Load(),
 			Dropped:       p.Dropped.Load(),
+			TxFailed:      p.TxFailed.Load(),
+			TxMsgs:        p.TxMsgs.Load(),
 		})
 	})
 	return out
@@ -722,8 +741,9 @@ func (r *Router) dequeue(p *port) int {
 
 // encode marshals the n dequeued packets of p.pkts into p.out,
 // observing each one's queue wait and recording its dequeue span, and
-// releases them; it returns the burst's wire bytes for pacing. Port
-// goroutine only; no lock.
+// releases them (one that will not marshal counts as TxFailed); it
+// returns the burst's wire bytes for pacing. Port goroutine only; no
+// lock.
 func (r *Router) encode(p *port, n int) (wireBytes int) {
 	now := r.clock.Now()
 	p.out = p.out[:0]
@@ -737,14 +757,15 @@ func (r *Router) encode(p *port, n int) (wireBytes int) {
 			}
 		}
 		p.span(pkt, trace.EdgeDequeue, now)
-		if p.spans != nil && pkt.TraceID != 0 {
+		data, err := pkt.Marshal(p.backing[i][:0])
+		if err == nil && p.spans != nil && pkt.TraceID != 0 {
 			// Built now, while the packet is still ours; transmit stamps
 			// the send time.
 			p.txs = append(p.txs, p.spanAt(pkt, trace.EdgeTx, 0))
 		}
-		data, err := pkt.Marshal(p.backing[i][:0])
 		packet.Release(pkt)
 		if err != nil {
+			p.TxFailed.Add(1)
 			continue
 		}
 		p.backing[i] = data[:0]
@@ -754,15 +775,20 @@ func (r *Router) encode(p *port, n int) (wireBytes int) {
 	return wireBytes
 }
 
-// transmit hands p.out to the socket in one burst and stamps the
-// pending tx spans with the send time. Port goroutine only; no lock
-// (the socket is shared, the kernel serializes sends).
+// transmit hands p.out to the socket in one burst — one kernel message
+// per run of equal-length datagrams — and stamps the pending tx spans
+// with the send time. A datagram the kernel rejects costs only itself
+// (TxFailed); the error is not otherwise actionable here. Port
+// goroutine only; no lock (the socket is shared, the kernel serializes
+// sends).
 func (r *Router) transmit(p *port) {
 	if len(p.out) == 0 {
 		return
 	}
-	sent, _ := p.tx.sendBatch(p.out, p.to)
+	sent, msgs, _ := p.tx.sendBatch(p.out, p.to)
 	p.Sent.Add(uint64(sent))
+	p.TxFailed.Add(uint64(len(p.out) - sent))
+	p.TxMsgs.Add(uint64(msgs))
 	p.TxBursts.Add(1)
 	p.TxBurstPkts.Add(uint64(len(p.out)))
 	if len(p.txs) > 0 {

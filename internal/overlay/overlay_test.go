@@ -60,17 +60,64 @@ func testNetAt(t *testing.T, batch, shards int, aPolicy, bPolicy core.Policy) (*
 	return r, alice, bob
 }
 
+// forwardEqualRun offers the router 64 equal-length legacy datagrams in
+// bursts of 8 toward a sink of its own and requires them back in order
+// and intact (TTL one lower). What the egress made of them depends on
+// the width: at one, a kernel message per datagram; at a burst width
+// with segment offload, fewer messages than datagrams.
+func forwardEqualRun(t *testing.T, r *Router, offload bool) {
+	t.Helper()
+	drv, sink, _, sinkConn := loopbackPair(t, net.IPv4(127, 0, 0, 1), 8)
+	dst := packet.AddrFrom(10, 0, 0, 3)
+	if err := r.AddRoute(dst, sinkConn.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	const total = 64
+	in, want := make([][]byte, total), make([][]byte, total)
+	for i := range in {
+		wire := func(ttl uint8) []byte {
+			data, err := (&packet.Packet{Src: packet.AddrFrom(10, 0, 0, 9), Dst: dst, TTL: ttl,
+				Proto: packet.ProtoRaw, Payload: []byte(fmt.Sprintf("equal-run-%04d", i))}).Marshal(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		in[i], want[i] = wire(64), wire(63)
+	}
+	for i := 0; i < total; i += 8 {
+		if sent, _, err := drv.sendBatch(in[i:i+8], r.Addr()); err != nil || sent != 8 {
+			t.Fatalf("driver burst at %d: sent %d, err %v", i, sent, err)
+		}
+	}
+	expectDatagrams(t, sink, sinkConn, want)
+	p := r.route(dst)
+	pkts, msgs := p.TxBurstPkts.Load(), p.TxMsgs.Load()
+	switch {
+	case pkts != total || p.Sent.Load() != total:
+		t.Errorf("sink port offered %d and sent %d datagrams, want %d", pkts, p.Sent.Load(), total)
+	case r.cfg.Batch == 1 && msgs != total:
+		t.Errorf("width 1 sent %d datagrams in %d messages, want one each", total, msgs)
+	case r.cfg.Batch > 1 && offload && msgs >= pkts:
+		t.Errorf("width %d sent %d equal datagrams in %d messages: nothing coalesced", r.cfg.Batch, pkts, msgs)
+	}
+}
+
 // forEachWidth runs f as one subtest per (Batch, Shards) setting and
 // then holds the router to the invariants no width may break: every
-// datagram read is accounted for exactly once, burst accounting is
-// sane (exactly one datagram per burst at width one, the simulator's
+// datagram read is accounted for exactly once, and so is every packet
+// handed to a port (Sent, TxFailed or Dropped); an equal-length run
+// coalesces on egress exactly where the width allows; burst accounting
+// is sane (exactly one datagram per burst at width one, the simulator's
 // figure), and every pooled packet is back after Close.
 func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *testing.T, r *Router, alice, bob *Host)) {
+	offload := segmentOffload(t)
 	for _, w := range widths {
 		t.Run(fmt.Sprintf("batch%d_shards%d", w.batch, w.shards), func(t *testing.T) {
 			live := packet.Live()
 			r, alice, bob := testNetAt(t, w.batch, w.shards, aPolicy(), bPolicy())
 			f(t, r, alice, bob)
+			forwardEqualRun(t, r, offload)
 
 			// One datagram for each outcome besides Forwarded: garbage, an
 			// expired TTL, and a destination with no route.
@@ -100,6 +147,22 @@ func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *t
 			if got, want := len(r.shards.workers), max(w.shards, 1); got != want {
 				t.Errorf("%d shard workers, want %d", got, want)
 			}
+			// Once the queues drain, every forwarded packet is Sent, TxFailed
+			// or Dropped at exactly one port, and (nothing here fails to
+			// marshal) each port's dequeued = offered = Sent + TxFailed.
+			settled := func() bool {
+				var out uint64
+				for _, p := range r.portList() {
+					out += p.Sent.Load() + p.TxFailed.Load() + p.Dropped.Load()
+				}
+				return out == r.Forwarded.Load()
+			}
+			for deadline = time.Now().Add(2 * time.Second); !settled() && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !settled() {
+				t.Errorf("forwarded=%d not conserved across ports: %+v", r.Forwarded.Load(), r.Gauges())
+			}
 			alice.Close()
 			bob.Close()
 			r.Close()
@@ -114,6 +177,11 @@ func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *t
 			rxFill, txFill := r.RxBurstFill(), r.TxBurstFill()
 			if width := float64(max(w.batch, 1)); rxFill < 1 || rxFill > width || txFill < 1 || txFill > width {
 				t.Errorf("burst fill outside [1, %v]: rx=%v tx=%v", width, rxFill, txFill)
+			}
+			for _, p := range r.portList() {
+				if got, want := p.Sent.Load()+p.TxFailed.Load(), p.TxBurstPkts.Load(); got != want {
+					t.Errorf("port %s: Sent+TxFailed = %d, dequeued %d", p.key, got, want)
+				}
 			}
 			if got := packet.Live(); got != live {
 				t.Errorf("pool not back to baseline after Close: %d live, started at %d", got, live)
@@ -206,6 +274,50 @@ func TestOverlayRefusedSenderDemoted(t *testing.T) {
 			t.Error("refused sender believes it is authorized")
 		}
 	})
+}
+
+// TestPortBatchFailuresCostOnlyThemselves drives one port's encode and
+// transmit stages by hand (its goroutine is parked on an empty queue)
+// with a packet that cannot marshal and a datagram the kernel cannot
+// send, each in the middle of a burst: the neighbours on both sides
+// reach the sink, and both failures land in TxFailed so that dequeued
+// = Sent + TxFailed.
+func TestPortBatchFailuresCostOnlyThemselves(t *testing.T) {
+	live := packet.Live()
+	r, err := NewRouter(RouterConfig{Listen: "127.0.0.1:0", Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	_, sink, _, sinkConn := loopbackPair(t, net.IPv4(127, 0, 0, 1), 8)
+	dst := packet.AddrFrom(10, 0, 0, 3)
+	if err := r.AddRoute(dst, sinkConn.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	p := r.route(dst)
+
+	for i, payload := range []any{[]byte("left"), struct{}{}, []byte("right")} {
+		pkt := packet.AcquirePacket()
+		pkt.Src, pkt.Dst, pkt.TTL, pkt.Proto, pkt.Payload = 1, dst, 9, packet.ProtoRaw, payload
+		p.pkts[i] = pkt
+	}
+	r.encode(p, 3)
+	if len(p.out) != 2 || p.TxFailed.Load() != 1 {
+		t.Fatalf("encode kept %d of 3 packets, TxFailed=%d; want 2 and 1", len(p.out), p.TxFailed.Load())
+	}
+	want := [][]byte{p.out[0], p.out[1]}
+	p.out = [][]byte{want[0], make([]byte, 65508), want[1]}
+	r.transmit(p)
+	expectDatagrams(t, sink, sinkConn, want)
+	g := r.Gauges()[0]
+	if g.Sent != 2 || g.TxFailed != 2 || g.TxMsgs != 2 || p.TxBurstPkts.Load() != 3 {
+		t.Errorf("after one oversize datagram of three: %+v, offered %d; want Sent 2, TxFailed 2 (with the marshal failure), TxMsgs 2",
+			g, p.TxBurstPkts.Load())
+	}
+	r.Close()
+	if got := packet.Live(); got != live {
+		t.Errorf("pool not back to baseline: %d live, started at %d", got, live)
+	}
 }
 
 func TestOverlayRouterStats(t *testing.T) {
