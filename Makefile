@@ -86,6 +86,7 @@ bench-pairs:
 fuzz-smoke:
 	go test ./internal/packet -run '^$$' -fuzz FuzzWireUnmarshal -fuzztime $(FUZZTIME)
 	go test ./internal/packet -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
+	go test ./internal/netsim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
 
 # cover writes a coverage profile, then the gate script extracts the
 # repo-total statement coverage, surfaces it (in the GitHub job summary

@@ -157,3 +157,29 @@ func TestRenewalLossFallsBackToFreshRequest(t *testing.T) {
 		t.Errorf("demotions = %d, want few (no demotion storm)", got)
 	}
 }
+
+// A run returns every pooled packet it acquired: what is still in
+// flight or queued at the horizon goes back when the simulation is
+// torn down, for every scheme, with and without faults, on both
+// drivers.
+func TestRunReturnsPoolToBaseline(t *testing.T) {
+	baseline := packet.Live()
+	for _, s := range []Scheme{SchemeInternet, SchemeSIFF, SchemePushback, SchemeTVA} {
+		for _, faulty := range []bool{false, true} {
+			cfg := Config{Scheme: s, Attack: AttackLegacyFlood, NumAttackers: 40,
+				Duration: 3 * tvatime.Second, Seed: 5}
+			if faulty {
+				cfg.LossRate, cfg.DupProb, cfg.LinkJitter = 0.02, 0.05, 2*tvatime.Millisecond
+				cfg.RestartAt = 1500 * tvatime.Millisecond
+			}
+			Run(cfg)
+			if got := packet.Live(); got != baseline {
+				t.Fatalf("%v faulty=%v: pool gauge %d after Run, want baseline %d", s, faulty, got, baseline)
+			}
+		}
+	}
+	RunStream(StreamConfig{Attackers: 20, Seed: 5})
+	if got := packet.Live(); got != baseline {
+		t.Fatalf("pool gauge %d after RunStream, want baseline %d", got, baseline)
+	}
+}

@@ -365,6 +365,9 @@ func Run(cfg Config) *Result {
 	}
 	res.Flows = tel.Flows.AppendSamples(nil)
 	flowstats.SortSamples(res.Flows)
+	// Only now, with every counter read: packets still in flight or
+	// queued at the horizon go back to the pool.
+	sim.Teardown()
 	return res
 }
 

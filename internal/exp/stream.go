@@ -325,5 +325,6 @@ func RunStream(scfg StreamConfig) *StreamResult {
 	res.BottleneckDrops = lr.Stats.DroppedPkts
 	res.WaitSketch = lr.WaitSketch
 	res.Telemetry = tel
+	sim.Teardown()
 	return res
 }

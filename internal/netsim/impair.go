@@ -174,12 +174,19 @@ func (i *Iface) launch(pkt *packet.Packet) {
 }
 
 // scheduleDeliver arms the arrival event d from now.
+//
+//tva:hotpath
 func (i *Iface) scheduleDeliver(pkt *packet.Packet, d tvatime.Duration) {
-	i.Node.Sim.After(d, func() {
-		if i.down {
-			i.fault(pkt, telemetry.DropLinkDown)
-			return
-		}
-		i.deliver(pkt)
-	})
+	sim := i.Node.Sim
+	sim.schedule(sim.now.Add(d), payload{kind: evDeliver, iface: i, pkt: pkt})
+}
+
+// arrive ends pkt's propagation: an interface that went down in the
+// meantime cuts it, otherwise the peer's handler receives it.
+func (i *Iface) arrive(pkt *packet.Packet) {
+	if i.down {
+		i.fault(pkt, telemetry.DropLinkDown)
+		return
+	}
+	i.deliver(pkt)
 }

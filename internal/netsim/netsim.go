@@ -26,10 +26,13 @@ import (
 // from Run.
 type Sim struct {
 	now     tvatime.Time
-	events  eventHeap
+	queue   eventQueue
+	slab    []payload // what each pending event does, indexed by event.slot
+	free    []uint32  // retired slab slots
 	seq     uint64
 	rng     *rand.Rand
 	horizon tvatime.Time // active Run bound; 0 = no Run in progress
+	ifaces  []*Iface     // every link direction, for Teardown
 
 	// Spans, if set, is the flight recorder every lifecycle edge in
 	// this simulation reports to. Attach it before building the
@@ -54,7 +57,9 @@ type Sim struct {
 
 // New returns a simulator with a deterministic RNG.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	s := &Sim{rng: rand.New(rand.NewSource(seed))}
+	s.queue.init()
+	return s
 }
 
 // Now implements tvatime.Clock.
@@ -63,21 +68,57 @@ func (s *Sim) Now() tvatime.Time { return s.now }
 // Rand returns the simulation's RNG (deterministic per seed).
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn at absolute time t (>= now).
-func (s *Sim) At(t tvatime.Time, fn func()) {
+// evKind selects what Step does with an event.
+type evKind uint8
+
+const (
+	evFree    evKind = iota // retired slab slot
+	evFunc                  // timer or ticker: run fn
+	evTxDone                // pkt finished serializing on iface
+	evDeliver               // pkt finished propagating from iface
+	evRetry                 // iface's rate-limited scheduler may serve again
+)
+
+// payload is what a pending event does. The per-packet events name
+// their interface and packet instead of closing over them, so
+// scheduling one allocates nothing; fn is for timers and tickers.
+type payload struct {
+	kind  evKind
+	iface *Iface
+	pkt   *packet.Packet
+	fn    func()
+}
+
+// schedule queues p at absolute time t (>= now), reusing a retired
+// slab slot when there is one.
+//
+//tva:hotpath
+func (s *Sim) schedule(t tvatime.Time, p payload) {
 	if t < s.now {
 		t = s.now
 	}
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = p
+	} else {
+		slot = uint32(len(s.slab))
+		s.slab = append(s.slab, p)
+	}
 	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn})
+	s.queue.push(event{at: t, seq: s.seq, slot: slot})
 }
+
+// At schedules fn at absolute time t (>= now).
+func (s *Sim) At(t tvatime.Time, fn func()) { s.schedule(t, payload{kind: evFunc, fn: fn}) }
 
 // After schedules fn d from now.
 func (s *Sim) After(d tvatime.Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
 // Every schedules fn every period until the returned stop function is
 // called. A stopped ticker never re-arms: at most one already-pending
-// (now inert) event remains in the heap, so long sweeps do not
+// (now inert) event remains in the queue, so long sweeps do not
 // accumulate live periodic events past the span they need them for.
 func (s *Sim) Every(period tvatime.Duration, fn func()) (stop func()) {
 	stopped := false
@@ -93,14 +134,38 @@ func (s *Sim) Every(period tvatime.Duration, fn func()) (stop func()) {
 	return func() { stopped = true }
 }
 
+const endOfTime = tvatime.Time(1<<63 - 1)
+
 // Step runs the earliest event; it reports false when no events remain.
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+//
+//tva:hotpath
+func (s *Sim) Step() bool { return s.step(endOfTime) }
+
+// step runs the earliest event if it is due at or before until. The
+// event's slab slot is retired before its handler runs, so the handler
+// may schedule into it.
+//
+//tva:hotpath
+func (s *Sim) step(until tvatime.Time) bool {
+	ev, ok := s.queue.pop(until)
+	if !ok {
 		return false
 	}
-	ev := s.events.pop()
 	s.now = ev.at
-	ev.fn()
+	p := s.slab[ev.slot]
+	s.slab[ev.slot] = payload{}
+	s.free = append(s.free, ev.slot)
+	switch p.kind {
+	case evFunc:
+		p.fn()
+	case evTxDone:
+		p.iface.txComplete(p.pkt)
+		p.iface.txNext(true)
+	case evDeliver:
+		p.iface.arrive(p.pkt)
+	case evRetry:
+		p.iface.retry()
+	}
 	return true
 }
 
@@ -112,8 +177,7 @@ func (s *Sim) Step() bool {
 func (s *Sim) Run(until tvatime.Time) {
 	prev := s.horizon
 	s.horizon = until
-	for len(s.events) > 0 && s.events[0].at <= until {
-		s.Step()
+	for s.step(until) {
 	}
 	s.horizon = prev
 	if s.now < until {
@@ -132,7 +196,26 @@ func (s *Sim) canInline(t tvatime.Time) bool {
 	if s.horizon == 0 || t > s.horizon {
 		return false
 	}
-	return len(s.events) == 0 || s.events[0].at > t
+	ev, ok := s.queue.peek()
+	return !ok || ev.at > t
+}
+
+// Teardown ends the simulation and returns every packet it still owns
+// to the pool: those riding pending transmit and delivery events, and
+// those queued in interface schedulers (flushed uncounted, as
+// sched.Flusher specifies). All pending events are discarded; the Sim
+// must not be run afterwards. Call it once everything the run is
+// asked to report has been read.
+func (s *Sim) Teardown() {
+	for i := range s.slab {
+		packet.Release(s.slab[i].pkt)
+	}
+	s.slab, s.free, s.queue = nil, nil, eventQueue{}
+	for _, i := range s.ifaces {
+		if fl, ok := i.Sched.(sched.Flusher); ok {
+			fl.Flush(packet.Release)
+		}
+	}
 }
 
 // TxBurstFill returns the mean packets moved per transmit-loop visit
@@ -142,64 +225,6 @@ func (s *Sim) TxBurstFill() float64 {
 		return 0
 	}
 	return float64(s.TxBurstPkts) / float64(s.TxBursts)
-}
-
-type event struct {
-	at  tvatime.Time
-	seq uint64
-	fn  func()
-}
-
-// eventHeap is a value-based binary min-heap ordered by (at, seq).
-// Events are stored by value rather than behind container/heap's
-// interface, so scheduling does not heap-allocate per event; the
-// backing array shrinks and regrows in place, acting as the free-list
-// for retired event slots.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the closure reference for GC
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < n && s.less(l, small) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
 }
 
 // Handler processes packets arriving at a node. in is the interface
@@ -372,6 +397,7 @@ func Connect(a, b *Node, bps int64, delay tvatime.Duration, schedAB, schedBA sch
 	ia.Peer, ib.Peer = ib, ia
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
+	a.Sim.ifaces = append(a.Sim.ifaces, ia, ib)
 	if rec := a.Sim.Spans; rec != nil {
 		ia.Hop = rec.RegisterHop(ia.String())
 		ib.Hop = rec.RegisterHop(ib.String())
@@ -457,6 +483,15 @@ func (i *Iface) kick() {
 	i.txNext(false)
 }
 
+// retry is the wake-up txNext arms when a rate-limited scheduler holds
+// packets it may not serve yet.
+func (i *Iface) retry() {
+	i.retryPending = false
+	if !i.busy && i.Sched.Len() > 0 {
+		i.kick()
+	}
+}
+
 // txTime returns the serialization delay of size bytes at the link rate.
 func (i *Iface) txTime(size int) tvatime.Duration {
 	if i.Bps <= 0 {
@@ -467,7 +502,7 @@ func (i *Iface) txTime(size int) tvatime.Duration {
 
 // txNext serves the output queue. One visit transmits up to
 // Sim.TxBatch packets: after a packet's serialization time is
-// computed, its completion normally becomes a heap event — but when
+// computed, its completion normally becomes a txDone event — but when
 // no other event is due first (Sim.canInline), the completion is the
 // event the loop would pop next, so it runs inline with the clock
 // advanced to the completion instant and the loop dequeues the next
@@ -480,6 +515,8 @@ func (i *Iface) txTime(size int) tvatime.Duration {
 // running event (tail=true, the completion event's own callback). A
 // kick from inside an enqueue is mid-event: code after it would
 // observe the advanced clock and schedule at wrong times.
+//
+//tva:hotpath
 func (i *Iface) txNext(tail bool) {
 	sim := i.Node.Sim
 	burst := 0
@@ -495,12 +532,7 @@ func (i *Iface) txNext(tail bool) {
 			i.busy = false
 			if retry > sim.now && !i.retryPending {
 				i.retryPending = true
-				sim.At(retry, func() {
-					i.retryPending = false
-					if !i.busy && i.Sched.Len() > 0 {
-						i.kick()
-					}
-				})
+				sim.schedule(retry, payload{kind: evRetry, iface: i})
 			}
 			break
 		}
@@ -524,10 +556,7 @@ func (i *Iface) txNext(tail bool) {
 			continue
 		}
 		burst++
-		sim.At(done, func() {
-			i.txComplete(pkt)
-			i.txNext(true)
-		})
+		sim.schedule(done, payload{kind: evTxDone, iface: i, pkt: pkt})
 		break
 	}
 	if burst > 0 {

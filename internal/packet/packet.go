@@ -351,7 +351,9 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// Clone returns a deep copy of the header.
+// Clone returns a deep copy of the header. Copying is what it is for,
+// so where a //tva:hotpath walk reaches it (netsim's link-duplication
+// fault) each allocation is excused in place.
 func (h *CapHdr) Clone() *CapHdr {
 	g := *h
 	// Detach the decode scratch: the copied slice headers would alias
@@ -359,17 +361,23 @@ func (h *CapHdr) Clone() *CapHdr {
 	g.scratchRet = ReturnInfo{}
 	g.scratchGrant = Grant{}
 	g.scratchHops = nil
+	//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 	g.Request.PathIDs = append([]PathID(nil), h.Request.PathIDs...)
+	//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 	g.Request.PreCaps = append([]uint64(nil), h.Request.PreCaps...)
+	//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 	g.Request.HopWaits = append([]HopStamp(nil), h.Request.HopWaits...)
+	//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 	g.Caps = append([]uint64(nil), h.Caps...)
 	if h.Return != nil {
 		r := *h.Return
 		if h.Return.Grant != nil {
 			gr := *h.Return.Grant
+			//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 			gr.Caps = append([]uint64(nil), h.Return.Grant.Caps...)
 			r.Grant = &gr
 		}
+		//lint:ignore hotpath deep copy, reached only on cold paths (fault-injected duplicates)
 		r.Hops = append([]HopStamp(nil), h.Return.Hops...)
 		g.Return = &r
 	}
