@@ -15,8 +15,9 @@ build:
 	go build ./...
 
 # cross compiles the tree for a platform without recvmmsg/sendmmsg and
-# vets the overlay for linux/arm64: mmsg_fallback.go is the only
-# datagram I/O everywhere but linux/amd64, and nothing else builds it.
+# vets the overlay's real mmsg path for linux/arm64: mmsg_fallback.go
+# is the only datagram I/O everywhere but linux/{amd64,arm64}, nothing
+# else builds it, and nothing else builds mmsg_linux_arm64.go either.
 cross:
 	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/overlay
@@ -41,14 +42,15 @@ test:
 	go test -vet=all ./...
 
 # The extra -count=2 pass re-runs the overlay shard/batch tests, the
-# (Batch, Shards) width tables and the segmented-egress tests (mixed
-# runs, caps, kernel refusal, head-of-line) so the race detector sees
-# worker startup and teardown — the one-worker inline engine included —
-# twice in one process: the window the goleak analyzer reasons about
-# statically.
+# (Batch, Shards) width tables, the segmented-egress tests (mixed
+# runs, caps, kernel refusal, head-of-line) and the paced-port tables
+# (the fallback timer against arrivals and Close) so the race detector
+# sees worker startup and teardown — the one-worker inline engine
+# included — twice in one process: the window the goleak analyzer
+# reasons about statically.
 race:
 	go test -race -vet=off ./...
-	go test -race -vet=off -count=2 -run 'Batch|Shard|Handshake|Refused|Segment' ./internal/overlay
+	go test -race -vet=off -count=2 -run 'Batch|Shard|Handshake|Refused|Segment|Pace' ./internal/overlay
 
 # bench writes a machine-readable snapshot (Table 1 ns/op + allocs/op,
 # Fig. 12 peak kpps, scenario completion fractions) keyed by revision.

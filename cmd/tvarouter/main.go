@@ -275,9 +275,11 @@ func isClosed(err error) bool {
 // output: forwarding totals, reason-attributed scheduler drops,
 // demotion causes, flow-cache occupancy, the hop-wait estimate, burst
 // fill levels, and one structured gauge block per neighbour port. The
-// two egress figures with no registry series — datagrams that failed to
-// leave and kernel messages used (sent_pkts / tx_msgs is the segment
-// coalescing ratio) — come from the port gauges.
+// three egress figures with no registry series — datagrams that failed
+// to leave, kernel messages used (sent_pkts / tx_msgs is the segment
+// coalescing ratio) and send bursts (sent_pkts / tx_bursts is
+// datagrams per port wake-up, which pacing sets) — come from the port
+// gauges.
 func diagnostics(m *overlay.RouterMetrics, gauges []overlay.PortGauges) map[string]any {
 	out := map[string]any{}
 	drops := map[string]uint64{}
@@ -340,6 +342,7 @@ func diagnostics(m *overlay.RouterMetrics, gauges []overlay.PortGauges) map[stri
 		if blk, ok := portBlocks[g.Neighbor]; ok {
 			blk["tx_failed_pkts"] = g.TxFailed
 			blk["tx_msgs"] = g.TxMsgs
+			blk["tx_bursts"] = g.TxBursts
 		}
 	}
 	out["sched_drops"] = drops

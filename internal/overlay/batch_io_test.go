@@ -83,7 +83,7 @@ func expectDatagrams(t *testing.T, b *batchConn, bConn *net.UDPConn, want [][]by
 // old CI kernel is visible while the delivery checks still run.
 func segmentOffload(t *testing.T) bool {
 	t.Helper()
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
 		return false
 	}
 	a, b, _, bConn := loopbackPair(t, net.IPv4(127, 0, 0, 1), 2)

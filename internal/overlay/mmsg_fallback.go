@@ -1,10 +1,10 @@
-//go:build !linux || !amd64
+//go:build !linux || !(amd64 || arm64)
 
-// Portable stand-in for the linux/amd64 recvmmsg/sendmmsg path: the
-// same batchConn surface backed by one syscall per datagram, so the
-// one forwarding path runs unchanged everywhere — it just stops
-// amortizing the socket crossings. This is the only datagram I/O on
-// every platform but linux/amd64.
+// Portable stand-in for the linux/amd64 and linux/arm64
+// recvmmsg/sendmmsg path: the same batchConn surface backed by one
+// syscall per datagram, so the one forwarding path runs unchanged
+// everywhere — it just stops amortizing the socket crossings. This is
+// the only datagram I/O on every other platform.
 package overlay
 
 import "net"

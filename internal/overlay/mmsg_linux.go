@@ -1,13 +1,16 @@
-//go:build linux && amd64
+//go:build linux && (amd64 || arm64)
 
 // recvmmsg/sendmmsg batched datagram I/O: one syscall moves a whole
 // burst between the socket and the forwarding path, and on the way out
 // each run of equal-length datagrams is one UDP_SEGMENT message, so the
 // run crosses the kernel's UDP/IP output path once and is cut back into
 // datagrams at the far end of it (the NIC, or on loopback the receiving
-// socket). Raw syscall numbers are used (x/net is unavailable here); the
-// build tag pins the ABI this file assumes, and mmsg_fallback.go serves
-// everything else with one syscall per datagram.
+// socket). Raw syscall numbers are used (x/net is unavailable here, and
+// the standard library has no SYS_SENDMMSG on amd64): they live in
+// mmsg_linux_{amd64,arm64}.go. The build tag pins the ABI this file
+// assumes — the two 64-bit Linux ports lay out msghdr, iovec and
+// cmsghdr identically — and mmsg_fallback.go serves everything else
+// with one syscall per datagram.
 package overlay
 
 import (
@@ -18,9 +21,6 @@ import (
 )
 
 const (
-	sysRecvmmsg = 299 // linux/amd64
-	sysSendmmsg = 307 // linux/amd64
-
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT: cmsg carrying the uint16 segment length
 
@@ -31,8 +31,9 @@ const (
 )
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled
-// received length. syscall.Msghdr is 56 bytes on linux/amd64, so the
-// trailing pad keeps 8-byte stride alignment across the array.
+// received length. syscall.Msghdr is 56 bytes on linux/amd64 and
+// linux/arm64, so the trailing pad keeps the kernel's 64-byte stride
+// across the array (TestMmsgABI pins it).
 type mmsghdr struct {
 	hdr syscall.Msghdr
 	len uint32

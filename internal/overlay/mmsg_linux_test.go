@@ -1,4 +1,4 @@
-//go:build linux && amd64
+//go:build linux && (amd64 || arm64)
 
 package overlay
 
@@ -6,7 +6,22 @@ import (
 	"net"
 	"syscall"
 	"testing"
+	"unsafe"
 )
+
+// TestMmsgABI pins the layouts the raw syscalls hand the kernel: struct
+// mmsghdr is 64 bytes on both 64-bit ports (a 56-byte msghdr, the
+// received length, padding), and the UDP_SEGMENT control message fills
+// CMSG_SPACE(2) = 24 bytes. A wrong stride would make recvmmsg write
+// every header after the first at the wrong offset.
+func TestMmsgABI(t *testing.T) {
+	if got := unsafe.Sizeof(mmsghdr{}); got != 64 {
+		t.Errorf("sizeof(mmsghdr) = %d, want 64", got)
+	}
+	if got := unsafe.Sizeof(segCmsg{}); got != 24 {
+		t.Errorf("sizeof(segCmsg) = %d, want CMSG_SPACE(2) = 24", got)
+	}
+}
 
 // TestSegmentRefusedFallsBackToPlain makes the real kernel refuse
 // segmented messages (SO_NO_CHECK on the sending socket is one of the

@@ -13,14 +13,16 @@
 // worker's lock (one replica is driven inline on the receive
 // goroutine, more by flow-hashed worker goroutines — see shard.go).
 // Each neighbour has one port goroutine running dequeue → encode →
-// transmit (tx.sendBatch) → pace; port.mu guards that port's
-// scheduler, which the receive goroutine fills and the port goroutine
-// drains. This mirrors a router's line-card queues. On linux/amd64
-// tx.sendBatch is segment-offloaded: each run of equal-length datagrams
-// in a burst goes to the kernel as one UDP_SEGMENT message, so a port
-// burst crosses the UDP/IP stack once per run instead of once per
-// datagram (mmsg_linux.go); the burst's lengths and the kernel's reply
-// decide it, there is no option.
+// transmit (tx.sendBatch); port.mu guards that port's scheduler, which
+// the receive goroutine fills and the port goroutine drains. This
+// mirrors a router's line-card queues. A paced port's dequeue takes
+// only what its emulated link has drained since the last burst, at the
+// wake-ups arrivals already cause (see port.take). On linux/amd64 and
+// linux/arm64 tx.sendBatch is segment-offloaded: each run of
+// equal-length datagrams in a burst goes to the kernel as one
+// UDP_SEGMENT message, so a port burst crosses the UDP/IP stack once
+// per run instead of once per datagram (mmsg_linux.go); the burst's
+// lengths and the kernel's reply decide it, there is no option.
 package overlay
 
 import (
@@ -132,8 +134,10 @@ type port struct {
 	cond *sync.Cond
 	q    *sched.TVA
 	// refuse counts and releases a packet the scheduler turned away;
-	// built once per port so enqueue allocates nothing per run.
+	// built once per port so enqueue allocates nothing per run. wake is
+	// the port's one fallback timer (see dequeue), built with it.
 	refuse func(*packet.Packet)
+	wake   *time.Timer
 
 	// waitSketch streams this port's per-packet output-queue waits
 	// (nanoseconds). The router-wide sketch mixes every port's traffic;
@@ -163,7 +167,7 @@ type port struct {
 	// and the port's segment ceiling), pkts the dequeued burst,
 	// backing the per-slot marshal buffers, out the encoded datagrams,
 	// txs their pending tx spans, and nextTx when the emulated link
-	// next frees up (see pace).
+	// next frees up (see take).
 	tx      *batchConn
 	pkts    []*packet.Packet
 	backing [][]byte
@@ -173,28 +177,57 @@ type port struct {
 }
 
 // paceCredit bounds how far behind its emulated transmit schedule a
-// port may fall before catch-up credit stops accruing: sleep overshoot
-// within this window is repaid by back-to-back sends, so the effective
-// link rate converges to bps instead of drifting below it, while an
-// idle link cannot bank credit for an unbounded burst later.
+// port may fall before catch-up credit stops accruing: a late wake-up
+// within this window is repaid by a larger burst, so the effective link
+// rate converges to bps instead of drifting below it, while an idle
+// link cannot bank credit for an unbounded burst later.
 const paceCredit = 5 * time.Millisecond
 
-// pace blocks until the emulated link has finished serializing
-// wireBytes. Credit-based: the deadline advances from the previous
-// deadline, not from "now", so timer overshoot on one packet is repaid
-// on the next instead of compounding into a lower effective rate.
-func (p *port) pace(clock tvatime.Clock, wireBytes int) {
-	if p.bps <= 0 || wireBytes <= 0 {
-		return
+// paceWake is how long past the link's free time a backlogged port
+// with no arrivals waits before its fallback timer sends what the link
+// drained. Arrivals wake the port sooner, so under load the timer does
+// not fire; it stays well inside paceCredit, so no link time is lost
+// when it does.
+const paceWake = paceCredit / 2
+
+// take moves the next burst into p.pkts and returns its length: up to
+// Batch packets in DequeueBatch's priority order, and on a paced port
+// only what the emulated link has drained since the last burst — it
+// takes packets while the link is free (nextTx ≤ now), charging each
+// one's serialization time, so the last one may run nextTx past now by
+// one packet. With nothing taken it returns when to look again (0: the
+// queue is empty and only an arrival can change that). Caller holds
+// p.mu.
+func (p *port) take(now tvatime.Time) (int, tvatime.Time) {
+	if p.bps <= 0 {
+		return p.q.DequeueBatch(p.pkts, now)
 	}
-	now := clock.Now()
 	if floor := now.Add(-paceCredit); p.nextTx.Before(floor) {
 		p.nextTx = floor
 	}
-	p.nextTx = p.nextTx.Add(time.Duration(int64(wireBytes) * 8 * int64(time.Second) / p.bps))
-	if d := p.nextTx.Sub(now); d > 0 {
-		time.Sleep(d)
+	n := 0
+	for n < len(p.pkts) && !p.nextTx.After(now) {
+		k, retry := p.q.DequeueBatch(p.pkts[n:n+1], now)
+		if k == 0 {
+			if n == 0 {
+				return 0, retry
+			}
+			break
+		}
+		p.charge(p.pkts[n].Size)
+		n++
 	}
+	if n == 0 && p.q.Len() > 0 {
+		return 0, p.nextTx.Add(paceWake)
+	}
+	return n, 0
+}
+
+// charge advances a paced port's emulated link schedule by the
+// serialization time of wireBytes (negative to refund). Port goroutine
+// only.
+func (p *port) charge(wireBytes int) {
+	p.nextTx = p.nextTx.Add(time.Duration(int64(wireBytes) * 8 * int64(time.Second) / p.bps))
 }
 
 // span records one lifecycle edge for pkt at this port. A nil check
@@ -466,6 +499,13 @@ func (r *Router) portFor(via string) (*port, error) {
 		p.Dropped.Add(1)
 		packet.Release(pkt)
 	}
+	// Built stopped; dequeue arms it.
+	p.wake = time.AfterFunc(time.Hour, func() {
+		p.mu.Lock()
+		p.cond.Signal()
+		p.mu.Unlock()
+	})
+	p.wake.Stop()
 	if r.cfg.Spans != nil {
 		p.spans = r.cfg.Spans
 		p.hop = r.cfg.Spans.RegisterHop(r.Addr().String() + "->" + key)
@@ -525,8 +565,10 @@ type PortGauges struct {
 	Sent, Dropped uint64
 	// TxFailed counts dequeued packets that never became a datagram on
 	// the wire (dequeued = Sent + TxFailed); TxMsgs the kernel messages
-	// that carried the Sent ones (fewer than Sent where runs coalesce).
-	TxFailed, TxMsgs uint64
+	// that carried the Sent ones (fewer than Sent where runs coalesce);
+	// TxBursts the send bursts, one sendBatch call each, so roughly
+	// (Sent + TxFailed) / TxBursts is datagrams per burst.
+	TxFailed, TxMsgs, TxBursts uint64
 }
 
 // Gauges snapshots every port's scheduler occupancy, sorted by
@@ -547,6 +589,7 @@ func (r *Router) Gauges() []PortGauges {
 			Dropped:       p.Dropped.Load(),
 			TxFailed:      p.TxFailed.Load(),
 			TxMsgs:        p.TxMsgs.Load(),
+			TxBursts:      p.TxBursts.Load(),
 		})
 	})
 	return out
@@ -561,11 +604,16 @@ func (r *Router) Close() error {
 	}
 	close(r.closed)
 	err := r.conn.Close()
-	r.eachPort(func(p *port) { p.cond.Broadcast() })
+	r.eachPort(func(p *port) {
+		p.wake.Stop()
+		p.cond.Broadcast()
+	})
 	r.wg.Wait()
 	// After wg.Wait the receive goroutine is gone, so no more jobs can
-	// be scattered; the shard workers can drain and exit.
+	// be scattered; the shard workers can drain and exit. What the
+	// ports still hold goes back to the pool.
 	r.shards.close()
+	r.eachPort(func(p *port) { p.q.Flush(packet.Release) })
 	return err
 }
 
@@ -688,9 +736,8 @@ func (p *port) enqueue(run *packet.Batch, now tvatime.Time) {
 }
 
 // portLoop is the egress half of the data path for one neighbour, one
-// burst at a time: dequeue → encode → transmit → pace. Only the
-// dequeue stage takes p.mu; the rest works on the port goroutine's own
-// burst state.
+// burst at a time: dequeue → encode → transmit. Only the dequeue stage
+// takes p.mu; the rest works on the port goroutine's own burst state.
 func (r *Router) portLoop(p *port) {
 	defer r.wg.Done()
 	for {
@@ -698,15 +745,17 @@ func (r *Router) portLoop(p *port) {
 		if n == 0 {
 			return
 		}
-		wireBytes := r.encode(p, n)
+		r.encode(p, n)
 		r.transmit(p)
-		p.pace(r.clock, wireBytes)
 	}
 }
 
-// dequeue blocks until the port's scheduler yields a burst into
-// p.pkts and returns its length, or 0 once the router is closed. Holds
-// p.mu around DequeueBatch and the condition wait.
+// dequeue blocks until take yields a burst into p.pkts and returns its
+// length, or 0 once the router is closed. Holds p.mu around take and
+// the condition wait. The port sleeps on p.cond, which every accepted
+// enqueue signals, so a paced port sends at the wake-ups its arrivals
+// cause; p.wake is the fallback when a backlog waits on the link or
+// the request rate limit and nothing arrives.
 func (r *Router) dequeue(p *port) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -716,24 +765,15 @@ func (r *Router) dequeue(p *port) int {
 			return 0
 		default:
 		}
-		n, retry := p.q.DequeueBatch(p.pkts, r.clock.Now())
+		now := r.clock.Now()
+		n, next := p.take(now)
 		if n > 0 {
 			return n
 		}
-		if retry > 0 {
-			// Rate-limited backlog: wake up when tokens accrue.
-			d := time.Duration(retry - r.clock.Now())
-			if d < time.Millisecond {
-				d = time.Millisecond
-			}
-			timer := time.AfterFunc(d, func() {
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			})
-			p.cond.Wait()
-			timer.Stop()
-			continue
+		if next > 0 {
+			// No sooner than 1 ms: the request limiter's refill wait can
+			// be a few microseconds.
+			p.wake.Reset(max(next.Sub(now), time.Millisecond))
 		}
 		p.cond.Wait()
 	}
@@ -741,13 +781,16 @@ func (r *Router) dequeue(p *port) int {
 
 // encode marshals the n dequeued packets of p.pkts into p.out,
 // observing each one's queue wait and recording its dequeue span, and
-// releases them (one that will not marshal counts as TxFailed); it
-// returns the burst's wire bytes for pacing. Port goroutine only; no
-// lock.
-func (r *Router) encode(p *port, n int) (wireBytes int) {
+// releases them (one that will not marshal counts as TxFailed). take
+// charged the link by pkt.Size; encode settles the charge to the bytes
+// actually marshalled — they differ only for a packet that will not
+// marshal or a header that re-encodes shorter than it arrived — so the
+// emulated rate is exact in wire bytes. Port goroutine only; no lock.
+func (r *Router) encode(p *port, n int) {
 	now := r.clock.Now()
 	p.out = p.out[:0]
 	p.txs = p.txs[:0]
+	drift := 0 // marshalled minus charged bytes
 	for i := 0; i < n; i++ {
 		pkt := p.pkts[i]
 		p.pkts[i] = nil
@@ -763,6 +806,7 @@ func (r *Router) encode(p *port, n int) (wireBytes int) {
 			// the send time.
 			p.txs = append(p.txs, p.spanAt(pkt, trace.EdgeTx, 0))
 		}
+		drift -= pkt.Size
 		packet.Release(pkt)
 		if err != nil {
 			p.TxFailed.Add(1)
@@ -770,9 +814,11 @@ func (r *Router) encode(p *port, n int) (wireBytes int) {
 		}
 		p.backing[i] = data[:0]
 		p.out = append(p.out, data)
-		wireBytes += len(data)
+		drift += len(data)
 	}
-	return wireBytes
+	if p.bps > 0 {
+		p.charge(drift)
+	}
 }
 
 // transmit hands p.out to the socket in one burst — one kernel message

@@ -143,7 +143,8 @@ func sketchTotal(counts [metrics.SketchBuckets]uint64) uint64 {
 // collapse encodes a known modeling gap: an unloaded simulator queue
 // waits exactly zero virtual time where an unloaded overlay port waits
 // real microseconds; both are "no queueing" for the paper's purposes.
-// The shift allowance encodes a second gap: wall-clock sleep pacing
+// The shift allowance encodes a second gap: wall-clock pacing (a port
+// sends at real wake-ups, never exactly when its emulated link frees)
 // stretches the overlay's effective service time by a constant factor,
 // which the sketch's power-of-two buckets render as a rigid shift —
 // indistinguishable from a timing calibration, unlike a genuine shape

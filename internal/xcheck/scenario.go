@@ -62,8 +62,8 @@ type Scenario struct {
 	// WaitShiftBuckets lets the wait comparison slide one plane's sketch
 	// by up to this many power-of-two buckets before taking the CDF gap
 	// (the minimum gap over all shifts is scored). Default 1. This
-	// absorbs a known modeling gap: the overlay paces ports with
-	// wall-clock sleeps whose overshoot stretches effective service time,
+	// absorbs a known modeling gap: the overlay paces ports at wall-clock
+	// wake-ups whose lateness stretches effective service time,
 	// scaling saturated queue waits by a constant factor the sketch's
 	// factor-2 buckets cannot distinguish from one bucket of shift. Shape
 	// divergence (different distributions, not just a time scale) still
