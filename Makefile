@@ -89,6 +89,7 @@ fuzz-smoke:
 	go test ./internal/packet -run '^$$' -fuzz FuzzWireUnmarshal -fuzztime $(FUZZTIME)
 	go test ./internal/packet -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/netsim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
+	go test ./internal/flowcache -run '^$$' -fuzz FuzzCacheOps -fuzztime $(FUZZTIME)
 
 # cover writes a coverage profile, then the gate script extracts the
 # repo-total statement coverage, surfaces it (in the GitHub job summary

@@ -20,7 +20,7 @@ func (s *sliceTracer) Record(ev telemetry.Event) { s.evs = append(s.evs, ev) }
 // equivWorkload builds a deterministic mixed burst exercising every
 // Fig. 6 arm: requests (with and without hop stamps), regular packets
 // creating/hitting/renewing cache entries (including same-flow trains
-// that exercise the burst memo across a Create), forged and undersized
+// that hit an entry created earlier in the burst), forged and undersized
 // capabilities, exhausted budgets, nonce-only misses, legacy packets,
 // and already-demoted packets. caps are minted from auth so the same
 // workload validates on any router sharing those secrets.
@@ -45,7 +45,7 @@ func equivWorkload(auth *capability.Authority, now tvatime.Time) []*packet.Packe
 	add(req)
 	add(reqPacket(9, 10, 50))
 
-	// Flow (1,2): create, then a nonce train (burst memo hits).
+	// Flow (1,2): create, then a nonce train (cache hits).
 	add(regPacket(1, 2, packet.KindRegular, 41, []uint64{goodAB}, 32, 10, 400))
 	add(regPacket(1, 2, packet.KindNonceOnly, 41, nil, 0, 0, 300))
 	add(regPacket(1, 2, packet.KindNonceOnly, 41, nil, 0, 0, 300))
@@ -103,7 +103,7 @@ func TestProcessBatchEquivalence(t *testing.T) {
 	for _, p := range wantPkts {
 		wantClasses = append(wantClasses, single.Process(p, 5, now))
 	}
-	// Batch in uneven bursts so the memo and minter reset mid-stream.
+	// Batch in uneven bursts so the minter snapshot resets mid-stream.
 	for lo := 0; lo < len(gotPkts); {
 		hi := lo + 6
 		if hi > len(gotPkts) {

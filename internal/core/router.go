@@ -150,18 +150,13 @@ func (r *Router) Cache() *flowcache.Cache { return r.cache }
 
 // batchCtx carries the per-burst amortization state threaded through
 // the shared packet engine: the capability-minter snapshot (one
-// secret-rotation check and timestamp derivation per burst) and the
-// last flow-cache resolution (map probes collapse across a train of
-// packets on one flow). A zero batchCtx is a burst of one — Process
-// runs the same engine with a fresh context, so the single-packet and
-// batched paths cannot drift apart.
+// secret-rotation check and timestamp derivation per burst). A zero
+// batchCtx is a burst of one — Process runs the same engine with a
+// fresh context, so the single-packet and batched paths cannot drift
+// apart.
 type batchCtx struct {
 	minter     capability.Minter
 	haveMinter bool
-
-	memoKey   flowcache.Key
-	memoEntry *flowcache.Entry
-	haveMemo  bool
 }
 
 // burstMinter returns the burst's capability minter, snapshotting it
@@ -175,24 +170,6 @@ func (r *Router) burstMinter(bc *batchCtx, now tvatime.Time) capability.Minter {
 		bc.haveMinter = true
 	}
 	return bc.minter
-}
-
-// lookup resolves the flow-cache entry for (src, dst), serving a
-// repeat of the burst's previous flow from the memo. The memo is
-// invalidated on Create (entries recycle through the cache's free
-// list, so a held pointer is only trustworthy between mutations);
-// Charge and Replace mutate the entry in place and keep it valid.
-//
-//tva:hotpath
-func (r *Router) lookup(bc *batchCtx, src, dst packet.Addr) *flowcache.Entry {
-	key := flowcache.Key{Src: src, Dst: dst}
-	if bc.haveMemo && bc.memoKey == key {
-		r.cache.Revisit(bc.memoEntry != nil)
-		return bc.memoEntry
-	}
-	e := r.cache.Lookup(src, dst)
-	bc.memoKey, bc.memoEntry, bc.haveMemo = key, e, true
-	return e
 }
 
 // Process runs Fig. 6 for one packet: it stamps pre-capabilities (and,
@@ -215,8 +192,7 @@ func (r *Router) Process(pkt *packet.Packet, inIface int, now tvatime.Time) pack
 // identical to calling Process in a loop — same classes, stats,
 // demotion counters, trace events, and spans, in the same order — but
 // the fixed per-packet costs amortize across the burst: the secret
-// snapshot behind pre-capability minting is taken once, and flow-cache
-// map probes collapse for trains of packets on one flow. inIface
+// snapshot behind pre-capability minting is taken once. inIface
 // applies to the whole burst (a batch is filled from one ingress).
 //
 //tva:hotpath
@@ -403,8 +379,7 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, inIface in
 		}
 	}
 
-	key := flowcache.Key{Src: pkt.Src, Dst: pkt.Dst}
-	entry := r.lookup(bc, pkt.Src, pkt.Dst)
+	entry := r.cache.Lookup(pkt.Src, pkt.Dst)
 	reason := telemetry.DropFlowCachePressure
 	valid := false
 	switch {
@@ -437,15 +412,8 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, inIface in
 			if !now.Before(expiry) || int64(pkt.Size) > int64(h.NKB)*1024 {
 				reason = telemetry.DropCapExpired
 			} else {
-				created := r.cache.Create(key, h.Nonce, myCap, int64(h.NKB)*1024, h.TSec, expiry, pkt.Size, now)
-				// Create may have recycled any expired entry, so the
-				// burst memo pointer is no longer trustworthy; the new
-				// entry (when admitted) is the flow's fresh resolution.
-				bc.haveMemo = false
-				if created != nil {
-					bc.memoKey, bc.memoEntry, bc.haveMemo = key, created, true
-					valid = true
-				}
+				key := flowcache.Key{Src: pkt.Src, Dst: pkt.Dst}
+				valid = r.cache.Create(key, h.Nonce, myCap, int64(h.NKB)*1024, h.TSec, expiry, pkt.Size, now) != nil
 			}
 			r.Stats.RegularMiss++
 		} else {

@@ -257,13 +257,6 @@ func Run(cfg Config) *Result {
 
 	if Debug != nil {
 		Debug(lr)
-		if DebugEnq != nil {
-			inner := left.Handler
-			left.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-				DebugEnq(pkt)
-				inner.Receive(pkt, in)
-			})
-		}
 	}
 
 	attachLeft := func(h *host) {
@@ -385,9 +378,6 @@ func startUser(sim *netsim.Sim, u *host, idx int, cfg Config, out *[]TransferRec
 			u.beforeTransfer(DestAddr)
 		}
 		conn := u.stack.Dial(DestAddr, DestPort, cfg.FileKB*1024, tcp.Config{})
-		if DebugDial != nil {
-			DebugDial(conn)
-		}
 		conn.OnDone = func(ok bool) {
 			decided = true
 			*out = append(*out, TransferRecord{
@@ -530,16 +520,9 @@ func (b *builder) floodWithCaps(h *host, dst packet.Addr, start, stop tvatime.Ti
 	})
 }
 
-// Debug hooks for instrumented runs (tests and diagnostics). Debug, if
-// set, receives the forward bottleneck interface after construction;
-// DebugEnq, if set, observes every packet arriving at the left router.
-var (
-	Debug    func(bottleneck *netsim.Iface)
-	DebugEnq func(pkt *packet.Packet)
-)
-
-// DebugDial, if set, observes every legitimate user connection.
-var DebugDial func(conn *tcp.Conn)
+// Debug, if set, receives the forward bottleneck interface after
+// construction (instrumented runs: tests and diagnostics).
+var Debug func(bottleneck *netsim.Iface)
 
 // DebugHosts, if set, receives the user hosts, destination host and
 // TVA routers after the run completes (white-box assertions in tests).

@@ -10,17 +10,31 @@
 // bounds the number of live entries to C/(N/T)min for an input link of
 // capacity C (see the theorem in §3.6; TestByteBound* verify it).
 //
-// Eviction order is tracked with a lazy min-heap: charging a flow only
-// advances its TTLExpire (a monotonic increase), so the heap key is
-// allowed to go stale and is repaired when the entry surfaces at the
-// top. That keeps the per-packet fast path (Lookup+Charge) free of
-// heap operations — the property behind Table 1's very cheap
-// "regular packet with cached entry" row.
+// The live entries sit in an open-addressed index: a power-of-two
+// slot array at least four times the capacity (load <= 1/4: the keyed
+// hash places flows at random, and at load 1/2 collisions cost a
+// create-with-eviction a third more), linear probing, and
+// backward-shift deletion (no tombstones), so a lookup is a hash and a
+// short walk over adjacent slots with no runtime map code. Flow keys
+// are source addresses an attacker can spoof, so the hash is keyed per
+// cache (internal/keyhash, the runtime's non-AES construction under a
+// seed drawn in New): an attacker who does not know the seed cannot aim
+// keys at one probe chain (TestHashFloodProbeLength).
+//
+// Eviction order is tracked with a lazy min-heap of (key, entry)
+// nodes: charging a flow only advances its TTLExpire (a monotonic
+// increase), so a node's key is allowed to go stale and is repaired
+// when the node surfaces at the top. That keeps the per-packet fast
+// path (Lookup+Charge) free of heap operations — the property behind
+// Table 1's very cheap "regular packet with cached entry" row — and
+// makes reclaiming an expired entry on Create one pop. The heap sifts
+// exactly as container/heap does, so ties break the same way.
 package flowcache
 
 import (
-	"container/heap"
+	"math/bits"
 
+	"tva/internal/keyhash"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -48,11 +62,12 @@ type Entry struct {
 	Bytes     int64        // bytes charged so far
 	TTLExpire tvatime.Time // absolute time the ttl reaches zero
 
-	// heapKey is the (possibly stale, always <= TTLExpire) key the
-	// entry was last ordered by; dead marks entries removed from the
-	// map but not yet drained from the heap.
-	heapKey tvatime.Time
-	dead    bool
+	// home is the slot the entry's probe chain starts at, kept so
+	// deletion never rehashes.
+	home uint32
+	// dead marks an entry removed from the index whose heap node has
+	// not been drained yet.
+	dead bool
 	// freeNext links reclaimed entries into the cache's free list.
 	freeNext *Entry
 }
@@ -60,9 +75,12 @@ type Entry struct {
 // Cache is a fixed-capacity flow cache. It is not safe for concurrent
 // use; routers own one per forwarding context and serialize access.
 type Cache struct {
-	max     int
-	entries map[Key]*Entry
-	byTTL   ttlHeap
+	max   int
+	n     int      // live (indexed) entries
+	slots []*Entry // open-addressed index; nil = empty
+	mask  uint32
+	seed  keyhash.Seed // per cache: no two caches share a collision pattern
+	byTTL ttlHeap
 	// free holds reclaimed entries (linked through freeNext) for Create
 	// to reuse, so steady-state flow churn allocates no Entry values.
 	// Reclaimed entries are recycled, which is why Lookup results must
@@ -80,9 +98,12 @@ func New(max int) *Cache {
 	if max <= 0 {
 		max = 1
 	}
+	nslots := 1 << bits.Len(uint(4*max-1))
 	return &Cache{
-		max:     max,
-		entries: make(map[Key]*Entry, max),
+		max:   max,
+		slots: make([]*Entry, nslots),
+		mask:  uint32(nslots - 1),
+		seed:  keyhash.New(),
 	}
 }
 
@@ -104,36 +125,64 @@ func Bound(linkBps int64, minN int64, minTSec int64) int {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.n }
 
 // Max returns the capacity.
 func (c *Cache) Max() int { return c.max }
 
+// home returns the slot a key's probe chain starts at.
+//
+//tva:hotpath
+func (c *Cache) home(k Key) uint32 {
+	return uint32(c.seed.Sum(uint64(k.Src)<<32|uint64(k.Dst))) & c.mask
+}
+
+// find returns the slot holding key, whose home is h, or the empty
+// slot that ends its probe chain (where key would be inserted).
+//
+//tva:hotpath
+func (c *Cache) find(k Key, h uint32) uint32 {
+	i := h
+	for e := c.slots[i]; e != nil && e.Key != k; e = c.slots[i] {
+		i = (i + 1) & c.mask
+	}
+	return i
+}
+
+// unindex removes e from the index by backward-shift deletion: later
+// members of the probe chain move up into the hole when the hole lies
+// inside their own chain, so chains stay gap-free without tombstones.
+//
+//tva:hotpath
+func (c *Cache) unindex(e *Entry) {
+	i := e.home
+	for c.slots[i] != e {
+		i = (i + 1) & c.mask
+	}
+	for j := (i + 1) & c.mask; c.slots[j] != nil; j = (j + 1) & c.mask {
+		// Slot j's occupant may fill the hole at i only if its home is
+		// cyclically at or before i.
+		if (j-c.slots[j].home)&c.mask >= (j-i)&c.mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
+	}
+	c.slots[i] = nil
+	c.n--
+}
+
 // Lookup finds the entry for a flow, or nil.
+//
+//tva:hotpath
 func (c *Cache) Lookup(src, dst packet.Addr) *Entry {
-	e := c.entries[Key{src, dst}]
+	k := Key{src, dst}
+	e := c.slots[c.find(k, c.home(k))]
 	if e != nil {
 		c.Hits++
 	} else {
 		c.Misses++
 	}
 	return e
-}
-
-// Revisit counts a lookup that the caller satisfied from an entry (or
-// a miss) it resolved earlier in the same processing burst, without
-// re-probing the map. The batched forwarding path memoizes the last
-// flow's resolution for packet trains; Revisit keeps the Hits/Misses
-// accounting identical to the map probe it replaced. hit reports
-// whether the memoized resolution was an entry.
-//
-//tva:hotpath
-func (c *Cache) Revisit(hit bool) {
-	if hit {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
 }
 
 // ttlDelta converts a packet length to its time-equivalent under the
@@ -150,16 +199,27 @@ func ttlDelta(l int, n int64, tsec uint8) tvatime.Duration {
 // the cache is full of entries whose ttl has not yet reached zero
 // (which cannot happen when the cache is sized with Bound) or if the
 // first packet alone exceeds the authorization.
+//
+//tva:hotpath
 func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry tvatime.Time, l int, now tvatime.Time) *Entry {
 	if int64(l) > n || !now.Before(expiry) {
 		return nil
 	}
-	if old := c.entries[key]; old != nil {
-		c.remove(old)
-	}
-	if len(c.entries) >= c.max && !c.evictExpired(now) {
-		c.AdmitFailures++
-		return nil
+	h := c.home(key)
+	i := c.find(key, h)
+	if old := c.slots[i]; old != nil {
+		// Re-creating a live flow: the new entry takes the old one's
+		// slot (the cache cannot be over capacity after dropping it);
+		// the old heap node is drained lazily.
+		old.dead = true
+		c.n--
+	} else if c.n >= c.max {
+		if !c.evictExpired(now) {
+			c.AdmitFailures++
+			return nil
+		}
+		// The eviction shifted probe chains; find the key's slot again.
+		i = c.find(key, h)
 	}
 	e := c.newEntry()
 	*e = Entry{
@@ -171,10 +231,11 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 		Expiry:    expiry,
 		Bytes:     int64(l),
 		TTLExpire: now.Add(ttlDelta(l, n, tsec)),
+		home:      h,
 	}
-	c.entries[key] = e
-	e.heapKey = e.TTLExpire
-	heap.Push(&c.byTTL, e)
+	c.slots[i] = e
+	c.n++
+	c.byTTL.push(ttlNode{key: e.TTLExpire, e: e})
 	c.Creates++
 	c.maybeCompact()
 	return e
@@ -186,6 +247,8 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 // whether the packet is authorized. Charge never touches the heap
 // (the key goes stale; eviction repairs it), keeping the hot path
 // O(1).
+//
+//tva:hotpath
 func (c *Cache) Charge(e *Entry, l int, now tvatime.Time) bool {
 	if !now.Before(e.Expiry) || e.Bytes+int64(l) > e.N {
 		return false
@@ -230,75 +293,77 @@ func (c *Cache) Replace(e *Entry, nonce, cap uint64, n int64, tsec uint8, expiry
 // re-request). Reclaimed entries go to the free list; statistics
 // survive the flush (they describe the process, not the boot).
 func (c *Cache) Flush() {
-	for _, e := range c.byTTL {
-		c.freePut(e)
+	for _, nd := range c.byTTL {
+		c.freePut(nd.e)
 	}
 	c.byTTL = c.byTTL[:0]
-	clear(c.entries)
+	clear(c.slots)
+	c.n = 0
 }
 
 // evictExpired reclaims the entry with the earliest ttl if that ttl
 // has passed, making room for a new flow. Stale heap keys (from
 // charges) are repaired as they surface; dead entries are drained.
 // It reports whether it evicted.
+//
+//tva:hotpath
 func (c *Cache) evictExpired(now tvatime.Time) bool {
-	for len(c.byTTL) > 0 {
-		top := c.byTTL[0]
-		if top.dead {
-			heap.Pop(&c.byTTL)
-			c.freePut(top)
+	h := &c.byTTL
+	for len(*h) > 0 {
+		top := &(*h)[0]
+		e := top.e
+		if e.dead {
+			h.pop()
+			c.freePut(e)
 			continue
 		}
-		if top.heapKey != top.TTLExpire {
+		if top.key != e.TTLExpire {
 			// The entry was charged since it was ordered; re-sink it
 			// under its current key.
-			top.heapKey = top.TTLExpire
-			heap.Fix(&c.byTTL, 0)
+			top.key = e.TTLExpire
+			h.down(0)
 			continue
 		}
-		if top.TTLExpire.After(now) {
+		if e.TTLExpire.After(now) {
 			// The minimum lower bound is still live, so every entry
 			// is live: nothing is reclaimable.
 			return false
 		}
-		heap.Pop(&c.byTTL)
-		delete(c.entries, top.Key)
-		c.freePut(top)
+		h.pop()
+		c.unindex(e)
+		c.freePut(e)
 		c.Evictions++
 		return true
 	}
 	return false
 }
 
-// remove detaches an entry from the map; its heap node is drained
-// lazily.
-func (c *Cache) remove(e *Entry) {
-	delete(c.entries, e.Key)
-	e.dead = true
-}
-
 // maybeCompact rebuilds the heap when dead nodes dominate, bounding
 // memory at O(live entries).
+//
+//tva:hotpath
 func (c *Cache) maybeCompact() {
-	if len(c.byTTL) <= 2*len(c.entries)+64 {
+	if len(c.byTTL) <= 2*c.n+64 {
 		return
 	}
 	live := c.byTTL[:0]
-	for _, e := range c.byTTL {
-		if !e.dead {
-			e.heapKey = e.TTLExpire
-			live = append(live, e)
+	for _, nd := range c.byTTL {
+		if !nd.e.dead {
+			live = append(live, ttlNode{key: nd.e.TTLExpire, e: nd.e})
 		} else {
-			c.freePut(e)
+			c.freePut(nd.e)
 		}
 	}
+	clear(c.byTTL[len(live):])
 	c.byTTL = live
-	heap.Init(&c.byTTL)
+	c.byTTL.init()
 }
 
 // newEntry pops a recycled entry off the free list, falling back to an
 // allocation when the list is empty (at most once per peak concurrent
 // flow count).
+//
+//tva:hotpath
 func (c *Cache) newEntry() *Entry {
 	if e := c.free; e != nil {
 		c.free = e.freeNext
@@ -309,23 +374,97 @@ func (c *Cache) newEntry() *Entry {
 }
 
 // freePut pushes a reclaimed entry onto the free list for newEntry.
+//
+//tva:hotpath
 func (c *Cache) freePut(e *Entry) {
 	e.freeNext = c.free
 	c.free = e
 }
 
-// ttlHeap is a min-heap of entries by heapKey.
-type ttlHeap []*Entry
+// ttlNode is one heap slot: the key the entry was last ordered by (a
+// lower bound on its TTLExpire, stale after charges) beside the entry,
+// so sifting compares contiguous keys instead of chasing pointers.
+type ttlNode struct {
+	key tvatime.Time
+	e   *Entry
+}
 
-func (h ttlHeap) Len() int           { return len(h) }
-func (h ttlHeap) Less(i, j int) bool { return h[i].heapKey < h[j].heapKey }
-func (h ttlHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *ttlHeap) Push(x any)        { *h = append(*h, x.(*Entry)) }
-func (h *ttlHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// ttlHeap is a binary min-heap of nodes by key. Its sift steps are
+// container/heap's (the hole is carried instead of swapped, which
+// makes the same comparisons and leaves the same layout), so entries
+// with equal keys surface in the same order as they always have.
+type ttlHeap []ttlNode
+
+// push adds nd and sifts it up (container/heap.Push).
+//
+//tva:hotpath
+func (h *ttlHeap) push(nd ttlNode) {
+	*h = append(*h, nd)
+	h.up(len(*h) - 1)
+}
+
+// pop removes the root (container/heap.Pop): the last node moves to
+// the root and sifts down.
+//
+//tva:hotpath
+func (h *ttlHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = ttlNode{}
+	*h = s[:n]
+	if n > 0 {
+		h.down(0)
+	}
+}
+
+// init establishes heap order over arbitrary contents
+// (container/heap.Init).
+//
+//tva:hotpath
+func (h ttlHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// up sifts node j toward the root while it is smaller than its parent.
+//
+//tva:hotpath
+func (h ttlHeap) up(j int) {
+	nd := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if nd.key >= h[p].key {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = nd
+}
+
+// down sifts node i toward the leaves while a child is smaller,
+// preferring the left child on ties.
+//
+//tva:hotpath
+func (h ttlHeap) down(i int) {
+	n := len(h)
+	nd := h[i]
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && h[r].key < h[l].key {
+			j = r
+		}
+		if h[j].key >= nd.key {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = nd
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tva/internal/keyhash"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -238,6 +239,99 @@ func TestStateBound(t *testing.T) {
 	}
 	if c.Len() > bound {
 		t.Errorf("cache grew past bound: %d > %d", c.Len(), bound)
+	}
+}
+
+// maxProbe returns the longest probe walk (slots examined to reach an
+// entry from its home) in c's index.
+func maxProbe(c *Cache) uint32 {
+	var m uint32
+	for i, e := range c.slots {
+		if e != nil {
+			m = max(m, (uint32(i)-c.home(e.Key))&c.mask+1)
+		}
+	}
+	return m
+}
+
+// TestHashFloodProbeLength inserts 4096 flows that an unkeyed
+// multiply-shift (the fixed-constant hash flowstats used to have) sends
+// to one slot, and requires short probe chains under the keyed hash
+// for 256 fixed seeds, against the 4096 of a collapsed chain: in a
+// cache the flows fill (index load 1/4, the most an index carries) the
+// longest chain stays at 32 or below. A single multiply-fold with the
+// key in one operand fails here: about one seed in 64 folds this
+// pattern onto a few dozen homes.
+func TestHashFloodProbeLength(t *testing.T) {
+	const n = 4096
+	keys := make([]Key, n)
+	homes := map[uint64]bool{}
+	for i := range keys {
+		keys[i] = Key{Src: packet.Addr(i << 20), Dst: 7}
+		x := uint64(keys[i].Src)<<32 | uint64(keys[i].Dst)
+		homes[(x*0x9E3779B97F4A7C15)>>32&(2*n-1)] = true
+	}
+	if len(homes) != 1 {
+		t.Fatalf("pattern spreads over %d homes under multiply-shift; want one", len(homes))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for s := 0; s < 256; s++ {
+		c := New(n)
+		c.seed = keyhash.FromKeys(rng.Uint64(), rng.Uint64())
+		for _, k := range keys {
+			if c.Create(k, 1, 1, 1<<20, 60, at(60), 40, at(0)) == nil {
+				t.Fatal("Create failed below capacity")
+			}
+		}
+		if m := maxProbe(c); m > 32 {
+			t.Errorf("seed %d: longest probe %d slots, want <= 32", s, m)
+		}
+	}
+}
+
+func TestCachesDrawDistinctSeeds(t *testing.T) {
+	a, b := New(16), New(16)
+	if a.seed == b.seed {
+		t.Fatal("two caches share one hash seed")
+	}
+	if a.home(key(1)) == b.home(key(1)) && a.home(key(2)) == b.home(key(2)) &&
+		a.home(key(3)) == b.home(key(3)) && a.home(key(4)) == b.home(key(4)) {
+		t.Error("two caches place four flows identically")
+	}
+}
+
+// TestSteadyStateNoAllocs pins the per-packet operations at zero
+// allocations once the cache is warm: Lookup, Charge, and a Create that
+// first evicts an expired entry (entries and heap nodes are recycled).
+func TestSteadyStateNoAllocs(t *testing.T) {
+	const n = 256
+	c := New(n)
+	now := at(0)
+	for i := 0; i < n; i++ {
+		c.Create(key(i+1), 1, 1, 1<<20, 60, at(60), 40, now)
+	}
+	e := c.Lookup(packet.Addr(1), 1)
+	if got := testing.AllocsPerRun(100, func() {
+		if c.Lookup(packet.Addr(7), 1) == nil || c.Lookup(packet.Addr(n+7), 1) != nil {
+			t.Fatal("lookup")
+		}
+		c.Charge(e, 40, now)
+	}); got != 0 {
+		t.Errorf("Lookup+Charge allocate %.1f/op", got)
+	}
+	next := n + 1
+	now = now.Add(tvatime.Second) // every ttl has run out
+	if got := testing.AllocsPerRun(1000, func() {
+		now = now.Add(10 * tvatime.Microsecond)
+		if c.Create(key(next), 1, 1, 1<<20, 60, at(60), 40, now) == nil {
+			t.Fatal("create at the bound failed")
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("Create with eviction allocates %.1f/op", got)
+	}
+	if c.Len() != n || c.Evictions == 0 {
+		t.Errorf("Len %d, Evictions %d: creates did not evict", c.Len(), c.Evictions)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestTableEviction(t *testing.T) {
 
 	// Drops on an untracked sender must not evict anyone.
 	tbl.touch(KeyFor(9, 0), 0, 0, 1, 0)
-	if tbl.Len() != 2 || tbl.find(KeyFor(9, 0)) >= 0 {
+	if tbl.Len() != 2 || tbl.find(KeyFor(9, 0), tbl.hashOf(KeyFor(9, 0))) >= 0 {
 		t.Fatal("zero-byte touch on full table must be a no-op for untracked keys")
 	}
 	// But drops on a tracked sender are attributed.

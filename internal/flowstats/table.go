@@ -3,20 +3,23 @@ package flowstats
 import (
 	"math/bits"
 	"sort"
+
+	"tva/internal/keyhash"
 )
 
-// entry is one tracked sender. Bytes is the space-saving ranking
-// counter: on eviction the replacement inherits the evicted minimum
-// (so Bytes is an overestimate by at most Err); the auxiliary counters
-// restart from zero at takeover, since inheriting another sender's
-// drops would be pure noise.
+// entry is one tracked sender. Its byte count, the space-saving
+// ranking counter, lives in the entry's heap node: on eviction the
+// replacement inherits the evicted minimum (so Bytes is an
+// overestimate by at most Err); the auxiliary counters restart from
+// zero at takeover, since inheriting another sender's drops would be
+// pure noise.
 type entry struct {
 	key       Key
-	bytes     uint64
 	pkts      uint64
 	drops     uint64
 	demotions uint64
 	err       uint64
+	home      uint32 // hashOf(key), kept so deletion never rehashes
 }
 
 // Sample is one exported table entry (or one merged row). Err is the
@@ -31,10 +34,21 @@ type Sample struct {
 	Err       uint64
 }
 
-// tableIndexFactor sizes the open-addressed index at 4 slots per
-// entry, keeping linear-probe chains short (load factor <= 1/4 after
-// rounding up to a power of two).
-const tableIndexFactor = 4
+// tableIndexFactor sizes the open-addressed index at 16 slots per
+// entry (load factor <= 1/16 after rounding up to a power of two). The
+// keyed hash places keys at random, so a full table churning a new
+// sender per packet probes, deletes and reinserts through occupied
+// slots in proportion to the load: at 1/4 that made Observe twice as
+// slow as at 1/16, which costs 2 KB at DefaultTopK.
+const tableIndexFactor = 16
+
+// heapNode is one heap slot: an entry's byte count (its ranking
+// counter, kept here so sifts compare contiguous memory) and the
+// entry's index.
+type heapNode struct {
+	bytes uint64
+	idx   int32
+}
 
 // Table is a space-saving top-K heavy-hitter table: K preallocated
 // entries, an open-addressed key index (no Go map — the hot path must
@@ -44,10 +58,11 @@ type Table struct {
 	k       int
 	n       int
 	entries []entry
-	heap    []int32 // entry indices ordered by entries[i].bytes, min at root
-	pos     []int32 // entry index -> heap position
-	slots   []int32 // open-addressed index; entryIdx+1, 0 = empty
+	heap    []heapNode // min-heap by bytes
+	pos     []int32    // entry index -> heap position
+	slots   []int32    // open-addressed index; entryIdx+1, 0 = empty
 	mask    uint32
+	seed    keyhash.Seed
 }
 
 // Init sizes the table for k tracked senders. It is the only method
@@ -60,10 +75,11 @@ func (t *Table) Init(k int) {
 	t.k = k
 	t.n = 0
 	t.entries = make([]entry, k)
-	t.heap = make([]int32, k)
+	t.heap = make([]heapNode, k)
 	t.pos = make([]int32, k)
 	t.slots = make([]int32, nslots)
 	t.mask = uint32(nslots - 1)
+	t.seed = keyhash.New()
 }
 
 // Len returns the number of live entries.
@@ -72,20 +88,20 @@ func (t *Table) Len() int { return t.n }
 // K returns the table's capacity.
 func (t *Table) K() int { return t.k }
 
-// hashOf spreads a key over the slot space (multiply-shift with a
-// fixed odd constant; determinism across runs is part of the merge
-// contract).
+// hashOf spreads a key over the slot space. Keys are sender
+// addresses, so the hash is keyed per table; slot placement never
+// reaches samples or merges, which stay deterministic.
 //
 //tva:hotpath
 func (t *Table) hashOf(k Key) uint32 {
-	return uint32((uint64(k)*0x9E3779B97F4A7C15)>>32) & t.mask
+	return uint32(t.seed.Sum(uint64(k))) & t.mask
 }
 
-// find returns the entry index for key, or -1.
+// find returns the entry index for key, whose hash is h, or -1.
 //
 //tva:hotpath
-func (t *Table) find(k Key) int32 {
-	i := t.hashOf(k)
+func (t *Table) find(k Key, h uint32) int32 {
+	i := h
 	for {
 		s := t.slots[i]
 		if s == 0 {
@@ -98,31 +114,25 @@ func (t *Table) find(k Key) int32 {
 	}
 }
 
-// insertSlot indexes entry idx under key k (k must be absent).
+// insertSlot indexes entry idx at home h (its key must be absent).
 //
 //tva:hotpath
-func (t *Table) insertSlot(k Key, idx int32) {
-	i := t.hashOf(k)
+func (t *Table) insertSlot(h uint32, idx int32) {
+	t.entries[idx].home = h
+	i := h
 	for t.slots[i] != 0 {
 		i = (i + 1) & t.mask
 	}
 	t.slots[i] = idx + 1
 }
 
-// removeKey unindexes k using backward-shift deletion, which keeps
-// probe chains gap-free without tombstones.
+// removeEntry unindexes entry idx using backward-shift deletion,
+// which keeps probe chains gap-free without tombstones.
 //
 //tva:hotpath
-func (t *Table) removeKey(k Key) {
-	i := t.hashOf(k)
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			return
-		}
-		if t.entries[s-1].key == k {
-			break
-		}
+func (t *Table) removeEntry(idx int32) {
+	i := t.entries[idx].home
+	for t.slots[i] != idx+1 {
 		i = (i + 1) & t.mask
 	}
 	j := i
@@ -132,7 +142,7 @@ func (t *Table) removeKey(k Key) {
 		if s == 0 {
 			break
 		}
-		h := t.hashOf(t.entries[s-1].key)
+		h := t.entries[s-1].home
 		// Slot j's occupant may fill the hole at i only if its home
 		// position is cyclically at or before i — i.e. i lies inside
 		// its probe chain.
@@ -151,44 +161,45 @@ func (t *Table) removeKey(k Key) {
 func (t *Table) siftDown(p int32) {
 	h := t.heap
 	n := int32(t.n)
+	nd := h[p]
 	for {
 		l := 2*p + 1
 		if l >= n {
-			return
+			break
 		}
 		m := l
-		if r := l + 1; r < n && t.entries[h[r]].bytes < t.entries[h[l]].bytes {
+		if r := l + 1; r < n && h[r].bytes < h[l].bytes {
 			m = r
 		}
-		if t.entries[h[m]].bytes >= t.entries[h[p]].bytes {
-			return
+		if h[m].bytes >= nd.bytes {
+			break
 		}
-		h[p], h[m] = h[m], h[p]
-		t.pos[h[p]] = p
-		t.pos[h[m]] = m
+		h[p] = h[m]
+		t.pos[h[p].idx] = p
 		p = m
 	}
+	h[p] = nd
+	t.pos[nd.idx] = p
 }
 
-// heapPush appends entry idx (already in entries) at the heap's end
-// and sifts it up.
+// heapPush adds entry idx (already in entries) with its byte count at
+// the heap's end and sifts it up.
 //
 //tva:hotpath
-func (t *Table) heapPush(idx int32) {
+func (t *Table) heapPush(idx int32, bytes uint64) {
 	h := t.heap
 	p := int32(t.n) - 1 // caller bumped t.n; new element goes last
-	h[p] = idx
-	t.pos[idx] = p
 	for p > 0 {
 		parent := (p - 1) / 2
-		if t.entries[h[parent]].bytes <= t.entries[h[p]].bytes {
-			return
+		if h[parent].bytes <= bytes {
+			break
 		}
-		h[p], h[parent] = h[parent], h[p]
-		t.pos[h[p]] = p
-		t.pos[h[parent]] = parent
+		h[p] = h[parent]
+		t.pos[h[p].idx] = p
 		p = parent
 	}
+	h[p] = heapNode{bytes: bytes, idx: idx}
+	t.pos[idx] = p
 }
 
 // touch accounts one event to key k: bytes/pkts on observation,
@@ -201,14 +212,16 @@ func (t *Table) heapPush(idx int32) {
 //
 //tva:hotpath
 func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
-	if idx := t.find(k); idx >= 0 {
+	h := t.hashOf(k)
+	if idx := t.find(k, h); idx >= 0 {
 		e := &t.entries[idx]
-		e.bytes += bytes
 		e.pkts += pkts
 		e.drops += drops
 		e.demotions += demotions
 		if bytes > 0 {
-			t.siftDown(t.pos[idx])
+			p := t.pos[idx]
+			t.heap[p].bytes += bytes
+			t.siftDown(p)
 		}
 		return
 	}
@@ -217,40 +230,37 @@ func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
 		t.n++
 		e := &t.entries[idx]
 		e.key = k
-		e.bytes = bytes
 		e.pkts = pkts
 		e.drops = drops
 		e.demotions = demotions
 		e.err = 0
-		t.insertSlot(k, idx)
-		t.heapPush(idx)
+		t.insertSlot(h, idx)
+		t.heapPush(idx, bytes)
 		return
 	}
 	if bytes == 0 {
 		return
 	}
-	root := t.heap[0]
-	e := &t.entries[root]
-	t.removeKey(e.key)
-	e.err = e.bytes
+	root := &t.heap[0]
+	e := &t.entries[root.idx]
+	t.removeEntry(root.idx)
+	e.err = root.bytes
 	e.key = k
-	e.bytes += bytes
+	root.bytes += bytes
 	e.pkts = pkts
 	e.drops = drops
 	e.demotions = demotions
-	t.insertSlot(k, root)
+	t.insertSlot(h, root.idx)
 	t.siftDown(0)
 }
 
 // MaxBytes returns the largest tracked byte count (0 when empty).
 func (t *Table) MaxBytes() uint64 {
-	var max uint64
-	for i := 0; i < t.n; i++ {
-		if b := t.entries[i].bytes; b > max {
-			max = b
-		}
+	var top uint64
+	for _, nd := range t.heap[:t.n] {
+		top = max(top, nd.bytes)
 	}
-	return max
+	return top
 }
 
 // AppendSamples appends the live entries to dst, unsorted.
@@ -258,7 +268,7 @@ func (t *Table) AppendSamples(dst []Sample) []Sample {
 	for i := 0; i < t.n; i++ {
 		e := &t.entries[i]
 		dst = append(dst, Sample{
-			Key: e.key, Bytes: e.bytes, Pkts: e.pkts,
+			Key: e.key, Bytes: t.heap[t.pos[i]].bytes, Pkts: e.pkts,
 			Drops: e.drops, Demotions: e.demotions, Err: e.err,
 		})
 	}
