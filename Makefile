@@ -41,16 +41,19 @@ lint:
 test:
 	go test -vet=all ./...
 
-# The extra -count=2 pass re-runs the overlay shard/batch tests, the
+# The extra -count=2 passes re-run the overlay shard/batch tests, the
 # (Batch, Shards) width tables, the segmented-egress tests (mixed
 # runs, caps, kernel refusal, head-of-line) and the paced-port tables
 # (the fallback timer against arrivals and Close) so the race detector
 # sees worker startup and teardown — the one-worker inline engine
 # included — twice in one process: the window the goleak analyzer
-# reasons about statically.
+# reasons about statically. The capability pass does the same for one
+# authority shared by concurrent minters across secret rotations, the
+# way shard replicas share their router's.
 race:
 	go test -race -vet=off ./...
 	go test -race -vet=off -count=2 -run 'Batch|Shard|Handshake|Refused|Segment|Pace' ./internal/overlay
+	go test -race -vet=off -count=2 -run 'ConcurrentRotation' ./internal/capability
 
 # bench writes a machine-readable snapshot (Table 1 ns/op + allocs/op,
 # Fig. 12 peak kpps, scenario completion fractions) keyed by revision.

@@ -10,8 +10,8 @@
 //     duration, reporting completion fraction and transfer time as
 //     custom metrics (full-length runs: cmd/tvasim).
 //   - BenchmarkAblation_*: the design choices called out in DESIGN.md
-//     §5 (hash suite, capability caching, per-destination fair
-//     queuing, bounded router state).
+//     §5 (capability caching, per-destination fair queuing, bounded
+//     router state).
 package tva_test
 
 import (
@@ -20,7 +20,6 @@ import (
 
 	"tva"
 
-	"tva/internal/capability"
 	"tva/internal/flowcache"
 	"tva/internal/overlay"
 	"tva/internal/tvatime"
@@ -29,7 +28,7 @@ import (
 // --- Table 1 ---
 
 func benchTable1(b *testing.B, kind overlay.PacketKind) {
-	w := overlay.NewWorkload(kind, capability.Crypto)
+	w := overlay.NewWorkload(kind)
 	// Streaming metrics stay attached while Table 1 is measured: the
 	// 0 allocs/op rows hold with observability on, not just off.
 	m := overlay.NewBenchMetrics(w)
@@ -57,7 +56,7 @@ func benchFig12(b *testing.B, kind overlay.PacketKind) {
 	var out float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := overlay.NewWorkload(kind, capability.Crypto)
+		w := overlay.NewWorkload(kind)
 		out = overlay.MeasureForwarding(w, 4_000_000, 150*time.Millisecond)
 	}
 	b.ReportMetric(out/1000, "kpps")
@@ -161,25 +160,6 @@ func BenchmarkFig11_ImpreciseAuth_SIFF(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// BenchmarkAblation_Hashers compares the paper's crypto construction
-// against the fast simulation hash on the capability validation path.
-func BenchmarkAblation_Hashers(b *testing.B) {
-	for _, suite := range []tva.Suite{tva.CryptoSuite, tva.FastSuite} {
-		b.Run(suite.Name, func(b *testing.B) {
-			a := tva.NewAuthority(suite, 0)
-			now := tva.Time(1e9)
-			pre := a.PreCap(1, 2, now)
-			cap := suite.MakeCap(pre, 32, 10)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !a.ValidateCap(1, 2, cap, 32, 10, now) {
-					b.Fatal("validation failed")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_NonceCache quantifies §3.7's capability caching:
 // the per-packet cost and wire overhead of nonce-only packets versus
 // always attaching the full capability list.
@@ -193,7 +173,7 @@ func BenchmarkAblation_NonceCache(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			w := overlay.NewWorkload(c.kind, capability.Crypto)
+			w := overlay.NewWorkload(c.kind)
 			now := tvatime.WallClock{}.Now()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,7 +9,7 @@
 // Absolute numbers differ from the paper's 3.2 GHz Xeon kernel module;
 // the orderings (regular-with-entry cheapest, renewal-without-entry
 // most expensive, throughput plateaus per type) are the reproduced
-// result. Use -suite crypto for the paper's AES+SHA1 construction.
+// result. Every measurement runs the paper's AES+SHA1 construction.
 //
 // With -label (or -json), a machine-readable BENCH_<label>.json
 // snapshot is written containing Table 1 ns/op and allocs/op, Fig. 12
@@ -27,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/exp"
 	"tva/internal/overlay"
 	"tva/internal/tvatime"
@@ -36,7 +35,6 @@ import (
 // benchSnapshot is the BENCH_<label>.json schema.
 type benchSnapshot struct {
 	Label      string          `json:"label"`
-	Suite      string          `json:"suite"`
 	GoVersion  string          `json:"go_version"`
 	Table1     []table1Row     `json:"table1"`
 	Fig12      []fig12Row      `json:"fig12"`
@@ -79,7 +77,6 @@ func main() {
 	table := flag.Int("table", 0, "table to regenerate (1)")
 	fig := flag.Int("fig", 0, "figure to regenerate (12)")
 	all := flag.Bool("all", false, "regenerate Table 1 and Fig. 12")
-	suiteName := flag.String("suite", "crypto", "hash suite: crypto (AES+SHA1, as the paper) or fast")
 	dur := flag.Duration("dur", 300*time.Millisecond, "measurement window per Fig. 12 point")
 	label := flag.String("label", "", "write a BENCH_<label>.json snapshot (implies -all)")
 	jsonPath := flag.String("json", "", "snapshot output path (default BENCH_<label>.json)")
@@ -89,19 +86,8 @@ func main() {
 	guardBatchFlag := flag.Bool("guard-batch", false, "measure the batched data path and require >=2x throughput at batch=32 vs batch=1; exit 1 otherwise")
 	flag.Parse()
 
-	var suite capability.Suite
-	switch *suiteName {
-	case "crypto":
-		suite = capability.Crypto
-	case "fast":
-		suite = capability.Fast
-	default:
-		fmt.Fprintf(os.Stderr, "unknown suite %q\n", *suiteName)
-		os.Exit(2)
-	}
-
 	if *guard != "" {
-		if err := guardAllocs(suite, *guard); err != nil {
+		if err := guardAllocs(*guard); err != nil {
 			fmt.Fprintln(os.Stderr, "tvabench -guard:", err)
 			os.Exit(1)
 		}
@@ -109,7 +95,7 @@ func main() {
 	}
 
 	if *guardBatchFlag {
-		if err := guardBatch(suite, *dur); err != nil {
+		if err := guardBatch(*dur); err != nil {
 			fmt.Fprintln(os.Stderr, "tvabench -guard-batch:", err)
 			os.Exit(1)
 		}
@@ -117,7 +103,7 @@ func main() {
 	}
 
 	if *label != "" || *jsonPath != "" {
-		if err := writeSnapshot(suite, *label, *jsonPath, *dur, *workers, *simSec); err != nil {
+		if err := writeSnapshot(*label, *jsonPath, *dur, *workers, *simSec); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -125,11 +111,11 @@ func main() {
 	}
 
 	if *all || *table == 1 {
-		table1(suite)
+		table1()
 	}
 	if *all || *fig == 12 {
-		fig12(suite, *dur)
-		fig12Batch(suite, *dur)
+		fig12(*dur)
+		fig12Batch(*dur)
 	}
 	if !*all && *table == 0 && *fig == 0 {
 		flag.Usage()
@@ -139,10 +125,10 @@ func main() {
 
 // measureTable1 benchmarks every packet kind through the forwarding
 // path, reporting ns/op and allocation counts.
-func measureTable1(suite capability.Suite) []table1Row {
+func measureTable1() []table1Row {
 	rows := make([]table1Row, 0, len(overlay.Kinds))
 	for _, kind := range overlay.Kinds {
-		w := overlay.NewWorkload(kind, suite)
+		w := overlay.NewWorkload(kind)
 		// Measure with the streaming-metrics harness attached, exactly
 		// like bench_test.go: the alloc guard then proves the Table 1
 		// rows stay at 0 allocs/op with observability enabled.
@@ -173,10 +159,10 @@ func measureTable1(suite capability.Suite) []table1Row {
 // a 3.2 GHz Xeon, for comparison: request 460 ns, regular w/ entry
 // 33 ns, regular w/o entry 1486 ns, renewal w/ entry 439 ns, renewal
 // w/o entry 1821 ns.
-func table1(suite capability.Suite) {
-	fmt.Printf("# Table 1: processing overhead of different types of packets (suite=%s)\n", suite.Name)
+func table1() {
+	fmt.Println("# Table 1: processing overhead of different types of packets")
 	fmt.Printf("%-22s %14s %12s\n", "packet type", "ns/packet", "allocs/pkt")
-	for _, row := range measureTable1(suite) {
+	for _, row := range measureTable1() {
 		fmt.Printf("%-22s %14.1f %12d\n", row.Kind, row.NsPerOp, row.AllocsPerOp)
 	}
 	fmt.Println()
@@ -184,8 +170,8 @@ func table1(suite capability.Suite) {
 
 // fig12 measures output rate versus offered input rate per packet
 // type (Fig. 12's series).
-func fig12(suite capability.Suite, dur time.Duration) {
-	fmt.Printf("# Figure 12: peak output rate vs input rate (suite=%s, %v per point)\n", suite.Name, dur)
+func fig12(dur time.Duration) {
+	fmt.Printf("# Figure 12: peak output rate vs input rate (%v per point)\n", dur)
 	rates := []int{100_000, 250_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000}
 	fmt.Printf("%-22s", "packet type")
 	for _, r := range rates {
@@ -193,7 +179,7 @@ func fig12(suite capability.Suite, dur time.Duration) {
 	}
 	fmt.Println(" (input pps -> output kpps)")
 	for _, kind := range overlay.Kinds {
-		w := overlay.NewWorkload(kind, suite)
+		w := overlay.NewWorkload(kind)
 		fmt.Printf("%-22s", kind)
 		for _, rate := range rates {
 			out := overlay.MeasureForwarding(w, rate, dur)
@@ -208,9 +194,9 @@ func fig12(suite capability.Suite, dur time.Duration) {
 // sustained loopback forwarding rate of a full overlay router per
 // batch size, best of trials runs each (a stalled window — a dropped
 // datagram under load — voids a run, never the series).
-func measureFig12Batch(suite capability.Suite, dur time.Duration, trials int) ([]fig12BatchRow, error) {
+func measureFig12Batch(dur time.Duration, trials int) ([]fig12BatchRow, error) {
 	kind := overlay.KindRegularWithEntry
-	w := overlay.NewWorkload(kind, suite)
+	w := overlay.NewWorkload(kind)
 	rows := make([]fig12BatchRow, 0, len(overlay.BatchSizes))
 	for _, bs := range overlay.BatchSizes {
 		best := 0.0
@@ -234,9 +220,9 @@ func measureFig12Batch(suite capability.Suite, dur time.Duration, trials int) ([
 }
 
 // fig12Batch prints the batched data path series.
-func fig12Batch(suite capability.Suite, dur time.Duration) {
-	fmt.Printf("# Figure 12 (batched): overlay forwarding rate vs RouterConfig.Batch (suite=%s, %v per point)\n", suite.Name, dur)
-	rows, err := measureFig12Batch(suite, dur, 2)
+func fig12Batch(dur time.Duration) {
+	fmt.Printf("# Figure 12 (batched): overlay forwarding rate vs RouterConfig.Batch (%v per point)\n", dur)
+	rows, err := measureFig12Batch(dur, 2)
 	if err != nil {
 		fmt.Printf("measurement failed: %v\n\n", err)
 		return
@@ -260,8 +246,8 @@ const guardBatchRatio = 2.0
 // forwarding work — syscall amortization (recvmmsg/sendmmsg), one
 // scheduler crossing per burst, and per-burst wakeups — measured
 // end to end over real sockets, best of three runs per size.
-func guardBatch(suite capability.Suite, dur time.Duration) error {
-	w := overlay.NewWorkload(overlay.KindRegularWithEntry, suite)
+func guardBatch(dur time.Duration) error {
+	w := overlay.NewWorkload(overlay.KindRegularWithEntry)
 	const trials = 3
 	measure := func(bs int) (float64, error) {
 		best := 0.0
@@ -290,8 +276,8 @@ func guardBatch(suite capability.Suite, dur time.Duration) error {
 		return err
 	}
 	ratio := batched / single
-	fmt.Printf("# batch guard (suite=%s): batch=1 %.0f kpps, batch=32 %.0f kpps, ratio %.2fx (floor %.1fx)\n",
-		suite.Name, single/1000, batched/1000, ratio, guardBatchRatio)
+	fmt.Printf("# batch guard: batch=1 %.0f kpps, batch=32 %.0f kpps, ratio %.2fx (floor %.1fx)\n",
+		single/1000, batched/1000, ratio, guardBatchRatio)
 	if ratio < guardBatchRatio {
 		return fmt.Errorf("batch=32 forwarding only %.2fx batch=1 (need >=%.1fx)", ratio, guardBatchRatio)
 	}
@@ -303,7 +289,7 @@ func guardBatch(suite capability.Suite, dur time.Duration) error {
 // committed snapshot and fails on any regression. Telemetry rode into
 // the forwarding path with the promise of zero extra allocations;
 // this is the check that keeps the promise honest in CI.
-func guardAllocs(suite capability.Suite, path string) error {
+func guardAllocs(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -317,13 +303,13 @@ func guardAllocs(suite capability.Suite, path string) error {
 		baseline[row.Kind] = row.AllocsPerOp
 	}
 
-	fmt.Printf("# alloc guard vs %s (suite=%s)\n", path, suite.Name)
+	fmt.Printf("# alloc guard vs %s\n", path)
 	fmt.Printf("%-22s %10s %10s\n", "packet type", "baseline", "current")
 	failed := false
 	// Measure exactly the way the snapshot was measured (steady-state
 	// testing.Benchmark loops), so warm-up allocations such as flow
 	// cache growth do not read as regressions.
-	for _, row := range measureTable1(suite) {
+	for _, row := range measureTable1() {
 		got := row.AllocsPerOp
 		want, ok := baseline[row.Kind]
 		mark := "ok"
@@ -346,7 +332,7 @@ func guardAllocs(suite capability.Suite, path string) error {
 const snapshotSaturatingPPS = 8_000_000
 
 // writeSnapshot measures everything and writes BENCH_<label>.json.
-func writeSnapshot(suite capability.Suite, label, path string, dur time.Duration, workers int, simSec float64) error {
+func writeSnapshot(label, path string, dur time.Duration, workers int, simSec float64) error {
 	if label == "" {
 		label = "local"
 	}
@@ -355,16 +341,15 @@ func writeSnapshot(suite capability.Suite, label, path string, dur time.Duration
 	}
 	snap := benchSnapshot{
 		Label:     label,
-		Suite:     suite.Name,
 		GoVersion: runtime.Version(),
 	}
 
-	fmt.Fprintf(os.Stderr, "tvabench: Table 1 (suite=%s)...\n", suite.Name)
-	snap.Table1 = measureTable1(suite)
+	fmt.Fprintln(os.Stderr, "tvabench: Table 1...")
+	snap.Table1 = measureTable1()
 
 	fmt.Fprintln(os.Stderr, "tvabench: Fig. 12 peak rates...")
 	for _, kind := range overlay.Kinds {
-		w := overlay.NewWorkload(kind, suite)
+		w := overlay.NewWorkload(kind)
 		out := overlay.MeasureForwarding(w, snapshotSaturatingPPS, dur)
 		snap.Fig12 = append(snap.Fig12, fig12Row{
 			Kind:       kind.String(),
@@ -374,7 +359,7 @@ func writeSnapshot(suite capability.Suite, label, path string, dur time.Duration
 	}
 
 	fmt.Fprintln(os.Stderr, "tvabench: Fig. 12 batched data path...")
-	batchRows, err := measureFig12Batch(suite, dur, 2)
+	batchRows, err := measureFig12Batch(dur, 2)
 	if err != nil {
 		return fmt.Errorf("fig12_batch: %w", err)
 	}

@@ -19,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/overlay"
 	"tva/internal/packet"
@@ -33,17 +32,12 @@ func main() {
 	count := flag.Int("count", 5, "pings to send")
 	interval := flag.Duration("interval", 500*time.Millisecond, "ping interval")
 	serve := flag.Bool("serve", false, "run as echo server")
-	fast := flag.Bool("fast-hash", false, "use the fast (non-crypto) hash suite")
 	flag.Parse()
 
 	addr, err := parseAddr(*addrStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	suite := capability.Crypto
-	if *fast {
-		suite = capability.Fast
 	}
 
 	var policy core.Policy
@@ -57,7 +51,7 @@ func main() {
 		Listen:  *listen,
 		Gateway: *gw,
 		Policy:  policy,
-		Shim:    core.ShimConfig{Suite: suite, AutoReturn: true, CollectHops: true},
+		Shim:    core.ShimConfig{AutoReturn: true, CollectHops: true},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

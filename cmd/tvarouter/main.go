@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/flowstats"
 	"tva/internal/metrics"
@@ -48,7 +47,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7000", "UDP address to bind")
 	rate := flag.Int64("rate", 0, "per-neighbour link pacing in bits/s (0 = unpaced)")
 	reqFrac := flag.Float64("request-fraction", 0.05, "request channel share of the link")
-	fast := flag.Bool("fast-hash", false, "use the fast (non-crypto) hash suite")
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 = never)")
 	debugAddr := flag.String("pprof", "", "serve pprof and expvar diagnostics on this address (e.g. 127.0.0.1:6060)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text exposition at /metrics on this address (e.g. 127.0.0.1:9100)")
@@ -61,20 +59,13 @@ func main() {
 	def := flag.String("default", "", "default next hop udphost:port")
 	flag.Parse()
 
-	suite := capability.Crypto
-	if *fast {
-		suite = capability.Fast
-	}
 	r, err := overlay.NewRouter(overlay.RouterConfig{
 		Listen:          *listen,
 		LinkBps:         *rate,
 		RequestFraction: *reqFrac,
 		Batch:           *batch,
 		Shards:          *shards,
-		Core: core.RouterConfig{
-			Suite:         suite,
-			TrustBoundary: true,
-		},
+		Core:            core.RouterConfig{TrustBoundary: true},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -105,8 +96,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("tvarouter listening on %s (%d routes, suite=%s, batch=%d, shards=%d)\n",
-		r.Addr(), len(routes), suite.Name, *batch, *shards)
+	fmt.Printf("tvarouter listening on %s (%d routes, batch=%d, shards=%d)\n",
+		r.Addr(), len(routes), *batch, *shards)
 
 	// Every background goroutine below selects on stop and joins bg, so
 	// shutdown is a close + Wait, not a process-exit shrug; the goleak

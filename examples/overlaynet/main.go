@@ -20,7 +20,7 @@ import (
 func main() {
 	router, err := tva.NewOverlayRouter(tva.OverlayRouterConfig{
 		Listen: "127.0.0.1:0",
-		Core:   tva.RouterConfig{Suite: tva.CryptoSuite, TrustBoundary: true},
+		Core:   tva.RouterConfig{TrustBoundary: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +36,7 @@ func main() {
 			Listen:  "127.0.0.1:0",
 			Gateway: router.Addr().String(),
 			Policy:  policy,
-			Shim:    tva.ShimConfig{Suite: tva.CryptoSuite, AutoReturn: true},
+			Shim:    tva.ShimConfig{AutoReturn: true},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -22,8 +22,8 @@ func main() {
 
 	// Two capability routers on the path, as in the paper's Fig. 1.
 	routers := []*tva.Router{
-		tva.NewRouter(tva.RouterConfig{Suite: tva.CryptoSuite, TrustBoundary: true}),
-		tva.NewRouter(tva.RouterConfig{Suite: tva.CryptoSuite}),
+		tva.NewRouter(tva.RouterConfig{TrustBoundary: true}),
+		tva.NewRouter(tva.RouterConfig{}),
 	}
 
 	alice := tva.AddrFrom(10, 0, 0, 1)
@@ -45,10 +45,10 @@ func main() {
 	// Bob is a public server: grant everyone 32 KB over 10 s and
 	// blacklist misbehavers (§3.3). Alice is a client.
 	bobShim := tva.NewShim(bob, tva.NewServerPolicy(), clock, rng(2), tva.ShimConfig{
-		Suite: tva.CryptoSuite, AutoReturn: true,
+		AutoReturn: true,
 	})
 	aliceShim := tva.NewShim(alice, tva.NewClientPolicy(), clock, rng(1), tva.ShimConfig{
-		Suite: tva.CryptoSuite, AutoReturn: true,
+		AutoReturn: true,
 	})
 	aliceShim.Output = deliver
 	bobShim.Output = deliver

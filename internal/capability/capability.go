@@ -35,25 +35,13 @@ const DefaultSecretPeriod = 128 * tvatime.Second
 // tsRollover is the modulo of the 8-bit router timestamp, in seconds.
 const tsRollover = 256
 
-// CapHash is the public second hash deriving a capability from a
-// pre-capability and the destination's N (bytes, KB units widened to
-// uint32) and T (seconds).
-type CapHash func(pre uint64, nkb uint32, tsec uint8) uint64
-
-// Suite bundles the two hash functions so routers and destinations
-// agree. Crypto is the paper's construction; Fast trades strength for
-// simulation speed (see DESIGN.md §5).
-type Suite struct {
-	Name     string
-	NewKeyed mac.KeyedFactory
-	CapHash  CapHash
-}
+// Suite names the one capability construction routers and
+// destinations share: AES-CBC-MAC pre-capabilities and SHA-1
+// capabilities (§3.4, §6). Crypto is its only value.
+type Suite struct{}
 
 // Crypto is the paper's AES-CBC-MAC + SHA-1 construction.
-var Crypto = Suite{Name: "aes+sha1", NewKeyed: mac.NewAES, CapHash: mac.SHA56}
-
-// Fast is a keyed-FNV construction for large simulations.
-var Fast = Suite{Name: "fnv", NewKeyed: mac.NewFNV, CapHash: mac.FastSHA56}
+var Crypto = Suite{}
 
 // Timestamp extracts the 8-bit router timestamp from a pre-capability
 // or capability value.
@@ -66,10 +54,10 @@ func hashOf(v uint64) uint64 { return v & mac.Mask56 }
 func compose(ts uint8, h uint64) uint64 { return uint64(ts)<<56 | (h & mac.Mask56) }
 
 // MakeCap converts a pre-capability into a capability for the grant
-// (N, T) using the suite's public hash. Destinations call this; no
+// (N, T) using the public SHA-1 hash. Destinations call this; no
 // router secret is involved (§3.5).
-func (s Suite) MakeCap(pre uint64, nkb uint16, tsec uint8) uint64 {
-	return compose(Timestamp(pre), s.CapHash(pre, uint32(nkb), tsec))
+func (Suite) MakeCap(pre uint64, nkb uint16, tsec uint8) uint64 {
+	return compose(Timestamp(pre), mac.SHA56(pre, uint32(nkb), tsec))
 }
 
 // Age returns the age in seconds of a timestamp under the modulo-256
@@ -83,76 +71,91 @@ func Age(ts uint8, nowSec int64) (age int64, ok bool) {
 	return age, age <= tsRollover/2
 }
 
-// Authority mints and validates capabilities for one router. It owns
-// the router's rotating secrets. Authority is safe for concurrent use.
-type Authority struct {
-	suite  Suite
+// Ring holds one router's rotating secrets: the secret of the newest
+// epoch it has seen and of the epoch before it (an epoch is one period
+// long). TVA's Authority and SIFF's Marker both keep their secrets in
+// one. Ring is safe for concurrent use: every MAC runs under its lock,
+// which is also where the epoch is checked and the ring rotated,
+// because Keyed instances carry scratch state (mac.Keyed).
+type Ring struct {
 	period tvatime.Duration
 
 	mu sync.Mutex
-	// keyed[i] is the MAC for secret epochs with parity i. An epoch is
-	// period-long; validation uses the mint epoch's parity, so only
-	// the current and previous secrets ever validate (§3.4).
+	// keyed[i] is the MAC for epochs with parity i; epoch is the newest
+	// epoch installed. Before the first rotation, the previous slot
+	// holds a secret nothing was minted under.
 	keyed [2]mac.Keyed
 	epoch int64
 }
 
-// NewAuthority returns an Authority using the given suite and secret
-// period. A zero period selects DefaultSecretPeriod.
-func NewAuthority(suite Suite, period tvatime.Duration) *Authority {
+// NewRing returns a Ring rotating its secret every period (> 0).
+func NewRing(period tvatime.Duration) *Ring {
+	return &Ring{period: period, keyed: [2]mac.Keyed{
+		mac.NewAES(mac.NewSecret()), mac.NewAES(mac.NewSecret()),
+	}}
+}
+
+// Epoch returns the secret epoch in effect at t.
+func (r *Ring) Epoch(t tvatime.Time) int64 { return int64(t) / int64(r.period) }
+
+// MAC56 computes the 56-bit MAC of (a, b, c) under epoch e's secret,
+// after rotating the ring forward to cur, the epoch of the caller's
+// clock. ok is false when e's secret is not held: retired (older than
+// the newest epoch's predecessor) or not yet issued.
+//
+//tva:hotpath
+func (r *Ring) MAC56(cur, e int64, a, b, c uint64) (h uint64, ok bool) {
+	r.mu.Lock()
+	if cur > r.epoch {
+		r.rotate(cur)
+	}
+	if e < r.epoch-1 || e > r.epoch {
+		r.mu.Unlock()
+		return 0, false
+	}
+	h = r.keyed[e&1].MAC56(a, b, c)
+	r.mu.Unlock()
+	return h, true
+}
+
+// rotate installs fresh secrets up to epoch e > r.epoch, regenerating
+// both slots when both are stale. Caller holds mu.
+func (r *Ring) rotate(e int64) {
+	if e-r.epoch >= 2 {
+		r.keyed[(e-1)&1] = mac.NewAES(mac.NewSecret())
+	}
+	r.keyed[e&1] = mac.NewAES(mac.NewSecret())
+	r.epoch = e
+}
+
+// Authority mints and validates capabilities for one router. Its
+// secrets live in a Ring; Authority is safe for concurrent use.
+type Authority struct {
+	ring *Ring
+}
+
+// NewAuthority returns an Authority rotating its secret every period.
+// A zero period selects DefaultSecretPeriod.
+func NewAuthority(period tvatime.Duration) *Authority {
 	if period <= 0 {
 		period = DefaultSecretPeriod
 	}
-	a := &Authority{suite: suite, period: period, epoch: -1}
-	a.rotateTo(0)
-	return a
-}
-
-// Suite returns the authority's hash suite.
-func (a *Authority) Suite() Suite { return a.suite }
-
-// rotateTo installs fresh secrets up to epoch e. Caller must not hold mu.
-func (a *Authority) rotateTo(e int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if e <= a.epoch {
-		return
-	}
-	if e-a.epoch >= 2 {
-		// Both slots are stale; regenerate both.
-		a.keyed[e&1] = a.suite.NewKeyed(mac.NewSecret())
-		a.keyed[(e-1)&1] = a.suite.NewKeyed(mac.NewSecret())
-	} else {
-		a.keyed[e&1] = a.suite.NewKeyed(mac.NewSecret())
-	}
-	a.epoch = e
+	return &Authority{ring: NewRing(period)}
 }
 
 // mac56For computes MAC56(src, dst, ts) under the secret in effect for
-// a value minted at timestamp ts and observed at now. The MAC runs
-// inside the authority's critical section because Keyed instances
-// carry scratch state (mac.Keyed); ok is false if the mint epoch's
-// secret has already been retired.
+// a value minted at timestamp ts and observed at now; ok is false if
+// the mint epoch's secret has already been retired.
 func (a *Authority) mac56For(ts uint8, now tvatime.Time, src, dst packet.Addr) (h uint64, ok bool) {
-	nowSec := now.Seconds()
-	curEpoch := int64(now) / int64(a.period)
-	if curEpoch > a.epoch {
-		a.rotateTo(curEpoch)
-	}
-	age, ok := Age(ts, nowSec)
+	age, ok := Age(ts, now.Seconds())
 	if !ok {
 		return 0, false
 	}
-	mintEpoch := (int64(now) - age*int64(tvatime.Second)) / int64(a.period)
+	mintEpoch := a.ring.Epoch(now.Add(-tvatime.Duration(age) * tvatime.Second))
 	if mintEpoch < 0 {
 		mintEpoch = 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if mintEpoch < a.epoch-1 || mintEpoch > a.epoch {
-		return 0, false // secret retired (or impossible future epoch)
-	}
-	return a.keyed[mintEpoch&1].MAC56(uint64(src), uint64(dst), uint64(ts)), true
+	return a.ring.MAC56(a.ring.Epoch(now), mintEpoch, uint64(src), uint64(dst), uint64(ts))
 }
 
 // PreCap mints a pre-capability for the (src, dst) pair at time now
@@ -160,52 +163,35 @@ func (a *Authority) mac56For(ts uint8, now tvatime.Time, src, dst packet.Addr) (
 //
 //tva:hotpath
 func (a *Authority) PreCap(src, dst packet.Addr, now tvatime.Time) uint64 {
-	curEpoch := int64(now) / int64(a.period)
-	if curEpoch > a.epoch {
-		a.rotateTo(curEpoch)
-	}
-	ts := uint8(now.Seconds() % tsRollover)
-	a.mu.Lock()
-	h := a.keyed[curEpoch&1].MAC56(uint64(src), uint64(dst), uint64(ts))
-	a.mu.Unlock()
-	return compose(ts, h)
+	return a.MinterAt(now).PreCap(src, dst)
 }
 
 // Minter is a per-burst snapshot of the authority's minting state: the
-// secret-rotation check and the modulo-256 timestamp are resolved once
-// when the snapshot is taken, so batched request processing pays them
-// per burst instead of per packet. Each PreCap still takes the
-// authority's lock for the MAC itself (the Keyed scratch is shared).
-// A Minter is only valid for the instant it was taken at — take a
-// fresh one whenever now advances (core.Router.ProcessBatch takes one
-// per burst, which runs at a single timestamp).
+// secret epoch and the modulo-256 timestamp are resolved once when the
+// snapshot is taken, so batched request processing pays them per burst
+// instead of per packet. Each PreCap takes the ring's lock once for
+// the MAC. A Minter is only valid for the instant it was taken at —
+// take a fresh one whenever now advances (core.Router.ProcessBatch
+// takes one per burst, which runs at a single timestamp).
 type Minter struct {
-	a  *Authority
-	k  mac.Keyed
-	ts uint8
+	ring  *Ring
+	epoch int64
+	ts    uint8
 }
 
-// MinterAt snapshots the minting secret and timestamp in effect at now.
+// MinterAt snapshots the minting epoch and timestamp in effect at now.
 func (a *Authority) MinterAt(now tvatime.Time) Minter {
-	curEpoch := int64(now) / int64(a.period)
-	if curEpoch > a.epoch {
-		a.rotateTo(curEpoch)
-	}
-	ts := uint8(now.Seconds() % tsRollover)
-	a.mu.Lock()
-	k := a.keyed[curEpoch&1]
-	a.mu.Unlock()
-	return Minter{a: a, k: k, ts: ts}
+	return Minter{ring: a.ring, epoch: a.ring.Epoch(now), ts: uint8(now.Seconds() % tsRollover)}
 }
 
 // PreCap mints a pre-capability for (src, dst) under the snapshot's
-// secret and timestamp.
+// epoch and timestamp. A snapshot whose epoch another user of the
+// ring has already retired mints a pre-capability that never
+// validates.
 //
 //tva:hotpath
 func (m Minter) PreCap(src, dst packet.Addr) uint64 {
-	m.a.mu.Lock()
-	h := m.k.MAC56(uint64(src), uint64(dst), uint64(m.ts))
-	m.a.mu.Unlock()
+	h, _ := m.ring.MAC56(m.epoch, m.epoch, uint64(src), uint64(dst), uint64(m.ts))
 	return compose(m.ts, h)
 }
 
@@ -224,8 +210,7 @@ func (a *Authority) ValidateCap(src, dst packet.Addr, cap uint64, nkb uint16, ts
 	if !ok {
 		return false
 	}
-	pre := compose(ts, h)
-	return hashOf(a.suite.CapHash(pre, uint32(nkb), tsec)) == hashOf(cap)
+	return hashOf(Crypto.MakeCap(compose(ts, h), nkb, tsec)) == hashOf(cap)
 }
 
 // ValidatePre checks that a pre-capability was minted by this authority

@@ -2,40 +2,37 @@ package capability
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
 
-var suites = map[string]Suite{"crypto": Crypto, "fast": Fast}
-
 func at(sec float64) tvatime.Time { return tvatime.FromSeconds(sec) }
 
 func TestMintValidateRoundtrip(t *testing.T) {
-	for name, suite := range suites {
-		t.Run(name, func(t *testing.T) {
-			a := NewAuthority(suite, 0)
-			src, dst := packet.Addr(100), packet.Addr(200)
-			now := at(5)
-			pre := a.PreCap(src, dst, now)
-			cap := suite.MakeCap(pre, 32, 10)
-			if !a.ValidateCap(src, dst, cap, 32, 10, now) {
-				t.Fatal("freshly minted capability failed validation")
-			}
-			if !a.ValidateCap(src, dst, cap, 32, 10, now.Add(9*tvatime.Second)) {
-				t.Error("capability invalid before T elapsed")
-			}
-		})
-	}
+	t.Run("crypto", func(t *testing.T) {
+		a := NewAuthority(0)
+		src, dst := packet.Addr(100), packet.Addr(200)
+		now := at(5)
+		pre := a.PreCap(src, dst, now)
+		cap := Crypto.MakeCap(pre, 32, 10)
+		if !a.ValidateCap(src, dst, cap, 32, 10, now) {
+			t.Fatal("freshly minted capability failed validation")
+		}
+		if !a.ValidateCap(src, dst, cap, 32, 10, now.Add(9*tvatime.Second)) {
+			t.Error("capability invalid before T elapsed")
+		}
+	})
 }
 
 func TestValidateRejectsWrongBinding(t *testing.T) {
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	src, dst := packet.Addr(1), packet.Addr(2)
 	now := at(3)
 	pre := a.PreCap(src, dst, now)
-	cap := Fast.MakeCap(pre, 32, 10)
+	cap := Crypto.MakeCap(pre, 32, 10)
 
 	cases := []struct {
 		name     string
@@ -60,21 +57,21 @@ func TestValidateRejectsWrongBinding(t *testing.T) {
 func TestValidateRejectsOtherRouter(t *testing.T) {
 	// A capability minted by one router must not validate at another
 	// (distinct secrets): unforgeability across routers.
-	a1 := NewAuthority(Fast, 0)
-	a2 := NewAuthority(Fast, 0)
+	a1 := NewAuthority(0)
+	a2 := NewAuthority(0)
 	now := at(1)
 	pre := a1.PreCap(1, 2, now)
-	cap := Fast.MakeCap(pre, 32, 10)
+	cap := Crypto.MakeCap(pre, 32, 10)
 	if a2.ValidateCap(1, 2, cap, 32, 10, now) {
 		t.Error("capability from router 1 validated at router 2")
 	}
 }
 
 func TestExpiryByT(t *testing.T) {
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	now := at(10)
 	pre := a.PreCap(1, 2, now)
-	cap := Fast.MakeCap(pre, 32, 5)
+	cap := Crypto.MakeCap(pre, 32, 5)
 	if !a.ValidateCap(1, 2, cap, 32, 5, now.Add(4*tvatime.Second)) {
 		t.Error("capability should be valid at age 4s with T=5")
 	}
@@ -88,10 +85,10 @@ func TestSecretRotation(t *testing.T) {
 	// the previous secret; after two rotations it must not, even for
 	// a generous T.
 	period := 16 * tvatime.Second
-	a := NewAuthority(Fast, period)
+	a := NewAuthority(period)
 	now := at(15) // one second before the first rotation
 	pre := a.PreCap(1, 2, now)
-	cap := Fast.MakeCap(pre, 32, 60)
+	cap := Crypto.MakeCap(pre, 32, 60)
 	if !a.ValidateCap(1, 2, cap, 32, 60, at(17)) {
 		t.Error("capability minted before rotation should validate after it (previous secret)")
 	}
@@ -104,10 +101,10 @@ func TestValidateAcrossEpochBoundaryMintEarly(t *testing.T) {
 	// Mint early in an epoch and validate later in the same epoch, and
 	// just after the boundary.
 	period := 128 * tvatime.Second
-	a := NewAuthority(Fast, period)
+	a := NewAuthority(period)
 	now := at(2)
 	pre := a.PreCap(1, 2, now)
-	cap := Fast.MakeCap(pre, 32, 63)
+	cap := Crypto.MakeCap(pre, 32, 63)
 	if !a.ValidateCap(1, 2, cap, 32, 63, at(60)) {
 		t.Error("same-epoch validation failed")
 	}
@@ -130,7 +127,7 @@ func TestAge(t *testing.T) {
 }
 
 func TestValidatePre(t *testing.T) {
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	now := at(1)
 	pre := a.PreCap(7, 8, now)
 	if !a.ValidatePre(7, 8, pre, now) {
@@ -145,10 +142,10 @@ func TestValidatePre(t *testing.T) {
 }
 
 func TestExpiryHelper(t *testing.T) {
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	now := at(100)
 	pre := a.PreCap(1, 2, now)
-	cap := Fast.MakeCap(pre, 32, 10)
+	cap := Crypto.MakeCap(pre, 32, 10)
 	exp := Expiry(cap, 10, now)
 	if exp.Seconds() < 109 || exp.Seconds() > 111 {
 		t.Errorf("Expiry = %v, want ~110s", exp.Seconds())
@@ -156,7 +153,7 @@ func TestExpiryHelper(t *testing.T) {
 }
 
 func TestTimestampExtraction(t *testing.T) {
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	now := at(42)
 	pre := a.PreCap(1, 2, now)
 	if Timestamp(pre) != 42 {
@@ -169,7 +166,7 @@ func TestTimestampExtraction(t *testing.T) {
 // forged hash never does.
 func TestPropertyRoundtripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := NewAuthority(Fast, 0)
+	a := NewAuthority(0)
 	for i := 0; i < 500; i++ {
 		src := packet.Addr(rng.Uint32())
 		dst := packet.Addr(rng.Uint32())
@@ -177,7 +174,7 @@ func TestPropertyRoundtripRandom(t *testing.T) {
 		tsec := uint8(1 + rng.Intn(packet.MaxTSeconds))
 		now := at(float64(rng.Intn(1000)) / 10)
 		pre := a.PreCap(src, dst, now)
-		cap := Fast.MakeCap(pre, nkb, tsec)
+		cap := Crypto.MakeCap(pre, nkb, tsec)
 		if !a.ValidateCap(src, dst, cap, nkb, tsec, now) {
 			t.Fatalf("iter %d: roundtrip failed", i)
 		}
@@ -191,7 +188,7 @@ func TestPropertyRoundtripRandom(t *testing.T) {
 // TestForgeryWithoutSecret checks an attacker computing caps from
 // guessed pre-capabilities fails: the keyed hash binds the secret.
 func TestForgeryWithoutSecret(t *testing.T) {
-	a := NewAuthority(Crypto, 0)
+	a := NewAuthority(0)
 	now := at(1)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
@@ -204,31 +201,56 @@ func TestForgeryWithoutSecret(t *testing.T) {
 }
 
 func BenchmarkPreCap(b *testing.B) {
-	for name, suite := range suites {
-		b.Run(name, func(b *testing.B) {
-			a := NewAuthority(suite, 0)
-			now := at(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.PreCap(packet.Addr(i), 2, now)
-			}
-		})
+	a := NewAuthority(0)
+	now := at(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.PreCap(packet.Addr(i), 2, now)
 	}
 }
 
 func BenchmarkValidateCap(b *testing.B) {
-	for name, suite := range suites {
-		b.Run(name, func(b *testing.B) {
-			a := NewAuthority(suite, 0)
-			now := at(1)
-			pre := a.PreCap(1, 2, now)
-			cap := suite.MakeCap(pre, 32, 10)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !a.ValidateCap(1, 2, cap, 32, 10, now) {
-					b.Fatal("validation failed")
+	a := NewAuthority(0)
+	now := at(1)
+	cap := Crypto.MakeCap(a.PreCap(1, 2, now), 32, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !a.ValidateCap(1, 2, cap, 32, 10, now) {
+			b.Fatal("validation failed")
+		}
+	}
+}
+
+// TestAuthorityConcurrentRotation shares one authority between
+// goroutines the way overlay shard replicas share their router's: each
+// round runs every goroutine at one shared instant, and the rounds step
+// across several secret rotations. Every freshly minted capability must
+// validate. Run it under -race: the epoch check and the rotation touch
+// the same state.
+func TestAuthorityConcurrentRotation(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 40
+		step    = 500 * tvatime.Millisecond
+	)
+	a := NewAuthority(4 * tvatime.Second)
+	for r := 0; r < rounds; r++ {
+		now := tvatime.Time(0).Add(tvatime.Duration(r) * step)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(src packet.Addr) {
+				defer wg.Done()
+				cap := Crypto.MakeCap(a.PreCap(src, 9, now), 32, 10)
+				if !a.ValidateCap(src, 9, cap, 32, 10, now) {
+					t.Errorf("round %d src %d: fresh capability failed validation", r, src)
 				}
-			}
-		})
+				cap = Crypto.MakeCap(a.MinterAt(now).PreCap(src, 9), 32, 10)
+				if !a.ValidateCap(src, 9, cap, 32, 10, now) {
+					t.Errorf("round %d src %d: fresh minter capability failed validation", r, src)
+				}
+			}(packet.Addr(w + 1))
+		}
+		wg.Wait()
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"tva/internal/capability"
 	"tva/internal/packet"
 	"tva/internal/telemetry"
 )
@@ -138,7 +137,6 @@ func TestDemotionAttribution(t *testing.T) {
 
 func attrRouter(id uint8, cacheEntries int, minNKB uint16, minTSec uint8) *Router {
 	return NewRouter(RouterConfig{
-		Suite:        capability.Fast,
 		ID:           id,
 		CacheEntries: cacheEntries,
 		MinNKB:       minNKB,

@@ -26,7 +26,7 @@ func (s *sliceTracer) Record(ev telemetry.Event) { s.evs = append(s.evs, ev) }
 // workload validates on any router sharing those secrets.
 func equivWorkload(auth *capability.Authority, now tvatime.Time) []*packet.Packet {
 	mint := func(src, dst packet.Addr, nkb uint16, tsec uint8) uint64 {
-		return capability.Fast.MakeCap(auth.PreCap(src, dst, now), nkb, tsec)
+		return capability.Crypto.MakeCap(auth.PreCap(src, dst, now), nkb, tsec)
 	}
 	goodAB := mint(1, 2, 32, 10)
 	goodCD := mint(3, 4, 32, 10)
@@ -83,7 +83,7 @@ func TestProcessBatchEquivalence(t *testing.T) {
 	now := at(2)
 	mk := func() *Router {
 		return NewRouter(RouterConfig{
-			Suite: capability.Fast, ID: 7, CacheEntries: 8,
+			ID: 7, CacheEntries: 8,
 			TrustBoundary: true, Tagger: pathid.NewSeeded(3),
 			MinNKB: 4, MinTSec: 10,
 		})

@@ -18,7 +18,8 @@ import (
 
 // RouterConfig parameterizes a TVA capability router.
 type RouterConfig struct {
-	// Suite selects the hash construction (capability.Crypto or Fast).
+	// Suite selects nothing: capability.Crypto is the only
+	// construction. The field stays because bench/ sets it.
 	Suite capability.Suite
 	// ID identifies the router in demotion notices and trace events
 	// (stamped into CapHdr.DemoteRouter, which is one byte).
@@ -95,9 +96,6 @@ type Router struct {
 
 // NewRouter builds a router from cfg.
 func NewRouter(cfg RouterConfig) *Router {
-	if cfg.Suite.NewKeyed == nil {
-		cfg.Suite = capability.Crypto
-	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 1 << 16
 	}
@@ -106,7 +104,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	auth := cfg.Authority
 	if auth == nil {
-		auth = capability.NewAuthority(cfg.Suite, cfg.SecretPeriod)
+		auth = capability.NewAuthority(cfg.SecretPeriod)
 	}
 	return &Router{
 		cfg:   cfg,

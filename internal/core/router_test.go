@@ -14,7 +14,6 @@ func at(sec float64) tvatime.Time { return tvatime.FromSeconds(sec) }
 
 func newTestRouter(boundary bool) *Router {
 	return NewRouter(RouterConfig{
-		Suite:         capability.Fast,
 		CacheEntries:  64,
 		TrustBoundary: boundary,
 		Tagger:        pathid.NewSeeded(1),
@@ -72,7 +71,7 @@ func grantFor(t *testing.T, r *Router, src, dst packet.Addr, nkb uint16, tsec ui
 	if len(req.Hdr.Request.PreCaps) != 1 {
 		t.Fatal("no pre-capability")
 	}
-	return capability.Fast.MakeCap(req.Hdr.Request.PreCaps[0], nkb, tsec)
+	return capability.Crypto.MakeCap(req.Hdr.Request.PreCaps[0], nkb, tsec)
 }
 
 func regPacket(src, dst packet.Addr, kind packet.Kind, nonce uint64, caps []uint64, nkb uint16, tsec uint8, payload int) *packet.Packet {
@@ -202,7 +201,7 @@ func TestDemotedStaysDemoted(t *testing.T) {
 	req := reqPacket(1, 2, 0)
 	r1.Process(req, 0, now)
 	r2.Process(req, 0, now)
-	cap2 := capability.Fast.MakeCap(req.Hdr.Request.PreCaps[1], 32, 10)
+	cap2 := capability.Crypto.MakeCap(req.Hdr.Request.PreCaps[1], 32, 10)
 	pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{123, cap2}, 32, 10, 100)
 	if r1.Process(pkt, 0, now) != packet.ClassLegacy {
 		t.Fatal("bogus first-hop capability accepted")
@@ -224,7 +223,7 @@ func TestCapabilityPointerWalksTwoRouters(t *testing.T) {
 	r2.Process(req, 0, now)
 	caps := make([]uint64, 2)
 	for i, pre := range req.Hdr.Request.PreCaps {
-		caps[i] = capability.Fast.MakeCap(pre, 32, 10)
+		caps[i] = capability.Crypto.MakeCap(pre, 32, 10)
 	}
 	pkt := regPacket(1, 2, packet.KindRegular, 5, caps, 32, 10, 100)
 	if r1.Process(pkt, 0, now) != packet.ClassRegular {
@@ -259,8 +258,7 @@ func TestLegacyPassesAsLegacy(t *testing.T) {
 
 func TestMinRateEnforced(t *testing.T) {
 	r := NewRouter(RouterConfig{
-		Suite: capability.Fast, CacheEntries: 16,
-		MinNKB: 4, MinTSec: 10, // (N/T)min = 0.4 KB/s
+		CacheEntries: 16, MinNKB: 4, MinTSec: 10, // (N/T)min = 0.4 KB/s
 	})
 	now := at(1)
 	// Grant with a rate below the architectural minimum: rejected so
@@ -273,7 +271,7 @@ func TestMinRateEnforced(t *testing.T) {
 }
 
 func TestCacheBoundedUnderFloodOfFlows(t *testing.T) {
-	r := NewRouter(RouterConfig{Suite: capability.Fast, CacheEntries: 8})
+	r := NewRouter(RouterConfig{CacheEntries: 8})
 	now := at(1)
 	admitted := 0
 	for i := 0; i < 100; i++ {

@@ -61,7 +61,7 @@ func TestSecStolenCapabilityUnusable(t *testing.T) {
 // secret periods later must fail even if its (mod 256) timestamp looks
 // fresh again.
 func TestSecOldCapabilityReplayFails(t *testing.T) {
-	r := NewRouter(RouterConfig{Suite: capability.Fast, SecretPeriod: 8 * tvatime.Second, CacheEntries: 16})
+	r := NewRouter(RouterConfig{SecretPeriod: 8 * tvatime.Second, CacheEntries: 16})
 	now := at(1)
 	cap := grantFor(t, r, 1, 2, 32, 63, now)
 
@@ -148,7 +148,7 @@ func TestSecSpoofedAuthorizationScopedToColluder(t *testing.T) {
 // a secret change is still honoured (previous secret) rather than
 // dying instantly.
 func TestSecCapabilitySurvivesOneRotation(t *testing.T) {
-	r := NewRouter(RouterConfig{Suite: capability.Fast, SecretPeriod: 8 * tvatime.Second, CacheEntries: 16})
+	r := NewRouter(RouterConfig{SecretPeriod: 8 * tvatime.Second, CacheEntries: 16})
 	mint := at(7.5) // half a second before rotation at t=8
 	cap := grantFor(t, r, 1, 2, 32, 10, mint)
 	pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap}, 32, 10, 100)
@@ -162,7 +162,7 @@ func TestSecCapabilitySurvivesOneRotation(t *testing.T) {
 // cache admits at most its bound and legitimate established flows
 // (fast senders with live ttl) are never evicted for the attackers.
 func TestSecStateExhaustionBounded(t *testing.T) {
-	r := NewRouter(RouterConfig{Suite: capability.Fast, CacheEntries: 32})
+	r := NewRouter(RouterConfig{CacheEntries: 32})
 	now := at(1)
 
 	// A legitimate fast flow (keeps its ttl alive). Granted the
@@ -200,7 +200,7 @@ func TestSecDemotionIsSticky(t *testing.T) {
 	// Valid only at r2 (e.g. delivered around r1 via source routing).
 	req := reqPacket(1, 2, 0)
 	r2.Process(req, 0, now)
-	cap2 := capability.Fast.MakeCap(req.Hdr.Request.PreCaps[0], 32, 10)
+	cap2 := capability.Crypto.MakeCap(req.Hdr.Request.PreCaps[0], 32, 10)
 	pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{0xBAD, cap2}, 32, 10, 100)
 	if r1.Process(pkt, 0, now) != packet.ClassLegacy {
 		t.Fatal("r1 accepted a bogus capability")

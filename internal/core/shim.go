@@ -15,8 +15,8 @@ import (
 
 // ShimConfig parameterizes host shim behaviour.
 type ShimConfig struct {
-	// Suite must match the routers' (the destination computes the
-	// public capability hash).
+	// Suite selects nothing: capability.Crypto is the only
+	// construction. The field stays because bench/ sets it.
 	Suite capability.Suite
 	// RenewAt is the fraction of N (bytes) or T (time) consumed at
 	// which the sender starts renewing (default 0.75).
@@ -56,9 +56,6 @@ type ShimConfig struct {
 }
 
 func (c ShimConfig) withDefaults() ShimConfig {
-	if c.Suite.NewKeyed == nil {
-		c.Suite = capability.Crypto
-	}
 	if c.RenewAt <= 0 || c.RenewAt >= 1 {
 		c.RenewAt = 0.75
 	}
@@ -584,7 +581,7 @@ func (s *Shim) authorize(src packet.Addr, h *packet.CapHdr, now tvatime.Time) {
 	}
 	caps := make([]uint64, len(h.Request.PreCaps))
 	for i, pre := range h.Request.PreCaps {
-		caps[i] = s.cfg.Suite.MakeCap(pre, nkb, tsec)
+		caps[i] = capability.Crypto.MakeCap(pre, nkb, tsec)
 	}
 	s.Stats.GrantsIssued++
 	s.pendingFor(src).Grant = &packet.Grant{NKB: nkb, TSec: tsec, Caps: caps}

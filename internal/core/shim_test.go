@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tva/internal/capability"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -31,7 +30,6 @@ func newWire(nRouters int) *wire {
 	w := &wire{shims: make(map[packet.Addr]*Shim)}
 	for i := 0; i < nRouters; i++ {
 		w.routers = append(w.routers, NewRouter(RouterConfig{
-			Suite:         capability.Fast,
 			CacheEntries:  128,
 			TrustBoundary: i == 0,
 		}))
@@ -41,7 +39,6 @@ func newWire(nRouters int) *wire {
 
 func (w *wire) addHost(addr packet.Addr, policy Policy) *Shim {
 	s := NewShim(addr, policy, w, rand.New(rand.NewSource(int64(addr))), ShimConfig{
-		Suite:      capability.Fast,
 		AutoReturn: true,
 	})
 	s.Output = func(pkt *packet.Packet) { w.route(pkt) }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tva/internal/capability"
 	"tva/internal/flowstats"
 	"tva/internal/tvatime"
 )
@@ -144,10 +143,6 @@ type Config struct {
 	// SIFFSecretPeriod is the SIFF router secret lifetime (default 3s).
 	SIFFSecretPeriod tvatime.Duration
 
-	// Suite selects capability hashing (default capability.Fast for
-	// simulation speed; capability.Crypto is the paper's construction).
-	Suite capability.Suite
-
 	// Fault injection: all zeros model a perfect network. LossRate and
 	// DupProb are per-packet probabilities on the bottleneck link (both
 	// directions, independent per-direction seeded PRNGs); LinkJitter
@@ -261,9 +256,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SIFFSecretPeriod == 0 {
 		c.SIFFSecretPeriod = 3 * tvatime.Second
-	}
-	if c.Suite.NewKeyed == nil {
-		c.Suite = capability.Fast
 	}
 	return c
 }

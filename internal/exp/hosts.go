@@ -60,7 +60,6 @@ func newTCPStack(sim *netsim.Sim, addr packet.Addr, send func(packet.Addr, *tcp.
 func newTVAHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy, cfg Config) *host {
 	h := &host{addr: addr, node: sim.NewNode(name)}
 	shim := core.NewShim(addr, policy, sim, sim.Rand(), core.ShimConfig{
-		Suite:      cfg.Suite,
 		AutoReturn: true,
 	})
 	shim.Output = func(pkt *packet.Packet) { h.node.Send(pkt) }

@@ -9,8 +9,7 @@ import (
 )
 
 // summarize renders a result's observable outputs canonically (the
-// Config is excluded: it is an input, and its Suite holds function
-// values that cannot be compared).
+// Config is excluded: it is an input).
 func summarize(results []*Result) string {
 	var b strings.Builder
 	for i, r := range results {

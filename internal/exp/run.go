@@ -111,7 +111,6 @@ func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *push
 		b.taggerSeed++
 		rtr := core.NewRouter(core.RouterConfig{
 			ID:            uint8(b.taggerSeed),
-			Suite:         b.cfg.Suite,
 			CacheEntries:  4096,
 			TrustBoundary: true,
 			Tagger:        pathid.NewSeeded(uint64(b.cfg.Seed)*1315423911 + b.taggerSeed),
@@ -130,7 +129,7 @@ func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *push
 		})
 		return node, nil
 	case SchemeSIFF:
-		rtr := siff.NewRouter(b.cfg.Suite, b.cfg.SIFFSecretPeriod)
+		rtr := siff.NewRouter(b.cfg.SIFFSecretPeriod)
 		b.siffRouters = append(b.siffRouters, rtr)
 		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
 			if pkt.TTL == 0 {

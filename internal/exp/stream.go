@@ -12,7 +12,6 @@ package exp
 import (
 	"strconv"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/flowstats"
 	"tva/internal/metrics"
@@ -52,8 +51,7 @@ type StreamConfig struct {
 	MetricsInterval tvatime.Duration // default 100 ms
 	SpanCapacity    int
 
-	Suite capability.Suite
-	Seed  int64
+	Seed int64
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -102,9 +100,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.MetricsInterval == 0 {
 		c.MetricsInterval = 100 * tvatime.Millisecond
 	}
-	if c.Suite.NewKeyed == nil {
-		c.Suite = capability.Fast
-	}
 	return c
 }
 
@@ -128,7 +123,6 @@ func (c StreamConfig) expConfig() Config {
 		GrantTSec:       c.GrantTSec,
 		MetricsInterval: c.MetricsInterval,
 		SpanCapacity:    c.SpanCapacity,
-		Suite:           c.Suite,
 		Seed:            c.Seed,
 	}.withDefaults()
 }

@@ -4,9 +4,8 @@
 // The paper's prototype uses an AES-based hash for pre-capabilities (the
 // keyed, router-secret hash) and SHA-1 for capabilities (the public hash
 // the destination can compute). Both are reproduced here on the standard
-// library. A fast keyed FNV variant is provided for large simulations
-// where cryptographic strength is irrelevant to the measured behaviour;
-// the choice is an explicit ablation (see DESIGN.md §5).
+// library, and they are the only construction: the simulator, the
+// overlay and every test run the same hashes.
 package mac
 
 import (
@@ -25,20 +24,16 @@ const Mask56 = (uint64(1) << 56) - 1
 // uses one Keyed instance per secret; rotating the secret means
 // constructing a fresh Keyed.
 //
-// Implementations may reuse internal scratch buffers across calls (the
-// AES variant does, to keep the forwarding path allocation-free), so a
-// Keyed instance is NOT safe for concurrent use. The capability
-// Authority and the SIFF Marker serialize every MAC56 call under their
-// own locks.
+// The AES implementation reuses internal scratch buffers across calls
+// to keep the forwarding path allocation-free, so a Keyed instance is
+// NOT safe for concurrent use. capability.Ring, which holds the
+// secrets of both TVA routers and SIFF routers, serializes every
+// MAC56 call under its lock.
 type Keyed interface {
 	// MAC56 hashes the three words (src/dst addresses and metadata)
 	// under the instance's secret and returns the low 56 bits.
 	MAC56(a, b, c uint64) uint64
 }
-
-// KeyedFactory builds a Keyed from 16 bytes of secret material. It is
-// how the capability authority is parameterized over AES vs FNV.
-type KeyedFactory func(secret [16]byte) Keyed
 
 // NewSecret returns 16 bytes of cryptographically random secret
 // material for a router.
@@ -74,8 +69,10 @@ func NewAES(secret [16]byte) Keyed {
 	block, err := aes.NewCipher(secret[:])
 	if err != nil {
 		// 16-byte keys are always valid for AES-128.
+		//lint:ignore hotpath concatenation happens only on the fatal error path, which panics
 		panic("mac: aes.NewCipher: " + err.Error())
 	}
+	//lint:ignore hotpath one cipher per secret rotation (every period), never per packet
 	return &aesMAC{block: block}
 }
 
@@ -96,43 +93,6 @@ func (m *aesMAC) MAC56(a, b, c uint64) uint64 {
 	return binary.BigEndian.Uint64(m.out[0:8]) & Mask56
 }
 
-// fnvMAC is a fast keyed FNV-1a variant for simulation runs. It is NOT
-// cryptographically secure; it exists so that multi-million-packet
-// simulations are not dominated by AES, and its use is confined to
-// simulations where the adversary model does not include hash breaking.
-type fnvMAC struct {
-	k0, k1 uint64
-}
-
-// NewFNV returns a fast, non-cryptographic Keyed for simulations.
-func NewFNV(secret [16]byte) Keyed {
-	return &fnvMAC{
-		k0: binary.BigEndian.Uint64(secret[0:8]),
-		k1: binary.BigEndian.Uint64(secret[8:16]),
-	}
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// MAC56 implements Keyed.
-func (m *fnvMAC) MAC56(a, b, c uint64) uint64 {
-	h := uint64(fnvOffset) ^ m.k0
-	for _, w := range [4]uint64{a, b, c, m.k1} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	// Final avalanche so that low bits depend on all input bits.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h & Mask56
-}
-
 // SHA56 is the public (unkeyed) 56-bit hash used to derive a capability
 // from a pre-capability plus the destination's chosen N and T
 // (paper §3.5: capability = hash(pre-capability, N, T)). Both the
@@ -144,20 +104,4 @@ func SHA56(pre uint64, n uint32, t uint8) uint64 {
 	in[12] = t
 	sum := sha1.Sum(in[:])
 	return binary.BigEndian.Uint64(sum[0:8]) & Mask56
-}
-
-// FastSHA56 is the simulation-speed counterpart of SHA56, used when the
-// keyed side also runs in FNV mode. It mirrors SHA56's interface.
-func FastSHA56(pre uint64, n uint32, t uint8) uint64 {
-	h := uint64(fnvOffset)
-	for _, w := range [3]uint64{pre, uint64(n), uint64(t)} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h & Mask56
 }

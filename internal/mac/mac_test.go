@@ -7,12 +7,8 @@ import (
 
 func TestKeyedDeterministic(t *testing.T) {
 	secret := NewSecret()
-	for name, factory := range map[string]KeyedFactory{"aes": NewAES, "fnv": NewFNV} {
-		k1 := factory(secret)
-		k2 := factory(secret)
-		if k1.MAC56(1, 2, 3) != k2.MAC56(1, 2, 3) {
-			t.Errorf("%s: same secret, same input gave different MACs", name)
-		}
+	if NewAES(secret).MAC56(1, 2, 3) != NewAES(secret).MAC56(1, 2, 3) {
+		t.Error("same secret, same input gave different MACs")
 	}
 }
 
@@ -21,32 +17,24 @@ func TestKeyedKeyDependence(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("NewSecret returned identical secrets")
 	}
-	for name, factory := range map[string]KeyedFactory{"aes": NewAES, "fnv": NewFNV} {
-		if factory(s1).MAC56(1, 2, 3) == factory(s2).MAC56(1, 2, 3) {
-			t.Errorf("%s: different secrets gave identical MACs", name)
-		}
+	if NewAES(s1).MAC56(1, 2, 3) == NewAES(s2).MAC56(1, 2, 3) {
+		t.Error("different secrets gave identical MACs")
 	}
 }
 
 func TestKeyedInputSensitivity(t *testing.T) {
-	secret := NewSecret()
-	for name, factory := range map[string]KeyedFactory{"aes": NewAES, "fnv": NewFNV} {
-		k := factory(secret)
-		base := k.MAC56(10, 20, 30)
-		for i, other := range []uint64{k.MAC56(11, 20, 30), k.MAC56(10, 21, 30), k.MAC56(10, 20, 31)} {
-			if other == base {
-				t.Errorf("%s: flipping input %d did not change MAC", name, i)
-			}
+	k := NewAES(NewSecret())
+	base := k.MAC56(10, 20, 30)
+	for i, other := range []uint64{k.MAC56(11, 20, 30), k.MAC56(10, 21, 30), k.MAC56(10, 20, 31)} {
+		if other == base {
+			t.Errorf("flipping input %d did not change MAC", i)
 		}
 	}
 }
 
 func TestMAC56Within56Bits(t *testing.T) {
-	secret := NewSecret()
-	aes, fnv := NewAES(secret), NewFNV(secret)
-	f := func(a, b, c uint64) bool {
-		return aes.MAC56(a, b, c) <= Mask56 && fnv.MAC56(a, b, c) <= Mask56
-	}
+	k := NewAES(NewSecret())
+	f := func(a, b, c uint64) bool { return k.MAC56(a, b, c) <= Mask56 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -56,55 +44,24 @@ func TestSHA56Deterministic(t *testing.T) {
 	if SHA56(42, 100, 10) != SHA56(42, 100, 10) {
 		t.Error("SHA56 not deterministic")
 	}
-	if FastSHA56(42, 100, 10) != FastSHA56(42, 100, 10) {
-		t.Error("FastSHA56 not deterministic")
-	}
 }
 
 func TestSHA56InputSensitivity(t *testing.T) {
-	for name, h := range map[string]func(uint64, uint32, uint8) uint64{"sha": SHA56, "fast": FastSHA56} {
-		base := h(42, 100, 10)
-		if h(43, 100, 10) == base || h(42, 101, 10) == base || h(42, 100, 11) == base {
-			t.Errorf("%s: input change did not change hash", name)
-		}
+	base := SHA56(42, 100, 10)
+	if SHA56(43, 100, 10) == base || SHA56(42, 101, 10) == base || SHA56(42, 100, 11) == base {
+		t.Error("input change did not change hash")
 	}
 }
 
 func TestSHA56Within56Bits(t *testing.T) {
-	f := func(pre uint64, n uint32, tt uint8) bool {
-		return SHA56(pre, n, tt) <= Mask56 && FastSHA56(pre, n, tt) <= Mask56
-	}
+	f := func(pre uint64, n uint32, tt uint8) bool { return SHA56(pre, n, tt) <= Mask56 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestFNVDistribution sanity-checks that the fast hash spreads low bits
-// (it feeds DRR queue selection in simulations).
-func TestFNVDistribution(t *testing.T) {
-	k := NewFNV(NewSecret())
-	buckets := make([]int, 16)
-	const n = 4096
-	for i := uint64(0); i < n; i++ {
-		buckets[k.MAC56(i, i*3, 7)&15]++
-	}
-	for b, c := range buckets {
-		if c < n/32 || c > n/4 {
-			t.Errorf("bucket %d badly skewed: %d of %d", b, c, n)
-		}
-	}
-}
-
 func BenchmarkAESMAC56(b *testing.B) {
 	k := NewAES(NewSecret())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.MAC56(uint64(i), 2, 3)
-	}
-}
-
-func BenchmarkFNVMAC56(b *testing.B) {
-	k := NewFNV(NewSecret())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.MAC56(uint64(i), 2, 3)

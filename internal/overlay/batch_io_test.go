@@ -184,7 +184,7 @@ func shardWorkload(auth *capability.Authority, n int, now tvatime.Time) []*packe
 			continue
 		}
 		pre := auth.PreCap(src, dst, now)
-		cap := capability.Fast.MakeCap(pre, packet.MaxNKB, packet.MaxTSeconds)
+		cap := capability.Crypto.MakeCap(pre, packet.MaxNKB, packet.MaxTSeconds)
 		h := &packet.CapHdr{Kind: packet.KindRegular, Proto: packet.ProtoRaw,
 			Nonce: (uint64(i)*2654435761 + 1) & packet.NonceMask, NKB: packet.MaxNKB, TSec: packet.MaxTSeconds,
 			Caps: []uint64{cap}}
@@ -198,7 +198,7 @@ func shardWorkload(auth *capability.Authority, n int, now tvatime.Time) []*packe
 // burstLen and returns the class sequence.
 func runSharded(t *testing.T, shards int, pkts []*packet.Packet, now tvatime.Time, auth *capability.Authority) []packet.Class {
 	t.Helper()
-	base := core.RouterConfig{Suite: capability.Fast, Authority: auth}
+	base := core.RouterConfig{Authority: auth}
 	e := newShardEngine(shards, func() *core.Router { return core.NewRouter(base) })
 	defer e.close()
 	classes := make([]packet.Class, 0, len(pkts))
@@ -230,12 +230,11 @@ func runSharded(t *testing.T, shards int, pkts []*packet.Packet, now tvatime.Tim
 // onto one shard, so no flow observes a difference), and that the
 // sharded run is deterministic.
 func TestShardedProcessEquivalence(t *testing.T) {
-	suite := capability.Fast
-	auth := capability.NewAuthority(suite, 0)
+	auth := capability.NewAuthority(0)
 	now := tvatime.FromSeconds(1)
 	pkts := shardWorkload(auth, 400, now)
 
-	single := core.NewRouter(core.RouterConfig{Suite: suite, Authority: auth})
+	single := core.NewRouter(core.RouterConfig{Authority: auth})
 	want := make([]packet.Class, len(pkts))
 	for i, p := range pkts {
 		c := *p

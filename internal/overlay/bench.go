@@ -70,7 +70,6 @@ type Workload struct {
 	pkts    [][]byte
 	batches [][][]byte // pkts grouped for the Fig. 12 pipeline
 	seeds   [][]byte   // cache-seeding regulars for "with entry" kinds
-	suite   capability.Suite
 	i       int
 	buf     []byte
 	scratch packet.Packet // reusable decode target for ForwardOne
@@ -91,16 +90,14 @@ const (
 	wlTSec = packet.MaxTSeconds
 )
 
-// NewWorkload builds a workload of the given kind under the hash
-// suite (capability.Crypto reproduces the paper's AES+SHA1 path).
-func NewWorkload(kind PacketKind, suite capability.Suite) *Workload {
-	w := &Workload{Kind: kind, suite: suite, buf: make([]byte, 0, 512)}
+// NewWorkload builds a workload of the given kind.
+func NewWorkload(kind PacketKind) *Workload {
+	w := &Workload{Kind: kind, buf: make([]byte, 0, 512)}
 	cacheSize := hitFlows * 2
 	if kind == KindRegularNoEntry || kind == KindRenewalNoEntry {
 		cacheSize = missCache
 	}
 	w.Router = core.NewRouter(core.RouterConfig{
-		Suite:         suite,
 		CacheEntries:  cacheSize,
 		TrustBoundary: true,
 	})
@@ -117,7 +114,7 @@ func NewWorkload(kind PacketKind, suite capability.Suite) *Workload {
 	}
 	capFor := func(src packet.Addr) uint64 {
 		pre := w.Router.Authority().PreCap(src, dst, now)
-		return suite.MakeCap(pre, wlNKB, wlTSec)
+		return capability.Crypto.MakeCap(pre, wlNKB, wlTSec)
 	}
 
 	switch kind {
@@ -401,7 +398,6 @@ func MeasureForwardingBatch(w *Workload, batchSize int, dur time.Duration) (outp
 	r, err := NewRouter(RouterConfig{
 		Listen: "127.0.0.1:0",
 		Core: core.RouterConfig{
-			Suite:         w.suite,
 			CacheEntries:  hitFlows * 2,
 			TrustBoundary: true,
 			// Sharing the workload's authority makes its pregenerated

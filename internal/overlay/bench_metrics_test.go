@@ -3,7 +3,6 @@ package overlay
 import (
 	"testing"
 
-	"tva/internal/capability"
 	"tva/internal/tvatime"
 )
 
@@ -13,7 +12,7 @@ import (
 // allocate. The static twin is the //tva:hotpath annotation on
 // BenchMetrics.Observe, checked by the lint fixture.
 func TestBenchMetricsNoAllocs(t *testing.T) {
-	w := NewWorkload(KindRegularWithEntry, capability.Fast)
+	w := NewWorkload(KindRegularWithEntry)
 	m := NewBenchMetrics(w)
 	now := tvatime.WallClock{}.Now()
 	// Warm the path: any lazy growth (marshal buffer, cache churn)

@@ -38,17 +38,16 @@ func clonePkt(p *packet.Packet) *packet.Packet {
 // one Process call at a time. A drop-reason counter that moved would
 // mean the batch path attributes differently than the scalar path.
 func TestBatchObservabilityEquivalence(t *testing.T) {
-	suite := capability.Fast
-	auth := capability.NewAuthority(suite, 0)
+	auth := capability.NewAuthority(0)
 	now := tvatime.FromSeconds(1)
 	pkts := mixedWorkload(auth, 500, now)
 
-	scalar := core.NewRouter(core.RouterConfig{Suite: suite, Authority: auth})
+	scalar := core.NewRouter(core.RouterConfig{Authority: auth})
 	for _, p := range pkts {
 		scalar.Process(clonePkt(p), 0, now)
 	}
 
-	batched := core.NewRouter(core.RouterConfig{Suite: suite, Authority: auth})
+	batched := core.NewRouter(core.RouterConfig{Authority: auth})
 	const burstLen = 32
 	b := packet.NewBatch(burstLen)
 	for i := 0; i < len(pkts); i += burstLen {
@@ -81,12 +80,11 @@ func TestBatchObservabilityEquivalence(t *testing.T) {
 // must yield the aggregate stats and demotion attribution of one
 // core.Router fed the same packets one Process call at a time.
 func TestShardObservabilityEquivalence(t *testing.T) {
-	suite := capability.Fast
-	auth := capability.NewAuthority(suite, 0)
+	auth := capability.NewAuthority(0)
 	now := tvatime.FromSeconds(1)
 	pkts := mixedWorkload(auth, 400, now)
 
-	ref := core.NewRouter(core.RouterConfig{Suite: suite, Authority: auth})
+	ref := core.NewRouter(core.RouterConfig{Authority: auth})
 	for _, p := range pkts {
 		ref.Process(clonePkt(p), 0, now)
 	}
@@ -95,7 +93,7 @@ func TestShardObservabilityEquivalence(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		base := core.RouterConfig{Suite: suite, Authority: auth}
+		base := core.RouterConfig{Authority: auth}
 		e := newShardEngine(shards, func() *core.Router { return core.NewRouter(base) })
 		const burstLen = 16
 		b := packet.NewBatch(burstLen)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
@@ -29,7 +28,7 @@ func testNetAt(t *testing.T, batch, shards int, aPolicy, bPolicy core.Policy) (*
 	t.Helper()
 	r, err := NewRouter(RouterConfig{
 		Listen: "127.0.0.1:0",
-		Core:   core.RouterConfig{Suite: capability.Crypto, TrustBoundary: true},
+		Core:   core.RouterConfig{TrustBoundary: true},
 		Batch:  batch,
 		Shards: shards,
 	})
@@ -44,7 +43,7 @@ func testNetAt(t *testing.T, batch, shards int, aPolicy, bPolicy core.Policy) (*
 			Listen:  "127.0.0.1:0",
 			Gateway: r.Addr().String(),
 			Policy:  policy,
-			Shim:    core.ShimConfig{Suite: capability.Crypto, AutoReturn: true},
+			Shim:    core.ShimConfig{AutoReturn: true},
 		})
 		if err != nil {
 			t.Fatalf("host: %v", err)
@@ -357,7 +356,7 @@ func TestOverlayCloseIdempotent(t *testing.T) {
 
 func TestWorkloadKindsForward(t *testing.T) {
 	for _, kind := range Kinds {
-		w := NewWorkload(kind, capability.Fast)
+		w := NewWorkload(kind)
 		// Capture time after the build: capabilities must never be
 		// validated against a clock earlier than their mint time.
 		now := tvatime.WallClock{}.Now()
@@ -373,7 +372,7 @@ func TestWorkloadKindsForward(t *testing.T) {
 func TestWorkloadMissStaysMiss(t *testing.T) {
 	// The no-entry workload must keep exercising the validation path:
 	// router misses should keep pace with processed packets.
-	w := NewWorkload(KindRegularNoEntry, capability.Fast)
+	w := NewWorkload(KindRegularNoEntry)
 	now := tvatime.WallClock{}.Now()
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -388,7 +387,7 @@ func TestWorkloadMissStaysMiss(t *testing.T) {
 }
 
 func TestWorkloadHitStaysHit(t *testing.T) {
-	w := NewWorkload(KindRegularWithEntry, capability.Fast)
+	w := NewWorkload(KindRegularWithEntry)
 	now := tvatime.WallClock{}.Now()
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -403,7 +402,7 @@ func TestMeasureForwardingReportsRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
-	w := NewWorkload(KindRegularWithEntry, capability.Fast)
+	w := NewWorkload(KindRegularWithEntry)
 	out := MeasureForwarding(w, 20_000, 200*time.Millisecond)
 	if out < 5_000 {
 		t.Errorf("output rate %.0f pps; expected at least 5k on any hardware", out)

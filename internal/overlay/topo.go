@@ -32,8 +32,8 @@ type TopoConfig struct {
 	LinkBps int64
 	// RequestFraction is the request-channel share (default 5%).
 	RequestFraction float64
-	// Suite selects capability hashing for the routers (zero value:
-	// the core package's default, crypto).
+	// Suite selects nothing: capability.Crypto is the only
+	// construction. The field stays because bench/ sets it.
 	Suite capability.Suite
 	// CacheEntries sizes each router's flow cache (default 4096, the
 	// simulator harness's setting).
@@ -92,7 +92,6 @@ func NewTopology(cfg TopoConfig) (*Topology, error) {
 			Listen: "127.0.0.1:0",
 			Core: core.RouterConfig{
 				ID:            uint8(i + 1),
-				Suite:         cfg.Suite,
 				CacheEntries:  cfg.CacheEntries,
 				TrustBoundary: true,
 			},

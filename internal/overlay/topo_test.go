@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/exp"
 	"tva/internal/metrics"
@@ -15,7 +14,7 @@ import (
 )
 
 func streamShim() core.ShimConfig {
-	return core.ShimConfig{Suite: capability.Fast, AutoReturn: true}
+	return core.ShimConfig{AutoReturn: true}
 }
 
 // sendUntilDelivered drives the knock-then-stream loop until want
@@ -52,7 +51,6 @@ func TestTopologyChainForwardsEndToEnd(t *testing.T) {
 	topo, err := NewTopology(TopoConfig{
 		Routers:      3,
 		LinkBps:      50_000_000,
-		Suite:        capability.Fast,
 		SpanCapacity: 4096,
 	})
 	if err != nil {
@@ -102,7 +100,7 @@ func TestTopologyChainForwardsEndToEnd(t *testing.T) {
 // totals — wall-clock timing may differ, packet counts may not.
 func TestTopologyDeterministicSnapshot(t *testing.T) {
 	run := func() (ids []string, delivered int) {
-		topo, err := NewTopology(TopoConfig{Routers: 2, LinkBps: 50_000_000, Suite: capability.Fast})
+		topo, err := NewTopology(TopoConfig{Routers: 2, LinkBps: 50_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package overlay
 import (
 	"testing"
 
-	"tva/internal/capability"
 	"tva/internal/trace"
 	"tva/internal/tvatime"
 )
@@ -14,7 +13,7 @@ import (
 // forwarding path does: the ID rides the in-memory packet, not the
 // wire), so every ForwardOne emits verdict spans into the recorder.
 func tracedWorkload() *Workload {
-	w := NewWorkload(KindRegularWithEntry, capability.Fast)
+	w := NewWorkload(KindRegularWithEntry)
 	rec := trace.NewRecorder(1 << 12)
 	w.Router.Spans = rec
 	w.scratch.TraceID = rec.NextID()

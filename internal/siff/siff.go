@@ -19,10 +19,7 @@
 package siff
 
 import (
-	"sync"
-
 	"tva/internal/capability"
-	"tva/internal/mac"
 	"tva/internal/packet"
 	"tva/internal/telemetry"
 	"tva/internal/tvatime"
@@ -36,73 +33,34 @@ const DefaultSecretPeriod = 3 * tvatime.Second
 // hash of the flow's addresses under the router's epoch secret; the
 // router accepts the current or previous epoch's mark.
 type Marker struct {
-	suite  capability.Suite
-	period tvatime.Duration
-
-	mu    sync.Mutex
-	keyed [2]mac.Keyed
-	epoch int64
+	ring *capability.Ring
 }
 
 // NewMarker returns a Marker rotating its secret every period
 // (DefaultSecretPeriod if zero).
-func NewMarker(suite capability.Suite, period tvatime.Duration) *Marker {
-	if suite.NewKeyed == nil {
-		suite = capability.Crypto
-	}
+func NewMarker(period tvatime.Duration) *Marker {
 	if period <= 0 {
 		period = DefaultSecretPeriod
 	}
-	m := &Marker{suite: suite, period: period, epoch: -1}
-	m.rotateTo(0)
-	return m
+	return &Marker{ring: capability.NewRing(period)}
 }
 
-func (m *Marker) rotateTo(e int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e <= m.epoch {
-		return
-	}
-	if e-m.epoch >= 2 {
-		m.keyed[e&1] = m.suite.NewKeyed(mac.NewSecret())
-		m.keyed[(e-1)&1] = m.suite.NewKeyed(mac.NewSecret())
-	} else {
-		m.keyed[e&1] = m.suite.NewKeyed(mac.NewSecret())
-	}
-	m.epoch = e
-}
-
-func (m *Marker) epochAt(now tvatime.Time) int64 {
-	e := int64(now) / int64(m.period)
-	if e > m.epoch {
-		m.rotateTo(e)
-	}
-	return e
-}
-
-// Mark computes the current-epoch mark for a flow. The MAC runs under
-// the marker's lock because Keyed instances carry scratch state
-// (mac.Keyed).
+// Mark computes the current-epoch mark for a flow.
 func (m *Marker) Mark(src, dst packet.Addr, now tvatime.Time) uint64 {
-	e := m.epochAt(now)
-	m.mu.Lock()
-	v := m.keyed[e&1].MAC56(uint64(src), uint64(dst), 0)
-	m.mu.Unlock()
+	e := m.ring.Epoch(now)
+	v, _ := m.ring.MAC56(e, e, uint64(src), uint64(dst), 0)
 	return v
 }
 
 // Check reports whether v is the flow's mark under the current or
 // previous epoch secret.
 func (m *Marker) Check(src, dst packet.Addr, v uint64, now tvatime.Time) bool {
-	e := m.epochAt(now)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.keyed[e&1].MAC56(uint64(src), uint64(dst), 0) == v {
+	e := m.ring.Epoch(now)
+	if cur, ok := m.ring.MAC56(e, e, uint64(src), uint64(dst), 0); ok && cur == v {
 		return true
 	}
-	prev := m.keyed[(e-1)&1]
-	return prev != nil && prev.MAC56(uint64(src), uint64(dst), 0) == v
+	prev, ok := m.ring.MAC56(e, e-1, uint64(src), uint64(dst), 0)
+	return ok && prev == v
 }
 
 // RouterStats counts SIFF router outcomes.
@@ -125,8 +83,8 @@ type Router struct {
 func (r *Router) Dropped() uint64 { return r.Drops.Total() }
 
 // NewRouter returns a SIFF router.
-func NewRouter(suite capability.Suite, secretPeriod tvatime.Duration) *Router {
-	return &Router{marker: NewMarker(suite, secretPeriod)}
+func NewRouter(secretPeriod tvatime.Duration) *Router {
+	return &Router{marker: NewMarker(secretPeriod)}
 }
 
 // Marker exposes the router's marker (tests).

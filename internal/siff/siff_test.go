@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tva/internal/capability"
 	"tva/internal/packet"
 	"tva/internal/telemetry"
 	"tva/internal/tvatime"
@@ -13,7 +12,7 @@ import (
 func at(sec float64) tvatime.Time { return tvatime.FromSeconds(sec) }
 
 func TestMarkerCheckCurrentAndPrevious(t *testing.T) {
-	m := NewMarker(capability.Fast, 3*tvatime.Second)
+	m := NewMarker(3 * tvatime.Second)
 	mark := m.Mark(1, 2, at(1))
 	if !m.Check(1, 2, mark, at(2)) {
 		t.Error("mark invalid within its own epoch")
@@ -24,10 +23,17 @@ func TestMarkerCheckCurrentAndPrevious(t *testing.T) {
 	if m.Check(1, 2, mark, at(7)) {
 		t.Error("mark valid after two epochs")
 	}
+	// A quiet gap of several epochs must retire both secrets at once: a
+	// mark carries no epoch, so a slot left over from before the gap
+	// would pass as the previous secret.
+	mark = m.Mark(1, 2, at(8))
+	if m.Check(1, 2, mark, at(17)) {
+		t.Error("mark valid after a quiet gap of three epochs")
+	}
 }
 
 func TestMarkerBinding(t *testing.T) {
-	m := NewMarker(capability.Fast, 0)
+	m := NewMarker(0)
 	mark := m.Mark(1, 2, at(1))
 	if m.Check(1, 3, mark, at(1)) || m.Check(9, 2, mark, at(1)) {
 		t.Error("mark validated for a different flow")
@@ -35,7 +41,7 @@ func TestMarkerBinding(t *testing.T) {
 	if m.Check(1, 2, mark^1, at(1)) {
 		t.Error("tampered mark validated")
 	}
-	other := NewMarker(capability.Fast, 0)
+	other := NewMarker(0)
 	if other.Check(1, 2, mark, at(1)) {
 		t.Error("mark validated at a different router")
 	}
@@ -48,7 +54,7 @@ func req(src, dst packet.Addr) *packet.Packet {
 }
 
 func TestRouterRequestIsLegacyPriority(t *testing.T) {
-	r := NewRouter(capability.Fast, 0)
+	r := NewRouter(0)
 	pkt := req(1, 2)
 	class, drop := r.Process(pkt, at(0))
 	if drop {
@@ -63,7 +69,7 @@ func TestRouterRequestIsLegacyPriority(t *testing.T) {
 }
 
 func TestRouterValidAndInvalidMarks(t *testing.T) {
-	r := NewRouter(capability.Fast, 0)
+	r := NewRouter(0)
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -91,7 +97,7 @@ func TestRouterValidAndInvalidMarks(t *testing.T) {
 func TestRouterNoByteLimit(t *testing.T) {
 	// SIFF places no limit on how much an authorized flow sends: the
 	// same mark forwards arbitrarily many bytes until rotation.
-	r := NewRouter(capability.Fast, 1000*tvatime.Second)
+	r := NewRouter(1000 * tvatime.Second)
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -105,7 +111,7 @@ func TestRouterNoByteLimit(t *testing.T) {
 }
 
 func TestRouterMarkDiesOnRotation(t *testing.T) {
-	r := NewRouter(capability.Fast, 3*tvatime.Second)
+	r := NewRouter(3 * tvatime.Second)
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -132,7 +138,7 @@ type siffWire struct {
 func (w *siffWire) Now() tvatime.Time { return w.now }
 
 func newSIFFWire() *siffWire {
-	return &siffWire{router: NewRouter(capability.Fast, 3*tvatime.Second), shims: map[packet.Addr]*Shim{}}
+	return &siffWire{router: NewRouter(3 * tvatime.Second), shims: map[packet.Addr]*Shim{}}
 }
 
 func (w *siffWire) addHost(addr packet.Addr, policy Policy) *Shim {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/exp"
 	"tva/internal/metrics"
@@ -31,7 +30,6 @@ func runReal(sc Scenario) (*PlaneResult, error) {
 		Routers:         2,
 		LinkBps:         sc.LinkBps,
 		RequestFraction: sc.RequestFraction,
-		Suite:           capability.Fast,
 		SpanCapacity:    simSpanCapacity,
 	})
 	if err != nil {
@@ -39,7 +37,7 @@ func runReal(sc Scenario) (*PlaneResult, error) {
 	}
 	defer topo.Close()
 
-	shim := core.ShimConfig{Suite: capability.Fast, AutoReturn: true}
+	shim := core.ShimConfig{AutoReturn: true}
 	destPolicy := core.NewServerPolicy()
 	destPolicy.GrantKB = sc.GrantKB
 	destPolicy.GrantTSec = sc.GrantTSec

@@ -78,24 +78,21 @@ type (
 // Clock supplies time to protocol components.
 type Clock = tvatime.Clock
 
-// Suite selects the capability hash construction.
+// Suite names the capability construction; destinations call its
+// MakeCap.
 type Suite = capability.Suite
 
-// Hash suites: CryptoSuite is the paper's AES-CBC-MAC + SHA-1
-// construction; FastSuite is a keyed-FNV variant for large
-// simulations.
-var (
-	CryptoSuite = capability.Crypto
-	FastSuite   = capability.Fast
-)
+// CryptoSuite is the paper's AES-CBC-MAC + SHA-1 construction, the
+// only one.
+var CryptoSuite = capability.Crypto
 
 // Authority mints and validates one router's capabilities.
 type Authority = capability.Authority
 
 // NewAuthority returns a capability authority with the given secret
 // rotation period (0 selects the paper's 128 s).
-func NewAuthority(suite Suite, secretPeriod Duration) *Authority {
-	return capability.NewAuthority(suite, secretPeriod)
+func NewAuthority(secretPeriod Duration) *Authority {
+	return capability.NewAuthority(secretPeriod)
 }
 
 // Router is the TVA capability router engine (Fig. 6).

@@ -17,7 +17,7 @@ func (c *fixedClock) Now() tva.Time { return c.t }
 
 func TestFacadeCapabilityLifecycle(t *testing.T) {
 	clock := &fixedClock{}
-	router := tva.NewRouter(tva.RouterConfig{Suite: tva.CryptoSuite, TrustBoundary: true})
+	router := tva.NewRouter(tva.RouterConfig{TrustBoundary: true})
 
 	alice := tva.AddrFrom(10, 0, 0, 1)
 	bob := tva.AddrFrom(10, 0, 0, 2)
@@ -29,9 +29,9 @@ func TestFacadeCapabilityLifecycle(t *testing.T) {
 		}
 	}
 	a := tva.NewShim(alice, tva.NewClientPolicy(), clock, rand.New(rand.NewSource(1)),
-		tva.ShimConfig{Suite: tva.CryptoSuite, AutoReturn: true})
+		tva.ShimConfig{AutoReturn: true})
 	b := tva.NewShim(bob, tva.NewServerPolicy(), clock, rand.New(rand.NewSource(2)),
-		tva.ShimConfig{Suite: tva.CryptoSuite, AutoReturn: true})
+		tva.ShimConfig{AutoReturn: true})
 	a.Output, b.Output = deliver, deliver
 	shims[alice], shims[bob] = a, b
 
@@ -59,7 +59,7 @@ func TestFacadeCapabilityLifecycle(t *testing.T) {
 }
 
 func TestFacadeAuthorityRoundtrip(t *testing.T) {
-	auth := tva.NewAuthority(tva.CryptoSuite, 0)
+	auth := tva.NewAuthority(0)
 	now := tva.Time(5e9)
 	pre := auth.PreCap(1, 2, now)
 	cap := tva.CryptoSuite.MakeCap(pre, 32, 10)
@@ -130,7 +130,7 @@ func TestSweepShapeFig8(t *testing.T) {
 func TestOverlayThroughFacade(t *testing.T) {
 	router, err := tva.NewOverlayRouter(tva.OverlayRouterConfig{
 		Listen: "127.0.0.1:0",
-		Core:   tva.RouterConfig{Suite: tva.FastSuite, TrustBoundary: true},
+		Core:   tva.RouterConfig{TrustBoundary: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestOverlayThroughFacade(t *testing.T) {
 	mk := func(addr tva.Addr, pol tva.Policy) *tva.OverlayHost {
 		h, err := tva.NewOverlayHost(tva.OverlayHostConfig{
 			Addr: addr, Listen: "127.0.0.1:0", Gateway: router.Addr().String(),
-			Policy: pol, Shim: tva.ShimConfig{Suite: tva.FastSuite, AutoReturn: true},
+			Policy: pol, Shim: tva.ShimConfig{AutoReturn: true},
 		})
 		if err != nil {
 			t.Fatal(err)
