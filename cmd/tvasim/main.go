@@ -68,12 +68,6 @@ import (
 	"tva/internal/tvatime"
 )
 
-// txBatch is the -batch flag: the transmit burst width handed to every
-// simulation config. Results are identical at any width (the batcher
-// only collapses completion events it can prove timing-equivalent);
-// widths > 1 trade event-heap churn for wall-clock speed.
-var txBatch int
-
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 8, 9, 10, 11 or all")
 	schemesFlag := flag.String("schemes", "internet,siff,pushback,tva", "comma-separated schemes")
@@ -93,9 +87,7 @@ func main() {
 	usersFlag := flag.String("users", "10,20,50,100", "legitimate-sender counts for -fairness")
 	lossRatesFlag := flag.String("loss-rates", "0,0.05,0.1,0.2", "loss probabilities for -fault loss")
 	restartTimesFlag := flag.String("restart-times", "10,20,30", "restart times in seconds for -fault restart")
-	batch := flag.Int("batch", 1, "transmit burst width for the event-driven core (results are burst-invariant; >1 collapses per-packet events for speed)")
 	flag.Parse()
-	txBatch = *batch
 
 	schemes, err := parseSchemes(*schemesFlag)
 	if err != nil {
@@ -204,7 +196,6 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 		NumAttackers:    attackers,
 		Duration:        dur,
 		Seed:            seed,
-		TxBatch:         txBatch,
 		MetricsInterval: tvatime.Duration(intervalMs * float64(tvatime.Millisecond)),
 		TraceEvents:     traceN,
 	}
@@ -423,7 +414,7 @@ func faultSweep(mode string, schemes []exp.Scheme, dur tvatime.Duration, seed in
 		fmt.Printf("%-10s %10s %12s %14s %12s\n",
 			"scheme", "loss", "completion", "xfer-time(s)", "link-drops")
 		for _, scheme := range schemes {
-			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed, TxBatch: txBatch}
+			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed}
 			for _, p := range exp.LossSweep(base, rates) {
 				fmt.Printf("%-10s %10.3f %12.3f %14.3f %12d\n",
 					scheme, p.LossRate, p.CompletionFraction, p.AvgTransferTime, p.LinkDrops)
@@ -439,7 +430,7 @@ func faultSweep(mode string, schemes []exp.Scheme, dur tvatime.Duration, seed in
 		fmt.Printf("%-10s %12s %12s %16s %12s\n",
 			"scheme", "restart(s)", "completion", "recover-in(s)", "flushed")
 		for _, scheme := range schemes {
-			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed, TxBatch: txBatch}
+			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed}
 			for _, p := range exp.RestartSweep(base, times) {
 				rec := "never"
 				if p.TimeToRecoverSec >= 0 {
@@ -548,7 +539,6 @@ func sweepFigure(title string, attack exp.Attack, schemes []exp.Scheme, counts [
 				NumAttackers: k,
 				Duration:     dur,
 				Seed:         seed,
-				TxBatch:      txBatch,
 			})
 		}
 	}
@@ -595,7 +585,6 @@ func fairnessSweep(schemes []exp.Scheme, userCounts, attackerCounts []int, dur t
 				NumAttackers: attackers,
 				Duration:     dur,
 				Seed:         seed,
-				TxBatch:      txBatch,
 			})
 		}
 	}
@@ -637,7 +626,6 @@ func figure11(schemes []exp.Scheme, dur tvatime.Duration, seed int64, workers in
 				AttackStart:  10 * tvatime.Second,
 				Duration:     dur,
 				Seed:         seed,
-				TxBatch:      txBatch,
 			})
 		}
 	}

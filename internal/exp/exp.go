@@ -193,14 +193,6 @@ type Config struct {
 	// it to dump the flight recorder automatically.
 	DropStormPkts int
 
-	// TxBatch caps how many packets one interface transmit burst may
-	// serve per event-loop visit (netsim.Sim.TxBatch). 0 or 1 is the
-	// classic one-event-per-packet loop; larger values collapse
-	// quiet-window transmissions without changing any virtual
-	// timestamp, so same-seed results and trace dumps are identical at
-	// every setting (TestTxBatchTraceIdentical pins this).
-	TxBatch int
-
 	Seed int64
 }
 

@@ -183,52 +183,6 @@ func TestMetricsHealthLifecycleAndSpans(t *testing.T) {
 	}
 }
 
-// TestMetricsTxBatchInvariant pins the batched-data-path half of the
-// shared-series contract for the sim plane: transmit batching may
-// change tva_tx_burst_fill (that gauge exists to show it) but must
-// not move a single drop counter, goodput byte, or health transition.
-func TestMetricsTxBatchInvariant(t *testing.T) {
-	d := short(t)
-	cfg1 := metricsCfg(d)
-	cfg32 := metricsCfg(d)
-	cfg32.TxBatch = 32
-	a, b := Run(cfg1), Run(cfg32)
-
-	if strings.Join(healthLog(a), "|") != strings.Join(healthLog(b), "|") {
-		t.Errorf("health transitions differ across TxBatch:\n%v\n%v", healthLog(a), healthLog(b))
-	}
-	if a.Telemetry.SchedDrops != b.Telemetry.SchedDrops {
-		t.Errorf("drop counters differ across TxBatch:\n%v\n%v",
-			a.Telemetry.SchedDrops, b.Telemetry.SchedDrops)
-	}
-	if a.Telemetry.GoodputBytes != b.Telemetry.GoodputBytes {
-		t.Errorf("goodput differs across TxBatch: %d vs %d",
-			a.Telemetry.GoodputBytes, b.Telemetry.GoodputBytes)
-	}
-	// Whole registry rows, minus the burst-fill column, are identical.
-	ra, rb := a.Telemetry.Metrics, b.Telemetry.Metrics
-	if ra.Len() != rb.Len() || ra.NumSeries() != rb.NumSeries() {
-		t.Fatalf("registry shape differs: %dx%d vs %dx%d",
-			ra.Len(), ra.NumSeries(), rb.Len(), rb.NumSeries())
-	}
-	ids := ra.IDs()
-	va, vb := make([]float64, ra.NumSeries()), make([]float64, rb.NumSeries())
-	for i := 0; i < ra.Len(); i++ {
-		ta, tb := ra.Row(i, va), rb.Row(i, vb)
-		if ta != tb {
-			t.Fatalf("row %d tick time differs: %v vs %v", i, ta, tb)
-		}
-		for j := range va {
-			if ids[j] == "tva_tx_burst_fill" {
-				continue
-			}
-			if va[j] != vb[j] {
-				t.Errorf("row %d series %s: %v vs %v", i, ids[j], va[j], vb[j])
-			}
-		}
-	}
-}
-
 // TestMetricsOffByDefault extends the zero-config contract to the
 // registry: no MetricsInterval, no registry, no detector — and an
 // instrumented run still reproduces identical packet-level outcomes

@@ -192,7 +192,6 @@ func (b *builder) attachPushback(pr *pushback.Router, out *netsim.Iface) {
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	sim := netsim.New(cfg.Seed + 1)
-	sim.TxBatch = cfg.TxBatch
 	b := &builder{cfg: cfg, sim: sim}
 
 	// Per-sender accounting is always on: O(K) memory, allocation-free

@@ -222,22 +222,19 @@ func (b *builder) startSampler(tel *RunTelemetry, lr *netsim.Iface) {
 		s.AddGauge("flowcache_entries", func() float64 { return float64(cache.Len()) })
 	}
 	s.AddGauge("goodput_bytes", func() float64 { return float64(tel.GoodputBytes) })
-	if rc, ok := lr.Sched.(sched.ReasonCounter); ok {
-		drops := rc.DropReasons()
-		// Start past DropNone: nothing may ever be attributed to the
-		// explicit no-reason value, so it gets no gauge.
-		for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
-			reason := telemetry.DropReason(i)
-			s.AddGauge("drops_"+reason.String(), func() float64 { return float64(drops.Get(reason)) })
-		}
-		s.AddGauge("drops_total", func() float64 { return float64(drops.Total()) })
+	drops := lr.Sched.DropReasons()
+	// Start past DropNone: nothing may ever be attributed to the
+	// explicit no-reason value, so it gets no gauge.
+	for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
+		reason := telemetry.DropReason(i)
+		s.AddGauge("drops_"+reason.String(), func() float64 { return float64(drops.Get(reason)) })
 	}
+	s.AddGauge("drops_total", func() float64 { return float64(drops.Total()) })
 	rl := lr.Peer
 	s.AddGauge("link_fault_drops", func() float64 {
 		return float64(lr.FaultDrops.Total() + rl.FaultDrops.Total())
 	})
-	// Batching efficiency: mean packets per transmit-loop visit (1.0
-	// when TxBatch <= 1; approaches TxBatch under sustained backlog).
+	// Mean packets per transmit-loop visit: 1 once the link has sent.
 	s.AddGauge("tx_burst_fill", sim.TxBurstFill)
 
 	stop := sim.Every(cfg.MetricsInterval, func() { s.Sample(sim.Now()) })
@@ -321,14 +318,12 @@ func (b *builder) startMetrics(tel *RunTelemetry, lr *netsim.Iface, completion f
 
 	// Reason-attributed drops and demotions, same labelled series the
 	// overlay registers.
-	if rc, ok := lr.Sched.(sched.ReasonCounter); ok {
-		drops := rc.DropReasons()
-		for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
-			reason := telemetry.DropReason(i)
-			mustReg(reg.Counter(metrics.NameSchedDrops, metrics.L("reason", reason.String()),
-				"Packets dropped by the bottleneck scheduler, by attributed reason.",
-				func() float64 { return float64(drops.Get(reason)) }))
-		}
+	drops := lr.Sched.DropReasons()
+	for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
+		reason := telemetry.DropReason(i)
+		mustReg(reg.Counter(metrics.NameSchedDrops, metrics.L("reason", reason.String()),
+			"Packets dropped by the bottleneck scheduler, by attributed reason.",
+			func() float64 { return float64(drops.Get(reason)) }))
 	}
 	if routers := b.tvaRouters; len(routers) > 0 {
 		for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
@@ -405,11 +400,7 @@ func (b *builder) startMetrics(tel *RunTelemetry, lr *netsim.Iface, completion f
 
 	// Detector inputs: cumulative bottleneck drops and request-channel
 	// backlog pressure.
-	dropsTotal := func() float64 { return float64(lr.Stats.DroppedPkts) }
-	if rc, ok := lr.Sched.(sched.ReasonCounter); ok {
-		drops := rc.DropReasons()
-		dropsTotal = func() float64 { return float64(drops.Total()) }
-	}
+	dropsTotal := func() float64 { return float64(drops.Total()) }
 	pressure := func() float64 { return 0 }
 	if tva, ok := lr.Sched.(*sched.TVA); ok {
 		pressure = func() float64 { return float64(tva.RequestBacklog()) }
@@ -448,9 +439,7 @@ func (b *builder) finishTelemetry(tel *RunTelemetry, lr *netsim.Iface) {
 	if b.finalMetrics != nil {
 		b.finalMetrics()
 	}
-	if rc, ok := lr.Sched.(sched.ReasonCounter); ok {
-		tel.SchedDrops = *rc.DropReasons()
-	}
+	tel.SchedDrops = *lr.Sched.DropReasons()
 	// Fault losses can happen on any interface either router owns (the
 	// restart flush hits the left router's access links too).
 	for _, ifc := range lr.Node.Ifaces() {
@@ -463,8 +452,6 @@ func (b *builder) finishTelemetry(tel *RunTelemetry, lr *netsim.Iface) {
 		tel.Demotions.Merge(&rtr.Demotions)
 	}
 	for _, q := range b.hostEgs {
-		if dc, ok := q.(sched.DropCounter); ok {
-			tel.HostEgressDrops += dc.DropCount()
-		}
+		tel.HostEgressDrops += q.DropReasons().Total()
 	}
 }

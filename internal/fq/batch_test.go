@@ -7,112 +7,90 @@ import (
 	"tva/internal/packet"
 )
 
-// TestDRRBulkEquivalence drives a randomized mixed workload through a
-// bulk-operated DRR and a per-packet one and requires identical
-// admission decisions, service order, and bookkeeping.
+// TestDRRBulkEquivalence runs long random operation sequences through
+// drrOps: bulk enqueues, dequeues of every width and flushes against
+// the per-packet reference DRR, with identical admission, drop
+// attribution, service order and bookkeeping required throughout.
 func TestDRRBulkEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	single := NewDRR(1500, 4, 4096)
-	bulk := NewDRR(1500, 4, 4096)
-
-	mkRun := func() (uint64, []*packet.Packet) {
-		key := uint64(rng.Intn(6)) // more keys than maxQueues → EnqDropNoQueue
-		n := 1 + rng.Intn(5)
-		pkts := make([]*packet.Packet, n)
-		for i := range pkts {
-			pkts[i] = &packet.Packet{Src: packet.Addr(key), Dst: packet.Addr(i), Size: 100 + rng.Intn(1400)}
-		}
-		return key, pkts
-	}
-
-	for round := 0; round < 50; round++ {
-		key, pkts := mkRun()
-		var wantDrops, gotDrops []*packet.Packet
-		wantAcc := 0
-		for _, p := range pkts {
-			// Clone so each DRR owns distinct packet values; Size is the
-			// only field admission reads.
-			c := *p
-			if single.Enqueue(key, &c) == EnqOK {
-				wantAcc++
-			} else {
-				wantDrops = append(wantDrops, &c)
-			}
-		}
-		gotAcc := bulk.EnqueueBulk(key, pkts, func(p *packet.Packet, _ EnqueueResult) {
-			gotDrops = append(gotDrops, p)
-		})
-		if wantAcc != gotAcc || len(wantDrops) != len(gotDrops) {
-			t.Fatalf("round %d: accepted %d vs %d, drops %d vs %d", round, wantAcc, gotAcc, len(wantDrops), len(gotDrops))
-		}
-		if single.Len() != bulk.Len() || single.Bytes() != bulk.Bytes() || single.NumQueues() != bulk.NumQueues() {
-			t.Fatalf("round %d: bookkeeping diverges: len %d/%d bytes %d/%d queues %d/%d",
-				round, single.Len(), bulk.Len(), single.Bytes(), bulk.Bytes(), single.NumQueues(), bulk.NumQueues())
-		}
-
-		// Drain a random amount through both and compare order.
-		k := rng.Intn(8)
-		dst := make([]*packet.Packet, k)
-		got := bulk.DequeueBulk(dst)
-		for i := 0; i < got; i++ {
-			want := single.Dequeue()
-			if want == nil {
-				t.Fatalf("round %d: bulk produced %d-th packet, single is empty", round, i)
-			}
-			if want.Size != dst[i].Size || want.Src != dst[i].Src || want.Dst != dst[i].Dst {
-				t.Fatalf("round %d pos %d: bulk %+v != single %+v", round, i, dst[i], want)
-			}
-		}
-		if got < k {
-			if extra := single.Dequeue(); extra != nil {
-				t.Fatalf("round %d: bulk drained at %d but single still has %+v", round, got, extra)
-			}
-		}
-		if single.Len() != bulk.Len() || single.Bytes() != bulk.Bytes() {
-			t.Fatalf("round %d after drain: len %d/%d bytes %d/%d", round, single.Len(), bulk.Len(), single.Bytes(), bulk.Bytes())
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 1+3*200)
+		rng.Read(data)
+		if err := drrOps(data); err != nil {
+			t.Fatalf("trial %d (config %d): %v", trial, data[0], err)
 		}
 	}
 }
 
-// TestFIFOBulkEquivalence does the same for the drop-tail FIFO, under
-// both byte and packet caps.
+// FuzzDRROps holds the bulk DRR to the per-packet reference on fuzzed
+// operation sequences.
+func FuzzDRROps(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 200, 1, 2, 200, 8, 0, 8, 9, 0, 8})                          // oversized runs at the queue bound
+	f.Add([]byte{30, 0, 1, 5, 0, 2, 5, 0, 1, 5, 8, 0, 1, 8, 0, 1, 8, 0, 1, 15, 0, 0}) // one-slot drains, then Flush
+	f.Add([]byte{62, 3, 0, 133, 3, 1, 140, 10, 0, 7, 3, 2, 77, 11, 0, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := drrOps(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFIFOBulkEquivalence drives random runs and drains through the
+// bulk FIFO and the per-packet reference, under both byte and packet
+// caps.
 func TestFIFOBulkEquivalence(t *testing.T) {
-	for name, mk := range map[string]func() *FIFO{
-		"bytes": func() *FIFO { return NewFIFO(4096) },
-		"pkts":  func() *FIFO { return NewFIFOCount(7) },
+	for name, mk := range map[string]func() (*FIFO, *refFIFO){
+		"bytes": func() (*FIFO, *refFIFO) { return NewFIFO(4096), &refFIFO{byteCap: 4096} },
+		"pkts":  func() (*FIFO, *refFIFO) { return NewFIFOCount(7), &refFIFO{pktCap: 7} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			single, bulk := mk(), mk()
+			bulk, ref := mk()
 			for round := 0; round < 60; round++ {
-				n := 1 + rng.Intn(6)
-				pkts := make([]*packet.Packet, n)
-				wantAcc, wantDrop := 0, 0
+				pkts := make([]*packet.Packet, 1+rng.Intn(6))
+				var wantDrops, gotDrops []*packet.Packet
+				wantAcc := 0
 				for i := range pkts {
 					pkts[i] = &packet.Packet{Src: packet.Addr(round), Dst: packet.Addr(i), Size: 100 + rng.Intn(1200)}
-					c := *pkts[i]
-					if single.Enqueue(&c) {
+					if ref.enqueue(pkts[i]) {
 						wantAcc++
 					} else {
-						wantDrop++
+						wantDrops = append(wantDrops, pkts[i])
 					}
 				}
-				gotDrop := 0
-				gotAcc := bulk.EnqueueBulk(pkts, func(*packet.Packet) { gotDrop++ })
-				if wantAcc != gotAcc || wantDrop != gotDrop {
-					t.Fatalf("round %d: accepted %d/%d drops %d/%d", round, wantAcc, gotAcc, wantDrop, gotDrop)
+				gotAcc := bulk.EnqueueBulk(pkts, func(p *packet.Packet) { gotDrops = append(gotDrops, p) })
+				if wantAcc != gotAcc || len(wantDrops) != len(gotDrops) {
+					t.Fatalf("round %d: accepted %d/%d drops %d/%d", round, gotAcc, wantAcc, len(gotDrops), len(wantDrops))
+				}
+				for i := range gotDrops {
+					if gotDrops[i] != wantDrops[i] {
+						t.Fatalf("round %d drop %d: %+v, want %+v", round, i, gotDrops[i], wantDrops[i])
+					}
 				}
 				dst := make([]*packet.Packet, rng.Intn(6))
 				got := bulk.DequeueBulk(dst)
-				for i := 0; i < got; i++ {
-					want := single.Dequeue()
-					if want == nil || want.Size != dst[i].Size || want.Dst != dst[i].Dst {
-						t.Fatalf("round %d pos %d: bulk %+v != single %+v", round, i, dst[i], want)
+				for i := range dst {
+					want := ref.dequeue()
+					if (i < got) != (want != nil) || (want != nil && dst[i] != want) {
+						t.Fatalf("round %d pos %d: bulk wrote %d, slot %+v, reference %+v", round, i, got, dst[i], want)
 					}
 				}
-				if single.Len() != bulk.Len() || single.Bytes() != bulk.Bytes() {
-					t.Fatalf("round %d: len %d/%d bytes %d/%d", round, single.Len(), bulk.Len(), single.Bytes(), bulk.Bytes())
+				if bulk.Len() != len(ref.pkts) || bulk.Bytes() != ref.bytes {
+					t.Fatalf("round %d: len %d/%d bytes %d/%d", round, bulk.Len(), len(ref.pkts), bulk.Bytes(), ref.bytes)
 				}
+			}
+			var flushed []*packet.Packet
+			bulk.Flush(func(p *packet.Packet) { flushed = append(flushed, p) })
+			if len(flushed) != len(ref.pkts) {
+				t.Fatalf("Flush released %d, want %d", len(flushed), len(ref.pkts))
+			}
+			for i := range flushed {
+				if flushed[i] != ref.pkts[i] {
+					t.Fatalf("Flush release %d out of FIFO order", i)
+				}
+			}
+			if bulk.Len() != 0 || bulk.Bytes() != 0 {
+				t.Fatalf("after Flush: len %d bytes %d", bulk.Len(), bulk.Bytes())
 			}
 		})
 	}
@@ -128,8 +106,7 @@ func TestBulkStateMachineEdges(t *testing.T) {
 		d.EnqueueBulk(2, []*packet.Packet{{Dst: 2, Size: 1000}}, nil)
 	}
 	dst := make([]*packet.Packet, 1)
-	// One-slot drains must follow the per-packet DRR walk exactly,
-	// including the deficit carry-over that lets a queue send twice in
+	// One-slot drains walk the DRR deficit order exactly, including the deficit carry-over that lets a queue send twice in
 	// a row once its accumulated deficit covers two packets.
 	var order []packet.Addr
 	for d.Len() > 0 {

@@ -32,10 +32,10 @@ type DRR struct {
 	pkts  int
 }
 
-// EnqueueResult says what DRR.Enqueue did with a packet. Drop
-// accounting lives with the scheduler that owns the DRR (it knows the
-// traffic class and so the telemetry.DropReason); the DRR only reports
-// which bound was hit.
+// EnqueueResult says which bound refused a packet handed to
+// DRR.EnqueueBulk's drop callback. Drop accounting lives with the
+// scheduler that owns the DRR (it knows the traffic class and so the
+// telemetry.DropReason); the DRR only reports which bound was hit.
 type EnqueueResult uint8
 
 const (
@@ -49,42 +49,66 @@ const (
 	EnqDropNoQueue
 )
 
-// flowq buffers one key's packets as a sliding window over pkts:
-// [head:len) are queued. Dequeue advances head instead of reslicing
-// from the front, so the backing array's capacity is reused once the
-// queue drains instead of being reallocated on the next burst.
+// window is the packet buffer behind both queue types, a sliding
+// window over pkts: [head:len) are queued. Taking packets advances
+// head instead of reslicing from the front, so the backing array's
+// capacity is reused once the window drains instead of being
+// reallocated on the next burst.
+type window struct {
+	pkts []*packet.Packet
+	head int
+}
+
+func (w *window) len() int { return len(w.pkts) - w.head }
+
+// reserve prepares the slot array to absorb n more packets with at
+// most one compaction-or-grow: the queued window slides to the front
+// only when appending would otherwise outgrow the backing array.
+func (w *window) reserve(n int) {
+	if w.head > 0 && len(w.pkts)+n > cap(w.pkts) {
+		m := copy(w.pkts, w.pkts[w.head:])
+		clear(w.pkts[m:])
+		w.pkts = w.pkts[:m]
+		w.head = 0
+	}
+}
+
+// take moves the first len(dst) queued packets into dst and returns
+// their bytes.
+func (w *window) take(dst []*packet.Packet) (bytes int) {
+	pkts, head := w.pkts, w.head
+	for i := range dst {
+		pkt := pkts[head+i]
+		pkts[head+i] = nil
+		dst[i] = pkt
+		bytes += pkt.Size
+	}
+	if head += len(dst); head == len(pkts) {
+		w.pkts, w.head = pkts[:0], 0
+	} else {
+		w.head = head
+	}
+	return bytes
+}
+
+// flush hands every queued packet to release, in order, and empties
+// the window.
+func (w *window) flush(release func(*packet.Packet)) {
+	for _, pkt := range w.pkts[w.head:] {
+		release(pkt)
+	}
+	clear(w.pkts)
+	w.pkts = w.pkts[:0]
+	w.head = 0
+}
+
+// flowq is one key's queue in a DRR.
 type flowq struct {
+	window
 	key        uint64
-	pkts       []*packet.Packet
-	head       int
 	byteCount  int
 	deficit    int
 	next, prev *flowq
-}
-
-func (q *flowq) len() int { return len(q.pkts) - q.head }
-
-func (q *flowq) push(pkt *packet.Packet) {
-	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
-	q.pkts = append(q.pkts, pkt)
-}
-
-func (q *flowq) popFront() *packet.Packet {
-	pkt := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
-	return pkt
 }
 
 // NewDRR returns a DRR scheduler. quantum should be at least the MTU;
@@ -114,44 +138,21 @@ func (d *DRR) Bytes() int { return d.bytes }
 // NumQueues returns the number of live per-key queues.
 func (d *DRR) NumQueues() int { return len(d.queues) }
 
-// Enqueue adds pkt to key's queue, creating the queue if needed, and
-// reports which bound (if any) dropped the packet.
-//
-//tva:hotpath
-func (d *DRR) Enqueue(key uint64, pkt *packet.Packet) EnqueueResult {
-	q := d.queues[key]
-	if q == nil {
-		if d.maxQueues > 0 && len(d.queues) >= d.maxQueues {
-			return EnqDropNoQueue
-		}
-		q = d.newFlowq(key)
-		d.queues[key] = q
-	}
-	if q.byteCount+pkt.Size > d.perQBytes {
-		return EnqDropQueueFull
-	}
-	q.push(pkt)
-	q.byteCount += pkt.Size
-	d.bytes += pkt.Size
-	d.pkts++
-	if q.next == nil { // not in the active ring
-		d.ringPush(q)
-	}
-	return EnqOK
-}
-
-// EnqueueBulk adds a run of packets for one key in order, with
-// accept/drop decisions identical to calling Enqueue per packet. The
-// fixed costs are paid once per run instead of once per packet: one
-// map probe, one ring insertion, one slot-array reservation, and one
-// update of the aggregate byte/packet bookkeeping. Refused packets are
-// handed to drop with the bound that refused them (drop may be nil).
-// It returns the number accepted. Nil slots (batch Take) are skipped.
+// EnqueueBulk adds a run of packets for one key in order, each
+// admitted unless it would push the key's queue past its byte cap.
+// The fixed costs are paid once per run: one map probe, one ring
+// insertion, one slot-array reservation, and one update of the
+// aggregate byte/packet bookkeeping. A new key's queue is created only
+// once a packet is admitted, so a run the byte cap refuses entirely
+// leaves no queue behind. Refused packets are handed to drop with the
+// bound that refused them (drop may be nil). It returns the number
+// accepted. Nil slots (batch Take) are skipped.
 //
 //tva:hotpath
 func (d *DRR) EnqueueBulk(key uint64, pkts []*packet.Packet, drop func(*packet.Packet, EnqueueResult)) int {
 	q := d.queues[key]
-	if q == nil {
+	fresh := q == nil
+	if fresh {
 		if d.maxQueues > 0 && len(d.queues) >= d.maxQueues {
 			if drop != nil {
 				for _, pkt := range pkts {
@@ -163,7 +164,6 @@ func (d *DRR) EnqueueBulk(key uint64, pkts []*packet.Packet, drop func(*packet.P
 			return 0
 		}
 		q = d.newFlowq(key)
-		d.queues[key] = q
 	}
 	q.reserve(len(pkts))
 	accepted, bytes := 0, 0
@@ -171,8 +171,8 @@ func (d *DRR) EnqueueBulk(key uint64, pkts []*packet.Packet, drop func(*packet.P
 		if pkt == nil {
 			continue
 		}
-		// The per-packet byte-cap check must see the bytes already
-		// accepted from this run, or bulk and looped admission diverge.
+		// The byte-cap check must see the bytes already accepted from
+		// this run.
 		if q.byteCount+bytes+pkt.Size > d.perQBytes {
 			if drop != nil {
 				drop(pkt, EnqDropQueueFull)
@@ -183,27 +183,40 @@ func (d *DRR) EnqueueBulk(key uint64, pkts []*packet.Packet, drop func(*packet.P
 		bytes += pkt.Size
 		accepted++
 	}
+	if accepted == 0 {
+		if fresh {
+			d.retire(q)
+		}
+		return 0
+	}
+	if fresh {
+		d.queues[key] = q
+	}
 	q.byteCount += bytes
 	d.bytes += bytes
 	d.pkts += accepted
-	if accepted > 0 && q.next == nil { // not in the active ring
+	if q.next == nil { // not in the active ring
 		d.ringPush(q)
 	}
 	return accepted
 }
 
-// DequeueBulk fills dst with up to len(dst) packets in exactly the
-// order repeated Dequeue calls would produce, but serves each queue's
-// deficit-covered run with one bulk ring copy and one bookkeeping
-// update. It returns the number of packets written.
+// DequeueBulk fills dst with up to len(dst) packets under deficit
+// round robin and returns the number written. Each visit to a queue
+// whose deficit cannot cover its head packet tops the deficit up by
+// one quantum and rotates, so with quantum >= MTU every queue sends at
+// most one packet per round and long-run throughput is proportional to
+// rounds (fair in bytes). A queue's deficit-covered run leaves with one
+// bookkeeping update; a full dst leaves the queue at the ring head with
+// its deficit, so the next call resumes exactly where this one stopped,
+// and filling one slot per call walks the same order as filling many.
 //
 //tva:hotpath
 func (d *DRR) DequeueBulk(dst []*packet.Packet) int {
 	n := 0
 	for n < len(dst) && d.head != nil {
 		q := d.head
-		// Maximal run the queue's deficit covers (cumulative, exactly
-		// the per-packet deficit walk).
+		// Maximal run the queue's deficit covers.
 		run, bytes := 0, 0
 		for n+run < len(dst) && q.head+run < len(q.pkts) {
 			sz := q.pkts[q.head+run].Size
@@ -214,15 +227,7 @@ func (d *DRR) DequeueBulk(dst []*packet.Packet) int {
 			run++
 		}
 		if run > 0 {
-			copy(dst[n:n+run], q.pkts[q.head:q.head+run])
-			for i := 0; i < run; i++ {
-				q.pkts[q.head+i] = nil
-			}
-			q.head += run
-			if q.head == len(q.pkts) {
-				q.pkts = q.pkts[:0]
-				q.head = 0
-			}
+			q.take(dst[n : n+run])
 			q.deficit -= bytes
 			q.byteCount -= bytes
 			d.bytes -= bytes
@@ -231,13 +236,10 @@ func (d *DRR) DequeueBulk(dst []*packet.Packet) int {
 		}
 		switch {
 		case q.len() == 0:
-			// Queue drained: retire it, as the per-packet path does when
-			// the last packet leaves.
-			q.deficit = 0
+			// Queue drained: retire it.
 			d.ringRemove(q)
 			delete(d.queues, q.key)
-			q.next = d.free
-			d.free = q
+			d.retire(q)
 		case n == len(dst):
 			// dst is full; the queue keeps its deficit and stays at the
 			// ring head so the next call resumes exactly here.
@@ -248,19 +250,6 @@ func (d *DRR) DequeueBulk(dst []*packet.Packet) int {
 		}
 	}
 	return n
-}
-
-// reserve prepares the slot array to absorb n more packets with at
-// most one compaction-or-grow, mirroring push's lazy compaction.
-func (q *flowq) reserve(n int) {
-	if q.head > 0 && len(q.pkts)+n > cap(q.pkts) {
-		m := copy(q.pkts, q.pkts[q.head:])
-		for i := m; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:m]
-		q.head = 0
-	}
 }
 
 // newFlowq reuses a retired flowq from the free list, or allocates.
@@ -275,36 +264,12 @@ func (d *DRR) newFlowq(key uint64) *flowq {
 	return &flowq{key: key}
 }
 
-// Dequeue returns the next packet under deficit round robin, or nil if
-// empty. Each visit to a queue whose deficit cannot cover its head
-// packet tops the deficit up by one quantum and rotates, so with
-// quantum >= MTU every queue sends at most one packet per round and
-// long-run throughput is proportional to rounds (fair in bytes).
-//
-//tva:hotpath
-func (d *DRR) Dequeue() *packet.Packet {
-	for d.head != nil {
-		q := d.head
-		pkt := q.pkts[q.head]
-		if q.deficit >= pkt.Size {
-			q.deficit -= pkt.Size
-			q.popFront()
-			q.byteCount -= pkt.Size
-			d.bytes -= pkt.Size
-			d.pkts--
-			if q.len() == 0 {
-				q.deficit = 0
-				d.ringRemove(q)
-				delete(d.queues, q.key)
-				q.next = d.free // retire to the free list
-				d.free = q
-			}
-			return pkt
-		}
-		q.deficit += d.quantum
-		d.head = q.next // rotate
-	}
-	return nil
+// retire pushes an empty flowq, already out of the ring and the index,
+// onto the free list.
+func (d *DRR) retire(q *flowq) {
+	q.deficit = 0
+	q.next = d.free
+	d.free = q
 }
 
 // Flush drains every queue, handing each packet to release (the
@@ -314,15 +279,11 @@ func (d *DRR) Dequeue() *packet.Packet {
 func (d *DRR) Flush(release func(*packet.Packet)) {
 	for d.head != nil {
 		q := d.head
-		for q.len() > 0 {
-			release(q.popFront())
-		}
+		q.flush(release)
 		q.byteCount = 0
-		q.deficit = 0
 		d.ringRemove(q)
 		delete(d.queues, q.key)
-		q.next = d.free
-		d.free = q
+		d.retire(q)
 	}
 	d.bytes = 0
 	d.pkts = 0
@@ -354,12 +315,9 @@ func (d *DRR) ringRemove(q *flowq) {
 	q.next, q.prev = nil, nil
 }
 
-// FIFO is a drop-tail queue bounded in bytes, packets, or both. Like
-// flowq it keeps queued packets in pkts[head:] and advances head on
-// dequeue, reusing the backing array instead of reallocating per burst.
+// FIFO is a drop-tail queue bounded in bytes, packets, or both.
 type FIFO struct {
-	pkts     []*packet.Packet
-	head     int
+	window
 	byteCap  int // 0 = unlimited
 	pktCap   int // 0 = unlimited
 	curBytes int
@@ -384,74 +342,28 @@ func NewFIFOCount(capPkts int) *FIFO {
 }
 
 // Len returns the queued packet count.
-func (f *FIFO) Len() int { return len(f.pkts) - f.head }
+func (f *FIFO) Len() int { return f.len() }
 
 // Bytes returns the queued byte count.
 func (f *FIFO) Bytes() int { return f.curBytes }
 
-// Enqueue appends pkt, reporting false on a tail drop. The caller
-// attributes the drop (the FIFO doesn't know the traffic class).
-//
-//tva:hotpath
-func (f *FIFO) Enqueue(pkt *packet.Packet) bool {
-	if (f.byteCap > 0 && f.curBytes+pkt.Size > f.byteCap) ||
-		(f.pktCap > 0 && f.Len() >= f.pktCap) {
-		return false
-	}
-	if f.head > 0 && len(f.pkts) == cap(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		for i := n; i < len(f.pkts); i++ {
-			f.pkts[i] = nil
-		}
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
-	f.pkts = append(f.pkts, pkt)
-	f.curBytes += pkt.Size
-	return true
-}
-
-// Dequeue pops the head packet, or nil if empty.
-//
-//tva:hotpath
-func (f *FIFO) Dequeue() *packet.Packet {
-	if f.Len() == 0 {
-		return nil
-	}
-	pkt := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
-	if f.head == len(f.pkts) {
-		f.pkts = f.pkts[:0]
-		f.head = 0
-	}
-	f.curBytes -= pkt.Size
-	return pkt
-}
-
-// EnqueueBulk appends a run of packets in order, with tail-drop
-// decisions identical to per-packet Enqueue but one compaction-or-grow
+// EnqueueBulk appends a run of packets in order, tail-dropping each
+// one the byte or packet cap refuses, with one compaction-or-grow
 // decision for the whole run. Refused packets are handed to drop
-// (which may be nil); nil slots are skipped. Returns the number
+// (which may be nil); the caller attributes the drop (the FIFO doesn't
+// know the traffic class). Nil slots are skipped. Returns the number
 // accepted.
 //
 //tva:hotpath
 func (f *FIFO) EnqueueBulk(pkts []*packet.Packet, drop func(*packet.Packet)) int {
-	if f.head > 0 && len(f.pkts)+len(pkts) > cap(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		for i := n; i < len(f.pkts); i++ {
-			f.pkts[i] = nil
-		}
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
+	f.reserve(len(pkts))
 	accepted := 0
 	for _, pkt := range pkts {
 		if pkt == nil {
 			continue
 		}
 		if (f.byteCap > 0 && f.curBytes+pkt.Size > f.byteCap) ||
-			(f.pktCap > 0 && f.Len() >= f.pktCap) {
+			(f.pktCap > 0 && f.len() >= f.pktCap) {
 			if drop != nil {
 				drop(pkt)
 			}
@@ -465,41 +377,19 @@ func (f *FIFO) EnqueueBulk(pkts []*packet.Packet, drop func(*packet.Packet)) int
 }
 
 // DequeueBulk fills dst with up to len(dst) packets in FIFO order with
-// one ring copy and one head advance. Returns the number written.
+// one head advance. Returns the number written.
 //
 //tva:hotpath
 func (f *FIFO) DequeueBulk(dst []*packet.Packet) int {
-	n := f.Len()
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if n == 0 {
-		return 0
-	}
-	copy(dst, f.pkts[f.head:f.head+n])
-	bytes := 0
-	for i := 0; i < n; i++ {
-		bytes += dst[i].Size
-		f.pkts[f.head+i] = nil
-	}
-	f.head += n
-	if f.head == len(f.pkts) {
-		f.pkts = f.pkts[:0]
-		f.head = 0
-	}
-	f.curBytes -= bytes
+	n := min(f.len(), len(dst))
+	f.curBytes -= f.take(dst[:n])
 	return n
 }
 
-// Flush drains the FIFO, handing each packet to release.
+// Flush drains the FIFO in order, handing each packet to release.
 func (f *FIFO) Flush(release func(*packet.Packet)) {
-	for {
-		pkt := f.Dequeue()
-		if pkt == nil {
-			return
-		}
-		release(pkt)
-	}
+	f.flush(release)
+	f.curBytes = 0
 }
 
 // TokenBucket rate-limits a traffic class to rate bytes/second with a

@@ -9,17 +9,44 @@ import (
 
 func pkt(size int) *packet.Packet { return &packet.Packet{Size: size} }
 
+// enq offers pkt to key's queue as a one-packet run and reports the
+// verdict.
+func enq(d *DRR, key uint64, pkt *packet.Packet) EnqueueResult {
+	res := EnqOK
+	d.EnqueueBulk(key, []*packet.Packet{pkt}, func(_ *packet.Packet, r EnqueueResult) { res = r })
+	return res
+}
+
+// deq takes the next packet through a one-slot DequeueBulk, or nil.
+func deq(d *DRR) *packet.Packet {
+	var one [1]*packet.Packet
+	d.DequeueBulk(one[:])
+	return one[0]
+}
+
+// fifoEnq offers pkt to f as a one-packet run and reports admission.
+func fifoEnq(f *FIFO, pkt *packet.Packet) bool {
+	return f.EnqueueBulk([]*packet.Packet{pkt}, nil) == 1
+}
+
+// fifoDeq takes the head packet through a one-slot DequeueBulk, or nil.
+func fifoDeq(f *FIFO) *packet.Packet {
+	var one [1]*packet.Packet
+	f.DequeueBulk(one[:])
+	return one[0]
+}
+
 func TestDRRFairnessEqualSizes(t *testing.T) {
 	// Two equally backlogged flows with equal packet sizes are served
 	// within one packet of each other at every point in the drain.
 	d := NewDRR(1500, 0, 1<<20)
 	for i := 0; i < 100; i++ {
-		d.Enqueue(1, taggedPkt(1, 1000))
-		d.Enqueue(2, taggedPkt(2, 1000))
+		enq(d, 1, taggedPkt(1, 1000))
+		enq(d, 2, taggedPkt(2, 1000))
 	}
 	served := map[uint8]int{}
 	for i := 0; i < 200; i++ {
-		p := d.Dequeue()
+		p := deq(d)
 		if p == nil {
 			t.Fatal("premature empty")
 		}
@@ -47,15 +74,15 @@ func TestDRRByteFairnessUnequalSizes(t *testing.T) {
 	// service means flow 2 dequeues ~5x as many packets.
 	d := NewDRR(1500, 0, 1<<20)
 	for i := 0; i < 200; i++ {
-		d.Enqueue(1, taggedPkt(1, 1500))
+		enq(d, 1, taggedPkt(1, 1500))
 	}
 	for i := 0; i < 1000; i++ {
-		d.Enqueue(2, taggedPkt(2, 300))
+		enq(d, 2, taggedPkt(2, 300))
 	}
 	bytes := map[uint8]int{}
 	served := 0
 	for served < 150*1500 {
-		p := d.Dequeue()
+		p := deq(d)
 		if p == nil {
 			break
 		}
@@ -74,12 +101,12 @@ func TestDRRNewFlowNotStarved(t *testing.T) {
 	d := NewDRR(100, 0, 1<<20)
 	for f := uint64(1); f <= 10; f++ {
 		for i := 0; i < 50; i++ {
-			d.Enqueue(f, taggedPkt(uint8(f), 100))
+			enq(d, f, taggedPkt(uint8(f), 100))
 		}
 	}
-	d.Enqueue(99, taggedPkt(99, 100))
+	enq(d, 99, taggedPkt(99, 100))
 	for i := 0; i < 25; i++ {
-		if d.Dequeue().TTL == 99 {
+		if deq(d).TTL == 99 {
 			return
 		}
 	}
@@ -88,29 +115,29 @@ func TestDRRNewFlowNotStarved(t *testing.T) {
 
 func TestDRRPerQueueCap(t *testing.T) {
 	d := NewDRR(1500, 0, 2500)
-	if d.Enqueue(1, pkt(1000)) != EnqOK || d.Enqueue(1, pkt(1000)) != EnqOK {
+	if enq(d, 1, pkt(1000)) != EnqOK || enq(d, 1, pkt(1000)) != EnqOK {
 		t.Fatal("enqueue under cap failed")
 	}
-	if got := d.Enqueue(1, pkt(1000)); got != EnqDropQueueFull {
+	if got := enq(d, 1, pkt(1000)); got != EnqDropQueueFull {
 		t.Errorf("enqueue over per-queue cap = %v, want EnqDropQueueFull", got)
 	}
 	// Another flow is unaffected.
-	if d.Enqueue(2, pkt(1000)) != EnqOK {
+	if enq(d, 2, pkt(1000)) != EnqOK {
 		t.Error("other flow should not be capped")
 	}
 }
 
 func TestDRRMaxQueues(t *testing.T) {
 	d := NewDRR(1500, 2, 1<<20)
-	d.Enqueue(1, pkt(100))
-	d.Enqueue(2, pkt(100))
-	if got := d.Enqueue(3, pkt(100)); got != EnqDropNoQueue {
+	enq(d, 1, pkt(100))
+	enq(d, 2, pkt(100))
+	if got := enq(d, 3, pkt(100)); got != EnqDropNoQueue {
 		t.Errorf("third queue enqueue = %v, want EnqDropNoQueue", got)
 	}
 	// Draining queue 1 frees a slot.
-	d.Dequeue()
-	d.Dequeue()
-	if d.Enqueue(3, pkt(100)) != EnqOK {
+	deq(d)
+	deq(d)
+	if enq(d, 3, pkt(100)) != EnqOK {
 		t.Error("queue slot not reclaimed after drain")
 	}
 }
@@ -119,15 +146,15 @@ func TestDRRDrainInterleavedWithEnqueue(t *testing.T) {
 	d := NewDRR(1500, 0, 1<<20)
 	total := 0
 	for i := 0; i < 50; i++ {
-		d.Enqueue(uint64(i%3), pkt(500))
+		enq(d, uint64(i%3), pkt(500))
 		total++
 		if i%2 == 1 {
-			if d.Dequeue() != nil {
+			if deq(d) != nil {
 				total--
 			}
 		}
 	}
-	for d.Dequeue() != nil {
+	for deq(d) != nil {
 		total--
 	}
 	if total != 0 {
@@ -138,9 +165,31 @@ func TestDRRDrainInterleavedWithEnqueue(t *testing.T) {
 	}
 }
 
+// TestDRRRefusedRunLeavesNoQueue: a new key whose whole run the byte
+// cap refuses must not leave a queue behind. Such a queue never joins
+// the active ring, so nothing would retire it, and it would count
+// against maxQueues forever: after maxQueues oversized packets every
+// new key would be refused as if the queue-count bound were hit.
+func TestDRRRefusedRunLeavesNoQueue(t *testing.T) {
+	d := NewDRR(1500, 4, 4096)
+	for key := uint64(0); key < 4; key++ {
+		if n := d.EnqueueBulk(key, []*packet.Packet{{Size: 5000}}, nil); n != 0 {
+			t.Fatalf("oversized packet to key %d admitted", key)
+		}
+	}
+	if d.NumQueues() != 0 || d.Len() != 0 {
+		t.Fatalf("after refused runs: %d queues, %d packets; want 0, 0", d.NumQueues(), d.Len())
+	}
+	var refused EnqueueResult
+	n := d.EnqueueBulk(99, []*packet.Packet{{Size: 100}}, func(_ *packet.Packet, r EnqueueResult) { refused = r })
+	if n != 1 {
+		t.Fatalf("small packet to a fresh key refused (%v)", refused)
+	}
+}
+
 func TestDRREmptyDequeue(t *testing.T) {
 	d := NewDRR(1500, 0, 0)
-	if d.Dequeue() != nil {
+	if deq(d) != nil {
 		t.Error("empty DRR returned a packet")
 	}
 }
@@ -148,13 +197,13 @@ func TestDRREmptyDequeue(t *testing.T) {
 func TestFIFOOrderAndDrops(t *testing.T) {
 	f := NewFIFO(2500)
 	a, b, c := pkt(1000), pkt(1000), pkt(1000)
-	if !f.Enqueue(a) || !f.Enqueue(b) {
+	if !fifoEnq(f, a) || !fifoEnq(f, b) {
 		t.Fatal("enqueue failed")
 	}
-	if f.Enqueue(c) {
+	if fifoEnq(f, c) {
 		t.Error("over-capacity enqueue succeeded")
 	}
-	if f.Dequeue() != a || f.Dequeue() != b || f.Dequeue() != nil {
+	if fifoDeq(f) != a || fifoDeq(f) != b || fifoDeq(f) != nil {
 		t.Error("FIFO order violated")
 	}
 	if f.Bytes() != 0 || f.Len() != 0 {
@@ -164,10 +213,10 @@ func TestFIFOOrderAndDrops(t *testing.T) {
 
 func TestFIFOCountCap(t *testing.T) {
 	f := NewFIFOCount(2)
-	if !f.Enqueue(pkt(10_000)) || !f.Enqueue(pkt(1)) {
+	if !fifoEnq(f, pkt(10_000)) || !fifoEnq(f, pkt(1)) {
 		t.Fatal("packet-count FIFO should ignore sizes")
 	}
-	if f.Enqueue(pkt(1)) {
+	if fifoEnq(f, pkt(1)) {
 		t.Error("third packet should drop")
 	}
 }
@@ -242,10 +291,11 @@ func TestTokenBucketLevel(t *testing.T) {
 
 func BenchmarkDRREnqueueDequeue(b *testing.B) {
 	d := NewDRR(1500, 0, 1<<30)
-	p := pkt(1000)
+	in := []*packet.Packet{pkt(1000)}
+	var out [1]*packet.Packet
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Enqueue(uint64(i%64), p)
-		d.Dequeue()
+		d.EnqueueBulk(uint64(i%64), in, nil)
+		d.DequeueBulk(out[:])
 	}
 }

@@ -11,44 +11,37 @@ import (
 // TestSteadyStateNoAllocs is the dynamic twin of the //tva:hotpath
 // annotations on the event core: once the slab, the buckets and the
 // output queue have reached their working size, send → transmit →
-// deliver across a link allocates nothing, with and without transmit
-// bursts.
+// deliver across a link allocates nothing.
 func TestSteadyStateNoAllocs(t *testing.T) {
-	for _, txBatch := range []int{0, 8} {
-		s := New(1)
-		s.TxBatch = txBatch
-		a, b := s.NewNode("a"), s.NewNode("b")
-		b.Handler = HandlerFunc(func(*packet.Packet, *Iface) {})
-		ia, _ := Connect(a, b, 10_000_000, 10*tvatime.Millisecond, nil, nil)
-		a.SetDefault(ia)
-		// Four back-to-back packets a round, so bursts have something
-		// to collapse; 13.7 ms a round delivers them all and walks the
-		// rounds' events through every bucket during warm-up. The
-		// packets are the test's own, re-sent each round: the pool
-		// (which -race makes lossy) stays out of the count.
-		var pkts [4]*packet.Packet
-		for i := range pkts {
-			pkts[i] = &packet.Packet{Src: 1, Dst: 2, TTL: 64, Size: 1000}
+	s := New(1)
+	a, b := s.NewNode("a"), s.NewNode("b")
+	b.Handler = HandlerFunc(func(*packet.Packet, *Iface) {})
+	ia, _ := Connect(a, b, 10_000_000, 10*tvatime.Millisecond, nil, nil)
+	a.SetDefault(ia)
+	// Four back-to-back packets a round, so the output queue backs up;
+	// 13.7 ms a round delivers them all and walks the rounds' events
+	// through every bucket during warm-up. The packets are the test's
+	// own, re-sent each round: the pool (which -race makes lossy) stays
+	// out of the count.
+	var pkts [4]*packet.Packet
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Src: 1, Dst: 2, TTL: 64, Size: 1000}
+	}
+	round := func() {
+		for _, pkt := range pkts {
+			a.Send(pkt)
 		}
-		round := func() {
-			for _, pkt := range pkts {
-				a.Send(pkt)
-			}
-			s.Run(s.Now().Add(13700 * tvatime.Microsecond))
-		}
-		for i := 0; i < 4*numBuckets; i++ {
-			round()
-		}
-		sent := ia.Stats.SentPkts
-		if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
-			t.Errorf("TxBatch=%d: %.1f allocs per round, want 0", txBatch, allocs)
-		}
-		if ia.Stats.SentPkts-sent < 4*500 {
-			t.Errorf("TxBatch=%d: measured rounds moved %d packets, want %d", txBatch, ia.Stats.SentPkts-sent, 4*500)
-		}
-		if txBatch > 1 && s.TxBurstFill() <= 1 {
-			t.Errorf("TxBatch=%d: burst fill %.2f, bursts never collapsed", txBatch, s.TxBurstFill())
-		}
+		s.Run(s.Now().Add(13700 * tvatime.Microsecond))
+	}
+	for i := 0; i < 4*numBuckets; i++ {
+		round()
+	}
+	sent := ia.Stats.SentPkts
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("%.1f allocs per round, want 0", allocs)
+	}
+	if ia.Stats.SentPkts-sent < 4*500 {
+		t.Errorf("measured rounds moved %d packets, want %d", ia.Stats.SentPkts-sent, 4*500)
 	}
 }
 
@@ -94,9 +87,9 @@ func TestTeardownReturnsPoolToBaseline(t *testing.T) {
 	if got := packet.Live(); got != baseline {
 		t.Errorf("pool gauge %d after Teardown, want baseline %d", got, baseline)
 	}
-	if rb.Stats != stats || rb.FaultDrops.Total() != lost || tva.DropCount() != 0 {
+	if rb.Stats != stats || rb.FaultDrops.Total() != lost || tva.Drops.Total() != 0 {
 		t.Errorf("Teardown moved a counter: stats %+v -> %+v, fault drops %d -> %d, enqueue drops %d",
-			stats, rb.Stats, lost, rb.FaultDrops.Total(), tva.DropCount())
+			stats, rb.Stats, lost, rb.FaultDrops.Total(), tva.Drops.Total())
 	}
 	if s.Step() {
 		t.Error("an event survived Teardown")

@@ -172,15 +172,6 @@ func (q *eventQueue) head() (*eventHeap, int) {
 	return &q.overflow, -1
 }
 
-// peek returns the earliest event without removing it.
-func (q *eventQueue) peek() (event, bool) {
-	if q.len() == 0 {
-		return event{}, false
-	}
-	h, _ := q.head()
-	return (*h)[0], true
-}
-
 // pop removes and returns the earliest event if it is due at or before
 // until.
 //

@@ -9,6 +9,16 @@ import (
 	"tva/internal/tvatime"
 )
 
+// peek returns the earliest event without removing it (the simulator
+// itself only pops).
+func (q *eventQueue) peek() (event, bool) {
+	if q.len() == 0 {
+		return event{}, false
+	}
+	h, _ := q.head()
+	return (*h)[0], true
+}
+
 const (
 	tick   = tvatime.Duration(1) << tickShift
 	window = numBuckets * tick

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 
 	"tva/internal/packet"
-	"tva/internal/sched"
 	"tva/internal/telemetry"
 	"tva/internal/trace"
 	"tva/internal/tvatime"
@@ -133,15 +132,10 @@ func (i *Iface) fault(pkt *packet.Packet, reason telemetry.DropReason) {
 // Flush drains this interface's output queue through the scheduler's
 // pool-clean flush path, attributing every queued packet (including
 // rate-limiter holdovers) to reason and releasing it. It returns the
-// number of packets flushed. Interfaces whose scheduler cannot flush
-// report 0 and keep their queue.
+// number of packets flushed.
 func (i *Iface) Flush(reason telemetry.DropReason) int {
-	fl, ok := i.Sched.(sched.Flusher)
-	if !ok {
-		return 0
-	}
 	n := 0
-	fl.Flush(func(pkt *packet.Packet) {
+	i.Sched.Flush(func(pkt *packet.Packet) {
 		n++
 		i.fault(pkt, reason)
 	})

@@ -8,6 +8,11 @@
 // node's packet handler. Packets occupy the link for size*8/bandwidth
 // and arrive delay later, which reproduces exactly the queueing
 // behaviour the paper's figures depend on.
+//
+// An interface drives its scheduler through the same burst calls the
+// overlay's paced ports use, one packet wide: Send enqueues a batch of
+// one and the transmit loop dequeues into a one-slot array, so both
+// planes run the same queue code.
 package netsim
 
 import (
@@ -25,14 +30,13 @@ import (
 // Sim is the event loop. It is single-goroutine: handlers run inline
 // from Run.
 type Sim struct {
-	now     tvatime.Time
-	queue   eventQueue
-	slab    []payload // what each pending event does, indexed by event.slot
-	free    []uint32  // retired slab slots
-	seq     uint64
-	rng     *rand.Rand
-	horizon tvatime.Time // active Run bound; 0 = no Run in progress
-	ifaces  []*Iface     // every link direction, for Teardown
+	now    tvatime.Time
+	queue  eventQueue
+	slab   []payload // what each pending event does, indexed by event.slot
+	free   []uint32  // retired slab slots
+	seq    uint64
+	rng    *rand.Rand
+	ifaces []*Iface // every link direction, for Teardown
 
 	// Spans, if set, is the flight recorder every lifecycle edge in
 	// this simulation reports to. Attach it before building the
@@ -41,18 +45,9 @@ type Sim struct {
 	// tracing (a single pointer check per edge).
 	Spans *trace.Recorder
 
-	// TxBatch caps how many packets one interface transmit burst may
-	// serve inline (see Iface.txNext). 0 or 1 is the classic
-	// one-event-per-packet loop; larger values collapse quiet-window
-	// transmissions into one event-loop visit without changing any
-	// timestamp, which the same-seed trace-equivalence tests pin.
-	TxBatch int
-
-	// TxBursts/TxBurstPkts count transmit-loop visits that moved at
-	// least one packet and the packets they moved; their ratio is the
-	// burst fill level surfaced as a telemetry gauge.
-	TxBursts    uint64
-	TxBurstPkts uint64
+	// TxBursts counts transmit-loop visits that moved a packet. Each
+	// moves exactly one, so the burst fill gauge reads 1 once any has.
+	TxBursts uint64
 }
 
 // New returns a simulator with a deterministic RNG.
@@ -160,7 +155,7 @@ func (s *Sim) step(until tvatime.Time) bool {
 		p.fn()
 	case evTxDone:
 		p.iface.txComplete(p.pkt)
-		p.iface.txNext(true)
+		p.iface.txNext()
 	case evDeliver:
 		p.iface.arrive(p.pkt)
 	case evRetry:
@@ -170,61 +165,39 @@ func (s *Sim) step(until tvatime.Time) bool {
 }
 
 // Run executes events until the queue empties or the clock passes
-// until. Events scheduled beyond until remain pending. While Run is
-// active its bound is the burst-inlining horizon: transmit bursts may
-// advance the clock inline only across spans Run itself would have
-// stepped through.
+// until. Events scheduled beyond until remain pending.
 func (s *Sim) Run(until tvatime.Time) {
-	prev := s.horizon
-	s.horizon = until
 	for s.step(until) {
 	}
-	s.horizon = prev
 	if s.now < until {
 		s.now = until
 	}
 }
 
-// canInline reports whether an event at time t, if scheduled now,
-// would be the very next event the loop pops — no pending event is at
-// or before t (a same-time event would win the tie on sequence
-// number), and the active Run covers t. When it holds, running the
-// event's body inline with the clock advanced to t is
-// indistinguishable from scheduling it: same state, same timestamps,
-// same event order.
-func (s *Sim) canInline(t tvatime.Time) bool {
-	if s.horizon == 0 || t > s.horizon {
-		return false
-	}
-	ev, ok := s.queue.peek()
-	return !ok || ev.at > t
-}
-
 // Teardown ends the simulation and returns every packet it still owns
 // to the pool: those riding pending transmit and delivery events, and
 // those queued in interface schedulers (flushed uncounted, as
-// sched.Flusher specifies). All pending events are discarded; the Sim
-// must not be run afterwards. Call it once everything the run is
-// asked to report has been read.
+// sched.Scheduler's Flush specifies). All pending events are
+// discarded; the Sim must not be run afterwards. Call it once
+// everything the run is asked to report has been read.
 func (s *Sim) Teardown() {
 	for i := range s.slab {
 		packet.Release(s.slab[i].pkt)
 	}
 	s.slab, s.free, s.queue = nil, nil, eventQueue{}
 	for _, i := range s.ifaces {
-		if fl, ok := i.Sched.(sched.Flusher); ok {
-			fl.Flush(packet.Release)
-		}
+		i.Sched.Flush(packet.Release)
 	}
 }
 
-// TxBurstFill returns the mean packets moved per transmit-loop visit
-// (1.0 when unbatched; up to TxBatch under backlog). Telemetry gauge.
+// TxBurstFill returns the mean packets moved per transmit-loop visit:
+// 0 before the first transmission, 1 after. Telemetry gauge, shared by
+// name with the overlay's send-burst fill.
 func (s *Sim) TxBurstFill() float64 {
 	if s.TxBursts == 0 {
 		return 0
 	}
-	return float64(s.TxBurstPkts) / float64(s.TxBursts)
+	return 1
 }
 
 // Handler processes packets arriving at a node. in is the interface
@@ -380,6 +353,14 @@ type Iface struct {
 	retryPending bool
 	down         bool
 	impair       *Impairment
+
+	// The scheduler's burst operands, built once by Connect so the
+	// per-packet path allocates nothing: the one-slot batch Send
+	// enqueues, the slot txNext dequeues into, and the bound drop
+	// callback.
+	enq    *packet.Batch
+	deq    [1]*packet.Packet
+	dropFn func(*packet.Packet)
 }
 
 // Connect joins two nodes with a full-duplex link. bps and delay apply
@@ -395,6 +376,10 @@ func Connect(a, b *Node, bps int64, delay tvatime.Duration, schedAB, schedBA sch
 	ia := &Iface{Node: a, Bps: bps, Delay: delay, Sched: schedAB, Index: len(a.ifaces), Hop: trace.NoHop}
 	ib := &Iface{Node: b, Bps: bps, Delay: delay, Sched: schedBA, Index: len(b.ifaces), Hop: trace.NoHop}
 	ia.Peer, ib.Peer = ib, ia
+	for _, i := range []*Iface{ia, ib} {
+		i.enq = packet.NewBatch(1)
+		i.dropFn = i.dropped
+	}
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
 	a.Sim.ifaces = append(a.Sim.ifaces, ia, ib)
@@ -410,27 +395,8 @@ func Connect(a, b *Node, bps int64, delay tvatime.Duration, schedAB, schedBA sch
 func (i *Iface) Send(pkt *packet.Packet) {
 	sim := i.Node.Sim
 	pkt.EnqueuedAt = sim.now
-	if !i.Sched.Enqueue(pkt, sim.now) {
-		i.Stats.DroppedPkts++
-		i.Stats.DroppedBytes += uint64(pkt.Size)
-		if i.OnDrop != nil {
-			i.OnDrop(pkt)
-		}
-		var reason telemetry.DropReason
-		if rc, ok := i.Sched.(sched.ReasonCounter); ok {
-			reason = rc.LastDropReason()
-		}
-		if i.Tracer != nil {
-			ev := i.traceEvent(pkt, telemetry.EventDrop)
-			ev.Reason = reason
-			i.Tracer.Record(ev)
-		}
-		if sim.Spans != nil && pkt.TraceID != 0 {
-			sp := i.span(pkt, trace.EdgeDrop)
-			sp.Reason = reason
-			sim.Spans.Record(sp)
-		}
-		packet.Release(pkt)
+	i.enq.Append(pkt)
+	if i.Sched.EnqueueBatch(i.enq, sim.now, i.dropFn) == 0 {
 		return
 	}
 	i.Stats.EnqueuedPkts++
@@ -442,6 +408,30 @@ func (i *Iface) Send(pkt *packet.Packet) {
 		sim.Spans.Record(i.span(pkt, trace.EdgeEnqueue))
 	}
 	i.kick()
+}
+
+// dropped is the scheduler's drop callback for Send: enqueue-drop
+// accounting, the OnDrop hook, the tracer event and span tagged with
+// the scheduler's reason, and the release. It must not call Send: the
+// scheduler is mid-enqueue when it runs.
+func (i *Iface) dropped(pkt *packet.Packet) {
+	i.Stats.DroppedPkts++
+	i.Stats.DroppedBytes += uint64(pkt.Size)
+	if i.OnDrop != nil {
+		i.OnDrop(pkt)
+	}
+	reason := i.Sched.LastDropReason()
+	if i.Tracer != nil {
+		ev := i.traceEvent(pkt, telemetry.EventDrop)
+		ev.Reason = reason
+		i.Tracer.Record(ev)
+	}
+	if sim := i.Node.Sim; sim.Spans != nil && pkt.TraceID != 0 {
+		sp := i.span(pkt, trace.EdgeDrop)
+		sp.Reason = reason
+		sim.Spans.Record(sp)
+	}
+	packet.Release(pkt)
 }
 
 // span builds the flight-recorder span for pkt on this interface.
@@ -477,10 +467,7 @@ func (i *Iface) kick() {
 		return
 	}
 	i.busy = true
-	// Not a tail call: kick runs mid-event (inside an enqueue deep in
-	// some handler's stack), where advancing the clock inline would
-	// corrupt the rest of that event's callback.
-	i.txNext(false)
+	i.txNext()
 }
 
 // retry is the wake-up txNext arms when a rate-limited scheduler holds
@@ -500,69 +487,44 @@ func (i *Iface) txTime(size int) tvatime.Duration {
 	return tvatime.Duration(int64(size) * 8 * int64(tvatime.Second) / i.Bps)
 }
 
-// txNext serves the output queue. One visit transmits up to
-// Sim.TxBatch packets: after a packet's serialization time is
-// computed, its completion normally becomes a txDone event — but when
-// no other event is due first (Sim.canInline), the completion is the
-// event the loop would pop next, so it runs inline with the clock
-// advanced to the completion instant and the loop dequeues the next
-// packet immediately. Every observation (queue delay, tracer events,
-// spans, launch) happens at exactly the virtual time it would have
-// under the one-event-per-packet loop, which is why same-seed batched
-// and unbatched runs produce byte-identical trace dumps.
-//
-// Inlining is only legal when txNext is the last statement of the
-// running event (tail=true, the completion event's own callback). A
-// kick from inside an enqueue is mid-event: code after it would
-// observe the advanced clock and schedule at wrong times.
+// txNext serves the output queue: it dequeues one packet and arms its
+// transmission-complete event, or idles the link — arming a retry when
+// a rate-limited class is the only backlog.
 //
 //tva:hotpath
-func (i *Iface) txNext(tail bool) {
+func (i *Iface) txNext() {
 	sim := i.Node.Sim
-	burst := 0
-	for {
-		if i.down {
-			// The interface stops serving its queue while down;
-			// SetDown(false) kicks the loop back into motion.
-			i.busy = false
-			break
-		}
-		pkt, retry := i.Sched.Dequeue(sim.now)
-		if pkt == nil {
-			i.busy = false
-			if retry > sim.now && !i.retryPending {
-				i.retryPending = true
-				sim.schedule(retry, payload{kind: evRetry, iface: i})
-			}
-			break
-		}
-		if i.QueueDelay != nil {
-			i.QueueDelay.Observe(sim.now.Sub(pkt.EnqueuedAt))
-		}
-		if i.WaitSketch != nil {
-			i.WaitSketch.Observe(int64(sim.now.Sub(pkt.EnqueuedAt)))
-		}
-		if i.Tracer != nil {
-			i.Tracer.Record(i.traceEvent(pkt, telemetry.EventDequeue))
-		}
-		if sim.Spans != nil && pkt.TraceID != 0 {
-			sim.Spans.Record(i.span(pkt, trace.EdgeDequeue))
-		}
-		done := sim.now.Add(i.txTime(pkt.Size))
-		if tail && burst+1 < sim.TxBatch && sim.canInline(done) {
-			sim.now = done
-			i.txComplete(pkt)
-			burst++
-			continue
-		}
-		burst++
-		sim.schedule(done, payload{kind: evTxDone, iface: i, pkt: pkt})
-		break
+	if i.down {
+		// The interface stops serving its queue while down;
+		// SetDown(false) kicks the loop back into motion.
+		i.busy = false
+		return
 	}
-	if burst > 0 {
-		sim.TxBursts++
-		sim.TxBurstPkts += uint64(burst)
+	n, retry := i.Sched.DequeueBatch(i.deq[:], sim.now)
+	if n == 0 {
+		i.busy = false
+		if retry > sim.now && !i.retryPending {
+			i.retryPending = true
+			sim.schedule(retry, payload{kind: evRetry, iface: i})
+		}
+		return
 	}
+	pkt := i.deq[0]
+	i.deq[0] = nil
+	sim.TxBursts++
+	if i.QueueDelay != nil {
+		i.QueueDelay.Observe(sim.now.Sub(pkt.EnqueuedAt))
+	}
+	if i.WaitSketch != nil {
+		i.WaitSketch.Observe(int64(sim.now.Sub(pkt.EnqueuedAt)))
+	}
+	if i.Tracer != nil {
+		i.Tracer.Record(i.traceEvent(pkt, telemetry.EventDequeue))
+	}
+	if sim.Spans != nil && pkt.TraceID != 0 {
+		sim.Spans.Record(i.span(pkt, trace.EdgeDequeue))
+	}
+	sim.schedule(sim.now.Add(i.txTime(pkt.Size)), payload{kind: evTxDone, iface: i, pkt: pkt})
 }
 
 // txComplete finishes one packet's transmission: accounting, the tx

@@ -28,9 +28,9 @@ func smallTVA(maxRegularQueues int) *TVA {
 	})
 }
 
-// TestTVADropAttribution drives every TVA Enqueue drop site and checks
+// TestTVADropAttribution drives every TVA enqueue drop site and checks
 // the drop lands on its reason, is reported by LastDropReason, and is
-// covered by the total (DropCount == Drops.Total()).
+// covered by the total (DropReasons() is Drops, totalling 1).
 func TestTVADropAttribution(t *testing.T) {
 	now := tvatime.Time(0)
 	cases := []struct {
@@ -55,9 +55,9 @@ func TestTVADropAttribution(t *testing.T) {
 			drive: func(t *testing.T, s *TVA) {
 				mustEnqueue(t, s, reqPkt(1, 1000), now)
 				// The 1000-byte request exceeds the bucket burst, so
-				// Dequeue parks it as a holdover and asks for a retry.
-				if pkt, retry := s.Dequeue(now); pkt != nil || retry == 0 {
-					t.Fatalf("Dequeue = (%v, %v), want parked holdover", pkt, retry)
+				// a dequeue parks it as a holdover and asks for a retry.
+				if pkt, retry := dequeue(s, now); pkt != nil || retry == 0 {
+					t.Fatalf("dequeue = (%v, %v), want parked holdover", pkt, retry)
 				}
 				mustEnqueue(t, s, reqPkt(1, 1000), now)
 				mustEnqueue(t, s, reqPkt(1, 1000), now)
@@ -115,12 +115,32 @@ func TestTVADropAttribution(t *testing.T) {
 			if got := s.LastDropReason(); got != tc.reason {
 				t.Errorf("LastDropReason() = %v, want %v", got, tc.reason)
 			}
-			if s.DropCount() != s.Drops.Total() || s.DropCount() != 1 {
-				t.Errorf("DropCount() = %d, Drops.Total() = %d, want both 1",
-					s.DropCount(), s.Drops.Total())
+			if s.DropReasons() != &s.Drops || s.Drops.Total() != 1 {
+				t.Errorf("DropReasons().Total() = %d, Drops.Total() = %d, want both 1",
+					s.DropReasons().Total(), s.Drops.Total())
 			}
 		})
 	}
+}
+
+// TestTVARefusedRegularLeavesNoQueue: a regular packet over the
+// per-destination byte cap, sent to a new destination, must not leave
+// an empty queue that counts against the queue-count bound — or after
+// MaxRegularQueues such packets every new destination would be refused
+// as flow-cache pressure.
+func TestTVARefusedRegularLeavesNoQueue(t *testing.T) {
+	now := tvatime.Time(0)
+	s := NewTVA(TVAConfig{LinkBps: 10_000_000, MaxRegularQueues: 4})
+	for dst := packet.Addr(1); dst <= 4; dst++ {
+		mustDrop(t, s, regPkt(dst, 40_000), now)
+	}
+	if got := s.Drops.Get(telemetry.DropRegularQueueFull); got != 4 {
+		t.Fatalf("regular-queue-full drops = %d, want 4 (all: %v)", got, dropMap(&s.Drops))
+	}
+	if s.RegularQueues() != 0 {
+		t.Fatalf("RegularQueues() = %d after refused packets, want 0", s.RegularQueues())
+	}
+	mustEnqueue(t, s, regPkt(99, 100), now)
 }
 
 // TestQueueDropReasonClassification covers the shared FIFO
@@ -144,7 +164,7 @@ func TestQueueDropReasonClassification(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewDropTailPkts(1)
 			mustEnqueue(t, s, legPkt(100), now)
-			if s.Enqueue(tc.pkt, now) {
+			if enqueue(s, tc.pkt, now) {
 				t.Fatal("enqueue into a full FIFO succeeded")
 			}
 			if got := s.Drops.Get(tc.reason); got != 1 {
@@ -164,10 +184,10 @@ func TestSIFFDropAttribution(t *testing.T) {
 	s := NewSIFF(1, 1)
 	mustEnqueue(t, s, regPkt(7, 100), now)
 	mustEnqueue(t, s, legPkt(100), now)
-	if s.Enqueue(regPkt(7, 100), now) {
+	if enqueue(s, regPkt(7, 100), now) {
 		t.Fatal("high-priority FIFO should be full")
 	}
-	if s.Enqueue(demotedPkt(100), now) {
+	if enqueue(s, demotedPkt(100), now) {
 		t.Fatal("low-priority FIFO should be full")
 	}
 	if got := s.Drops.Get(telemetry.DropRegularQueueFull); got != 1 {
@@ -176,21 +196,21 @@ func TestSIFFDropAttribution(t *testing.T) {
 	if got := s.Drops.Get(telemetry.DropDemoted); got != 1 {
 		t.Errorf("demoted drops = %d, want 1", got)
 	}
-	if s.DropCount() != 2 {
-		t.Errorf("DropCount() = %d, want 2", s.DropCount())
+	if s.DropReasons().Total() != 2 {
+		t.Errorf("DropReasons().Total() = %d, want 2", s.DropReasons().Total())
 	}
 }
 
 func mustEnqueue(t *testing.T, s Scheduler, pkt *packet.Packet, now tvatime.Time) {
 	t.Helper()
-	if !s.Enqueue(pkt, now) {
+	if !enqueue(s, pkt, now) {
 		t.Fatal("setup enqueue dropped unexpectedly")
 	}
 }
 
 func mustDrop(t *testing.T, s Scheduler, pkt *packet.Packet, now tvatime.Time) {
 	t.Helper()
-	if s.Enqueue(pkt, now) {
+	if enqueue(s, pkt, now) {
 		t.Fatal("enqueue succeeded, want drop")
 	}
 }

@@ -54,78 +54,89 @@ func samePacket(a, b *packet.Packet) bool {
 	return a.Src == b.Src && a.Dst == b.Dst && a.Size == b.Size && a.Class == b.Class
 }
 
-// testBatchEquivalence drives the same workload through per-packet and
-// batched paths of two identically configured schedulers and requires
-// identical admission, drop attribution, service order, and retry
-// behavior.
-func testBatchEquivalence(t *testing.T, name string, mk func() Scheduler) {
+// testWidthInvariance feeds one seeded workload to two identically
+// configured schedulers: side A one packet at a time in both
+// directions, as the simulator's interfaces drive them; side B whole
+// bursts in and random dst widths out, as the overlay's ports do. The
+// clock advances between rounds so the request rate limiter both
+// blocks and refills, and bursts outpace drains so every queue bound
+// is hit. Admission, drop order and reasons, service order
+// and the retry time must match.
+func testWidthInvariance(t *testing.T, name string, mk func() Scheduler) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
-	single := mk()
-	batched := mk().(BatchScheduler)
+	a, b := mk(), mk()
 	now := tvatime.FromSeconds(1)
+	var aDrops, bDrops []*packet.Packet
+	aDrop := func(p *packet.Packet) { aDrops = append(aDrops, p) }
+	bDrop := func(p *packet.Packet) { bDrops = append(bDrops, p) }
+	one := packet.NewBatch(1)
 
-	for round := 0; round < 40; round++ {
-		work := mkWorkload(rng, 1+rng.Intn(12))
+	for round := 0; round < 200; round++ {
+		step := tvatime.Duration(rng.Intn(3)) * tvatime.Millisecond
+		if rng.Intn(8) == 0 {
+			step = 100 * tvatime.Millisecond // refill the request bucket
+		}
+		now = now.Add(step)
+		work := mkWorkload(rng, 1+rng.Intn(24))
 		mine := clonePkts(work)
 
-		wantAcc := 0
-		var wantDrops []*packet.Packet
+		aDrops, bDrops = aDrops[:0], bDrops[:0]
+		aAcc := 0
 		for _, p := range work {
-			if single.Enqueue(p, now) {
-				wantAcc++
-			} else {
-				wantDrops = append(wantDrops, p)
-			}
+			one.Append(p)
+			aAcc += a.EnqueueBatch(one, now, aDrop)
 		}
-		b := packet.NewBatch(len(mine))
+		burst := packet.NewBatch(len(mine))
 		for _, p := range mine {
-			b.Append(p)
+			burst.Append(p)
 		}
-		var gotDrops []*packet.Packet
-		gotAcc := batched.EnqueueBatch(b, now, func(p *packet.Packet) { gotDrops = append(gotDrops, p) })
-		if b.Len() != 0 {
+		bAcc := b.EnqueueBatch(burst, now, bDrop)
+		if burst.Len() != 0 || one.Len() != 0 {
 			t.Fatalf("%s round %d: batch not cleared after EnqueueBatch", name, round)
 		}
-		if wantAcc != gotAcc || len(wantDrops) != len(gotDrops) {
-			t.Fatalf("%s round %d: accepted %d/%d drops %d/%d", name, round, wantAcc, gotAcc, len(wantDrops), len(gotDrops))
+		if aAcc != bAcc || len(aDrops) != len(bDrops) {
+			t.Fatalf("%s round %d: accepted %d/%d drops %d/%d", name, round, aAcc, bAcc, len(aDrops), len(bDrops))
 		}
-		for i := range wantDrops {
-			if !samePacket(wantDrops[i], gotDrops[i]) {
-				t.Fatalf("%s round %d drop %d: %+v vs %+v", name, round, i, wantDrops[i], gotDrops[i])
+		for i := range aDrops {
+			if !samePacket(aDrops[i], bDrops[i]) {
+				t.Fatalf("%s round %d drop %d: %+v vs %+v", name, round, i, aDrops[i], bDrops[i])
 			}
+		}
+		if a.LastDropReason() != b.LastDropReason() {
+			t.Fatalf("%s round %d: last drop reason %v vs %v", name, round, a.LastDropReason(), b.LastDropReason())
 		}
 
 		dst := make([]*packet.Packet, rng.Intn(10))
-		got, gotRetry := batched.DequeueBatch(dst, now)
-		for i := 0; i < got; i++ {
-			want, _ := single.Dequeue(now)
-			if want == nil || !samePacket(want, dst[i]) {
-				t.Fatalf("%s round %d pos %d: batched %+v != single %+v", name, round, i, dst[i], want)
+		got, bRetry := b.DequeueBatch(dst, now)
+		for i := range dst {
+			var slot [1]*packet.Packet
+			n, aRetry := a.DequeueBatch(slot[:], now)
+			if (i < got) != (n == 1) {
+				t.Fatalf("%s round %d pos %d: width-%d call wrote %d, one-slot call wrote %d", name, round, i, len(dst), got, n)
+			}
+			if n == 0 {
+				if got == 0 && aRetry != bRetry {
+					t.Fatalf("%s round %d: retry %v vs %v", name, round, aRetry, bRetry)
+				}
+				break
+			}
+			if !samePacket(slot[0], dst[i]) {
+				t.Fatalf("%s round %d pos %d: one-slot %+v != width-%d %+v", name, round, i, slot[0], len(dst), dst[i])
 			}
 		}
-		if got < len(dst) {
-			extra, wantRetry := single.Dequeue(now)
-			if extra != nil {
-				t.Fatalf("%s round %d: batched drained at %d, single still has %+v", name, round, got, extra)
-			}
-			if got == 0 && wantRetry != gotRetry {
-				t.Fatalf("%s round %d: retry %v vs %v", name, round, gotRetry, wantRetry)
-			}
-		}
-		if single.Len() != batched.(Scheduler).Len() {
-			t.Fatalf("%s round %d: Len %d vs %d", name, round, single.Len(), batched.(Scheduler).Len())
+		if a.Len() != b.Len() {
+			t.Fatalf("%s round %d: Len %d vs %d", name, round, a.Len(), b.Len())
 		}
 	}
 
-	sd, bd := single.(ReasonCounter).DropReasons(), batched.(ReasonCounter).DropReasons()
-	if *sd != *bd {
-		t.Fatalf("%s: drop attribution diverges:\n single  %v\n batched %v", name, sd, bd)
+	if ad, bd := a.DropReasons(), b.DropReasons(); *ad != *bd {
+		t.Fatalf("%s: drop attribution diverges:\n one-wide %v\n bursts   %v", name, ad, bd)
 	}
 }
 
-func TestBatchEquivalenceTVA(t *testing.T) {
-	testBatchEquivalence(t, "tva", func() Scheduler {
+func TestWidthInvarianceTVA(t *testing.T) {
+	testWidthInvariance(t, "tva", func() Scheduler {
 		return NewTVA(TVAConfig{
 			LinkBps:           10_000_000,
 			RequestFraction:   0.05,
@@ -138,17 +149,17 @@ func TestBatchEquivalenceTVA(t *testing.T) {
 	})
 }
 
-func TestBatchEquivalenceDropTail(t *testing.T) {
-	testBatchEquivalence(t, "droptail", func() Scheduler { return NewDropTail(16 * 1024) })
+func TestWidthInvarianceDropTail(t *testing.T) {
+	testWidthInvariance(t, "droptail", func() Scheduler { return NewDropTail(16 * 1024) })
 }
 
-func TestBatchEquivalenceSIFF(t *testing.T) {
-	testBatchEquivalence(t, "siff", func() Scheduler { return NewSIFF(20, 10) })
+func TestWidthInvarianceSIFF(t *testing.T) {
+	testWidthInvariance(t, "siff", func() Scheduler { return NewSIFF(20, 10) })
 }
 
 // TestTVADequeueBatchRetry pins the rate-limit retry contract: a burst
 // of requests beyond the token allowance dequeues partially, and once
-// nothing is serviceable the retry time matches per-packet Dequeue.
+// nothing is serviceable the call returns a retry time in the future.
 func TestTVADequeueBatchRetry(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 1_000_000, RequestFraction: 0.01, Quantum: 1500, RequestQueueBytes: 32 * 1024})
 	now := tvatime.FromSeconds(0)

@@ -3,6 +3,12 @@
 // schedulers the evaluation needs: TVA's three-class hierarchy
 // (Fig. 2), SIFF's two-level priority queue, and a plain drop-tail FIFO
 // for the legacy Internet.
+//
+// Each scheduler has one enqueue and one dequeue, both burst-shaped.
+// The simulator drives them one packet at a time and the overlay a
+// whole burst at a time, so both planes run the same queue code. Within
+// an EnqueueBatch, packets that share a class and fair-queuing key go
+// through the fq bulk paths as one run.
 package sched
 
 import (
@@ -13,41 +19,74 @@ import (
 	"tva/internal/tvatime"
 )
 
-// Scheduler is a link output queue. Enqueue classifies and stores a
-// packet (false = dropped). Dequeue returns the next packet to
-// transmit; when it returns nil with a non-zero time, the link should
-// retry at that time (a rate-limited class is the only backlog).
+// Scheduler is a link output queue. Both queue operations run at a
+// single instant (now does not advance within a call), and their
+// outcome does not depend on the burst width: enqueueing a burst in
+// one call or packet by packet admits and drops the same packets for
+// the same reasons, and draining into one large dst or many one-slot
+// ones yields the same service order.
 type Scheduler interface {
-	Enqueue(pkt *packet.Packet, now tvatime.Time) bool
-	Dequeue(now tvatime.Time) (*packet.Packet, tvatime.Time)
+	// EnqueueBatch classifies and stores every occupied slot of b in
+	// order. Ownership of every packet leaves the batch: accepted
+	// packets belong to the scheduler; each refused one is counted in
+	// DropReasons, recorded as LastDropReason, and then handed to
+	// onDrop, in order (the caller's drop-accounting + pool-release
+	// path; it must not enqueue into this scheduler). All slots are
+	// cleared. Returns the number accepted.
+	EnqueueBatch(b *packet.Batch, now tvatime.Time, onDrop func(*packet.Packet)) int
+	// DequeueBatch fills dst with up to len(dst) packets to transmit.
+	// When it returns 0 packets and a non-zero time, a rate-limited
+	// class is the only backlog and the link should retry at that time.
+	DequeueBatch(dst []*packet.Packet, now tvatime.Time) (int, tvatime.Time)
+	// Len returns the number of queued packets.
 	Len() int
-}
-
-// DropCounter is implemented by schedulers that track drops.
-type DropCounter interface {
-	DropCount() uint64
-}
-
-// Flusher is implemented by schedulers whose queue state can be torn
-// down cleanly (router restart, link removal). Flush must hand every
-// queued packet — including any internally parked state such as a
-// rate-limiter holdover — to release exactly once, so the owner can
-// attribute the loss and return pooled packets to the pool. Flushed
-// packets are NOT counted as enqueue drops: the scheduler accepted
-// them, the fault discarded them, so the fault's owner accounts them.
-type Flusher interface {
+	// Flush tears the queue state down (router restart, link removal),
+	// handing every queued packet — including any internally parked
+	// state such as a rate-limiter holdover — to release exactly once,
+	// so the owner can attribute the loss and return pooled packets to
+	// the pool. Flushed packets are NOT counted as enqueue drops: the
+	// scheduler accepted them, the fault discarded them, so the fault's
+	// owner accounts them.
 	Flush(release func(*packet.Packet))
-}
-
-// ReasonCounter is implemented by schedulers that attribute every drop
-// to a telemetry.DropReason. DropReasons exposes the per-reason
-// counters; LastDropReason reports why the most recent Enqueue
-// returned false, so a caller (e.g. a simulated interface with a
-// tracer) can tag the drop event without re-deriving the reason.
-type ReasonCounter interface {
+	// DropReasons exposes the per-reason enqueue drop counters.
 	DropReasons() *telemetry.DropCounters
+	// LastDropReason reports why the most recently refused packet was
+	// dropped.
 	LastDropReason() telemetry.DropReason
 }
+
+// dropAcct is the drop accounting every scheduler embeds. The drop
+// callbacks each constructor hands to the fq bulk paths are built once
+// there and end in drop, so EnqueueBatch allocates nothing per burst.
+type dropAcct struct {
+	// Drops attributes every dropped packet to a reason.
+	Drops    telemetry.DropCounters
+	lastDrop telemetry.DropReason
+	// Flows, when non-nil, receives per-sender drop attribution (may be
+	// attached after construction; nil costs one branch per drop).
+	Flows *flowstats.Collector
+
+	// onDrop is the caller's callback for the EnqueueBatch in progress.
+	onDrop func(*packet.Packet)
+	// fifoDrop is the FIFO drop callback the constructor builds.
+	fifoDrop func(*packet.Packet)
+}
+
+// drop attributes pkt's refusal to r and hands it to the caller.
+//
+//tva:hotpath
+func (a *dropAcct) drop(pkt *packet.Packet, r telemetry.DropReason) {
+	a.lastDrop = r
+	a.Drops.Inc(r)
+	a.Flows.Drop(pkt)
+	a.onDrop(pkt)
+}
+
+// DropReasons implements Scheduler.
+func (a *dropAcct) DropReasons() *telemetry.DropCounters { return &a.Drops }
+
+// LastDropReason implements Scheduler.
+func (a *dropAcct) LastDropReason() telemetry.DropReason { return a.lastDrop }
 
 // queueDropReason classifies a FIFO tail-drop by what the packet was:
 // demoted packets (§3.8) are reported separately from packets that
@@ -69,70 +108,48 @@ func queueDropReason(pkt *packet.Packet) telemetry.DropReason {
 }
 
 // DropTail is a single FIFO for all classes: the legacy Internet
-// router, and also host egress queues.
+// router, and also host egress queues. Its drops are classified by
+// what the packet was, since a shared FIFO has no classes of its own.
 type DropTail struct {
 	q *fq.FIFO
-
-	// Drops counts tail drops by reason (classified by what the packet
-	// was, since a shared FIFO has no classes of its own).
-	Drops    telemetry.DropCounters
-	lastDrop telemetry.DropReason
-	// Flows, when non-nil, receives per-sender drop attribution (may be
-	// attached after construction; nil costs one branch per drop).
-	Flows *flowstats.Collector
-
-	batchDrops
+	dropAcct
 }
 
 // NewDropTail returns a FIFO scheduler with the given byte capacity.
-func NewDropTail(capBytes int) *DropTail {
-	s := &DropTail{q: fq.NewFIFO(capBytes)}
-	s.initBatchDrops(&s.lastDrop, &s.Flows, queueDropReason)
-	return s
-}
+func NewDropTail(capBytes int) *DropTail { return newDropTail(fq.NewFIFO(capBytes)) }
 
 // NewDropTailPkts returns a FIFO scheduler bounded by packet count,
 // matching ns-2's drop-tail queues (uniform per-packet loss).
-func NewDropTailPkts(capPkts int) *DropTail {
-	s := &DropTail{q: fq.NewFIFOCount(capPkts)}
-	s.initBatchDrops(&s.lastDrop, &s.Flows, queueDropReason)
+func NewDropTailPkts(capPkts int) *DropTail { return newDropTail(fq.NewFIFOCount(capPkts)) }
+
+func newDropTail(q *fq.FIFO) *DropTail {
+	s := &DropTail{q: q}
+	s.fifoDrop = func(p *packet.Packet) { s.drop(p, queueDropReason(p)) }
 	return s
 }
 
-// Enqueue implements Scheduler.
+// EnqueueBatch implements Scheduler.
 //
 //tva:hotpath
-func (s *DropTail) Enqueue(pkt *packet.Packet, _ tvatime.Time) bool {
-	if !s.q.Enqueue(pkt) {
-		s.lastDrop = queueDropReason(pkt)
-		s.Drops.Inc(s.lastDrop)
-		s.Flows.Drop(pkt)
-		return false
-	}
-	return true
+func (s *DropTail) EnqueueBatch(b *packet.Batch, _ tvatime.Time, onDrop func(*packet.Packet)) int {
+	s.onDrop = onDrop
+	accepted := s.q.EnqueueBulk(b.Pkts(), s.fifoDrop)
+	b.Reset()
+	return accepted
 }
 
-// Dequeue implements Scheduler.
+// DequeueBatch implements Scheduler.
 //
 //tva:hotpath
-func (s *DropTail) Dequeue(_ tvatime.Time) (*packet.Packet, tvatime.Time) {
-	return s.q.Dequeue(), 0
+func (s *DropTail) DequeueBatch(dst []*packet.Packet, _ tvatime.Time) (int, tvatime.Time) {
+	return s.q.DequeueBulk(dst), 0
 }
 
 // Len implements Scheduler.
 func (s *DropTail) Len() int { return s.q.Len() }
 
-// Flush implements Flusher.
+// Flush implements Scheduler.
 func (s *DropTail) Flush(release func(*packet.Packet)) { s.q.Flush(release) }
-
-// DropCount implements DropCounter.
-func (s *DropTail) DropCount() uint64 { return s.Drops.Total() }
-
-// DropReasons implements ReasonCounter.
-func (s *DropTail) DropReasons() *telemetry.DropCounters { return &s.Drops }
-
-// LastDropReason implements ReasonCounter.
-func (s *DropTail) LastDropReason() telemetry.DropReason { return s.lastDrop }
 
 // TVAConfig parameterizes the TVA link scheduler.
 type TVAConfig struct {
@@ -208,21 +225,20 @@ type TVA struct {
 	// waiting for rate-limit tokens.
 	holdover *packet.Packet
 
-	// Drops attributes every dropped packet to a reason.
-	Drops    telemetry.DropCounters
-	lastDrop telemetry.DropReason
-	// Flows, when non-nil, receives per-sender drop attribution (may be
-	// attached after construction; nil costs one branch per drop).
-	Flows *flowstats.Collector
-
-	batchDrops
-	// Per-class drop closures for the fq bulk paths, built once here
+	dropAcct
+	// Per-class drop callbacks for the DRR bulk paths, built once here
 	// so EnqueueBatch allocates nothing per burst.
 	reqDropFn func(*packet.Packet, fq.EnqueueResult)
 	regDropFn func(*packet.Packet, fq.EnqueueResult)
 }
 
-// NewTVA returns a TVA link scheduler.
+// NewTVA returns a TVA link scheduler. Every drop is attributed:
+// request drops to the rate limiter when it is what's backing the
+// class up (a holdover is parked waiting for tokens) or to the
+// per-path queue bound otherwise; regular drops to the per-destination
+// byte cap or, when the queue-count bound (derived from the flow-cache
+// size, §3.9) is hit, to flow-cache pressure; legacy drops to demotion
+// (§3.8) or plain legacy overflow.
 func NewTVA(cfg TVAConfig) *TVA {
 	cfg.fillDefaults()
 	reqRate := int64(float64(cfg.LinkBps) * cfg.RequestFraction)
@@ -235,33 +251,26 @@ func NewTVA(cfg TVAConfig) *TVA {
 		// links too harshly while staying near the configured rate.
 		bucket: fq.NewTokenBucket(reqRate, 3*cfg.Quantum),
 	}
-	s.initBatchDrops(&s.lastDrop, &s.Flows, func(pkt *packet.Packet) telemetry.DropReason {
-		if pkt.Hdr != nil && pkt.Hdr.Demoted {
-			return telemetry.DropDemoted
-		}
-		return telemetry.DropLegacyQueueFull
-	})
-	s.reqDropFn = func(p *packet.Packet, _ fq.EnqueueResult) {
-		// Same attribution rule as Enqueue: when a holdover is parked
-		// at the rate limiter, that is what's backing the class up.
-		if s.holdover != nil {
-			s.lastDrop = telemetry.DropRequestRateLimited
+	s.fifoDrop = func(p *packet.Packet) {
+		if p.Hdr != nil && p.Hdr.Demoted {
+			s.drop(p, telemetry.DropDemoted)
 		} else {
-			s.lastDrop = telemetry.DropRequestQueueFull
+			s.drop(p, telemetry.DropLegacyQueueFull)
 		}
-		s.burst.Inc(s.lastDrop)
-		s.Flows.Drop(p)
-		s.batchOnDrop(p)
+	}
+	s.reqDropFn = func(p *packet.Packet, _ fq.EnqueueResult) {
+		if s.holdover != nil {
+			s.drop(p, telemetry.DropRequestRateLimited)
+		} else {
+			s.drop(p, telemetry.DropRequestQueueFull)
+		}
 	}
 	s.regDropFn = func(p *packet.Packet, res fq.EnqueueResult) {
 		if res == fq.EnqDropNoQueue {
-			s.lastDrop = telemetry.DropFlowCachePressure
+			s.drop(p, telemetry.DropFlowCachePressure)
 		} else {
-			s.lastDrop = telemetry.DropRegularQueueFull
+			s.drop(p, telemetry.DropRegularQueueFull)
 		}
-		s.burst.Inc(s.lastDrop)
-		s.Flows.Drop(p)
-		s.batchOnDrop(p)
 	}
 	return s
 }
@@ -276,92 +285,90 @@ func requestKey(pkt *packet.Packet) uint64 {
 	return uint64(pkt.Hdr.Request.PathIDs[len(pkt.Hdr.Request.PathIDs)-1])
 }
 
-// Enqueue implements Scheduler, classifying on pkt.Class (assigned by
-// router capability processing). Every drop is attributed: request
-// drops to the rate limiter when it is what's backing the class up
-// (a holdover is parked waiting for tokens) or to the per-path queue
-// bound otherwise; regular drops to the per-destination byte cap or,
-// when the queue-count bound (derived from the flow-cache size, §3.9)
-// is hit, to flow-cache pressure; legacy drops to demotion (§3.8) or
-// plain legacy overflow.
+// EnqueueBatch implements Scheduler, classifying on pkt.Class
+// (assigned by router capability processing). The burst is split into
+// maximal runs that share a class and fair-queuing key (path-id tag
+// for requests, destination for regular traffic, the one legacy FIFO
+// for the rest), and each run goes through the fq bulk path.
 //
 //tva:hotpath
-func (s *TVA) Enqueue(pkt *packet.Packet, _ tvatime.Time) bool {
-	switch pkt.Class {
-	case packet.ClassRequest:
-		if s.request.Enqueue(requestKey(pkt), pkt) != fq.EnqOK {
-			if s.holdover != nil {
-				s.drop(pkt, telemetry.DropRequestRateLimited)
-			} else {
-				s.drop(pkt, telemetry.DropRequestQueueFull)
+func (s *TVA) EnqueueBatch(b *packet.Batch, _ tvatime.Time, onDrop func(*packet.Packet)) int {
+	s.onDrop = onDrop
+	accepted := 0
+	pkts := b.Pkts()
+	for i := 0; i < len(pkts); {
+		pkt := pkts[i]
+		if pkt == nil {
+			i++
+			continue
+		}
+		j := i + 1
+		switch pkt.Class {
+		case packet.ClassRequest:
+			key := requestKey(pkt)
+			for j < len(pkts) && pkts[j] != nil &&
+				pkts[j].Class == packet.ClassRequest && requestKey(pkts[j]) == key {
+				j++
 			}
-			return false
-		}
-	case packet.ClassRegular:
-		switch s.regular.Enqueue(uint64(pkt.Dst), pkt) {
-		case fq.EnqDropQueueFull:
-			s.drop(pkt, telemetry.DropRegularQueueFull)
-			return false
-		case fq.EnqDropNoQueue:
-			s.drop(pkt, telemetry.DropFlowCachePressure)
-			return false
-		}
-	default:
-		if !s.legacy.Enqueue(pkt) {
-			if pkt.Hdr != nil && pkt.Hdr.Demoted {
-				s.drop(pkt, telemetry.DropDemoted)
-			} else {
-				s.drop(pkt, telemetry.DropLegacyQueueFull)
+			accepted += s.request.EnqueueBulk(key, pkts[i:j], s.reqDropFn)
+		case packet.ClassRegular:
+			for j < len(pkts) && pkts[j] != nil &&
+				pkts[j].Class == packet.ClassRegular && pkts[j].Dst == pkt.Dst {
+				j++
 			}
-			return false
+			accepted += s.regular.EnqueueBulk(uint64(pkt.Dst), pkts[i:j], s.regDropFn)
+		default:
+			for j < len(pkts) && pkts[j] != nil &&
+				pkts[j].Class != packet.ClassRequest && pkts[j].Class != packet.ClassRegular {
+				j++
+			}
+			accepted += s.legacy.EnqueueBulk(pkts[i:j], s.fifoDrop)
 		}
+		i = j
 	}
-	return true
+	b.Reset()
+	return accepted
 }
 
-//tva:hotpath
-func (s *TVA) drop(pkt *packet.Packet, r telemetry.DropReason) {
-	s.lastDrop = r
-	s.Drops.Inc(r)
-	s.Flows.Drop(pkt)
-}
-
-// Dequeue implements Scheduler: requests first (within their rate
-// ceiling), then regular packets, then legacy.
+// DequeueBatch implements Scheduler: requests while the rate limit
+// allows, then regular runs, then legacy. Once the request arm blocks
+// at a given now it stays blocked: the token bucket only refills as
+// time advances and no request can arrive mid-call, so serving the
+// remaining classes in bulk cannot reorder anything relative to
+// one-slot calls.
 //
 //tva:hotpath
-func (s *TVA) Dequeue(now tvatime.Time) (*packet.Packet, tvatime.Time) {
-	// Serve a request if the rate limit allows.
-	if s.holdover == nil && s.request.Len() > 0 {
-		s.holdover = s.request.Dequeue()
-	}
-	if s.holdover != nil && s.bucket.Allow(s.holdover.Size, now) {
-		pkt := s.holdover
+func (s *TVA) DequeueBatch(dst []*packet.Packet, now tvatime.Time) (int, tvatime.Time) {
+	n := 0
+	for n < len(dst) {
+		if s.holdover == nil && s.request.Len() > 0 {
+			var next [1]*packet.Packet
+			s.request.DequeueBulk(next[:])
+			s.holdover = next[0]
+		}
+		if s.holdover == nil || !s.bucket.Allow(s.holdover.Size, now) {
+			break
+		}
+		dst[n] = s.holdover
 		s.holdover = nil
-		return pkt, 0
+		n++
 	}
-	if pkt := s.regular.Dequeue(); pkt != nil {
-		return pkt, 0
+	if n < len(dst) {
+		n += s.regular.DequeueBulk(dst[n:])
 	}
-	if pkt := s.legacy.Dequeue(); pkt != nil {
-		return pkt, 0
+	if n < len(dst) {
+		n += s.legacy.DequeueBulk(dst[n:])
 	}
-	if s.holdover != nil {
-		return nil, s.bucket.When(s.holdover.Size, now)
+	if n == 0 && s.holdover != nil {
+		return 0, s.bucket.When(s.holdover.Size, now)
 	}
-	return nil, 0
+	return n, 0
 }
 
 // Len implements Scheduler.
-func (s *TVA) Len() int {
-	n := s.request.Len() + s.regular.Len() + s.legacy.Len()
-	if s.holdover != nil {
-		n++
-	}
-	return n
-}
+func (s *TVA) Len() int { return s.RequestBacklog() + s.regular.Len() + s.legacy.Len() }
 
-// Flush implements Flusher: all three classes and the rate-limiter
+// Flush implements Scheduler: all three classes and the rate-limiter
 // holdover are drained, so a restarted router's link starts empty.
 func (s *TVA) Flush(release func(*packet.Packet)) {
 	if s.holdover != nil {
@@ -372,15 +379,6 @@ func (s *TVA) Flush(release func(*packet.Packet)) {
 	s.regular.Flush(release)
 	s.legacy.Flush(release)
 }
-
-// DropCount implements DropCounter.
-func (s *TVA) DropCount() uint64 { return s.Drops.Total() }
-
-// DropReasons implements ReasonCounter.
-func (s *TVA) DropReasons() *telemetry.DropCounters { return &s.Drops }
-
-// LastDropReason implements ReasonCounter.
-func (s *TVA) LastDropReason() telemetry.DropReason { return s.lastDrop }
 
 // LegacyDrops exposes drops in the legacy class (used in tests).
 func (s *TVA) LegacyDrops() uint64 {
@@ -416,15 +414,7 @@ func (s *TVA) TokenLevel(now tvatime.Time) float64 { return s.bucket.Level(now) 
 type SIFF struct {
 	high *fq.FIFO
 	low  *fq.FIFO
-
-	// Drops attributes every dropped packet to a reason.
-	Drops    telemetry.DropCounters
-	lastDrop telemetry.DropReason
-	// Flows, when non-nil, receives per-sender drop attribution (may be
-	// attached after construction; nil costs one branch per drop).
-	Flows *flowstats.Collector
-
-	batchDrops
+	dropAcct
 }
 
 // NewSIFF returns a SIFF scheduler with the given per-class packet
@@ -437,52 +427,57 @@ func NewSIFF(highPkts, lowPkts int) *SIFF {
 		lowPkts = 50
 	}
 	s := &SIFF{high: fq.NewFIFOCount(highPkts), low: fq.NewFIFOCount(lowPkts)}
-	s.initBatchDrops(&s.lastDrop, &s.Flows, queueDropReason)
+	s.fifoDrop = func(p *packet.Packet) { s.drop(p, queueDropReason(p)) }
 	return s
 }
 
-// Enqueue implements Scheduler.
+// EnqueueBatch implements Scheduler.
 //
 //tva:hotpath
-func (s *SIFF) Enqueue(pkt *packet.Packet, _ tvatime.Time) bool {
-	var ok bool
-	if pkt.Class == packet.ClassRegular {
-		ok = s.high.Enqueue(pkt)
-	} else {
-		ok = s.low.Enqueue(pkt)
+func (s *SIFF) EnqueueBatch(b *packet.Batch, _ tvatime.Time, onDrop func(*packet.Packet)) int {
+	s.onDrop = onDrop
+	accepted := 0
+	pkts := b.Pkts()
+	for i := 0; i < len(pkts); {
+		pkt := pkts[i]
+		if pkt == nil {
+			i++
+			continue
+		}
+		j := i + 1
+		if pkt.Class == packet.ClassRegular {
+			for j < len(pkts) && pkts[j] != nil && pkts[j].Class == packet.ClassRegular {
+				j++
+			}
+			accepted += s.high.EnqueueBulk(pkts[i:j], s.fifoDrop)
+		} else {
+			for j < len(pkts) && pkts[j] != nil && pkts[j].Class != packet.ClassRegular {
+				j++
+			}
+			accepted += s.low.EnqueueBulk(pkts[i:j], s.fifoDrop)
+		}
+		i = j
 	}
-	if !ok {
-		s.lastDrop = queueDropReason(pkt)
-		s.Drops.Inc(s.lastDrop)
-		s.Flows.Drop(pkt)
-	}
-	return ok
+	b.Reset()
+	return accepted
 }
 
-// Dequeue implements Scheduler.
+// DequeueBatch implements Scheduler.
 //
 //tva:hotpath
-func (s *SIFF) Dequeue(_ tvatime.Time) (*packet.Packet, tvatime.Time) {
-	if pkt := s.high.Dequeue(); pkt != nil {
-		return pkt, 0
+func (s *SIFF) DequeueBatch(dst []*packet.Packet, _ tvatime.Time) (int, tvatime.Time) {
+	n := s.high.DequeueBulk(dst)
+	if n < len(dst) {
+		n += s.low.DequeueBulk(dst[n:])
 	}
-	return s.low.Dequeue(), 0
+	return n, 0
 }
 
 // Len implements Scheduler.
 func (s *SIFF) Len() int { return s.high.Len() + s.low.Len() }
 
-// Flush implements Flusher.
+// Flush implements Scheduler.
 func (s *SIFF) Flush(release func(*packet.Packet)) {
 	s.high.Flush(release)
 	s.low.Flush(release)
 }
-
-// DropCount implements DropCounter.
-func (s *SIFF) DropCount() uint64 { return s.Drops.Total() }
-
-// DropReasons implements ReasonCounter.
-func (s *SIFF) DropReasons() *telemetry.DropCounters { return &s.Drops }
-
-// LastDropReason implements ReasonCounter.
-func (s *SIFF) LastDropReason() telemetry.DropReason { return s.lastDrop }

@@ -24,22 +24,38 @@ func legPkt(size int) *packet.Packet {
 	return &packet.Packet{Size: size, Class: packet.ClassLegacy}
 }
 
+// enqueue offers pkt as a one-packet burst, the way the simulator's
+// interfaces do, and reports whether it was admitted.
+func enqueue(s Scheduler, pkt *packet.Packet, now tvatime.Time) bool {
+	b := packet.NewBatch(1)
+	b.Append(pkt)
+	return s.EnqueueBatch(b, now, func(*packet.Packet) {}) == 1
+}
+
+// dequeue takes the next packet through a one-slot DequeueBatch; with
+// nothing to send it returns nil and the retry time.
+func dequeue(s Scheduler, now tvatime.Time) (*packet.Packet, tvatime.Time) {
+	var one [1]*packet.Packet
+	_, retry := s.DequeueBatch(one[:], now)
+	return one[0], retry
+}
+
 func TestTVAClassPriority(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RequestFraction: 0.05})
 	now := tvatime.Time(0)
-	s.Enqueue(legPkt(1000), now)
-	s.Enqueue(regPkt(1, 1000), now)
-	s.Enqueue(reqPkt(7, 100), now)
+	enqueue(s, legPkt(1000), now)
+	enqueue(s, regPkt(1, 1000), now)
+	enqueue(s, reqPkt(7, 100), now)
 
-	p, _ := s.Dequeue(now)
+	p, _ := dequeue(s, now)
 	if p == nil || p.Class != packet.ClassRequest {
 		t.Fatalf("first dequeue = %v, want request", p)
 	}
-	p, _ = s.Dequeue(now)
+	p, _ = dequeue(s, now)
 	if p == nil || p.Class != packet.ClassRegular {
 		t.Fatalf("second dequeue = %v, want regular", p)
 	}
-	p, _ = s.Dequeue(now)
+	p, _ = dequeue(s, now)
 	if p == nil || p.Class != packet.ClassLegacy {
 		t.Fatalf("third dequeue = %v, want legacy", p)
 	}
@@ -55,14 +71,14 @@ func TestTVARequestRateLimit(t *testing.T) {
 		RequestQueueBytes: 1 << 20})
 	now := tvatime.Time(0)
 	for i := 0; i < 1000; i++ {
-		if !s.Enqueue(reqPkt(1, 125), now) {
+		if !enqueue(s, reqPkt(1, 125), now) {
 			t.Fatal("enqueue failed")
 		}
 	}
 	served := 0
 	end := now.Add(10 * tvatime.Second)
 	for now < end {
-		p, retry := s.Dequeue(now)
+		p, retry := dequeue(s, now)
 		if p != nil {
 			served += p.Size
 			continue
@@ -84,10 +100,10 @@ func TestTVARequestsDoNotStarveRegular(t *testing.T) {
 	now := tvatime.Time(0)
 	// Drain the initial token burst.
 	for i := 0; i < 100; i++ {
-		s.Enqueue(reqPkt(1, 1000), now)
+		enqueue(s, reqPkt(1, 1000), now)
 	}
 	for {
-		p, _ := s.Dequeue(now)
+		p, _ := dequeue(s, now)
 		if p == nil {
 			break
 		}
@@ -95,8 +111,8 @@ func TestTVARequestsDoNotStarveRegular(t *testing.T) {
 			t.Fatal("unexpected class while draining burst")
 		}
 	}
-	s.Enqueue(regPkt(2, 1000), now)
-	p, _ := s.Dequeue(now)
+	enqueue(s, regPkt(2, 1000), now)
+	p, _ := dequeue(s, now)
 	if p == nil || p.Class != packet.ClassRegular {
 		t.Fatalf("regular packet blocked behind rate-limited requests: %v", p)
 	}
@@ -106,11 +122,11 @@ func TestTVADequeueRetryTime(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RequestFraction: 0.01})
 	now := tvatime.Time(0)
 	for i := 0; i < 100; i++ {
-		s.Enqueue(reqPkt(1, 1000), now)
+		enqueue(s, reqPkt(1, 1000), now)
 	}
 	var retry tvatime.Time
 	for {
-		p, r := s.Dequeue(now)
+		p, r := dequeue(s, now)
 		if p == nil {
 			retry = r
 			break
@@ -120,7 +136,7 @@ func TestTVADequeueRetryTime(t *testing.T) {
 		t.Fatalf("expected a retry time for rate-limited backlog, got %v", retry)
 	}
 	// At the retry time the packet must be released.
-	p, _ := s.Dequeue(retry)
+	p, _ := dequeue(s, retry)
 	if p == nil {
 		t.Error("packet not released at the promised retry time")
 	}
@@ -132,12 +148,12 @@ func TestTVAPerDestinationFairness(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RegularQueueBytes: 1 << 20})
 	now := tvatime.Time(0)
 	for i := 0; i < 500; i++ {
-		s.Enqueue(regPkt(1, 1000), now)
-		s.Enqueue(regPkt(2, 1000), now)
+		enqueue(s, regPkt(1, 1000), now)
+		enqueue(s, regPkt(2, 1000), now)
 	}
 	bytes := map[packet.Addr]int{}
 	for i := 0; i < 400; i++ {
-		p, _ := s.Dequeue(now)
+		p, _ := dequeue(s, now)
 		bytes[p.Dst] += p.Size
 	}
 	if bytes[1] < 150_000 || bytes[2] < 150_000 {
@@ -151,9 +167,9 @@ func TestTVARequestPathIsolation(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RequestQueueBytes: 2000})
 	now := tvatime.Time(0)
 	for i := 0; i < 100; i++ {
-		s.Enqueue(reqPkt(1, 1000), now) // flooding path: mostly dropped
+		enqueue(s, reqPkt(1, 1000), now) // flooding path: mostly dropped
 	}
-	if !s.Enqueue(reqPkt(2, 100), now) {
+	if !enqueue(s, reqPkt(2, 100), now) {
 		t.Error("victim path's request dropped because of another path's flood")
 	}
 }
@@ -161,13 +177,13 @@ func TestTVARequestPathIsolation(t *testing.T) {
 func TestSIFFPriority(t *testing.T) {
 	s := NewSIFF(10, 10)
 	now := tvatime.Time(0)
-	s.Enqueue(legPkt(100), now)
-	s.Enqueue(regPkt(1, 100), now)
-	p, _ := s.Dequeue(now)
+	enqueue(s, legPkt(100), now)
+	enqueue(s, regPkt(1, 100), now)
+	p, _ := dequeue(s, now)
 	if p.Class != packet.ClassRegular {
 		t.Error("SIFF must serve authorized traffic first")
 	}
-	p, _ = s.Dequeue(now)
+	p, _ = dequeue(s, now)
 	if p.Class != packet.ClassLegacy {
 		t.Error("legacy packet lost")
 	}
@@ -178,11 +194,11 @@ func TestSIFFLowClassSharedByRequests(t *testing.T) {
 	// drops requests (the SIFF weakness TVA fixes).
 	s := NewSIFF(10, 2)
 	now := tvatime.Time(0)
-	s.Enqueue(legPkt(100), now)
-	s.Enqueue(legPkt(100), now)
+	enqueue(s, legPkt(100), now)
+	enqueue(s, legPkt(100), now)
 	req := reqPkt(1, 50)
 	req.Class = packet.ClassLegacy // SIFF routers classify requests as legacy
-	if s.Enqueue(req, now) {
+	if enqueue(s, req, now) {
 		t.Error("request admitted past the shared low-queue cap")
 	}
 }
@@ -190,16 +206,16 @@ func TestSIFFLowClassSharedByRequests(t *testing.T) {
 func TestDropTail(t *testing.T) {
 	s := NewDropTailPkts(2)
 	now := tvatime.Time(0)
-	if !s.Enqueue(legPkt(1), now) || !s.Enqueue(legPkt(1), now) {
+	if !enqueue(s, legPkt(1), now) || !enqueue(s, legPkt(1), now) {
 		t.Fatal("enqueue failed")
 	}
-	if s.Enqueue(legPkt(1), now) {
+	if enqueue(s, legPkt(1), now) {
 		t.Error("drop-tail over capacity")
 	}
-	if s.DropCount() != 1 {
-		t.Errorf("DropCount = %d, want 1", s.DropCount())
+	if s.Drops.Total() != 1 {
+		t.Errorf("Drops.Total() = %d, want 1", s.Drops.Total())
 	}
-	p, retry := s.Dequeue(now)
+	p, retry := dequeue(s, now)
 	if p == nil || retry != 0 {
 		t.Error("dequeue failed")
 	}
@@ -208,9 +224,9 @@ func TestDropTail(t *testing.T) {
 func TestTVADropCount(t *testing.T) {
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, LegacyQueueBytes: 1000})
 	now := tvatime.Time(0)
-	s.Enqueue(legPkt(800), now)
-	s.Enqueue(legPkt(800), now)
-	if s.DropCount() != 1 {
-		t.Errorf("DropCount = %d, want 1", s.DropCount())
+	enqueue(s, legPkt(800), now)
+	enqueue(s, legPkt(800), now)
+	if s.Drops.Total() != 1 {
+		t.Errorf("Drops.Total() = %d, want 1", s.Drops.Total())
 	}
 }
