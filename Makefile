@@ -94,6 +94,8 @@ fuzz-smoke:
 	go test ./internal/netsim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
 	go test ./internal/flowcache -run '^$$' -fuzz FuzzCacheOps -fuzztime $(FUZZTIME)
 	go test ./internal/fq -run '^$$' -fuzz FuzzDRROps -fuzztime $(FUZZTIME)
+	go test ./internal/trace -run '^$$' -fuzz FuzzReadDump -fuzztime $(FUZZTIME)
+	go test ./internal/metrics -run '^$$' -fuzz FuzzParseProm -fuzztime $(FUZZTIME)
 
 # cover writes a coverage profile, then the gate script extracts the
 # repo-total statement coverage, surfaces it (in the GitHub job summary
@@ -105,9 +107,13 @@ cover:
 # trace-smoke round-trips a real flight-recorder dump through every
 # tvatrace subcommand: a short traced Fig. 9 run writes smoke.trace,
 # then each query must parse it and exit zero (chrome output is
-# discarded; CI uploads smoke.trace itself as an artifact).
+# discarded; CI uploads smoke.trace itself as an artifact). The same
+# run with -trace 20 must print exactly 20 span lines after its header.
 trace-smoke:
 	go run ./cmd/tvasim -fig 9 -schemes tva -attackers 10 -duration 5 -tracefile smoke.trace
+	go run ./cmd/tvasim -fig 9 -schemes tva -attackers 10 -duration 5 -trace 20 | \
+		awk '/^last [0-9]+ of [0-9]+ spans:$$/ { h = 1; next } h { n++ } \
+		END { if (n != 20) { print "trace-smoke: want 20 span lines after the -trace header, got " n+0 > "/dev/stderr"; exit 1 } }'
 	go run ./cmd/tvatrace summary smoke.trace
 	go run ./cmd/tvatrace slowest -n 3 smoke.trace
 	go run ./cmd/tvatrace hops smoke.trace

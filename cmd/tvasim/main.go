@@ -23,10 +23,15 @@
 //
 //	tvasim -fig 8 -schemes tva -metrics out.json
 //	tvasim -fig 8 -schemes tva -metrics out.csv -prom out.prom
+//
+// With -trace N, the instrumented run attaches the span flight
+// recorder (internal/trace) and prints its last N spans, one line per
+// lifecycle edge (send, verdict, demote, enqueue, dequeue, tx, drop,
+// deliver, health):
+//
 //	tvasim -fig 8 -schemes tva -trace 20
 //
-// With -tracefile FILE, the instrumented run also attaches the span
-// flight recorder (internal/trace) and writes the binary span dump to
+// With -tracefile FILE, it writes the recorder's binary span dump to
 // FILE for offline analysis with tvatrace:
 //
 //	tvasim -fig 9 -schemes tva -tracefile run.trace
@@ -78,9 +83,9 @@ func main() {
 	metricsOut := flag.String("metrics", "", "run one instrumented simulation and write its metrics time series to this file (.csv or .json)")
 	promOut := flag.String("prom", "", "with an instrumented run, write the final Prometheus text-exposition snapshot to this file")
 	metricsIntervalMs := flag.Float64("metrics-interval", 100, "metrics/health tick interval in virtual milliseconds (with -metrics)")
-	traceN := flag.Int("trace", 0, "with an instrumented run, print the last N per-packet trace events")
+	traceN := flag.Int("trace", 0, "run one instrumented simulation with the span flight recorder on and print its last N spans")
 	traceFile := flag.String("tracefile", "", "run one instrumented simulation with the span flight recorder on and write the binary dump here (query with tvatrace)")
-	traceSpans := flag.Int("trace-spans", 0, "flight-recorder capacity in spans (0 = default with -tracefile, off otherwise)")
+	traceSpans := flag.Int("trace-spans", 0, "flight-recorder capacity in spans (0 = default with -trace or -tracefile, off otherwise)")
 	stormPkts := flag.Int("storm-pkts", 1000, "drop-storm threshold (bottleneck drops per 100ms window) that triggers an automatic flight-recorder dump; 0 disables")
 	faultMode := flag.String("fault", "", "recovery experiment: 'loss' (bottleneck loss sweep) or 'restart' (router restart sweep)")
 	fairness := flag.Bool("fairness", false, "sweep legitimate-sender counts (-users) instead of attacker counts and report per-run fairness")
@@ -171,10 +176,10 @@ func figAttack(fig string) (exp.Attack, error) {
 }
 
 // instrumentedRun executes one simulation with the metrics registry
-// (and optionally the tracer) on, writes the time series, and prints
-// the drop-attribution summary plus the health transition log. It
-// verifies the accounting invariant: the per-reason drop counters
-// must sum to the bottleneck's drop total.
+// (and optionally the flight recorder) on, writes the time series,
+// and prints the drop-attribution summary plus the health transition
+// log. It verifies the accounting invariant: the per-reason drop
+// counters must sum to the bottleneck's drop total.
 func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime.Duration, seed int64, out, promOut string, intervalMs float64, traceN int, traceFile string, traceSpans, stormPkts int) error {
 	attack, err := figAttack(fig)
 	if err != nil {
@@ -197,15 +202,16 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 		Duration:        dur,
 		Seed:            seed,
 		MetricsInterval: tvatime.Duration(intervalMs * float64(tvatime.Millisecond)),
-		TraceEvents:     traceN,
 	}
-	if traceFile != "" && traceSpans <= 0 {
-		traceSpans = trace.DefaultCapacity
-	}
-	if traceSpans > 0 {
-		cfg.SpanCapacity = traceSpans
+	// -tracefile and -trace-spans arm the recorder for a dump, and
+	// with it the drop-storm auto-dump; -trace alone only prints.
+	if traceFile != "" || traceSpans > 0 {
 		cfg.DropStormPkts = stormPkts
 	}
+	if traceSpans <= 0 && (traceFile != "" || traceN > 0) {
+		traceSpans = trace.DefaultCapacity
+	}
+	cfg.SpanCapacity = traceSpans
 	if attack == exp.AttackImpreciseAuth {
 		cfg.NumAttackers = 100
 		cfg.AttackStart = 10 * tvatime.Second
@@ -322,9 +328,15 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 		}
 		fmt.Printf("wrote final exposition snapshot to %s\n", promOut)
 	}
-	if traceN > 0 && tel.Trace != nil {
-		fmt.Printf("last %d of %d trace events:\n", tel.Trace.Len(), tel.Trace.Total())
-		tel.Trace.WriteText(os.Stdout)
+	if traceN > 0 {
+		spans := tel.Spans.Snapshot()
+		if len(spans) > traceN {
+			spans = spans[len(spans)-traceN:]
+		}
+		fmt.Printf("last %d of %d spans:\n", len(spans), tel.Spans.Recorded())
+		if err := trace.WriteText(os.Stdout, spans, tel.Spans.HopName); err != nil {
+			return err
+		}
 	}
 	return nil
 }

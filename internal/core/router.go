@@ -73,14 +73,11 @@ type Router struct {
 	// in the legacy class, §3.8) to the check that failed. The actual
 	// discard, if any, happens later at a queue and is counted there.
 	Demotions telemetry.DropCounters
-	// Tracer, when non-nil, receives one classify event per processed
-	// packet. Checked with a single branch so the nil (disabled) case
-	// costs nothing on the hot path.
-	Tracer telemetry.Tracer
 	// Spans, when non-nil, is the flight recorder the router reports
 	// capability verdicts and demotions to (one span per processed
-	// traced packet, plus one per demotion). Same nil-disabled pattern
-	// as Tracer; Record itself is allocation-free.
+	// traced packet, plus one per demotion). Checked with a single
+	// branch, so the nil (disabled) case costs nothing on the hot path;
+	// Record itself is allocation-free.
 	Spans *trace.Recorder
 	// HopWait, when non-nil, supplies the router's current output-queue
 	// wait estimate in microseconds for hop stamps on WantHops requests
@@ -90,7 +87,7 @@ type Router struct {
 	// unit this engine feeds: every processed packet is observed (after
 	// request stamping, so requests carry the path-id they are keyed
 	// by) and every demotion attributed. Same nil-disabled single
-	// branch as Tracer; the record path is allocation-free.
+	// branch as Spans; the record path is allocation-free.
 	Flows *flowstats.Collector
 }
 
@@ -188,7 +185,7 @@ func (r *Router) Process(pkt *packet.Packet, inIface int, now tvatime.Time) pack
 // recording each packet's forwarding class in the batch's class slots
 // (nil slots from Take are skipped). Semantics are packet-for-packet
 // identical to calling Process in a loop — same classes, stats,
-// demotion counters, trace events, and spans, in the same order — but
+// demotion counters and spans, in the same order — but
 // the fixed per-packet costs amortize across the burst: the secret
 // snapshot behind pre-capability minting is taken once. inIface
 // applies to the whole burst (a batch is filled from one ingress).
@@ -214,7 +211,6 @@ func (r *Router) process1(pkt *packet.Packet, inIface int, now tvatime.Time, bc 
 		r.Stats.Legacy++
 		pkt.Class = packet.ClassLegacy
 		r.Flows.Observe(pkt)
-		r.trace(pkt, now)
 		r.verdict(pkt, now)
 		return pkt.Class
 	}
@@ -224,7 +220,6 @@ func (r *Router) process1(pkt *packet.Packet, inIface int, now tvatime.Time, bc 
 		r.Stats.Legacy++
 		pkt.Class = packet.ClassLegacy
 		r.Flows.Observe(pkt)
-		r.trace(pkt, now)
 		r.verdict(pkt, now)
 		return pkt.Class
 	}
@@ -258,7 +253,6 @@ func (r *Router) process1(pkt *packet.Packet, inIface int, now tvatime.Time, bc 
 	}
 	pkt.Size += h.WireSize() - before
 	r.Flows.Observe(pkt)
-	r.trace(pkt, now)
 	r.verdict(pkt, now)
 	return pkt.Class
 }
@@ -289,26 +283,6 @@ func (r *Router) verdict(pkt *packet.Packet, now tvatime.Time) {
 		return
 	}
 	r.Spans.Record(r.span(pkt, now, trace.EdgeVerdict))
-}
-
-// trace emits a classify event when a tracer is attached.
-func (r *Router) trace(pkt *packet.Packet, now tvatime.Time) {
-	if r.Tracer == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Time:   now,
-		Kind:   telemetry.EventClassify,
-		Router: int(r.cfg.ID),
-		Src:    uint32(pkt.Src),
-		Dst:    uint32(pkt.Dst),
-		Class:  uint8(pkt.Class),
-		Size:   pkt.Size,
-	}
-	if pkt.Hdr != nil && pkt.Hdr.Demoted {
-		ev.Reason = telemetry.DropReason(pkt.Hdr.DemoteReason)
-	}
-	r.Tracer.Record(ev)
 }
 
 // stampRequest adds this router's pre-capability (and path identifier

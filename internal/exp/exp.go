@@ -163,19 +163,16 @@ type Config struct {
 	OutageStart    tvatime.Duration
 	OutageDuration tvatime.Duration
 
-	// MetricsInterval, if positive, samples per-router gauges and
-	// cumulative drop counters every interval of virtual time into
-	// Result.Telemetry.Sampler. Sampling is off the forwarding path
+	// MetricsInterval, if positive, ticks the metrics registry and
+	// health detector (Result.Telemetry.Metrics and .Health) every
+	// interval of virtual time, sampling the bottleneck's gauges and
+	// cumulative drop counters. Sampling is off the forwarding path
 	// (its own simulator events), so zero vs non-zero does not change
 	// packet-level outcomes.
 	MetricsInterval tvatime.Duration
-	// MetricsCapacity bounds the sampler ring (rows kept; oldest
+	// MetricsCapacity bounds the registry's window (rows kept; oldest
 	// overwritten). Zero sizes it to Duration/MetricsInterval.
 	MetricsCapacity int
-	// TraceEvents, if positive, attaches a bounded per-packet tracer
-	// of that capacity to the bottleneck link and the destination
-	// (Result.Telemetry.Trace).
-	TraceEvents int
 
 	// SpanCapacity, if positive, attaches a span flight recorder
 	// (internal/trace) of that many retained spans to the whole

@@ -72,18 +72,17 @@ func TestFaultedRunDeterministic(t *testing.T) {
 func TestRouterRestartRecovery(t *testing.T) {
 	d := short(t)
 	var restarts uint64
-	DebugHosts = func(users []*host, dest *host, routers []*core.Router) {
+	hk := hooks{done: func(users []*host, dest *host, routers []*core.Router) {
 		for _, r := range routers {
 			restarts += r.Restarts()
 		}
-	}
-	defer func() { DebugHosts = nil }()
+	}}
 
 	cfg := Config{
 		Scheme: SchemeTVA, Attack: AttackLegacyFlood, NumAttackers: 10,
 		Duration: d, Seed: 5, RestartAt: d / 2,
 	}
-	r := Run(cfg)
+	r := run(cfg, hk)
 	if restarts != 1 {
 		t.Fatalf("router restarts = %d, want 1", restarts)
 	}
@@ -113,29 +112,30 @@ func TestRouterRestartRecovery(t *testing.T) {
 // routers see no demotion storm.
 func TestRenewalLossFallsBackToFreshRequest(t *testing.T) {
 	d := short(t)
-	Debug = func(bottleneck *netsim.Iface) {
-		bottleneck.SetImpairment(netsim.ImpairConfig{
-			DropIf: func(pkt *packet.Packet) bool {
-				return pkt.Hdr != nil && pkt.Hdr.Kind == packet.KindRenewal
-			},
-		})
-	}
 	var reacquires, renewals uint64
-	DebugHosts = func(users []*host, dest *host, routers []*core.Router) {
-		for _, u := range users {
-			reacquires += u.tvaShim.Stats.Reacquires
-			renewals += u.tvaShim.Stats.RenewalsSent
-		}
+	hk := hooks{
+		bottleneck: func(lr *netsim.Iface) {
+			lr.SetImpairment(netsim.ImpairConfig{
+				DropIf: func(pkt *packet.Packet) bool {
+					return pkt.Hdr != nil && pkt.Hdr.Kind == packet.KindRenewal
+				},
+			})
+		},
+		done: func(users []*host, dest *host, routers []*core.Router) {
+			for _, u := range users {
+				reacquires += u.tvaShim.Stats.Reacquires
+				renewals += u.tvaShim.Stats.RenewalsSent
+			}
+		},
 	}
-	defer func() { Debug, DebugHosts = nil, nil }()
 
 	// A small grant forces renewal in the middle of every 20 KB
 	// transfer; with renewals black-holed, each transfer must cross the
 	// re-request fallback to finish.
-	r := Run(Config{
+	r := run(Config{
 		Scheme: SchemeTVA, Attack: AttackNone, NumUsers: 4,
 		GrantKB: 8, Duration: d, Seed: 9,
-	})
+	}, hk)
 	// Every transfer with room to finish must finish; only window-edge
 	// stragglers (started in the last seconds) may be cut off.
 	margin := tvatime.Time(d - 5*tvatime.Second)

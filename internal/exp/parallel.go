@@ -3,9 +3,6 @@
 // is seeded solely from its Config, so a sweep's results are a pure
 // function of its configurations — identical no matter how many
 // workers execute them or in what order they finish.
-//
-// The Debug* hooks are process-global and unsynchronized; instrumented
-// runs must stay serial (workers = 1).
 package exp
 
 import (

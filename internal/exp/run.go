@@ -15,7 +15,6 @@ import (
 	"tva/internal/sched"
 	"tva/internal/siff"
 	"tva/internal/tcp"
-	"tva/internal/telemetry"
 	"tva/internal/trace"
 	"tva/internal/tvatime"
 )
@@ -50,9 +49,7 @@ type builder struct {
 	stops       []func() // periodic-ticker stops to run after the sim
 
 	hostEgs      []sched.Scheduler // host egress queues (silent-loss audit)
-	tracer       telemetry.Tracer  // nil unless cfg.TraceEvents > 0
 	spans        *trace.Recorder   // nil unless cfg.SpanCapacity > 0
-	finalSample  func()            // end-of-run sampler snapshot
 	finalMetrics func()            // end-of-run registry/health tick
 }
 
@@ -115,7 +112,6 @@ func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *push
 			TrustBoundary: true,
 			Tagger:        pathid.NewSeeded(uint64(b.cfg.Seed)*1315423911 + b.taggerSeed),
 		})
-		rtr.Tracer = b.tracer
 		rtr.Spans = b.spans
 		b.tvaRouters = append(b.tvaRouters, rtr)
 		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
@@ -188,8 +184,21 @@ func (b *builder) attachPushback(pr *pushback.Router, out *netsim.Iface) {
 	b.stops = append(b.stops, stop)
 }
 
+// hooks are white-box taps into one run, for tests. The zero value
+// taps nothing, which is what Run passes.
+type hooks struct {
+	// bottleneck receives the forward bottleneck interface after
+	// construction, before any traffic starts.
+	bottleneck func(lr *netsim.Iface)
+	// done receives the user hosts, destination host and TVA routers
+	// after the run completes.
+	done func(users []*host, dest *host, routers []*core.Router)
+}
+
 // Run executes one simulation and returns its metrics.
-func Run(cfg Config) *Result {
+func Run(cfg Config) *Result { return run(cfg, hooks{}) }
+
+func run(cfg Config, hk hooks) *Result {
 	cfg = cfg.withDefaults()
 	sim := netsim.New(cfg.Seed + 1)
 	b := &builder{cfg: cfg, sim: sim}
@@ -200,12 +209,6 @@ func Run(cfg Config) *Result {
 	tel := RunTelemetry{
 		Flows:    flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth),
 		Fairness: flowstats.NewFairness(cfg.NumUsers),
-	}
-	var tracer *telemetry.RingTracer
-	if cfg.TraceEvents > 0 {
-		tracer = telemetry.NewRingTracer(cfg.TraceEvents)
-		tel.Trace = tracer
-		b.tracer = tracer
 	}
 	// The span recorder must exist before any topology is built: Connect
 	// registers each interface as a hop at construction time.
@@ -246,15 +249,11 @@ func Run(cfg Config) *Result {
 	}
 
 	lr.QueueDelay = &tel.QueueDelay
-	if tracer != nil {
-		lr.Tracer = tracer
-		lr.TraceID = 1 // the left (bottleneck-facing) router
-	}
 
 	b.applyFaults(lr, rl, left)
 
-	if Debug != nil {
-		Debug(lr)
+	if hk.bottleneck != nil {
+		hk.bottleneck(lr)
 	}
 
 	attachLeft := func(h *host) {
@@ -282,7 +281,7 @@ func Run(cfg Config) *Result {
 			destPolicy.MarkMisbehaving(src, sim.Now())
 		}
 	}
-	b.instrumentDest(dest, &tel, tracer)
+	b.instrumentDest(dest, &tel)
 	b.traceDelivery(dest.node)
 	attachRight(dest)
 
@@ -319,7 +318,6 @@ func Run(cfg Config) *Result {
 		b.startAttacker(i, attachLeft)
 	}
 
-	b.startSampler(&tel, lr)
 	b.startMetrics(&tel, lr, func() float64 {
 		done, decided := 0, 0
 		for _, t := range transfers {
@@ -341,8 +339,8 @@ func Run(cfg Config) *Result {
 	}
 	b.finishTelemetry(&tel, lr)
 
-	if DebugHosts != nil {
-		DebugHosts(users, dest, b.tvaRouters)
+	if hk.done != nil {
+		hk.done(users, dest, b.tvaRouters)
 	}
 
 	res := &Result{
@@ -517,11 +515,3 @@ func (b *builder) floodWithCaps(h *host, dst packet.Addr, start, stop tvatime.Ti
 		}
 	})
 }
-
-// Debug, if set, receives the forward bottleneck interface after
-// construction (instrumented runs: tests and diagnostics).
-var Debug func(bottleneck *netsim.Iface)
-
-// DebugHosts, if set, receives the user hosts, destination host and
-// TVA routers after the run completes (white-box assertions in tests).
-var DebugHosts func(users []*host, dest *host, routers []*core.Router)

@@ -247,7 +247,7 @@ func RunStream(scfg StreamConfig) *StreamResult {
 			res.AttackDelivered++
 		}
 	}
-	b.instrumentDest(dest, &tel, nil)
+	b.instrumentDest(dest, &tel)
 	b.traceDelivery(dest.node)
 	attachRight(dest)
 

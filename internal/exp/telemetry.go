@@ -1,8 +1,8 @@
 // Run-level observability: every experiment carries a RunTelemetry
 // with reason-attributed drop counters, delay histograms, and (when
-// enabled) a virtual-time gauge sampler and a bounded per-packet
-// tracer. All of it is preallocated or fixed-size, so instrumented and
-// uninstrumented runs execute the same hot path (DESIGN.md §8).
+// enabled) the streaming metrics registry and the span flight
+// recorder. All of it is preallocated or fixed-size, so instrumented
+// and uninstrumented runs execute the same hot path (DESIGN.md §8).
 package exp
 
 import (
@@ -66,10 +66,6 @@ type RunTelemetry struct {
 	// indices land in Result.FairnessJain / Result.MaxMinRatio.
 	Fairness *flowstats.Fairness
 
-	// Sampler holds the virtual-time gauge series; nil unless
-	// Config.MetricsInterval > 0.
-	Sampler *telemetry.Sampler
-
 	// Metrics is the streaming time-series registry, carrying the same
 	// series names the overlay router serves at /metrics (shared-name
 	// contract: tvatop and offline tooling read both data planes
@@ -82,10 +78,6 @@ type RunTelemetry struct {
 	// state after that interval's observation; nil unless metrics are
 	// on. Its transition log is the run's health timeline.
 	Health *metrics.Detector
-
-	// Trace holds the last Config.TraceEvents per-packet events at the
-	// bottleneck and destination; nil unless TraceEvents > 0.
-	Trace *telemetry.RingTracer
 
 	// Spans is the packet-lifecycle flight recorder: every injected
 	// packet's send, verdict, queue, transmit, drop, demotion, and
@@ -112,9 +104,9 @@ func userIndex(addr packet.Addr) int {
 }
 
 // instrumentDest wraps the destination host's handler to record
-// end-to-end latency, delivered bytes, per-sender fairness
-// accounting, and deliver-trace events.
-func (b *builder) instrumentDest(dest *host, tel *RunTelemetry, tracer *telemetry.RingTracer) {
+// end-to-end latency, delivered bytes and per-sender fairness
+// accounting.
+func (b *builder) instrumentDest(dest *host, tel *RunTelemetry) {
 	sim := b.sim
 	inner := dest.node.Handler
 	dest.node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
@@ -123,16 +115,6 @@ func (b *builder) instrumentDest(dest *host, tel *RunTelemetry, tracer *telemetr
 		}
 		tel.GoodputBytes += uint64(pkt.Size)
 		tel.Fairness.Account(userIndex(pkt.Src), uint64(pkt.Size))
-		if tracer != nil {
-			tracer.Record(telemetry.Event{
-				Time:  sim.Now(),
-				Kind:  telemetry.EventDeliver,
-				Src:   uint32(pkt.Src),
-				Dst:   uint32(pkt.Dst),
-				Class: uint8(pkt.Class),
-				Size:  pkt.Size,
-			})
-		}
 		inner.Receive(pkt, in)
 	})
 }
@@ -185,63 +167,6 @@ func (b *builder) watchDropStorm(tel *RunTelemetry, lr *netsim.Iface) {
 		last = cur
 	})
 	b.stops = append(b.stops, stop)
-}
-
-// startSampler registers the gauge set and schedules periodic
-// snapshots. Gauge registration order fixes the output column order,
-// so it must not depend on map iteration or timing: scheduler-class
-// gauges, flow-cache occupancy, goodput, then the cumulative
-// per-reason drop counters of the forward bottleneck.
-func (b *builder) startSampler(tel *RunTelemetry, lr *netsim.Iface) {
-	cfg := b.cfg
-	if cfg.MetricsInterval <= 0 {
-		return
-	}
-	capacity := cfg.MetricsCapacity
-	if capacity <= 0 {
-		capacity = int(cfg.Duration/cfg.MetricsInterval) + 2
-		if capacity > 1<<16 {
-			capacity = 1 << 16
-		}
-	}
-	s := telemetry.NewSampler(capacity)
-	tel.Sampler = s
-	sim := b.sim
-
-	if tva, ok := lr.Sched.(*sched.TVA); ok {
-		s.AddGauge("queue_request_pkts", func() float64 { return float64(tva.RequestBacklog()) })
-		s.AddGauge("queue_regular_pkts", func() float64 { return float64(tva.RegularBacklog()) })
-		s.AddGauge("queue_legacy_pkts", func() float64 { return float64(tva.LegacyBacklog()) })
-		s.AddGauge("regular_queues", func() float64 { return float64(tva.RegularQueues()) })
-		s.AddGauge("token_bucket_bytes", func() float64 { return tva.TokenLevel(sim.Now()) })
-	} else {
-		s.AddGauge("queue_pkts", func() float64 { return float64(lr.Sched.Len()) })
-	}
-	if len(b.tvaRouters) > 0 {
-		cache := b.tvaRouters[0].Cache()
-		s.AddGauge("flowcache_entries", func() float64 { return float64(cache.Len()) })
-	}
-	s.AddGauge("goodput_bytes", func() float64 { return float64(tel.GoodputBytes) })
-	drops := lr.Sched.DropReasons()
-	// Start past DropNone: nothing may ever be attributed to the
-	// explicit no-reason value, so it gets no gauge.
-	for i := int(telemetry.DropNone) + 1; i < telemetry.NumDropReasons; i++ {
-		reason := telemetry.DropReason(i)
-		s.AddGauge("drops_"+reason.String(), func() float64 { return float64(drops.Get(reason)) })
-	}
-	s.AddGauge("drops_total", func() float64 { return float64(drops.Total()) })
-	rl := lr.Peer
-	s.AddGauge("link_fault_drops", func() float64 {
-		return float64(lr.FaultDrops.Total() + rl.FaultDrops.Total())
-	})
-	// Mean packets per transmit-loop visit: 1 once the link has sent.
-	s.AddGauge("tx_burst_fill", sim.TxBurstFill)
-
-	stop := sim.Every(cfg.MetricsInterval, func() { s.Sample(sim.Now()) })
-	b.stops = append(b.stops, stop)
-	// One final snapshot after the run so the last row reflects the
-	// final counter values (the consistency invariant tvasim checks).
-	b.finalSample = func() { s.Sample(sim.Now()) }
 }
 
 // startMetrics builds the streaming registry and health detector for
@@ -433,9 +358,6 @@ func mustReg(err error) {
 
 // finishTelemetry copies end-of-run counter snapshots into tel.
 func (b *builder) finishTelemetry(tel *RunTelemetry, lr *netsim.Iface) {
-	if b.finalSample != nil {
-		b.finalSample()
-	}
 	if b.finalMetrics != nil {
 		b.finalMetrics()
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"tva/internal/metrics"
+	"tva/internal/telemetry"
 	"tva/internal/tvatime"
 )
 
@@ -22,7 +24,7 @@ func telemetryCfg(d tvatime.Duration) Config {
 // TestTelemetryDropSumMatchesBottleneck asserts the accounting
 // invariant the whole layer hangs on: the reason-attributed counters
 // cover every bottleneck drop exactly — no drop site is missed and
-// none is double-counted — and the sampler's final row agrees.
+// none is double-counted — and the registry's final row agrees.
 func TestTelemetryDropSumMatchesBottleneck(t *testing.T) {
 	d := short(t)
 	res := Run(telemetryCfg(d))
@@ -33,22 +35,27 @@ func TestTelemetryDropSumMatchesBottleneck(t *testing.T) {
 	if got := tel.SchedDrops.Total(); got != res.BottleneckDrops {
 		t.Errorf("per-reason drop sum %d != bottleneck drops %d", got, res.BottleneckDrops)
 	}
-	if tel.Sampler == nil || tel.Sampler.Len() == 0 {
-		t.Fatal("sampler missing or empty")
+	reg := tel.Metrics
+	if reg == nil || reg.Len() == 0 {
+		t.Fatal("registry missing or empty")
 	}
-	names := tel.Sampler.Names()
-	_, last := tel.Sampler.Row(tel.Sampler.Len() - 1)
-	found := false
-	for i, name := range names {
-		if name == "drops_total" {
-			found = true
-			if got := uint64(last[i]); got != res.BottleneckDrops {
-				t.Errorf("final sample drops_total = %d, want %d", got, res.BottleneckDrops)
-			}
+	last := make([]float64, reg.NumSeries())
+	reg.Row(reg.Len()-1, last)
+	prefix := metrics.NameSchedDrops + `{reason="`
+	var sum float64
+	cols := 0
+	for i, id := range reg.IDs() {
+		if strings.HasPrefix(id, prefix) {
+			sum += last[i]
+			cols++
 		}
 	}
-	if !found {
-		t.Errorf("drops_total gauge missing from sampler columns %v", names)
+	if cols != telemetry.NumDropReasons-1 {
+		t.Errorf("%d %s series in the registry, want one per reason (%d)",
+			cols, metrics.NameSchedDrops, telemetry.NumDropReasons-1)
+	}
+	if got := uint64(sum); got != res.BottleneckDrops {
+		t.Errorf("final row's %s sum = %d, want %d", metrics.NameSchedDrops, got, res.BottleneckDrops)
 	}
 }
 
@@ -86,69 +93,69 @@ func TestTelemetryHistogramsAndHostDrops(t *testing.T) {
 	}
 }
 
-// TestSamplerDeterministicAcrossWorkers runs the same instrumented
+// TestRegistryDeterministicAcrossWorkers runs the same instrumented
 // configs serially and with 8 workers and requires byte-identical
-// sampler output: observability must not perturb, or be perturbed by,
-// the parallel sweep engine.
-func TestSamplerDeterministicAcrossWorkers(t *testing.T) {
+// registry CSV, JSON and exposition: observability must not perturb,
+// or be perturbed by, the parallel sweep engine.
+func TestRegistryDeterministicAcrossWorkers(t *testing.T) {
 	d := short(t)
 	cfgs := []Config{telemetryCfg(d), telemetryCfg(d)}
 	cfgs[1].Attack = AttackRequestFlood
 
 	serial := RunMany(cfgs, 1)
 	parallel := RunMany(cfgs, 8)
+	writers := []struct {
+		name  string
+		write func(*metrics.Registry, *bytes.Buffer) error
+	}{
+		{"CSV", func(r *metrics.Registry, b *bytes.Buffer) error { return r.WriteCSV(b) }},
+		{"JSON", func(r *metrics.Registry, b *bytes.Buffer) error { return r.WriteJSON(b) }},
+		{"exposition", func(r *metrics.Registry, b *bytes.Buffer) error { return r.WritePrometheus(b) }},
+	}
 	for i := range cfgs {
-		a, b := serial[i].Telemetry.Sampler, parallel[i].Telemetry.Sampler
+		a, b := serial[i].Telemetry.Metrics, parallel[i].Telemetry.Metrics
 		if a == nil || b == nil {
-			t.Fatalf("cfg %d: missing sampler (serial=%v parallel=%v)", i, a != nil, b != nil)
+			t.Fatalf("cfg %d: missing registry (serial=%v parallel=%v)", i, a != nil, b != nil)
 		}
-		var aj, bj, ac, bc bytes.Buffer
-		if err := a.WriteJSON(&aj); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteJSON(&bj); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(aj.Bytes(), bj.Bytes()) {
-			t.Errorf("cfg %d: JSON sampler output differs between 1 and 8 workers", i)
-		}
-		if err := a.WriteCSV(&ac); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteCSV(&bc); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ac.Bytes(), bc.Bytes()) {
-			t.Errorf("cfg %d: CSV sampler output differs between 1 and 8 workers", i)
-		}
-		if ac.Len() == 0 || !strings.HasPrefix(ac.String(), "t_sec") {
-			t.Errorf("cfg %d: CSV output malformed: %q", i, firstLine(ac.String()))
+		for _, w := range writers {
+			var ab, bb bytes.Buffer
+			if err := w.write(a, &ab); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.write(b, &bb); err != nil {
+				t.Fatal(err)
+			}
+			if ab.Len() == 0 {
+				t.Errorf("cfg %d: empty %s output", i, w.name)
+			}
+			if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+				t.Errorf("cfg %d: %s registry output differs between 1 and 8 workers", i, w.name)
+			}
 		}
 	}
 }
 
 // TestTelemetryOffByDefault guards the zero-config contract: without
-// MetricsInterval/TraceEvents the run allocates no sampler or tracer,
-// and enabling them does not change packet-level outcomes.
+// MetricsInterval/SpanCapacity the run allocates no registry or
+// flight recorder, and enabling them does not change packet-level
+// outcomes.
 func TestTelemetryOffByDefault(t *testing.T) {
 	d := short(t)
 	plain := Run(Config{Scheme: SchemeTVA, Attack: AttackLegacyFlood,
 		NumAttackers: 10, Duration: d, Seed: 1})
-	if plain.Telemetry.Sampler != nil || plain.Telemetry.Trace != nil {
-		t.Error("sampler/tracer allocated without being requested")
+	if plain.Telemetry.Metrics != nil || plain.Telemetry.Spans != nil {
+		t.Error("registry/recorder allocated without being requested")
 	}
-	instr := Run(telemetryCfg(d))
+	cfg := telemetryCfg(d)
+	cfg.SpanCapacity = 1 << 12
+	instr := Run(cfg)
+	if instr.Telemetry.Metrics == nil || instr.Telemetry.Spans == nil {
+		t.Fatal("registry/recorder missing when requested")
+	}
 	if plain.BottleneckDrops != instr.BottleneckDrops ||
 		plain.CompletionFraction() != instr.CompletionFraction() {
 		t.Errorf("telemetry changed outcomes: drops %d vs %d, completion %.4f vs %.4f",
 			plain.BottleneckDrops, instr.BottleneckDrops,
 			plain.CompletionFraction(), instr.CompletionFraction())
 	}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

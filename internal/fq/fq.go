@@ -419,7 +419,7 @@ func (t *TokenBucket) refill(now tvatime.Time) {
 }
 
 // Level returns the current token level in bytes as of now, without
-// consuming anything. Gauge for the telemetry sampler.
+// consuming anything. Metrics gauge.
 func (t *TokenBucket) Level(now tvatime.Time) float64 {
 	t.refill(now)
 	return t.tokens

@@ -342,8 +342,7 @@ func (r *Registry) Each(fn func(SeriesView)) {
 
 // formatValue renders a sample compactly and deterministically:
 // integral values print without a decimal point, everything else in
-// Go 'g' formatting — the same discipline as telemetry.Sampler, so
-// same-seed runs produce byte-identical files.
+// Go 'g' formatting, so same-seed runs produce byte-identical files.
 func formatValue(v float64) string {
 	if v == float64(int64(v)) {
 		return strconv.FormatInt(int64(v), 10)
@@ -416,7 +415,7 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 
 // WriteJSON writes the retained window as a single JSON object with
 // "columns" (t_sec plus series IDs plus counter rate columns) and
-// "rows" of numbers, mirroring telemetry.Sampler's layout.
+// "rows" of numbers, one per tick.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -116,11 +116,6 @@ func (i *Iface) fault(pkt *packet.Packet, reason telemetry.DropReason) {
 	i.FaultDrops.Inc(reason)
 	i.Stats.LostPkts++
 	i.Stats.LostBytes += uint64(pkt.Size)
-	if i.Tracer != nil {
-		ev := i.traceEvent(pkt, telemetry.EventDrop)
-		ev.Reason = reason
-		i.Tracer.Record(ev)
-	}
 	if sim := i.Node.Sim; sim.Spans != nil && pkt.TraceID != 0 {
 		sp := i.span(pkt, trace.EdgeDrop)
 		sp.Reason = reason

@@ -334,12 +334,6 @@ type Iface struct {
 	// check, zero allocation.
 	WaitSketch *metrics.Sketch
 
-	// Tracer, if set, receives enqueue/dequeue/drop events for this
-	// interface. TraceID labels the events (set it to the owning
-	// router's id).
-	Tracer  telemetry.Tracer
-	TraceID int
-
 	// Hop is this interface's identity in the span flight recorder
 	// (registered by Connect when Sim.Spans is attached), or
 	// trace.NoHop when the simulation is untraced.
@@ -401,9 +395,6 @@ func (i *Iface) Send(pkt *packet.Packet) {
 	}
 	i.Stats.EnqueuedPkts++
 	i.Stats.EnqueuedBytes += uint64(pkt.Size)
-	if i.Tracer != nil {
-		i.Tracer.Record(i.traceEvent(pkt, telemetry.EventEnqueue))
-	}
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeEnqueue))
 	}
@@ -411,8 +402,8 @@ func (i *Iface) Send(pkt *packet.Packet) {
 }
 
 // dropped is the scheduler's drop callback for Send: enqueue-drop
-// accounting, the OnDrop hook, the tracer event and span tagged with
-// the scheduler's reason, and the release. It must not call Send: the
+// accounting, the OnDrop hook, the drop span tagged with the
+// scheduler's reason, and the release. It must not call Send: the
 // scheduler is mid-enqueue when it runs.
 func (i *Iface) dropped(pkt *packet.Packet) {
 	i.Stats.DroppedPkts++
@@ -420,15 +411,9 @@ func (i *Iface) dropped(pkt *packet.Packet) {
 	if i.OnDrop != nil {
 		i.OnDrop(pkt)
 	}
-	reason := i.Sched.LastDropReason()
-	if i.Tracer != nil {
-		ev := i.traceEvent(pkt, telemetry.EventDrop)
-		ev.Reason = reason
-		i.Tracer.Record(ev)
-	}
 	if sim := i.Node.Sim; sim.Spans != nil && pkt.TraceID != 0 {
 		sp := i.span(pkt, trace.EdgeDrop)
-		sp.Reason = reason
+		sp.Reason = i.Sched.LastDropReason()
 		sim.Spans.Record(sp)
 	}
 	packet.Release(pkt)
@@ -446,19 +431,6 @@ func (i *Iface) span(pkt *packet.Packet, edge trace.Edge) trace.Span {
 		}
 	}
 	return sp
-}
-
-// traceEvent builds the per-packet event for this interface.
-func (i *Iface) traceEvent(pkt *packet.Packet, kind telemetry.EventKind) telemetry.Event {
-	return telemetry.Event{
-		Time:   i.Node.Sim.now,
-		Kind:   kind,
-		Router: i.TraceID,
-		Src:    uint32(pkt.Src),
-		Dst:    uint32(pkt.Dst),
-		Class:  uint8(pkt.Class),
-		Size:   pkt.Size,
-	}
 }
 
 // kick starts the transmit loop if idle.
@@ -517,9 +489,6 @@ func (i *Iface) txNext() {
 	}
 	if i.WaitSketch != nil {
 		i.WaitSketch.Observe(int64(sim.now.Sub(pkt.EnqueuedAt)))
-	}
-	if i.Tracer != nil {
-		i.Tracer.Record(i.traceEvent(pkt, telemetry.EventDequeue))
 	}
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeDequeue))

@@ -386,7 +386,7 @@ func (s *TVA) LegacyDrops() uint64 {
 }
 
 // RequestBacklog returns queued request packets (including a holdover
-// parked at the rate limiter). Sampler gauge.
+// parked at the rate limiter). Metrics gauge.
 func (s *TVA) RequestBacklog() int {
 	n := s.request.Len()
 	if s.holdover != nil {
@@ -395,10 +395,10 @@ func (s *TVA) RequestBacklog() int {
 	return n
 }
 
-// RegularBacklog returns queued regular packets. Sampler gauge.
+// RegularBacklog returns queued regular packets. Metrics gauge.
 func (s *TVA) RegularBacklog() int { return s.regular.Len() }
 
-// LegacyBacklog returns queued legacy/demoted packets. Sampler gauge.
+// LegacyBacklog returns queued legacy/demoted packets. Metrics gauge.
 func (s *TVA) LegacyBacklog() int { return s.legacy.Len() }
 
 // RegularQueues returns the number of live per-destination queues.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"testing"
 
 	"tva/internal/tvatime"
@@ -102,90 +101,5 @@ func TestHistogramStats(t *testing.T) {
 	h2.Merge(&h)
 	if h2.Count() != 5 || h2.Sum() != 1100 {
 		t.Fatalf("after merge count/sum = %d/%d, want 5/1100", h2.Count(), h2.Sum())
-	}
-}
-
-func TestSamplerRing(t *testing.T) {
-	s := NewSampler(3)
-	var x float64
-	s.AddGauge("x", func() float64 { return x })
-	for i := 1; i <= 5; i++ {
-		x = float64(i)
-		s.Sample(tvatime.Time(i))
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (capacity)", s.Len())
-	}
-	// Oldest two rows were overwritten; held rows are samples 3,4,5.
-	for i := 0; i < 3; i++ {
-		tm, row := s.Row(i)
-		if int64(tm) != int64(i+3) || row[0] != float64(i+3) {
-			t.Fatalf("row %d = (t=%d, x=%v), want (t=%d, x=%d)", i, tm, row[0], i+3, i+3)
-		}
-	}
-}
-
-func TestSamplerOutputDeterministic(t *testing.T) {
-	build := func() string {
-		s := NewSampler(16)
-		v := 0.0
-		s.AddGauge("count", func() float64 { v++; return v })
-		s.AddGauge("frac", func() float64 { return v / 3 })
-		for i := 0; i < 4; i++ {
-			s.Sample(tvatime.Time(i) * tvatime.Time(tvatime.Second))
-		}
-		var sb strings.Builder
-		if err := s.WriteJSON(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WriteCSV(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	a, b := build(), build()
-	if a != b {
-		t.Fatalf("sampler output not byte-identical across runs:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.Contains(a, `"columns":["t_sec","count","frac"]`) {
-		t.Fatalf("JSON header missing columns: %s", a)
-	}
-	if !strings.Contains(a, "t_sec,count,frac") {
-		t.Fatalf("CSV header missing: %s", a)
-	}
-}
-
-func TestRingTracerBounded(t *testing.T) {
-	tr := NewRingTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Event{Time: tvatime.Time(i), Kind: EventDrop, Reason: DropFilter})
-	}
-	if tr.Len() != 4 || tr.Total() != 10 {
-		t.Fatalf("Len/Total = %d/%d, want 4/10", tr.Len(), tr.Total())
-	}
-	for i := 0; i < 4; i++ {
-		if got := tr.Event(i).Time; int64(got) != int64(i+6) {
-			t.Fatalf("event %d time = %d, want %d (oldest-first)", i, got, i+6)
-		}
-	}
-	var sb strings.Builder
-	if err := tr.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "reason=filter") {
-		t.Fatalf("trace text missing drop reason: %s", sb.String())
-	}
-}
-
-// TestTracerRecordNoAlloc pins the hot-path property: recording into a
-// ring tracer does not allocate.
-func TestTracerRecordNoAlloc(t *testing.T) {
-	tr := NewRingTracer(128)
-	ev := Event{Time: 1, Kind: EventEnqueue, Router: 3, Src: 1, Dst: 2, Size: 1500}
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(ev)
-	})
-	if allocs != 0 {
-		t.Fatalf("RingTracer.Record allocates %v/op, want 0", allocs)
 	}
 }

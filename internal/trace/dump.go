@@ -10,6 +10,8 @@
 //
 // Records are fixed-width and the span list is sorted by Seq before
 // writing, so two same-seed runs produce byte-identical dumps.
+// Reserved bytes are written as zero, and ReadDump accepts exactly
+// what WriteDump produces: rewriting a loaded dump reproduces the file.
 package trace
 
 import (
@@ -126,9 +128,14 @@ func (r *Recorder) WriteDump(w io.Writer) error {
 	return WriteDump(w, r.hops, r.Snapshot())
 }
 
-// maxDumpSpans bounds how much a reader will allocate for one dump
-// (64 Mi spans ≈ 3.5 GiB would already be absurd; real dumps are MBs).
+// maxDumpSpans bounds the span count a dump may claim (64 Mi spans ≈
+// 3.5 GiB would already be absurd; real dumps are MBs).
 const maxDumpSpans = 1 << 26
+
+// readChunk bounds what a header's counts may preallocate: the hop and
+// span tables grow as records actually arrive, so a forged count costs
+// the reader at most this many entries before the data runs out.
+const readChunk = 1024
 
 // ErrBadDump reports a structurally invalid trace file.
 var ErrBadDump = errors.New("trace: not a tvatrace dump")
@@ -145,11 +152,14 @@ func ReadDump(r io.Reader) (*Dump, error) {
 	if v := binary.LittleEndian.Uint16(hdr[8:]); v != DumpVersion {
 		return nil, fmt.Errorf("trace: dump version %d, want %d", v, DumpVersion)
 	}
+	if binary.LittleEndian.Uint16(hdr[10:]) != 0 {
+		return nil, ErrBadDump
+	}
 	nhops := binary.LittleEndian.Uint32(hdr[12:])
 	if nhops > 1<<20 {
 		return nil, ErrBadDump
 	}
-	d := &Dump{Hops: make([]string, 0, nhops)}
+	d := &Dump{Hops: make([]string, 0, min(nhops, readChunk))}
 	var sbuf [2]byte
 	for i := uint32(0); i < nhops; i++ {
 		if _, err := io.ReadFull(r, sbuf[:]); err != nil {
@@ -169,13 +179,21 @@ func ReadDump(r io.Reader) (*Dump, error) {
 	if nspans > maxDumpSpans {
 		return nil, fmt.Errorf("trace: dump claims %d spans, refusing", nspans)
 	}
-	d.Spans = make([]Span, 0, nspans)
+	d.Spans = make([]Span, 0, min(nspans, readChunk))
 	buf := make([]byte, spanRecSize)
 	for i := uint64(0); i < nspans; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, ErrBadDump
 		}
+		for _, b := range buf[45:] {
+			if b != 0 {
+				return nil, ErrBadDump // reserved
+			}
+		}
 		d.Spans = append(d.Spans, getSpan(buf))
+	}
+	if _, err := io.ReadFull(r, buf[:1]); err != io.EOF {
+		return nil, ErrBadDump // trailing bytes
 	}
 	return d, nil
 }

@@ -10,9 +10,11 @@
 // path stays zero-alloc with tracing on (pinned by the hotpath
 // analyzer and a bench).
 //
-// Like telemetry, this package sits below every data-path package: it
-// imports only the standard library, tvatime, and telemetry, so
-// netsim, core, sched, and exp can all depend on it without cycles.
+// It is the simulator's only per-packet tracer, and the overlay's.
+// The package sits below every data-path package: it imports only the
+// standard library, tvatime, and telemetry (for the DropReason a drop
+// or demote span carries), so netsim, core, sched, and exp can all
+// depend on it without cycles.
 package trace
 
 import (

@@ -154,13 +154,13 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 		t.Fatalf("chrome trace is not valid JSON:\n%s", out.String())
 	}
 	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &parsed); err != nil {
 		t.Fatal(err)
 	}
 	var sawQueue, sawTx bool
-	for _, ev := range parsed.TraceEvents {
+	for _, ev := range parsed.Events {
 		switch ev["name"] {
 		case "queue request":
 			sawQueue = true
@@ -281,5 +281,36 @@ func TestEdgeAndClassNames(t *testing.T) {
 	}
 	if KindName(0) != "legacy" || KindName(4) != "renewal" {
 		t.Fatal("kind names wrong")
+	}
+}
+
+// TestWriteText pins the one-line-per-span format tvasim -trace
+// prints: the reason appears on drop and demote spans only,
+// router-local spans name their router, and a health span prints its
+// state change.
+func TestWriteText(t *testing.T) {
+	r := NewRecorder(64)
+	hop := r.RegisterHop("L#0->R")
+	src, dst := uint32(10<<24|1), uint32(192<<24|168<<16|1)
+	ms := func(n int64) tvatime.Time { return tvatime.Time(0).Add(tvatime.Duration(n) * tvatime.Millisecond) }
+	r.Record(Span{ID: 1, Time: ms(1), Src: src, Dst: dst, Size: 1048, Hop: NoHop,
+		Edge: EdgeDemote, Reason: telemetry.DropCapExpired, Router: 1})
+	r.Record(Span{ID: 1, Time: ms(2), Src: src, Dst: dst, Size: 1048, Hop: hop,
+		Edge: EdgeEnqueue, Class: 2})
+	r.Record(Span{ID: 1, Time: ms(3), Src: src, Dst: dst, Size: 1048, Hop: hop,
+		Edge: EdgeDrop, Reason: telemetry.DropLegacyQueueFull})
+	r.Record(Span{Time: ms(4), Hop: NoHop, Edge: EdgeHealth, Kind: 1, Class: 2})
+
+	var out bytes.Buffer
+	if err := WriteText(&out, r.Snapshot(), r.HopName); err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"0.001000 demote   router-1         src=10.0.0.1 dst=192.168.0.1 class=legacy size=1048 reason=cap-expired\n" +
+		"0.002000 enqueue  L#0->R           src=10.0.0.1 dst=192.168.0.1 class=regular size=1048\n" +
+		"0.003000 drop     L#0->R           src=10.0.0.1 dst=192.168.0.1 class=legacy size=1048 reason=legacy-queue-full\n" +
+		"0.004000 health   healthy -> under-attack\n"
+	if out.String() != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
