@@ -53,7 +53,6 @@ func main() {
 	metricsEvery := flag.Duration("metrics-interval", time.Second, "metrics sampling / health detector tick interval")
 	metricsWindow := flag.Int("metrics-window", 600, "retained metrics rows (ticks)")
 	batch := flag.Int("batch", 1, "burst width of the data path: datagrams per recvmmsg/sendmmsg (where available), engine and scheduler crossing; equal-length runs of a send burst leave as one UDP_SEGMENT message where the kernel accepts it; 0/1 = one")
-	shards := flag.Int("shards", 0, "per-flow worker shards for capability processing (0/1 = one, inline on the receive goroutine)")
 	var routes routeList
 	flag.Var(&routes, "route", "addr=udphost:port (repeatable)")
 	def := flag.String("default", "", "default next hop udphost:port")
@@ -64,7 +63,6 @@ func main() {
 		LinkBps:         *rate,
 		RequestFraction: *reqFrac,
 		Batch:           *batch,
-		Shards:          *shards,
 		Core:            core.RouterConfig{TrustBoundary: true},
 	})
 	if err != nil {
@@ -96,8 +94,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("tvarouter listening on %s (%d routes, batch=%d, shards=%d)\n",
-		r.Addr(), len(routes), *batch, *shards)
+	fmt.Printf("tvarouter listening on %s (%d routes, batch=%d)\n",
+		r.Addr(), len(routes), *batch)
 
 	// Every background goroutine below selects on stop and joins bg, so
 	// shutdown is a close + Wait, not a process-exit shrug; the goleak

@@ -222,7 +222,8 @@ func BenchmarkValidateCap(b *testing.B) {
 }
 
 // TestAuthorityConcurrentRotation shares one authority between
-// goroutines the way overlay shard replicas share their router's: each
+// goroutines, as an overlay router's receive goroutine shares its
+// engine's with anyone minting through Router.Core().Authority(): each
 // round runs every goroutine at one shared instant, and the rounds step
 // across several secret rotations. Every freshly minted capability must
 // validate. Run it under -race: the epoch check and the rotation touch

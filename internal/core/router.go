@@ -40,11 +40,9 @@ type RouterConfig struct {
 	MinNKB  uint16
 	MinTSec uint8
 	// Authority, when non-nil, is used instead of minting fresh
-	// secrets. Shard replicas of one logical router must share the
-	// capability authority (it is internally locked) and the Tagger so
-	// every shard mints and validates identical capabilities and path
-	// tags; each replica still owns a private flow cache, keyed by a
-	// flow hash that also picks the shard, so no flow's state is split.
+	// secrets, so the caller can mint capabilities this router accepts
+	// (it is internally locked and safe to share across goroutines).
+	// The router still owns a private flow cache.
 	Authority *capability.Authority
 }
 

@@ -10,8 +10,8 @@
 // //tva:hotpath-clean: no maps, no closures, no allocation — a table
 // touch is an open-addressed probe plus a heap sift, a sketch update
 // is four array adds. Collectors are not synchronized; each owner
-// (a core engine, a port scheduler, a shard worker) holds its own
-// collector under its own lock and snapshots merge deterministically
+// (a core engine, a port scheduler) holds its own collector under its
+// own lock and snapshots merge deterministically
 // off the hot path (DESIGN.md §16).
 //
 // Senders are keyed the way the paper holds them accountable (§3.2):

@@ -185,8 +185,8 @@ func TestTableEviction(t *testing.T) {
 	}
 }
 
-// TestMergeDeterminism: merging shard snapshots must not depend on
-// shard order, and must sum per-key counters.
+// TestMergeDeterminism: merging collector snapshots must not depend
+// on collector order, and must sum per-key counters.
 func TestMergeDeterminism(t *testing.T) {
 	s1 := []Sample{
 		{Key: KeyFor(1, 0), Bytes: 100, Pkts: 1},

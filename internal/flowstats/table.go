@@ -287,11 +287,11 @@ func SortSamples(s []Sample) {
 	})
 }
 
-// MergeSamples combines snapshots from several collectors (shards,
-// ports, engines) into one deterministic ranking: counters are summed
-// per key, then rows are ordered by SortSamples and truncated to k
-// (k <= 0 keeps every row). The result depends only on the multiset
-// of input rows, never on shard iteration order.
+// MergeSamples combines snapshots from several collectors (ports,
+// engines) into one deterministic ranking: counters are summed per
+// key, then rows are ordered by SortSamples and truncated to k (k <= 0
+// keeps every row). The result depends only on the multiset of input
+// rows, never on collector iteration order.
 func MergeSamples(in []Sample, k int) []Sample {
 	if len(in) == 0 {
 		return nil

@@ -1,6 +1,6 @@
 // Package lint is the repository's custom static-analysis framework:
 // a stdlib-only (go/parser + go/types, no golang.org/x/tools) driver
-// plus the eight analyzers that machine-check the invariants the rest
+// plus the seven analyzers that machine-check the invariants the rest
 // of the tree merely promises in comments:
 //
 //   - hotpath: functions annotated //tva:hotpath, and everything they
@@ -15,11 +15,9 @@
 //   - poolowner: a pooled *packet.Packet must reach exactly one
 //     Release or ownership handoff on every return path;
 //   - lockorder: mutex Lock/Unlock pairing per scope, a consistent
-//     global acquisition order, and no blocking operation while a
-//     //tva:hotpath function holds a lock;
-//   - atomicfield: a variable touched through sync/atomic anywhere is
-//     never accessed non-atomically elsewhere, and 64-bit atomic
-//     fields stay 8-aligned under 32-bit struct layout;
+//     global acquisition order, no blocking operation while a
+//     //tva:hotpath function holds a lock, and no sync/atomic function
+//     calls (only the typed atomics);
 //   - goleak: every go statement carries a provable shutdown edge
 //     (done-channel receive, WaitGroup, or a loop-free body);
 //   - metricname: metric series names come from the internal/metrics
@@ -67,7 +65,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{HotPath, Determinism, DropReasonCheck, PoolOwner, LockOrder, AtomicField, GoLeak, MetricName}
+	return []*Analyzer{HotPath, Determinism, DropReasonCheck, PoolOwner, LockOrder, GoLeak, MetricName}
 }
 
 // ByName returns the named analyzers, or an error naming the first

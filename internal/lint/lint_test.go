@@ -129,10 +129,6 @@ func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, lint.LockOrder, "testdata/src/lockorder", loadProg(t).Module+"/fixture/lockorder")
 }
 
-func TestAtomicFieldFixture(t *testing.T) {
-	runFixture(t, lint.AtomicField, "testdata/src/atomicfield", loadProg(t).Module+"/fixture/atomicfield")
-}
-
 func TestGoLeakFixture(t *testing.T) {
 	runFixture(t, lint.GoLeak, "testdata/src/goleak", loadProg(t).Module+"/fixture/goleak")
 }

@@ -1,9 +1,9 @@
 // The lockorder analyzer: lock discipline for the concurrent packages
-// (the overlay router/host/shard engine and the lock-free-adjacent
-// metrics plumbing) that `-race` can only probe probabilistically.
+// (the overlay router and host and the lock-free-adjacent metrics
+// plumbing) that `-race` can only probe probabilistically.
 //
-// Three rules, all checked per function body (a func literal is its
-// own scope — goroutine bodies pair their own locks):
+// Four rules, the first three checked per function body (a func
+// literal is its own scope — goroutine bodies pair their own locks):
 //
 //   - pairing: a mutex Lock (or RLock) must have a matching Unlock
 //     (RUnlock) somewhere in the same scope — a plain call on some
@@ -20,6 +20,11 @@
 //     while holding a lock — no channel send or receive, no select
 //     without a default, no time.Sleep, no WaitGroup.Wait. (Cond.Wait
 //     is exempt: it releases the lock it waits on.)
+//   - typed atomics: no sync/atomic function calls. The typed atomics
+//     (atomic.Uint64 and friends) make a plain access to an atomic
+//     value a compile error and keep 64-bit values 8-aligned on 32-bit
+//     targets, so with no raw call in the tree neither hazard needs an
+//     analysis.
 //
 // The walk is a linear abstract interpretation: branches run with a
 // copy of the held set and the straight-line continuation keeps the
@@ -39,7 +44,7 @@ import (
 // LockOrder is the lockorder analyzer.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce Lock/Unlock pairing per scope, a consistent global lock order, and no blocking while a //tva:hotpath function holds a lock",
+	Doc:  "enforce Lock/Unlock pairing per scope, a consistent global lock order, no blocking while a //tva:hotpath function holds a lock, and typed atomics only",
 	Run:  runLockOrder,
 }
 
@@ -74,8 +79,14 @@ func runLockOrder(prog *Program, pkgs []*Package) []Finding {
 			// Every func literal is its own pairing scope: goroutine and
 			// defer bodies acquire and release on their own timeline.
 			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					w.runScope(lit.Body, "func literal", false)
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					w.runScope(n.Body, "func literal", false)
+				case *ast.CallExpr:
+					fn := funcFor(pkg.Info, n)
+					if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+						w.report(n.Pos(), "sync/atomic function call atomic.%s; use the typed atomics (atomic.Uint64 and friends)", fn.Name())
+					}
 				}
 				return true
 			})

@@ -4,6 +4,7 @@ package lockorder
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -156,4 +157,43 @@ func (s *S) suppressed() {
 		s.n++
 		s.mu.Unlock()
 	}()
+}
+
+// Raw sync/atomic calls: each one is a finding, whatever the field's
+// layout or its other accesses. The typed atomics below are the legal
+// shape.
+type Counters struct {
+	hits uint64
+	gen  uint32
+}
+
+func (c *Counters) Inc() { atomic.AddUint64(&c.hits, 1) } // want "atomic.AddUint64"
+
+func (c *Counters) Snapshot() uint64 { return atomic.LoadUint64(&c.hits) } // want "atomic.LoadUint64"
+
+type Packed struct {
+	gen  uint32
+	hits uint64
+}
+
+func (p *Packed) Inc() { atomic.AddUint64(&p.hits, 1) } // want "use the typed atomics"
+
+var total uint64
+
+func AddTotal(n uint64) { atomic.AddUint64(&total, n) } // want "use the typed atomics"
+
+// Good: a typed instrument's methods are not sync/atomic functions.
+type Typed struct {
+	gen  uint32
+	hits atomic.Uint64
+}
+
+func (t *Typed) Inc() { t.hits.Add(1) }
+
+func (t *Typed) Snapshot() uint64 { return t.hits.Load() }
+
+// Suppressed: one raw call kept on purpose.
+func ReadTotal() uint64 {
+	//lint:ignore lockorder fixture: the suppression path still works
+	return atomic.LoadUint64(&total)
 }

@@ -75,7 +75,7 @@ func (r *Router) Metrics(window int, health metrics.DetectorConfig) *RouterMetri
 	}
 
 	mustReg(reg.Gauge(metrics.NameFlowCacheEntries, nil,
-		"Live flow-cache entries across shard replicas.",
+		"Live flow-cache entries at this router.",
 		func() float64 { return float64(r.FlowCacheEntries()) }))
 	mustReg(reg.Gauge(metrics.NameQueueWaitEWMA, nil,
 		"EWMA output-queue wait in microseconds (the hop-report value).",

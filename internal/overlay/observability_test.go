@@ -12,14 +12,27 @@ import (
 	"tva/internal/tvatime"
 )
 
-// mixedWorkload extends shardWorkload with invalid-capability packets
-// so the runs exercise the demotion counters, not just classification.
+// mixedWorkload builds a deterministic stream of fresh requests,
+// capability-carrying regular packets across many flows, and regular
+// packets with forged capabilities, so the runs exercise the demotion
+// counters, not just classification.
 func mixedWorkload(auth *capability.Authority, n int, now tvatime.Time) []*packet.Packet {
-	pkts := shardWorkload(auth, n, now)
-	for i, p := range pkts {
-		if i%5 == 1 && p.Hdr.Kind == packet.KindRegular {
-			p.Hdr.Caps = []uint64{uint64(i)*2654435761 + 17} // forged
+	pkts := make([]*packet.Packet, n)
+	dst := packet.Addr(1)
+	for i := range pkts {
+		src := packet.Addr(1000 + i%97)
+		h := &packet.CapHdr{Kind: packet.KindRequest, Proto: packet.ProtoRaw}
+		if i%3 != 0 {
+			cap := capability.Crypto.MakeCap(auth.PreCap(src, dst, now), packet.MaxNKB, packet.MaxTSeconds)
+			if i%5 == 1 {
+				cap = uint64(i)*2654435761 + 17 // forged
+			}
+			h = &packet.CapHdr{Kind: packet.KindRegular, Proto: packet.ProtoRaw,
+				Nonce: (uint64(i)*2654435761 + 1) & packet.NonceMask, NKB: packet.MaxNKB, TSec: packet.MaxTSeconds,
+				Caps: []uint64{cap}}
 		}
+		pkts[i] = &packet.Packet{Src: src, Dst: dst, TTL: 64, Proto: packet.ProtoRaw,
+			Hdr: h, Size: packet.OuterHdrLen + h.WireSize()}
 	}
 	return pkts
 }
@@ -74,50 +87,6 @@ func TestBatchObservabilityEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardObservabilityEquivalence requires the shard engine's merged
-// counters to be independent of the shard count: flows hash wholly
-// onto one shard, so slicing the same traffic 1 (inline), 2, or 4 ways
-// must yield the aggregate stats and demotion attribution of one
-// core.Router fed the same packets one Process call at a time.
-func TestShardObservabilityEquivalence(t *testing.T) {
-	auth := capability.NewAuthority(0)
-	now := tvatime.FromSeconds(1)
-	pkts := mixedWorkload(auth, 400, now)
-
-	ref := core.NewRouter(core.RouterConfig{Authority: auth})
-	for _, p := range pkts {
-		ref.Process(clonePkt(p), 0, now)
-	}
-	if ref.Demotions.Total() == 0 {
-		t.Fatal("workload produced no demotion attribution")
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		base := core.RouterConfig{Authority: auth}
-		e := newShardEngine(shards, func() *core.Router { return core.NewRouter(base) })
-		const burstLen = 16
-		b := packet.NewBatch(burstLen)
-		for i := 0; i < len(pkts); i += burstLen {
-			end := i + burstLen
-			if end > len(pkts) {
-				end = len(pkts)
-			}
-			for _, p := range pkts[i:end] {
-				b.Append(clonePkt(p))
-			}
-			e.process(b, now)
-			b.Reset()
-		}
-		e.close()
-		if st := e.stats(); st != ref.Stats {
-			t.Errorf("shards=%d: stats %+v != reference %+v", shards, st, ref.Stats)
-		}
-		if dem := e.demotions(); dem != ref.Demotions {
-			t.Errorf("shards=%d: demotions %v != reference %v", shards, dem, ref.Demotions)
-		}
-	}
-}
-
 // TestRouterMetricsExposition builds a registry off a real router
 // that has forwarded traffic and checks the exposition parses
 // strictly, carries the shared-name series tvatop requires, and that
@@ -125,8 +94,8 @@ func TestShardObservabilityEquivalence(t *testing.T) {
 // own accessors — which at the default width read exactly 1, the
 // simulator's figure for the same shared series.
 func TestRouterMetricsExposition(t *testing.T) {
-	for _, w := range []struct{ batch, shards int }{{0, 0}, {8, 2}} {
-		r, alice, bob := testNetAt(t, w.batch, w.shards, core.NewClientPolicy(), core.NewServerPolicy())
+	for _, batch := range []int{0, 8} {
+		r, alice, bob := testNetAt(t, batch, core.NewClientPolicy(), core.NewServerPolicy())
 		if err := alice.Send(bob.Addr(), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +139,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		if got, ok := sc.Get("tva_tx_burst_fill"); !ok || got.Value != tx {
 			t.Errorf("registry tx burst fill %v, router says %v", got.Value, tx)
 		}
-		if w.batch <= 1 && (rx != 1 || tx != 1) {
+		if batch <= 1 && (rx != 1 || tx != 1) {
 			t.Errorf("width-1 burst fill rx=%v tx=%v, want exactly 1", rx, tx)
 		}
 	}

@@ -7,11 +7,10 @@
 // capability-protected datagram service to applications.
 //
 // Concurrency model: one data path at every width. The receive
-// goroutine runs rx.recvBatch → decode → shards.process → dispatch on
-// bursts of up to RouterConfig.Batch datagrams; capability state lives
-// in RouterConfig.Shards core.Router replicas, each guarded by its
-// worker's lock (one replica is driven inline on the receive
-// goroutine, more by flow-hashed worker goroutines — see shard.go).
+// goroutine runs rx.recvBatch → decode → core.ProcessBatch → dispatch
+// on bursts of up to RouterConfig.Batch datagrams; capability state
+// lives in one core.Router guarded by coreMu, which the receive
+// goroutine holds around each burst and aggregate readers hold briefly.
 // Each neighbour has one port goroutine running dequeue → encode →
 // transmit (tx.sendBatch); port.mu guards that port's scheduler, which
 // the receive goroutine fills and the port goroutine drains. This
@@ -38,7 +37,6 @@ import (
 	"tva/internal/flowstats"
 	"tva/internal/metrics"
 	"tva/internal/packet"
-	"tva/internal/pathid"
 	"tva/internal/sched"
 	"tva/internal/telemetry"
 	"tva/internal/trace"
@@ -70,10 +68,6 @@ type RouterConfig struct {
 	// (width 1 always sends plain messages). On platforms without mmsg
 	// syscalls reads return one datagram per call whatever the width.
 	Batch int
-	// Shards is the number of flow-hashed capability-processing
-	// workers sharing one authority (see shard.go). 0 and 1 both mean
-	// one, which runs inline on the receive goroutine.
-	Shards int
 	// Spans, if non-nil, records packet-lifecycle spans: every received
 	// packet gets a fresh trace ID at this router's ingress and its
 	// enqueue/dequeue/tx edges at the output ports are recorded through
@@ -92,10 +86,12 @@ type Router struct {
 	cfg   RouterConfig
 
 	// rx is the socket burst reader, touched only by the receive
-	// goroutine; shards is the capability engine (cfg.Shards replicas,
-	// each guarded by its worker's mu).
+	// goroutine. core is the capability engine; coreMu guards its plain
+	// counters, flow cache and Flows, held around ProcessBatch by the
+	// receive goroutine and by aggregate readers.
 	rx     *batchConn
-	shards *shardEngine
+	coreMu sync.Mutex
+	core   *core.Router
 
 	mu     sync.Mutex
 	routes map[packet.Addr]*port
@@ -262,13 +258,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.RequestFraction = 0.05
 	}
 	cfg.Batch = min(max(cfg.Batch, 1), packet.DefaultBatchCap)
-	cfg.Shards = max(cfg.Shards, 1)
-	// Shard replicas must share the path-identifier tagger, so pin it
-	// before any router replica is built (core would otherwise mint a
-	// private one per replica and tags would disagree across shards).
-	if cfg.Core.TrustBoundary && cfg.Core.Tagger == nil {
-		cfg.Core.Tagger = pathid.New()
-	}
 	rx, err := newBatchConn(conn, cfg.Batch)
 	if err != nil {
 		conn.Close()
@@ -283,24 +272,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ports:  make(map[string]*port),
 		closed: make(chan struct{}),
 	}
-	sub := cfg.Core
-	r.shards = newShardEngine(cfg.Shards, func() *core.Router {
-		w := core.NewRouter(sub)
-		// The first replica mints the authority (unless the caller
-		// supplied one); every later replica shares it, so all shards
-		// mint and validate identical capabilities.
-		sub.Authority = w.Authority()
-		// Hop-wait attribution: requests that opt in (WantHops) get
-		// stamped with this router's current queue-wait estimate, which
-		// travels back to the sender in return information (tvaping
-		// shows it per hop).
-		w.HopWait = r.waitEWMA.Load
-		// Per-sender accounting: one collector per state owner, guarded
-		// by that owner's existing lock (shardWorker.mu per replica,
-		// port.mu per port scheduler); FlowSnapshot merges them.
-		w.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
-		return w
-	})
+	r.core = core.NewRouter(cfg.Core)
+	// Hop-wait attribution: requests that opt in (WantHops) get stamped
+	// with this router's current queue-wait estimate, which travels
+	// back to the sender in return information (tvaping shows it per
+	// hop).
+	r.core.HopWait = r.waitEWMA.Load
+	// Per-sender accounting: one collector per state owner, guarded by
+	// that owner's existing lock (coreMu for the engine, port.mu per
+	// port scheduler); FlowSnapshot merges them.
+	r.core.Flows = flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
 	r.wg.Add(1)
 	go r.receiveLoop()
 	return r, nil
@@ -330,33 +311,38 @@ func (r *Router) TxBurstFill() float64 {
 	return float64(pkts) / float64(bursts)
 }
 
-// CoreStats aggregates processing outcomes across shard replicas.
-func (r *Router) CoreStats() core.RouterStats { return r.shards.stats() }
+// CoreStats returns the capability engine's processing outcomes.
+func (r *Router) CoreStats() core.RouterStats {
+	r.coreMu.Lock()
+	defer r.coreMu.Unlock()
+	return r.core.Stats
+}
 
-// CoreDemotions aggregates demotion attribution across shard replicas.
-func (r *Router) CoreDemotions() telemetry.DropCounters { return r.shards.demotions() }
+// CoreDemotions returns the capability engine's demotion attribution.
+func (r *Router) CoreDemotions() telemetry.DropCounters {
+	r.coreMu.Lock()
+	defer r.coreMu.Unlock()
+	return r.core.Demotions
+}
 
-// FlowCacheEntries sums live flow-cache entries across shard replicas.
+// FlowCacheEntries returns the engine's live flow-cache entries.
 func (r *Router) FlowCacheEntries() int {
-	n := 0
-	r.shards.each(func(c *core.Router) { n += c.Cache().Len() })
-	return n
+	r.coreMu.Lock()
+	defer r.coreMu.Unlock()
+	return r.core.Cache().Len()
 }
 
 // FlowSnapshot merges every owner's per-sender table — the capability
-// engine's shard replicas and each port scheduler's drop accounting —
-// into one top-K view, plus the total bytes the engines observed.
-// MergeSamples keys the fold and fixes the final order (bytes
-// descending, key ascending), so the result is deterministic
-// regardless of shard count, port order, or merge order: the same
-// traffic always yields the same rows.
+// engine's and each port scheduler's drop accounting — into one top-K
+// view, plus the total bytes the engine observed. MergeSamples keys
+// the fold and fixes the final order (bytes descending, key
+// ascending), so the result is deterministic regardless of port order
+// or merge order: the same traffic always yields the same rows.
 func (r *Router) FlowSnapshot() ([]flowstats.Sample, uint64) {
-	var samples []flowstats.Sample
-	var total uint64
-	r.shards.each(func(c *core.Router) {
-		samples = c.Flows.AppendSamples(samples)
-		total += c.Flows.TotalBytes()
-	})
+	r.coreMu.Lock()
+	samples := r.core.Flows.AppendSamples(nil)
+	total := r.core.Flows.TotalBytes()
+	r.coreMu.Unlock()
 	r.eachPort(func(p *port) { samples = p.q.Flows.AppendSamples(samples) })
 	return flowstats.MergeSamples(samples, flowstats.DefaultTopK), total
 }
@@ -541,11 +527,11 @@ func (r *Router) SetDefaultRoute(via string) error {
 	return nil
 }
 
-// Core exposes the router's protocol engine — shard replica 0; every
-// replica shares its Authority — for diagnostics endpoints. Its
-// counters are owned by that replica's worker, so reads are
-// approximate while traffic flows; CoreStats is the locked aggregate.
-func (r *Router) Core() *core.Router { return r.shards.workers[0].core }
+// Core exposes the router's protocol engine for diagnostics endpoints.
+// Its counters are written by the receive goroutine under coreMu, so
+// reads through it are approximate while traffic flows; CoreStats is
+// the locked read.
+func (r *Router) Core() *core.Router { return r.core }
 
 // SchedDrops sums per-reason drop counts across all port schedulers.
 func (r *Router) SchedDrops() telemetry.DropCounters {
@@ -609,18 +595,19 @@ func (r *Router) Close() error {
 		p.cond.Broadcast()
 	})
 	r.wg.Wait()
-	// After wg.Wait the receive goroutine is gone, so no more jobs can
-	// be scattered; the shard workers can drain and exit. What the
+	// After wg.Wait the receive and port goroutines are gone; what the
 	// ports still hold goes back to the pool.
-	r.shards.close()
 	r.eachPort(func(p *port) { p.q.Flush(packet.Release) })
 	return err
 }
 
 // receiveLoop is the ingress half of the data path, one burst at a
-// time: rx.recvBatch → decode → shards.process → dispatch. It is the
-// only goroutine that reads the socket and the only one that enqueues
-// onto ports, so packets leave toward each port in arrival order.
+// time: rx.recvBatch → decode → core.ProcessBatch → dispatch. It is
+// the only goroutine that reads the socket and the only one that
+// enqueues onto ports, so packets leave toward each port in arrival
+// order. The overlay's socket is one ingress, so every burst is
+// processed on interface 0; deployments with several trust boundaries
+// run one router process per boundary.
 func (r *Router) receiveLoop() {
 	defer r.wg.Done()
 	// One burst and one same-port run scratch for the goroutine's
@@ -648,7 +635,9 @@ func (r *Router) receiveLoop() {
 		r.RxBursts.Add(1)
 		r.RxBurstPkts.Add(uint64(b.Len()))
 		now := r.clock.Now()
-		r.shards.process(b, now)
+		r.coreMu.Lock()
+		r.core.ProcessBatch(b, 0, now)
+		r.coreMu.Unlock()
 		r.dispatch(b, run, now)
 		b.Reset()
 	}

@@ -6,31 +6,30 @@ import (
 	"testing"
 	"time"
 
+	"tva/internal/capability"
 	"tva/internal/core"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
 
-// widths are the (Batch, Shards) settings every end-to-end behaviour
-// must hold at — they are widths of one data path, not modes: the
-// defaults, explicit ones, a burst, a burst across shards, and shards
-// without a burst.
-var widths = []struct{ batch, shards int }{{0, 0}, {1, 1}, {8, 1}, {8, 2}, {1, 4}}
+// widths are the Batch settings every end-to-end behaviour must hold
+// at — they are widths of one data path, not modes: the default, an
+// explicit one, and a burst.
+var widths = []int{0, 1, 8}
 
 // testNet builds router←→{alice, bob} on loopback at the default
 // widths and returns a cleanup-registered trio.
 func testNet(t *testing.T, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host) {
 	t.Helper()
-	return testNetAt(t, 0, 0, aPolicy, bPolicy)
+	return testNetAt(t, 0, aPolicy, bPolicy)
 }
 
-func testNetAt(t *testing.T, batch, shards int, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host) {
+func testNetAt(t *testing.T, batch int, aPolicy, bPolicy core.Policy) (*Router, *Host, *Host) {
 	t.Helper()
 	r, err := NewRouter(RouterConfig{
 		Listen: "127.0.0.1:0",
 		Core:   core.RouterConfig{TrustBoundary: true},
 		Batch:  batch,
-		Shards: shards,
 	})
 	if err != nil {
 		t.Fatalf("router: %v", err)
@@ -102,7 +101,7 @@ func forwardEqualRun(t *testing.T, r *Router, offload bool) {
 	}
 }
 
-// forEachWidth runs f as one subtest per (Batch, Shards) setting and
+// forEachWidth runs f as one subtest per Batch setting and
 // then holds the router to the invariants no width may break: every
 // datagram read is accounted for exactly once, and so is every packet
 // handed to a port (Sent, TxFailed or Dropped); an equal-length run
@@ -111,10 +110,10 @@ func forwardEqualRun(t *testing.T, r *Router, offload bool) {
 // figure), and every pooled packet is back after Close.
 func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *testing.T, r *Router, alice, bob *Host)) {
 	offload := segmentOffload(t)
-	for _, w := range widths {
-		t.Run(fmt.Sprintf("batch%d_shards%d", w.batch, w.shards), func(t *testing.T) {
+	for _, batch := range widths {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
 			live := packet.Live()
-			r, alice, bob := testNetAt(t, w.batch, w.shards, aPolicy(), bPolicy())
+			r, alice, bob := testNetAt(t, batch, aPolicy(), bPolicy())
 			f(t, r, alice, bob)
 			forwardEqualRun(t, r, offload)
 
@@ -143,9 +142,6 @@ func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *t
 				time.Sleep(5 * time.Millisecond)
 			}
 
-			if got, want := len(r.shards.workers), max(w.shards, 1); got != want {
-				t.Errorf("%d shard workers, want %d", got, want)
-			}
 			// Once the queues drain, every forwarded packet is Sent, TxFailed
 			// or Dropped at exactly one port, and (nothing here fails to
 			// marshal) each port's dequeued = offered = Sent + TxFailed.
@@ -174,7 +170,7 @@ func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *t
 				t.Errorf("engine saw no requests: %+v", st)
 			}
 			rxFill, txFill := r.RxBurstFill(), r.TxBurstFill()
-			if width := float64(max(w.batch, 1)); rxFill < 1 || rxFill > width || txFill < 1 || txFill > width {
+			if width := float64(max(batch, 1)); rxFill < 1 || rxFill > width || txFill < 1 || txFill > width {
 				t.Errorf("burst fill outside [1, %v]: rx=%v tx=%v", width, rxFill, txFill)
 			}
 			for _, p := range r.portList() {
@@ -273,6 +269,76 @@ func TestOverlayRefusedSenderDemoted(t *testing.T) {
 			t.Error("refused sender believes it is authorized")
 		}
 	})
+}
+
+// TestFlowStateBudget holds the real plane to §3.6's one flow-state
+// budget: a router whose engine may keep 64 entries is offered 256
+// distinct capability-carrying flows, twice over, and never holds more
+// than 64. Every datagram is accounted for, and the engine counts every
+// regular packet as a hit or a miss whether or not the cache had room.
+func TestFlowStateBudget(t *testing.T) {
+	const budget, flows, passes = 64, 256, 2
+	r, err := NewRouter(RouterConfig{Listen: "127.0.0.1:0", Batch: 8,
+		Core: core.RouterConfig{CacheEntries: budget}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	drv, _, _, sinkConn := loopbackPair(t, net.IPv4(127, 0, 0, 1), 8)
+	dst := packet.AddrFrom(10, 0, 0, 3)
+	if err := r.AddRoute(dst, sinkConn.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+
+	auth := r.Core().Authority()
+	now := tvatime.WallClock{}.Now()
+	wire := make([][]byte, flows)
+	for i := range wire {
+		src := packet.AddrFrom(10, 1, byte(i>>8), byte(i))
+		h := &packet.CapHdr{Kind: packet.KindRegular, Proto: packet.ProtoRaw,
+			Nonce: uint64(i+1) & packet.NonceMask, NKB: packet.MaxNKB, TSec: packet.MaxTSeconds,
+			Caps: []uint64{capability.Crypto.MakeCap(auth.PreCap(src, dst, now), packet.MaxNKB, packet.MaxTSeconds)}}
+		if wire[i], err = (&packet.Packet{Src: src, Dst: dst, TTL: 64, Proto: packet.ProtoRaw,
+			Hdr: h, Size: packet.OuterHdrLen + h.WireSize()}).Marshal(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Windows of 32, each read by the router before the next is sent, so
+	// the socket buffer cannot drop any and the cache is checked as it
+	// fills.
+	sent := 0
+	for pass := 0; pass < passes; pass++ {
+		for i := 0; i < flows; i += 32 {
+			for j := i; j < i+32; j += 8 {
+				if n, _, err := drv.sendBatch(wire[j:j+8], r.Addr()); err != nil || n != 8 {
+					t.Fatalf("burst at flow %d: sent %d, err %v", j, n, err)
+				}
+			}
+			sent += 32
+			// The engine counts each regular packet once, after it is read.
+			deadline := time.Now().Add(2 * time.Second)
+			for st := r.CoreStats(); st.RegularHit+st.RegularMiss < uint64(sent); st = r.CoreStats() {
+				if time.Now().After(deadline) {
+					t.Fatalf("engine counted %+v of %d regular packets (router read %d)", st, sent, r.Received.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := r.FlowCacheEntries(); n > budget {
+				t.Fatalf("after %d packets the flow cache holds %d entries, budget %d", sent, n, budget)
+			}
+		}
+	}
+
+	r.Close() // freezes the counters: the last burst is dispatched
+	rx := r.Received.Load()
+	if rx != uint64(sent) || rx != r.Forwarded.Load()+r.Unroutable.Load()+r.Malformed.Load()+r.Expired.Load() {
+		t.Errorf("counters not conserved: sent=%d received=%d forwarded=%d unroutable=%d malformed=%d expired=%d",
+			sent, rx, r.Forwarded.Load(), r.Unroutable.Load(), r.Malformed.Load(), r.Expired.Load())
+	}
+	if st := r.CoreStats(); st.RegularHit+st.RegularMiss != uint64(sent) {
+		t.Errorf("engine counted %d hits + %d misses for %d regular packets", st.RegularHit, st.RegularMiss, sent)
+	}
 }
 
 // TestPortBatchFailuresCostOnlyThemselves drives one port's encode and

@@ -38,10 +38,10 @@ type TopoConfig struct {
 	// CacheEntries sizes each router's flow cache (default 4096, the
 	// simulator harness's setting).
 	CacheEntries int
-	// Batch/Shards set each router's burst width and capability worker
-	// count (see RouterConfig); the loopback default is width one on
-	// one worker — the same data path as any larger setting.
-	Batch, Shards int
+	// Batch sets each router's burst width (see RouterConfig); the
+	// loopback default is width one, the same data path as any larger
+	// setting.
+	Batch int
 	// SpanCapacity, if positive, attaches a shared packet-lifecycle
 	// flight recorder across all routers: each router assigns fresh
 	// trace IDs at its ingress and records enqueue/dequeue/tx edges at
@@ -98,7 +98,6 @@ func NewTopology(cfg TopoConfig) (*Topology, error) {
 			LinkBps:         cfg.LinkBps,
 			RequestFraction: cfg.RequestFraction,
 			Batch:           cfg.Batch,
-			Shards:          cfg.Shards,
 			Spans:           t.spans,
 		})
 		if err != nil {
