@@ -88,84 +88,58 @@ func (b *builder) hostEgress() sched.Scheduler {
 
 // newRouterNode builds a router node for the scheme; an undeployed
 // router is a plain legacy forwarder regardless of scheme (§8
-// incremental deployment). For pushback the returned node must
-// additionally be wired with attachPushback.
+// incremental deployment). Every node drops expired packets and
+// decrements TTL; the scheme's per-packet verdict is the only part
+// that varies. For pushback the returned node must additionally be
+// wired with attachPushback.
 func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *pushback.Router) {
 	node := b.sim.NewNode(name)
-	if !deployed {
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				return
+	// forward is the scheme's verdict on a packet; nil forwards all.
+	var forward func(pkt *packet.Packet, in *netsim.Iface) bool
+	var pr *pushback.Router
+	if deployed {
+		switch b.cfg.Scheme {
+		case SchemeTVA:
+			b.taggerSeed++
+			rtr := core.NewRouter(core.RouterConfig{
+				ID:            uint8(b.taggerSeed),
+				CacheEntries:  4096,
+				TrustBoundary: true,
+				Tagger:        pathid.NewSeeded(uint64(b.cfg.Seed)*1315423911 + b.taggerSeed),
+			})
+			rtr.Spans = b.spans
+			b.tvaRouters = append(b.tvaRouters, rtr)
+			forward = func(pkt *packet.Packet, in *netsim.Iface) bool {
+				rtr.Process(pkt, in.Index, b.sim.Now())
+				return true
 			}
-			pkt.TTL--
-			node.Send(pkt)
-		})
-		return node, nil
+		case SchemeSIFF:
+			rtr := siff.NewRouter(b.cfg.SIFFSecretPeriod)
+			b.siffRouters = append(b.siffRouters, rtr)
+			forward = func(pkt *packet.Packet, _ *netsim.Iface) bool {
+				_, drop := rtr.Process(pkt, b.sim.Now())
+				return !drop
+			}
+		case SchemePushback:
+			pr = pushback.NewRouter(b.cfg.BottleneckBps, pushback.Config{})
+			forward = func(pkt *packet.Packet, in *netsim.Iface) bool {
+				return pr.Arrival(pkt, in.Index, b.sim.Now())
+			}
+		}
 	}
-	switch b.cfg.Scheme {
-	case SchemeTVA:
-		b.taggerSeed++
-		rtr := core.NewRouter(core.RouterConfig{
-			ID:            uint8(b.taggerSeed),
-			CacheEntries:  4096,
-			TrustBoundary: true,
-			Tagger:        pathid.NewSeeded(uint64(b.cfg.Seed)*1315423911 + b.taggerSeed),
-		})
-		rtr.Spans = b.spans
-		b.tvaRouters = append(b.tvaRouters, rtr)
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				return
-			}
-			pkt.TTL--
-			rtr.Process(pkt, in.Index, b.sim.Now())
-			node.Send(pkt)
-		})
-		return node, nil
-	case SchemeSIFF:
-		rtr := siff.NewRouter(b.cfg.SIFFSecretPeriod)
-		b.siffRouters = append(b.siffRouters, rtr)
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				return
-			}
-			pkt.TTL--
-			if _, drop := rtr.Process(pkt, b.sim.Now()); drop {
-				packet.Release(pkt)
-				return
-			}
-			node.Send(pkt)
-		})
-		return node, nil
-	case SchemePushback:
-		pr := pushback.NewRouter(b.cfg.BottleneckBps, pushback.Config{})
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				return
-			}
-			pkt.TTL--
-			if !pr.Arrival(pkt, in.Index, b.sim.Now()) {
-				packet.Release(pkt)
-				return
-			}
-			node.Send(pkt)
-		})
-		return node, pr
-	default:
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
-			if pkt.TTL == 0 {
-				packet.Release(pkt)
-				return
-			}
-			pkt.TTL--
-			node.Send(pkt)
-		})
-		return node, nil
-	}
+	node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
+		if pkt.TTL == 0 {
+			packet.Release(pkt)
+			return
+		}
+		pkt.TTL--
+		if forward != nil && !forward(pkt, in) {
+			packet.Release(pkt)
+			return
+		}
+		node.Send(pkt)
+	})
+	return node, pr
 }
 
 // attachPushback wires a pushback router's control loop to its

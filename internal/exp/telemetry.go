@@ -53,10 +53,10 @@ type RunTelemetry struct {
 	GoodputBytes uint64
 
 	// Flows is the bottleneck's per-sender accounting unit: top-K
-	// bytes/pkts/drops/demotions plus the count-min traffic sketch,
-	// fed by the left router's capability engine and the bottleneck
-	// scheduler's drop sites. Always on (O(K) memory, allocation-free
-	// recording); snapshot via Result.Flows.
+	// bytes/pkts/drops/demotions plus the exact byte total, fed by the
+	// left router's capability engine and the bottleneck scheduler's
+	// drop sites. Always on (O(K) memory, allocation-free recording);
+	// snapshot via Result.Flows.
 	Flows *flowstats.Collector
 
 	// Fairness is the exact per-window fairness engine over the

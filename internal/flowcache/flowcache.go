@@ -10,18 +10,17 @@
 // bounds the number of live entries to C/(N/T)min for an input link of
 // capacity C (see the theorem in §3.6; TestByteBound* verify it).
 //
-// The live entries sit in an open-addressed index: a power-of-two
-// slot array at least four times the capacity (load <= 1/4: the keyed
-// hash places flows at random, and at load 1/2 collisions cost a
-// create-with-eviction a third more), linear probing, and
-// backward-shift deletion (no tombstones), so a lookup is a hash and a
-// short walk over adjacent slots with no runtime map code. Flow keys
-// are source addresses an attacker can spoof, so the hash is keyed per
-// cache (internal/keyhash, the runtime's non-AES construction under a
-// seed drawn in New): an attacker who does not know the seed cannot aim
-// keys at one probe chain (TestHashFloodProbeLength).
+// Entries live in one slice, addressed by int32 handles, and a
+// keyhash.Index maps each live flow to its handle: a lookup is a keyed
+// hash and a short walk over adjacent slots with no runtime map code.
+// The index has four slots per entry (load <= 1/4: the keyed hash
+// places flows at random, and at load 1/2 collisions cost a
+// create-with-eviction a third more). Flow keys are source addresses
+// an attacker can spoof, so the hash is keyed per cache: an attacker
+// who does not know the seed cannot aim keys at one probe chain. The
+// cache holds no pointers, so the garbage collector does not scan it.
 //
-// Eviction order is tracked with a lazy min-heap of (key, entry)
+// Eviction order is tracked with a lazy min-heap of (key, handle)
 // nodes: charging a flow only advances its TTLExpire (a monotonic
 // increase), so a node's key is allowed to go stale and is repaired
 // when the node surfaces at the top. That keeps the per-packet fast
@@ -32,8 +31,6 @@
 package flowcache
 
 import (
-	"math/bits"
-
 	"tva/internal/keyhash"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
@@ -62,31 +59,31 @@ type Entry struct {
 	Bytes     int64        // bytes charged so far
 	TTLExpire tvatime.Time // absolute time the ttl reaches zero
 
-	// home is the slot the entry's probe chain starts at, kept so
-	// deletion never rehashes.
-	home uint32
 	// dead marks an entry removed from the index whose heap node has
 	// not been drained yet.
 	dead bool
 	// freeNext links reclaimed entries into the cache's free list.
-	freeNext *Entry
+	freeNext int32
 }
+
+// indexFactor is the index's slots per entry (load <= 1/4).
+const indexFactor = 4
 
 // Cache is a fixed-capacity flow cache. It is not safe for concurrent
 // use; routers own one per forwarding context and serialize access.
 type Cache struct {
-	max   int
-	n     int      // live (indexed) entries
-	slots []*Entry // open-addressed index; nil = empty
-	mask  uint32
-	seed  keyhash.Seed // per cache: no two caches share a collision pattern
-	byTTL ttlHeap
-	// free holds reclaimed entries (linked through freeNext) for Create
-	// to reuse, so steady-state flow churn allocates no Entry values.
-	// Reclaimed entries are recycled, which is why Lookup results must
-	// not be retained across cache mutations (routers hold them only
-	// within a single packet's processing).
-	free *Entry
+	max int
+	idx keyhash.Index // live flows -> handles into entries
+	// entries grows by one on a free-list miss, so it tracks the peak
+	// number of flows. Lookup returns pointers into it, which is why
+	// they must not be retained across cache mutations (routers hold
+	// them only within a single packet's processing).
+	entries []Entry
+	byTTL   ttlHeap
+	// free heads the list of reclaimed handles (linked through
+	// freeNext, -1 ends it) that Create reuses, so steady-state flow
+	// churn does not grow entries.
+	free int32
 
 	// Stats.
 	Creates, Hits, Misses, Evictions, AdmitFailures uint64
@@ -98,13 +95,7 @@ func New(max int) *Cache {
 	if max <= 0 {
 		max = 1
 	}
-	nslots := 1 << bits.Len(uint(4*max-1))
-	return &Cache{
-		max:   max,
-		slots: make([]*Entry, nslots),
-		mask:  uint32(nslots - 1),
-		seed:  keyhash.New(),
-	}
+	return &Cache{max: max, idx: keyhash.NewIndex(max, indexFactor), free: -1}
 }
 
 // Bound returns the entry count needed so that a link of linkBps can
@@ -125,64 +116,27 @@ func Bound(linkBps int64, minN int64, minTSec int64) int {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int { return c.n }
+func (c *Cache) Len() int { return c.idx.Len() }
 
 // Max returns the capacity.
 func (c *Cache) Max() int { return c.max }
 
-// home returns the slot a key's probe chain starts at.
+// indexKey packs a flow key into the index's key space.
 //
 //tva:hotpath
-func (c *Cache) home(k Key) uint32 {
-	return uint32(c.seed.Sum(uint64(k.Src)<<32|uint64(k.Dst))) & c.mask
-}
-
-// find returns the slot holding key, whose home is h, or the empty
-// slot that ends its probe chain (where key would be inserted).
-//
-//tva:hotpath
-func (c *Cache) find(k Key, h uint32) uint32 {
-	i := h
-	for e := c.slots[i]; e != nil && e.Key != k; e = c.slots[i] {
-		i = (i + 1) & c.mask
-	}
-	return i
-}
-
-// unindex removes e from the index by backward-shift deletion: later
-// members of the probe chain move up into the hole when the hole lies
-// inside their own chain, so chains stay gap-free without tombstones.
-//
-//tva:hotpath
-func (c *Cache) unindex(e *Entry) {
-	i := e.home
-	for c.slots[i] != e {
-		i = (i + 1) & c.mask
-	}
-	for j := (i + 1) & c.mask; c.slots[j] != nil; j = (j + 1) & c.mask {
-		// Slot j's occupant may fill the hole at i only if its home is
-		// cyclically at or before i.
-		if (j-c.slots[j].home)&c.mask >= (j-i)&c.mask {
-			c.slots[i] = c.slots[j]
-			i = j
-		}
-	}
-	c.slots[i] = nil
-	c.n--
-}
+func indexKey(k Key) uint64 { return uint64(k.Src)<<32 | uint64(k.Dst) }
 
 // Lookup finds the entry for a flow, or nil.
 //
 //tva:hotpath
 func (c *Cache) Lookup(src, dst packet.Addr) *Entry {
-	k := Key{src, dst}
-	e := c.slots[c.find(k, c.home(k))]
-	if e != nil {
-		c.Hits++
-	} else {
+	h := c.idx.Find(indexKey(Key{src, dst}))
+	if h < 0 {
 		c.Misses++
+		return nil
 	}
-	return e
+	c.Hits++
+	return &c.entries[h]
 }
 
 // ttlDelta converts a packet length to its time-equivalent under the
@@ -205,23 +159,19 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 	if int64(l) > n || !now.Before(expiry) {
 		return nil
 	}
-	h := c.home(key)
-	i := c.find(key, h)
-	if old := c.slots[i]; old != nil {
-		// Re-creating a live flow: the new entry takes the old one's
-		// slot (the cache cannot be over capacity after dropping it);
-		// the old heap node is drained lazily.
-		old.dead = true
-		c.n--
-	} else if c.n >= c.max {
-		if !c.evictExpired(now) {
-			c.AdmitFailures++
-			return nil
-		}
-		// The eviction shifted probe chains; find the key's slot again.
-		i = c.find(key, h)
+	ik := indexKey(key)
+	if old := c.idx.Find(ik); old >= 0 {
+		// Re-creating a live flow: the new entry replaces the old one
+		// (the cache cannot be over capacity after dropping it); the
+		// old heap node is drained lazily.
+		c.entries[old].dead = true
+		c.idx.Delete(ik)
+	} else if c.idx.Len() >= c.max && !c.evictExpired(now) {
+		c.AdmitFailures++
+		return nil
 	}
-	e := c.newEntry()
+	h := c.newEntry()
+	e := &c.entries[h]
 	*e = Entry{
 		Key:       key,
 		Nonce:     nonce,
@@ -231,11 +181,9 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 		Expiry:    expiry,
 		Bytes:     int64(l),
 		TTLExpire: now.Add(ttlDelta(l, n, tsec)),
-		home:      h,
 	}
-	c.slots[i] = e
-	c.n++
-	c.byTTL.push(ttlNode{key: e.TTLExpire, e: e})
+	c.idx.Insert(ik, h)
+	c.byTTL.push(ttlNode{key: e.TTLExpire, h: h})
 	c.Creates++
 	c.maybeCompact()
 	return e
@@ -294,11 +242,10 @@ func (c *Cache) Replace(e *Entry, nonce, cap uint64, n int64, tsec uint8, expiry
 // survive the flush (they describe the process, not the boot).
 func (c *Cache) Flush() {
 	for _, nd := range c.byTTL {
-		c.freePut(nd.e)
+		c.freePut(nd.h)
 	}
 	c.byTTL = c.byTTL[:0]
-	clear(c.slots)
-	c.n = 0
+	c.idx.Clear()
 }
 
 // evictExpired reclaims the entry with the earliest ttl if that ttl
@@ -311,10 +258,11 @@ func (c *Cache) evictExpired(now tvatime.Time) bool {
 	h := &c.byTTL
 	for len(*h) > 0 {
 		top := &(*h)[0]
-		e := top.e
+		hnd := top.h
+		e := &c.entries[hnd]
 		if e.dead {
 			h.pop()
-			c.freePut(e)
+			c.freePut(hnd)
 			continue
 		}
 		if top.key != e.TTLExpire {
@@ -330,8 +278,8 @@ func (c *Cache) evictExpired(now tvatime.Time) bool {
 			return false
 		}
 		h.pop()
-		c.unindex(e)
-		c.freePut(e)
+		c.idx.Delete(indexKey(e.Key))
+		c.freePut(hnd)
 		c.Evictions++
 		return true
 	}
@@ -343,50 +291,49 @@ func (c *Cache) evictExpired(now tvatime.Time) bool {
 //
 //tva:hotpath
 func (c *Cache) maybeCompact() {
-	if len(c.byTTL) <= 2*c.n+64 {
+	if len(c.byTTL) <= 2*c.idx.Len()+64 {
 		return
 	}
 	live := c.byTTL[:0]
 	for _, nd := range c.byTTL {
-		if !nd.e.dead {
-			live = append(live, ttlNode{key: nd.e.TTLExpire, e: nd.e})
+		if e := &c.entries[nd.h]; !e.dead {
+			live = append(live, ttlNode{key: e.TTLExpire, h: nd.h})
 		} else {
-			c.freePut(nd.e)
+			c.freePut(nd.h)
 		}
 	}
-	clear(c.byTTL[len(live):])
 	c.byTTL = live
 	c.byTTL.init()
 }
 
-// newEntry pops a recycled entry off the free list, falling back to an
-// allocation when the list is empty (at most once per peak concurrent
-// flow count).
+// newEntry pops a recycled handle off the free list, growing entries
+// when the list is empty (at most once per peak concurrent flow
+// count).
 //
 //tva:hotpath
-func (c *Cache) newEntry() *Entry {
-	if e := c.free; e != nil {
-		c.free = e.freeNext
-		return e
+func (c *Cache) newEntry() int32 {
+	if h := c.free; h >= 0 {
+		c.free = c.entries[h].freeNext
+		return h
 	}
-	//lint:ignore hotpath allocates only on a free-list miss; steady-state flow churn reuses reclaimed entries
-	return &Entry{}
+	c.entries = append(c.entries, Entry{})
+	return int32(len(c.entries) - 1)
 }
 
-// freePut pushes a reclaimed entry onto the free list for newEntry.
+// freePut pushes a reclaimed handle onto the free list for newEntry.
 //
 //tva:hotpath
-func (c *Cache) freePut(e *Entry) {
-	e.freeNext = c.free
-	c.free = e
+func (c *Cache) freePut(h int32) {
+	c.entries[h].freeNext = c.free
+	c.free = h
 }
 
 // ttlNode is one heap slot: the key the entry was last ordered by (a
-// lower bound on its TTLExpire, stale after charges) beside the entry,
-// so sifting compares contiguous keys instead of chasing pointers.
+// lower bound on its TTLExpire, stale after charges) beside the
+// entry's handle, so sifting compares contiguous keys.
 type ttlNode struct {
 	key tvatime.Time
-	e   *Entry
+	h   int32
 }
 
 // ttlHeap is a binary min-heap of nodes by key. Its sift steps are

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"tva/internal/keyhash"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -176,31 +175,25 @@ func opsKey(b byte) Key {
 	return Key{Src: packet.Addr(k%8 + 1), Dst: packet.Addr(k/8 + 1)}
 }
 
-// opsSeed maps the first input byte to a fixed index seed, so a
-// failing input reproduces its slot layout.
-func opsSeed(b byte) keyhash.Seed {
-	return keyhash.FromKeys(uint64(b)*0x9E3779B97F4A7C15, uint64(b)^0xC2B2AE3D27D4EB4F)
-}
-
 // cacheOps runs the operation sequence encoded in data against a Cache
 // and the reference and returns the first disagreement. data[0] picks
-// the index seed, data[1] the capacity (1..24: above the 16 keys the
-// cache never fills, so re-created flows pile up dead heap nodes until
-// the heap compacts), and each following
-// 3-byte group [op, key, arg] is one Create, Lookup, Charge, Replace,
-// clock advance or Flush. Coarse parameters make equal TTLs — heap
-// ties — common.
+// the capacity (1..24: above the 16 keys the cache never fills, so
+// re-created flows pile up dead heap nodes until the heap compacts),
+// and each following 3-byte group [op, key, arg] is one Create, Lookup,
+// Charge, Replace, clock advance or Flush. Coarse parameters make equal
+// TTLs — heap ties — common. The index seed is random per cache; slot
+// placement must not reach any result (keyhash's tests pin the index
+// itself under fixed seeds).
 func cacheOps(data []byte) error {
-	if len(data) < 2 {
+	if len(data) < 1 {
 		return nil
 	}
-	max := 1 + int(data[1])%24
+	max := 1 + int(data[0])%24
 	c, ref := New(max), newRef(max)
-	c.seed = opsSeed(data[0])
 	now := at(1)
 	ns := [...]int64{1000, 4096, 32768}
 	tsecs := [...]uint8{1, 2, 10}
-	for step, p := 0, data[2:]; len(p) >= 3; step, p = step+1, p[3:] {
+	for step, p := 0, data[1:]; len(p) >= 3; step, p = step+1, p[3:] {
 		op, key, arg := p[0]%16, opsKey(p[1]), p[2]
 		n, tsec := ns[arg/4%3], tsecs[arg/12%3]
 		expiry := now.Add(tvatime.Duration(tsec) * tvatime.Second)
@@ -263,7 +256,9 @@ func cacheOps(data []byte) error {
 // sameState compares everything observable plus the heap layout: the
 // statistics, every live entry (so every eviction victim, ties
 // included), and node by node the TTL heap, whose order decides the
-// next victims. It also checks the index's own invariants.
+// next victims. It also checks that the index maps exactly the live
+// flows and that every entry handle is on the heap or the free list,
+// once.
 func sameState(c *Cache, ref *refCache) error {
 	if c.Creates != ref.Creates || c.Hits != ref.Hits || c.Misses != ref.Misses ||
 		c.Evictions != ref.Evictions || c.AdmitFailures != ref.AdmitFailures {
@@ -274,102 +269,65 @@ func sameState(c *Cache, ref *refCache) error {
 	if c.Len() != len(ref.entries) {
 		return fmt.Errorf("Len %d, want %d", c.Len(), len(ref.entries))
 	}
-	indexed := 0
-	for i, e := range c.slots {
-		if e == nil {
+	for b := byte(0); b < opsKeys; b++ {
+		k := opsKey(b)
+		h := c.idx.Find(indexKey(k))
+		r := ref.entries[k]
+		if h < 0 || r == nil {
+			if h >= 0 || r != nil {
+				return fmt.Errorf("%v: handle %d, reference %+v", k, h, r)
+			}
 			continue
 		}
-		indexed++
-		if !sameEntry(e, ref.entries[e.Key]) {
-			return fmt.Errorf("slot %d holds %+v, reference %+v", i, e, ref.entries[e.Key])
+		if e := &c.entries[h]; !sameEntry(e, r) || e.dead {
+			return fmt.Errorf("%v: handle %d holds %+v (dead=%v), reference %+v", k, h, e, e.dead, r)
 		}
-		if e.dead {
-			return fmt.Errorf("slot %d holds a dead entry", i)
-		}
-		if e.home != c.home(e.Key) {
-			return fmt.Errorf("slot %d: %v stored home %d, hashes to %d", i, e.Key, e.home, c.home(e.Key))
-		}
-		if c.slots[c.find(e.Key, e.home)] != e {
-			return fmt.Errorf("slot %d: %v unreachable from its home", i, e.Key)
-		}
-	}
-	if indexed != c.n {
-		return fmt.Errorf("%d indexed entries, n = %d", indexed, c.n)
 	}
 	if len(c.byTTL) != len(ref.byTTL) {
 		return fmt.Errorf("heap holds %d nodes, want %d", len(c.byTTL), len(ref.byTTL))
 	}
+	owned := make([]int, len(c.entries))
 	for i, nd := range c.byTTL {
-		r := ref.byTTL[i]
-		if nd.key != r.heapKey || nd.e.Key != r.Key || nd.e.dead != r.dead {
+		e, r := &c.entries[nd.h], ref.byTTL[i]
+		if nd.key != r.heapKey || e.Key != r.Key || e.dead != r.dead {
 			return fmt.Errorf("heap[%d] = {%v %v dead=%v}, want {%v %v dead=%v}",
-				i, nd.key, nd.e.Key, nd.e.dead, r.heapKey, r.Key, r.dead)
+				i, nd.key, e.Key, e.dead, r.heapKey, r.Key, r.dead)
+		}
+		owned[nd.h]++
+	}
+	for h := c.free; h >= 0; h = c.entries[h].freeNext {
+		if owned[h]++; owned[h] > 1 {
+			break
+		}
+	}
+	for h, n := range owned {
+		if n != 1 {
+			return fmt.Errorf("handle %d is held %d times by the heap and free list", h, n)
 		}
 	}
 	return nil
 }
 
-// wrapCorpus builds inputs whose probe chains run past the last slot
-// and continue at slot 0: for a small capacity it finds a seed byte
-// under which two keys share the last slot as their home and a third
-// starts at the last slot or at slot 0 (so its probe crosses the wrapped
-// chain), then creates, evicts and re-creates those flows. The returned inputs are
-// fuzz seeds; TestCacheOpsWrap checks that they really wrap.
-func wrapCorpus() [][]byte {
+// churnCorpus builds fuzz seeds for capacities 2, 4 and 8: three flows
+// are created and looked up, their ttls run out, every key churns
+// through the full cache (evicting and re-creating), and a tail of
+// charges, replaces, a Flush and a re-create follows.
+func churnCorpus() [][]byte {
 	var out [][]byte
-	for _, max := range []int{2, 4, 8} {
-		for s := 0; s < 256; s++ {
-			c := New(max)
-			c.seed = opsSeed(byte(s))
-			var last, first []byte
-			for k := byte(0); k < opsKeys; k++ {
-				switch c.home(opsKey(k)) {
-				case c.mask:
-					last = append(last, k)
-				case 0:
-					first = append(first, k)
-				}
-			}
-			if len(last) < 2 || len(last)+len(first) < 3 {
-				continue
-			}
-			ks := append(last, first...)[:3]
-			in := []byte{byte(s), byte(max - 1)}
-			for _, k := range ks {
-				in = append(in, 0, k, 1) // Create, short ttl
-			}
-			in = append(in, 4, ks[2], 0) // Lookup the wrapped flow
-			in = append(in, 11, 0, 50)   // advance past the ttls
-			for k := byte(0); k < opsKeys; k++ {
-				in = append(in, 1, k, 1+k%4) // churn: evict and re-create
-			}
-			in = append(in, 7, ks[2], 2, 10, ks[1], 20, 4, ks[0], 0, 15, 0, 0, 0, ks[2], 3)
-			out = append(out, in)
-			break
+	for _, max := range []byte{2, 4, 8} {
+		in := []byte{max - 1}
+		for k := byte(0); k < 3; k++ {
+			in = append(in, 0, k, 1) // Create, short ttl
 		}
+		in = append(in, 4, 2, 0)   // Lookup
+		in = append(in, 11, 0, 50) // advance past the ttls
+		for k := byte(0); k < opsKeys; k++ {
+			in = append(in, 1, k, 1+k%4) // churn: evict and re-create
+		}
+		in = append(in, 7, 2, 2, 10, 1, 20, 4, 0, 0, 15, 0, 0, 0, 2, 3)
+		out = append(out, in)
 	}
 	return out
-}
-
-func TestCacheOpsWrap(t *testing.T) {
-	corpus := wrapCorpus()
-	if len(corpus) != 3 {
-		t.Fatalf("found wrap seeds for %d capacities, want 3", len(corpus))
-	}
-	for _, in := range corpus {
-		// The first three creates must leave a chain that wraps.
-		c := New(1 + int(in[1])%24)
-		c.seed = opsSeed(in[0])
-		for _, p := range [][]byte{in[2:5], in[5:8], in[8:11]} {
-			c.Create(opsKey(p[1]), 1, 1, 1000, 1, at(5), 40, at(1))
-		}
-		if c.slots[0] == nil || c.home(c.slots[0].Key) != c.mask {
-			t.Errorf("seed %d, max %d: slot 0 does not continue a chain from the last slot", in[0], c.max)
-		}
-		if err := cacheOps(in); err != nil {
-			t.Errorf("seed %d, max %d: %v", in[0], c.max, err)
-		}
-	}
 }
 
 // TestCacheMatchesReference runs long random operation sequences
@@ -377,7 +335,7 @@ func TestCacheOpsWrap(t *testing.T) {
 func TestCacheMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 400; trial++ {
-		data := make([]byte, 2+3*600)
+		data := make([]byte, 1+3*600)
 		for i := range data {
 			data[i] = byte(rng.Uint32())
 		}
@@ -387,19 +345,19 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzCacheOps holds the open-addressed cache to the map + container/heap
-// reference on fuzzed operation sequences.
+// FuzzCacheOps holds the cache to the map + container/heap reference
+// on fuzzed operation sequences.
 func FuzzCacheOps(f *testing.F) {
-	for _, in := range wrapCorpus() {
+	for _, in := range churnCorpus() {
 		f.Add(in)
 	}
-	f.Add([]byte{0, 0, 0, 1, 1, 0, 2, 1, 11, 0, 60, 0, 3, 1})
-	compact := []byte{3, 23}
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 1, 11, 0, 60, 0, 3, 1})
+	compact := []byte{23}
 	for i := 0; i < 120; i++ { // one flow re-created until the heap compacts
 		compact = append(compact, 0, 5, byte(i%4), 11, 0, 1)
 	}
 	f.Add(compact)
-	f.Add([]byte{7, 7, 0, 1, 0, 0, 2, 0, 0, 3, 0, 7, 1, 3, 10, 2, 200, 15, 0, 0, 0, 1, 0})
+	f.Add([]byte{7, 0, 1, 0, 0, 2, 0, 0, 3, 0, 7, 1, 3, 10, 2, 200, 15, 0, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := cacheOps(data); err != nil {
 			t.Fatal(err)

@@ -1,18 +1,16 @@
 // Package flowstats is bounded-memory per-sender accounting for both
 // data planes: a space-saving top-K heavy-hitter table (bytes, packets,
 // drops, demotions per sender in O(K) memory regardless of sender
-// count), a count-min sketch for total-traffic estimates over the full
-// sender population, and a streaming fairness engine maintaining
-// Jain's fairness index and a max/min goodput ratio per metrics
-// window.
+// count), the exact total of observed bytes, and a streaming fairness
+// engine maintaining Jain's fairness index and a max/min goodput ratio
+// per metrics window.
 //
 // Everything on the record path is preallocated at construction and
 // //tva:hotpath-clean: no maps, no closures, no allocation — a table
-// touch is an open-addressed probe plus a heap sift, a sketch update
-// is four array adds. Collectors are not synchronized; each owner
-// (a core engine, a port scheduler) holds its own collector under its
-// own lock and snapshots merge deterministically
-// off the hot path (DESIGN.md §16).
+// touch is a keyhash.Index probe plus a heap sift. Collectors are not
+// synchronized; each owner (a core engine, a port scheduler) holds its
+// own collector under its own lock and snapshots merge
+// deterministically off the hot path (DESIGN.md §16).
 //
 // Senders are keyed the way the paper holds them accountable (§3.2):
 // request packets by their most recent path identifier (source
@@ -52,29 +50,29 @@ func keyOf(pkt *packet.Packet) Key {
 	return KeyFor(pkt.Src, 0)
 }
 
-// Default sizing: 32 tracked heavy hitters and a 1024-wide sketch per
-// collector keep a collector around 40 KB while holding the count-min
-// overestimate under ~0.27% of total bytes (e/width).
+// DefaultTopK is the default number of tracked heavy hitters: a
+// collector of 32 entries and its 512-slot index take about 10 KB.
+// DefaultSketchWidth selects nothing; it remains because benchmark
+// code passes it to New.
 const (
 	DefaultTopK        = 32
 	DefaultSketchWidth = 1024
 )
 
-// Collector is one owner's accounting unit: a top-K table plus a
-// count-min sketch fed by the same stream. A nil *Collector is a valid
-// no-op receiver, so data-path hooks cost one branch when accounting
-// is off.
+// Collector is one owner's accounting unit: a top-K table plus the
+// total of the bytes it observed. A nil *Collector is a valid no-op
+// receiver, so data-path hooks cost one branch when accounting is off.
 type Collector struct {
-	table  Table
-	sketch Sketch
+	table Table
+	n     uint64 // observed bytes
 }
 
-// New builds a collector tracking the top k senders with a count-min
-// sketch of the given width (rounded up to a power of two).
-func New(k, sketchWidth int) *Collector {
+// New builds a collector tracking the top k senders. The second
+// argument selects nothing; it remains because benchmark code passes
+// it.
+func New(k, _ int) *Collector {
 	c := &Collector{}
 	c.table.Init(k)
-	c.sketch.Init(sketchWidth)
 	return c
 }
 
@@ -85,10 +83,9 @@ func (c *Collector) Observe(pkt *packet.Packet) {
 	if c == nil {
 		return
 	}
-	k := keyOf(pkt)
 	n := uint64(pkt.Size)
-	c.table.touch(k, n, 1, 0, 0)
-	c.sketch.add(k, n)
+	c.n += n
+	c.table.touch(keyOf(pkt), n, 1, 0, 0)
 }
 
 // Drop accounts one scheduler/queue drop to the packet's sender. A
@@ -123,12 +120,12 @@ func (c *Collector) Tracked() int {
 }
 
 // TotalBytes returns the exact total byte count the collector has
-// observed (the count-min stream total N).
+// observed.
 func (c *Collector) TotalBytes() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.sketch.N()
+	return c.n
 }
 
 // TopShare returns the top tracked sender's fraction of all observed
@@ -137,21 +134,10 @@ func (c *Collector) TopShare() float64 {
 	if c == nil {
 		return 0
 	}
-	n := c.sketch.N()
-	if n == 0 {
+	if c.n == 0 {
 		return 0
 	}
-	return float64(c.table.MaxBytes()) / float64(n)
-}
-
-// Estimate returns the count-min byte estimate for one sender: never
-// an underestimate, and over by at most ~e/width of TotalBytes with
-// high probability.
-func (c *Collector) Estimate(k Key) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.sketch.Estimate(k)
+	return float64(c.table.MaxBytes()) / float64(c.n)
 }
 
 // AppendSamples appends the live table entries to dst, unsorted. Not

@@ -103,52 +103,6 @@ func TestTopKRecallZipf(t *testing.T) {
 	}
 }
 
-// TestCountMinBound checks the count-min guarantee on the same skewed
-// stream: estimates never undershoot, and (almost) all overshoot by
-// less than eps*N with eps = e/width.
-func TestCountMinBound(t *testing.T) {
-	const width = 1024
-	stream, exact := zipfStream(t, 7, 1.2, 50_000, 150_000)
-
-	var sk Sketch
-	sk.Init(width)
-	for _, k := range stream {
-		sk.add(k, 1000)
-	}
-	if want := uint64(len(stream)) * 1000; sk.N() != want {
-		t.Fatalf("stream total N = %d, want %d", sk.N(), want)
-	}
-
-	bound := uint64(math.E / float64(sk.Width()) * float64(sk.N()))
-	within := 0
-	var worst uint64
-	for k, truth := range exact {
-		est := sk.Estimate(k)
-		if est < truth {
-			t.Fatalf("key %v: estimate %d under true count %d", k, est, truth)
-		}
-		over := est - truth
-		if over <= bound {
-			within++
-		}
-		if over > worst {
-			worst = over
-		}
-	}
-	frac := float64(within) / float64(len(exact))
-	t.Logf("%.4f of %d keys within e/w bound %d; worst overshoot %d",
-		frac, len(exact), bound, worst)
-	// The per-query failure probability is ~e^-depth ≈ 1.8%; require
-	// 97% to leave slack, and cap the worst overshoot at a small
-	// multiple of the bound.
-	if frac < 0.97 {
-		t.Fatalf("only %.4f of keys within eps*N bound, want >= 0.97", frac)
-	}
-	if worst > 4*bound {
-		t.Fatalf("worst overshoot %d exceeds 4x bound %d", worst, bound)
-	}
-}
-
 // TestTableEviction exercises the space-saving replacement rule
 // directly on a tiny table.
 func TestTableEviction(t *testing.T) {
@@ -173,7 +127,7 @@ func TestTableEviction(t *testing.T) {
 
 	// Drops on an untracked sender must not evict anyone.
 	tbl.touch(KeyFor(9, 0), 0, 0, 1, 0)
-	if tbl.Len() != 2 || tbl.find(KeyFor(9, 0), tbl.hashOf(KeyFor(9, 0))) >= 0 {
+	if tbl.Len() != 2 || tbl.idx.Find(uint64(KeyFor(9, 0))) >= 0 {
 		t.Fatal("zero-byte touch on full table must be a no-op for untracked keys")
 	}
 	// But drops on a tracked sender are attributed.
@@ -212,6 +166,80 @@ func TestMergeDeterminism(t *testing.T) {
 	if top := MergeSamples(append(append([]Sample(nil), s1...), s2...), 2); len(top) != 2 {
 		t.Fatalf("k-truncation kept %d rows, want 2", len(top))
 	}
+}
+
+// mergeRows decodes fuzz input into a truncation bound and sample
+// rows: data[0] picks k (-2..17), data[1] seeds the reordering, and
+// each following 7-byte group is one row [key, bytes hi, bytes lo,
+// pkts, drops, demotions, err]. Keys come from a space of 16, so rows
+// for one key repeat and byte counts tie.
+func mergeRows(data []byte) (k int, seed uint64, rows []Sample) {
+	k, seed = int(data[0]%20)-2, uint64(data[1])
+	for p := data[2:]; len(p) >= 7; p = p[7:] {
+		rows = append(rows, Sample{
+			Key:   KeyFor(packet.Addr(p[0]%8+1), packet.PathID(p[0]/8%2)),
+			Bytes: uint64(p[1])<<8 | uint64(p[2]),
+			Pkts:  uint64(p[3]), Drops: uint64(p[4]), Demotions: uint64(p[5]), Err: uint64(p[6]),
+		})
+	}
+	return k, seed, rows
+}
+
+// FuzzMergeSamples checks MergeSamples' contract on fuzzed rows: the
+// result does not depend on input order, it keeps every key with its
+// summed counters before truncation, its rows follow SortSamples'
+// total order, and k truncates it.
+func FuzzMergeSamples(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{4, 1, 0, 0, 100, 1, 0, 0, 3, 1, 0, 50, 1, 2, 0, 0, 9, 0, 60, 2, 0, 0, 0, 0, 0, 10, 1, 0, 1, 7})
+	f.Add([]byte{3, 9, 1, 0, 5, 1, 0, 0, 0, 2, 0, 5, 1, 0, 0, 0, 3, 0, 5, 1, 0, 0, 0, 9, 0, 5, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, seed, rows := mergeRows(data)
+		sums := map[Key]Sample{}
+		for _, r := range rows {
+			s := sums[r.Key]
+			s.Key = r.Key
+			s.Bytes += r.Bytes
+			s.Pkts += r.Pkts
+			s.Drops += r.Drops
+			s.Demotions += r.Demotions
+			s.Err += r.Err
+			sums[r.Key] = s
+		}
+		shuffled := append([]Sample(nil), rows...)
+		rand.New(rand.NewSource(int64(seed))).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+
+		all := MergeSamples(append([]Sample(nil), rows...), 0)
+		if len(all) != len(sums) {
+			t.Fatalf("merge kept %d rows for %d keys", len(all), len(sums))
+		}
+		for i, r := range all {
+			if r != sums[r.Key] {
+				t.Fatalf("row %d = %+v, want sums %+v", i, r, sums[r.Key])
+			}
+			if i > 0 {
+				prev := all[i-1]
+				if prev.Bytes < r.Bytes || prev.Bytes == r.Bytes && prev.Key >= r.Key {
+					t.Fatalf("rows %d and %d out of order: %+v then %+v", i-1, i, prev, r)
+				}
+			}
+		}
+		if again := MergeSamples(shuffled, 0); !reflect.DeepEqual(again, all) {
+			t.Fatalf("merge depends on input order:\n%v\n%v", all, again)
+		}
+		want := all
+		if k > 0 && len(want) > k {
+			want = want[:k]
+		}
+		if got := MergeSamples(append([]Sample(nil), rows...), k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MergeSamples(k=%d) = %v, want %v", k, got, want)
+		}
+	})
 }
 
 // TestKeying: requests are keyed by their most recent path identifier,

@@ -1,7 +1,6 @@
 package flowstats
 
 import (
-	"math/bits"
 	"sort"
 
 	"tva/internal/keyhash"
@@ -19,7 +18,6 @@ type entry struct {
 	drops     uint64
 	demotions uint64
 	err       uint64
-	home      uint32 // hashOf(key), kept so deletion never rehashes
 }
 
 // Sample is one exported table entry (or one merged row). Err is the
@@ -34,12 +32,12 @@ type Sample struct {
 	Err       uint64
 }
 
-// tableIndexFactor sizes the open-addressed index at 16 slots per
-// entry (load factor <= 1/16 after rounding up to a power of two). The
-// keyed hash places keys at random, so a full table churning a new
-// sender per packet probes, deletes and reinserts through occupied
-// slots in proportion to the load: at 1/4 that made Observe twice as
-// slow as at 1/16, which costs 2 KB at DefaultTopK.
+// tableIndexFactor sizes the key index at 16 slots per entry (load
+// factor <= 1/16 after rounding up to a power of two). The keyed hash
+// places keys at random, so a full table churning a new sender per
+// packet probes, deletes and reinserts through occupied slots in
+// proportion to the load: at 1/4 that made Observe twice as slow as at
+// 1/16, which costs 8 KB of 16-byte slots at DefaultTopK.
 const tableIndexFactor = 16
 
 // heapNode is one heap slot: an entry's byte count (its ranking
@@ -51,18 +49,19 @@ type heapNode struct {
 }
 
 // Table is a space-saving top-K heavy-hitter table: K preallocated
-// entries, an open-addressed key index (no Go map — the hot path must
-// not hash through runtime map code or allocate), and a min-heap over
-// the ranking counter so eviction of the current minimum is O(log K).
+// entries, a keyhash.Index from key to entry (no Go map — the hot path
+// must not hash through runtime map code or allocate), and a min-heap
+// over the ranking counter so eviction of the current minimum is
+// O(log K). Keys are sender addresses, so the index hash is keyed per
+// table; slot placement never reaches samples or merges, which stay
+// deterministic.
 type Table struct {
 	k       int
 	n       int
 	entries []entry
 	heap    []heapNode // min-heap by bytes
 	pos     []int32    // entry index -> heap position
-	slots   []int32    // open-addressed index; entryIdx+1, 0 = empty
-	mask    uint32
-	seed    keyhash.Seed
+	idx     keyhash.Index
 }
 
 // Init sizes the table for k tracked senders. It is the only method
@@ -71,15 +70,12 @@ func (t *Table) Init(k int) {
 	if k < 1 {
 		k = 1
 	}
-	nslots := 1 << bits.Len(uint(k*tableIndexFactor-1))
 	t.k = k
 	t.n = 0
 	t.entries = make([]entry, k)
 	t.heap = make([]heapNode, k)
 	t.pos = make([]int32, k)
-	t.slots = make([]int32, nslots)
-	t.mask = uint32(nslots - 1)
-	t.seed = keyhash.New()
+	t.idx = keyhash.NewIndex(k, tableIndexFactor)
 }
 
 // Len returns the number of live entries.
@@ -87,72 +83,6 @@ func (t *Table) Len() int { return t.n }
 
 // K returns the table's capacity.
 func (t *Table) K() int { return t.k }
-
-// hashOf spreads a key over the slot space. Keys are sender
-// addresses, so the hash is keyed per table; slot placement never
-// reaches samples or merges, which stay deterministic.
-//
-//tva:hotpath
-func (t *Table) hashOf(k Key) uint32 {
-	return uint32(t.seed.Sum(uint64(k))) & t.mask
-}
-
-// find returns the entry index for key, whose hash is h, or -1.
-//
-//tva:hotpath
-func (t *Table) find(k Key, h uint32) int32 {
-	i := h
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			return -1
-		}
-		if t.entries[s-1].key == k {
-			return s - 1
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insertSlot indexes entry idx at home h (its key must be absent).
-//
-//tva:hotpath
-func (t *Table) insertSlot(h uint32, idx int32) {
-	t.entries[idx].home = h
-	i := h
-	for t.slots[i] != 0 {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i] = idx + 1
-}
-
-// removeEntry unindexes entry idx using backward-shift deletion,
-// which keeps probe chains gap-free without tombstones.
-//
-//tva:hotpath
-func (t *Table) removeEntry(idx int32) {
-	i := t.entries[idx].home
-	for t.slots[i] != idx+1 {
-		i = (i + 1) & t.mask
-	}
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		s := t.slots[j]
-		if s == 0 {
-			break
-		}
-		h := t.entries[s-1].home
-		// Slot j's occupant may fill the hole at i only if its home
-		// position is cyclically at or before i — i.e. i lies inside
-		// its probe chain.
-		if ((j - h) & t.mask) >= ((j - i) & t.mask) {
-			t.slots[i] = s
-			i = j
-		}
-	}
-	t.slots[i] = 0
-}
 
 // siftDown restores heap order downward from heap position p after
 // the ranking counter there grew.
@@ -212,8 +142,7 @@ func (t *Table) heapPush(idx int32, bytes uint64) {
 //
 //tva:hotpath
 func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
-	h := t.hashOf(k)
-	if idx := t.find(k, h); idx >= 0 {
+	if idx := t.idx.Find(uint64(k)); idx >= 0 {
 		e := &t.entries[idx]
 		e.pkts += pkts
 		e.drops += drops
@@ -234,7 +163,7 @@ func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
 		e.drops = drops
 		e.demotions = demotions
 		e.err = 0
-		t.insertSlot(h, idx)
+		t.idx.Insert(uint64(k), idx)
 		t.heapPush(idx, bytes)
 		return
 	}
@@ -243,14 +172,14 @@ func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
 	}
 	root := &t.heap[0]
 	e := &t.entries[root.idx]
-	t.removeEntry(root.idx)
+	t.idx.Delete(uint64(e.key))
 	e.err = root.bytes
 	e.key = k
 	root.bytes += bytes
 	e.pkts = pkts
 	e.drops = drops
 	e.demotions = demotions
-	t.insertSlot(h, root.idx)
+	t.idx.Insert(uint64(k), root.idx)
 	t.siftDown(0)
 }
 

@@ -229,8 +229,8 @@ const BenchTickEvery = 1024
 // BenchMetrics threads the streaming observability layer through a
 // Table 1 loop: every forwarded packet lands two counter hits, one
 // sketch observation, and a per-sender flowstats touch (heavy-hitter
-// table + count-min sketch, attached to the workload router exactly
-// as the exp harness and overlay attach theirs), and a live registry
+// table and byte total, attached to the workload router exactly as
+// the exp harness and overlay attach theirs), and a live registry
 // is sampled on a virtual clock every BenchTickEvery packets. The
 // bench guard runs Table 1 with this harness attached, so its
 // 0 allocs/op rows prove the metrics instruments ride the forwarding
