@@ -105,6 +105,7 @@ fuzz-smoke:
 	go test ./internal/fq -run '^$$' -fuzz FuzzDRROps -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadDump -fuzztime $(FUZZTIME)
 	go test ./internal/metrics -run '^$$' -fuzz FuzzParseProm -fuzztime $(FUZZTIME)
+	go test ./internal/xcheck -run '^$$' -fuzz FuzzLoadScenario -fuzztime $(FUZZTIME)
 
 # cover writes a coverage profile, then the gate script extracts the
 # repo-total and per-package statement coverage, surfaces them (in the

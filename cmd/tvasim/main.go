@@ -263,8 +263,8 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 		fmt.Printf("health final state: %s\n", tel.Health.State())
 	}
 	fmt.Printf("queue delay p50=%.3fms p99=%.3fms  e2e p50=%.3fms p99=%.3fms\n",
-		tel.QueueDelay.Quantile(0.5).Seconds()*1e3, tel.QueueDelay.Quantile(0.99).Seconds()*1e3,
-		tel.Delivery.Quantile(0.5).Seconds()*1e3, tel.Delivery.Quantile(0.99).Seconds()*1e3)
+		ms(tel.QueueDelay.Quantile(0.5)), ms(tel.QueueDelay.Quantile(0.99)),
+		ms(tel.Delivery.Quantile(0.5)), ms(tel.Delivery.Quantile(0.99)))
 
 	// Accounting invariant: reason-attributed counters cover every
 	// bottleneck drop exactly.
@@ -340,6 +340,9 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 	}
 	return nil
 }
+
+// ms converts a sketch quantile in nanoseconds to milliseconds.
+func ms(ns int64) float64 { return tvatime.Duration(ns).Seconds() * 1e3 }
 
 // printTopFlows prints the bottleneck's heavy-hitter table, largest
 // first. The samples arrive sorted from Run (bytes descending, key

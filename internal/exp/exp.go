@@ -285,7 +285,7 @@ type Result struct {
 	Flows []flowstats.Sample
 
 	// Telemetry carries the run's observability output: per-reason
-	// drop counters, demotion causes, delay histograms, and (when
+	// drop counters, demotion causes, delay sketches, and (when
 	// configured) the gauge time series and packet trace.
 	Telemetry RunTelemetry
 }

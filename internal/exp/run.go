@@ -177,13 +177,7 @@ func run(cfg Config, hk hooks) *Result {
 	sim := netsim.New(cfg.Seed + 1)
 	b := &builder{cfg: cfg, sim: sim}
 
-	// Per-sender accounting is always on: O(K) memory, allocation-free
-	// recording, and it never changes a packet's fate — so instrumented
-	// and plain runs stay packet-for-packet identical.
-	tel := RunTelemetry{
-		Flows:    flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth),
-		Fairness: flowstats.NewFairness(cfg.NumUsers),
-	}
+	tel := newRunTelemetry(cfg.NumUsers)
 	// The span recorder must exist before any topology is built: Connect
 	// registers each interface as a hop at construction time.
 	if cfg.SpanCapacity > 0 {
@@ -222,7 +216,7 @@ func run(cfg Config, hk hooks) *Result {
 		q.Flows = tel.Flows
 	}
 
-	lr.QueueDelay = &tel.QueueDelay
+	lr.QueueDelay = tel.QueueDelay
 
 	b.applyFaults(lr, rl, left)
 

@@ -13,8 +13,6 @@ import (
 	"strconv"
 
 	"tva/internal/core"
-	"tva/internal/flowstats"
-	"tva/internal/metrics"
 	"tva/internal/netsim"
 	"tva/internal/packet"
 	"tva/internal/sched"
@@ -152,10 +150,6 @@ type StreamResult struct {
 	BottleneckUtilization float64
 	BottleneckDrops       uint64
 
-	// WaitSketch is the forward bottleneck's queue-wait distribution
-	// (nanoseconds of virtual time), nil when metrics are off.
-	WaitSketch *metrics.Sketch
-
 	Telemetry RunTelemetry
 }
 
@@ -175,10 +169,7 @@ func RunStream(scfg StreamConfig) *StreamResult {
 	sim := netsim.New(cfg.Seed + 1)
 	b := &builder{cfg: cfg, sim: sim}
 
-	tel := RunTelemetry{
-		Flows:    flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth),
-		Fairness: flowstats.NewFairness(cfg.NumUsers),
-	}
+	tel := newRunTelemetry(cfg.NumUsers)
 	if cfg.SpanCapacity > 0 {
 		rec := trace.NewRecorder(cfg.SpanCapacity)
 		sim.Spans = rec
@@ -192,7 +183,7 @@ func RunStream(scfg StreamConfig) *StreamResult {
 		b.linkSched(cfg.BottleneckBps), b.linkSched(cfg.BottleneckBps))
 	left.SetDefault(lr)
 	right.SetDefault(rl)
-	lr.QueueDelay = &tel.QueueDelay
+	lr.QueueDelay = tel.QueueDelay
 
 	// Same accounting points as Run: the left engine and the forward
 	// bottleneck's scheduler.
@@ -317,7 +308,6 @@ func RunStream(scfg StreamConfig) *StreamResult {
 
 	res.BottleneckUtilization = lr.Utilization(cfg.Duration)
 	res.BottleneckDrops = lr.Stats.DroppedPkts
-	res.WaitSketch = lr.WaitSketch
 	res.Telemetry = tel
 	sim.Teardown()
 	return res

@@ -1,5 +1,5 @@
 // Run-level observability: every experiment carries a RunTelemetry
-// with reason-attributed drop counters, delay histograms, and (when
+// with reason-attributed drop counters, delay sketches, and (when
 // enabled) the streaming metrics registry and the span flight
 // recorder. All of it is preallocated or fixed-size, so instrumented
 // and uninstrumented runs execute the same hot path (DESIGN.md §8).
@@ -40,12 +40,14 @@ type RunTelemetry struct {
 	LinkDrops telemetry.DropCounters
 
 	// QueueDelay is the distribution of time spent in the forward
-	// bottleneck's output queue (virtual time, enqueue to dequeue).
-	QueueDelay telemetry.Histogram
+	// bottleneck's output queue (virtual-time nanoseconds, enqueue to
+	// dequeue). With metrics on it also feeds tva_queue_wait_ns.
+	QueueDelay *metrics.Sketch
 
 	// Delivery is the end-to-end latency distribution of packets
-	// arriving at the destination host (send stamp to delivery).
-	Delivery telemetry.Histogram
+	// arriving at the destination host (virtual-time nanoseconds, send
+	// stamp to delivery).
+	Delivery *metrics.Sketch
 
 	// GoodputBytes is the cumulative wire bytes delivered to the
 	// destination host (attack payloads included; compare against
@@ -92,6 +94,20 @@ type RunTelemetry struct {
 	DropStormAt tvatime.Time
 }
 
+// newRunTelemetry allocates the parts of a run's telemetry that are
+// always on: the delay sketches and the per-sender and fairness
+// accounting. Per-sender accounting is O(K) memory, allocation-free
+// recording, and never changes a packet's fate, so instrumented and
+// plain runs stay packet-for-packet identical.
+func newRunTelemetry(numUsers int) RunTelemetry {
+	return RunTelemetry{
+		QueueDelay: new(metrics.Sketch),
+		Delivery:   new(metrics.Sketch),
+		Flows:      flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth),
+		Fairness:   flowstats.NewFairness(numUsers),
+	}
+}
+
 // userIndex maps a legitimate user's address back to its index (the
 // inverse of UserAddr); any other address — attackers, the colluder —
 // returns -1, which the fairness engine ignores.
@@ -111,7 +127,7 @@ func (b *builder) instrumentDest(dest *host, tel *RunTelemetry) {
 	inner := dest.node.Handler
 	dest.node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
 		if pkt.SentAt > 0 {
-			tel.Delivery.Observe(sim.Now().Sub(pkt.SentAt))
+			tel.Delivery.Observe(int64(sim.Now().Sub(pkt.SentAt)))
 		}
 		tel.GoodputBytes += uint64(pkt.Size)
 		tel.Fairness.Account(userIndex(pkt.Src), uint64(pkt.Size))
@@ -273,13 +289,11 @@ func (b *builder) startMetrics(tel *RunTelemetry, lr *netsim.Iface, completion f
 	mustReg(reg.Gauge(metrics.NameTxBurstFill, nil,
 		"Mean packets per transmit-loop visit.", sim.TxBurstFill))
 
-	// Queue-wait quantiles, streamed per packet from the bottleneck's
-	// transmit path (the sketch hook costs one nil check when unused).
-	sk := new(metrics.Sketch)
-	lr.WaitSketch = sk
+	// Queue-wait quantiles, read live from the sketch the bottleneck's
+	// transmit path observes every dequeued packet into.
 	mustReg(reg.SketchQuantiles(metrics.NameQueueWait, nil,
 		"Forward-bottleneck output-queue wait quantiles in nanoseconds.",
-		sk, 0.5, 0.99))
+		tel.QueueDelay, 0.5, 0.99))
 
 	// Per-sender flow accounting and the streaming fairness indices.
 	// The gauges read fields the tick closure below refreshes once per

@@ -9,7 +9,7 @@
 //   - no stray series-name string literals ("tva_..."): every name is
 //     spelled as an internal/metrics Name* constant, so a rename is a
 //     compile error everywhere at once;
-//   - a Registry registration (Counter, Gauge, CounterVar, GaugeVar,
+//   - a Registry registration (Counter, Gauge, CounterVar,
 //     SketchQuantiles) must take its name from an internal/metrics
 //     constant — a literal or a package-local constant reintroduces
 //     drift one hop away;
@@ -58,7 +58,7 @@ var (
 	// series name.
 	registryMethods = map[string]bool{
 		"Counter": true, "Gauge": true, "CounterVar": true,
-		"GaugeVar": true, "SketchQuantiles": true,
+		"SketchQuantiles": true,
 	}
 	seriesLiteral = regexp.MustCompile(`^tva_[a-z0-9_]+$`)
 )

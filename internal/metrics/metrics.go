@@ -1,11 +1,14 @@
 // Package metrics is the streaming observability layer shared by both
 // data planes: a preallocated, windowed time-series store (Registry)
 // fed from the repo's existing telemetry counters and gauges, plus the
-// lock-free instruments (Counter, Gauge, Sketch) that may sit directly
-// on the forwarding hot path. The same series names exist whether the
-// source is the discrete-event simulator (driven by netsim virtual
-// time) or the real-UDP overlay (driven by wall time), which is what
-// makes sim-vs-real comparison and a single tvatop console possible.
+// two lock-free instruments (Counter and Sketch) that may sit directly
+// on the forwarding hot path. Sketch is the repo's one histogram: the
+// simulator keeps its queue-wait and delivery-latency distributions in
+// it, and the overlay its per-port queue waits. The same series names
+// exist whether the source is the discrete-event simulator (driven by
+// netsim virtual time) or the real-UDP overlay (driven by wall time),
+// which is what makes sim-vs-real comparison and a single tvatop
+// console possible.
 //
 // Everything here is stdlib-only. Recording into an instrument is
 // zero-allocation and safe for concurrent writers; sampling the
@@ -20,8 +23,8 @@ import (
 )
 
 // Counter is a monotonically increasing event count — packets
-// forwarded, bytes delivered, drops by reason. Writers call Record or
-// Add from any goroutine; the registry samples it as a cumulative
+// forwarded, bytes delivered, drops by reason. Writers call Record
+// from any goroutine; the registry samples it as a cumulative
 // total and derives per-second rate and EWMA at tick time.
 type Counter struct {
 	v atomic.Uint64
@@ -35,51 +38,26 @@ func (c *Counter) Record(n uint64) {
 	c.v.Add(n)
 }
 
-// Add is Record under the name the rest of the repo's counter types
-// use.
-//
-//tva:hotpath
-func (c *Counter) Add(n uint64) {
-	c.v.Add(n)
-}
-
 // Value returns the current cumulative count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an instantaneous level — queue depth, token-bucket fill,
-// burst occupancy. Set stores the latest value; the registry samples
-// whatever is current at tick time.
-type Gauge struct {
-	bits atomic.Uint64
-}
+// SketchBuckets is the number of power-of-two buckets a Sketch holds:
+// bucket 0 counts samples <= 0, bucket i counts samples with bit
+// length i, that is [2^(i-1), 2^i). 64 buckets cover every int64, so
+// Observe never branches on range. Exported so cross-plane comparison
+// code (internal/xcheck) can size its CDF scratch without reaching
+// into the sketch.
+const SketchBuckets = 64
 
-// Set stores the gauge's current value.
-//
-//tva:hotpath
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the most recently Set value (0 for the zero value).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// sketchBuckets is one bucket per bit position of an int64 sample,
-// plus a zero bucket — the same power-of-two layout as
-// telemetry.Histogram, but with atomic cells so concurrent overlay
-// goroutines can observe without a lock.
-const sketchBuckets = 64
-
-// Sketch is a fixed-bucket quantile sketch over non-negative int64
-// samples (typically nanosecond durations or byte sizes). Observe is
-// one bits.Len64 plus three atomic adds — no allocation, no floating
-// point — so it can sit on the dequeue path of every interface in
-// either data plane. Quantiles are exact to within a factor of two,
-// which is all the time-series view needs. The zero value is ready to
-// use.
+// Sketch is a fixed-bucket power-of-two histogram over int64 samples
+// (typically nanosecond durations). Observe is one bits.Len64 plus one
+// atomic add — no allocation, no floating point — so it can sit on the
+// dequeue path of every interface in either data plane, and concurrent
+// overlay goroutines can observe without a lock. Quantiles are exact
+// to within a factor of two, which is all the time-series view needs.
+// The zero value is ready to use.
 type Sketch struct {
-	counts [sketchBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Int64
+	counts [SketchBuckets]atomic.Uint64
 }
 
 // Observe records one sample.
@@ -88,24 +66,16 @@ type Sketch struct {
 func (s *Sketch) Observe(v int64) {
 	i := 0
 	if v > 0 {
-		i = bits.Len64(uint64(v)) % sketchBuckets
+		i = bits.Len64(uint64(v)) % SketchBuckets
 	}
 	s.counts[i].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
 }
 
-// SketchBuckets is the number of power-of-two buckets a Sketch holds:
-// bucket 0 counts zero samples, bucket i counts samples with bit
-// length i. Exported so cross-plane comparison code (internal/xcheck)
-// can size its CDF scratch without reaching into the sketch.
-const SketchBuckets = sketchBuckets
-
 // Counts returns a snapshot of the per-bucket observation counts.
-// Reads are tearing-tolerant in the same sense as Quantile: a
-// concurrent Observe may land between bucket loads, never corrupt
-// them. This is the raw material for distribution comparisons
-// (max-CDF-gap between the two data planes' wait sketches).
+// Reads are tearing-tolerant: a concurrent Observe may land between
+// bucket loads, never corrupt them. This is the raw material for
+// distribution comparisons (max-CDF-gap between the two data planes'
+// wait sketches).
 func (s *Sketch) Counts() [SketchBuckets]uint64 {
 	var out [SketchBuckets]uint64
 	for i := range s.counts {
@@ -115,26 +85,24 @@ func (s *Sketch) Counts() [SketchBuckets]uint64 {
 }
 
 // Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.count.Load() }
-
-// Sum returns the total of all observed samples.
-func (s *Sketch) Sum() int64 { return s.sum.Load() }
-
-// Mean returns the average observed sample (0 if empty).
-func (s *Sketch) Mean() float64 {
-	n := s.count.Load()
-	if n == 0 {
-		return 0
+func (s *Sketch) Count() uint64 {
+	var n uint64
+	for i := range s.counts {
+		n += s.counts[i].Load()
 	}
-	return float64(s.sum.Load()) / float64(n)
+	return n
 }
 
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1):
-// the upper edge of the bucket containing that rank. Reads are
-// tearing-tolerant — a concurrent Observe may shift the answer by one
-// bucket, never corrupt it.
+// the upper edge of the bucket containing that rank. It walks one
+// Counts snapshot, so its total and its walk agree even while writers
+// observe; a concurrent Observe may shift the answer by one bucket.
 func (s *Sketch) Quantile(q float64) int64 {
-	total := s.count.Load()
+	counts := s.Counts()
+	var total uint64
+	for _, n := range counts {
+		total += n
+	}
 	if total == 0 {
 		return 0
 	}
@@ -143,14 +111,14 @@ func (s *Sketch) Quantile(q float64) int64 {
 		rank = total - 1
 	}
 	var seen uint64
-	for i := 0; i < sketchBuckets; i++ {
-		seen += s.counts[i].Load()
+	for i, n := range counts {
+		seen += n
 		if seen > rank {
 			if i == 0 {
 				return 0
 			}
-			if i == sketchBuckets-1 {
-				break
+			if i == SketchBuckets-1 {
+				break // upper edge would overflow; clamp to max
 			}
 			return int64(1) << i
 		}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"tva/internal/tvatime"
@@ -11,18 +12,9 @@ import (
 func TestInstruments(t *testing.T) {
 	var c Counter
 	c.Record(3)
-	c.Add(4)
+	c.Record(4)
 	if got := c.Value(); got != 7 {
 		t.Fatalf("counter = %d, want 7", got)
-	}
-
-	var g Gauge
-	if g.Value() != 0 {
-		t.Fatalf("zero gauge = %v, want 0", g.Value())
-	}
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Value())
 	}
 
 	var s Sketch
@@ -48,27 +40,132 @@ func TestInstruments(t *testing.T) {
 	if q := s.Quantile(0); q != 0 {
 		t.Fatalf("p0 with zero sample = %d, want 0", q)
 	}
-	if s.Sum() != 90*100+10*100000 {
-		t.Fatalf("sum = %d", s.Sum())
+	if got := s.Count(); got != 101 {
+		t.Fatalf("sketch count = %d, want 101", got)
+	}
+}
+
+// TestSketchBucketBoundaries pins the power-of-two bucket edges:
+// bucket 0 holds v <= 0, bucket i holds [2^(i-1), 2^i), and Quantile
+// answers with the upper edge of the bucket a lone sample landed in.
+func TestSketchBucketBoundaries(t *testing.T) {
+	cases := []struct {
+		v      int64
+		bucket int
+	}{
+		{-5, 0},
+		{0, 0},
+		{1, 1},
+		{2, 2},
+		{3, 2},
+		{4, 3},
+		{7, 3},
+		{8, 4},
+		{1023, 10},
+		{1024, 11},
+		{1025, 11},
+		{1 << 62, 63},
+		{math.MaxInt64, 63},
+	}
+	for _, tc := range cases {
+		var s Sketch
+		s.Observe(tc.v)
+		counts := s.Counts()
+		if counts[tc.bucket] != 1 {
+			landed := -1
+			for i, n := range counts {
+				if n == 1 {
+					landed = i
+				}
+			}
+			t.Errorf("Observe(%d): landed in bucket %d, want %d", tc.v, landed, tc.bucket)
+		}
+		var upper int64
+		switch {
+		case tc.bucket == SketchBuckets-1:
+			upper = math.MaxInt64
+		case tc.bucket > 0:
+			lo := int64(1) << (tc.bucket - 1)
+			if tc.v < lo || tc.v >= 2*lo {
+				t.Errorf("bucket %d bounds [%d,%d) exclude sample %d", tc.bucket, lo, 2*lo, tc.v)
+			}
+			upper = 2 * lo
+		}
+		for _, q := range []float64{0, 0.5, 1} {
+			if got := s.Quantile(q); got != upper {
+				t.Errorf("Observe(%d): Quantile(%v) = %d, want %d", tc.v, q, got, upper)
+			}
+		}
+	}
+}
+
+// TestSketchConcurrentObserve runs four writers against one reader
+// (meaningful under -race): every observation is counted exactly once,
+// and no quantile read mid-run exceeds the upper edge of the bucket
+// holding the largest sample any writer observes.
+func TestSketchConcurrentObserve(t *testing.T) {
+	const (
+		writers = 4
+		perW    = 20000
+		maxV    = 99999 // bit length 17: bucket upper edge 1<<17
+		edge    = int64(1) << 17
+	)
+	var s Sketch
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < perW; j++ {
+				s.Observe(int64((j*7919 + w) % (maxV + 1)))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if got := s.Count(); got != writers*perW {
+				t.Fatalf("Count = %d, want %d", got, writers*perW)
+			}
+			return
+		default:
+		}
+		for _, q := range []float64{0.5, 0.99, 1} {
+			if got := s.Quantile(q); got > edge {
+				t.Fatalf("read %d: Quantile(%v) = %d, above the largest sample's edge %d", reads, q, got, edge)
+			}
+		}
+		var sum uint64
+		for _, n := range s.Counts() {
+			sum += n
+		}
+		if n := s.Count(); sum > writers*perW || n > writers*perW {
+			t.Fatalf("read %d: Counts sum %d / Count %d exceed the %d observations", reads, sum, n, writers*perW)
+		}
 	}
 }
 
 func TestRegistryRatesAndEWMA(t *testing.T) {
 	r := New(8)
 	var pkts Counter
-	var depth Gauge
+	var depth float64
 	if err := r.CounterVar("tva_test_pkts_total", nil, "packets", &pkts); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.GaugeVar("tva_test_depth", L("class", "regular"), "queue depth", &depth); err != nil {
+	if err := r.Gauge("tva_test_depth", L("class", "regular"), "queue depth", func() float64 { return depth }); err != nil {
 		t.Fatal(err)
 	}
 
 	sec := func(s float64) tvatime.Time { return tvatime.FromSeconds(s) }
-	depth.Set(4)
+	depth = 4
 	r.Tick(sec(0))
 	pkts.Record(100)
-	depth.Set(8)
+	depth = 8
 	r.Tick(sec(1))
 	pkts.Record(300)
 	r.Tick(sec(2))
@@ -159,13 +256,12 @@ func TestWriteCSVAndJSONStable(t *testing.T) {
 	build := func() *Registry {
 		r := New(4)
 		var c Counter
-		var g Gauge
+		g := 1.5
 		_ = r.CounterVar("tva_drops_total", L("reason", "regular-queue-full"), "drops", &c)
-		_ = r.GaugeVar("tva_fill", nil, "fill", &g)
-		g.Set(1.5)
+		_ = r.Gauge("tva_fill", nil, "fill", func() float64 { return g })
 		r.Tick(tvatime.FromSeconds(0))
 		c.Record(10)
-		g.Set(3)
+		g = 3
 		r.Tick(tvatime.FromSeconds(0.5))
 		return r
 	}
@@ -198,7 +294,6 @@ func TestWriteCSVAndJSONStable(t *testing.T) {
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := New(4)
 	var c Counter
-	var g Gauge
 	var s Sketch
 	if err := r.CounterVar("tva_pkts_total", L("port", "10.0.0.1:7001"), "Forwarded packets.", &c); err != nil {
 		t.Fatal(err)
@@ -206,14 +301,13 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if err := r.CounterVar("tva_pkts_total", L("port", "10.0.0.2:7002"), "Forwarded packets.", &c); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.GaugeVar("tva_fill", nil, "Burst fill.", &g); err != nil {
+	if err := r.Gauge("tva_fill", nil, "Burst fill.", func() float64 { return 3.25 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.SketchQuantiles("tva_wait_ns", nil, "Queue wait.", &s, 0.5, 0.99); err != nil {
 		t.Fatal(err)
 	}
 	c.Record(42)
-	g.Set(3.25)
 	s.Observe(1000)
 	r.Tick(tvatime.FromSeconds(0))
 	c.Record(58)
@@ -279,16 +373,16 @@ func TestLabelEscaping(t *testing.T) {
 func TestTickNoAllocs(t *testing.T) {
 	r := New(16)
 	var c Counter
-	var g Gauge
+	var g float64
 	var s Sketch
 	_ = r.CounterVar("tva_pkts_total", nil, "", &c)
-	_ = r.GaugeVar("tva_fill", nil, "", &g)
+	_ = r.Gauge("tva_fill", nil, "", func() float64 { return g })
 	_ = r.SketchQuantiles("tva_wait_ns", nil, "", &s, 0.5, 0.99)
 	r.Tick(0) // seal
 	var now tvatime.Time
 	if n := testing.AllocsPerRun(100, func() {
 		c.Record(1)
-		g.Set(1)
+		g++
 		s.Observe(512)
 		now += tvatime.Time(tvatime.Millisecond)
 		r.Tick(now)

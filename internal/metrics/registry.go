@@ -158,11 +158,6 @@ func (r *Registry) CounterVar(name string, labels []Label, help string, c *Count
 	return r.Counter(name, labels, help, func() float64 { return float64(c.Value()) })
 }
 
-// GaugeVar registers a Gauge instrument as a series.
-func (r *Registry) GaugeVar(name string, labels []Label, help string, g *Gauge) error {
-	return r.Gauge(name, labels, help, g.Value)
-}
-
 // SketchQuantiles registers one gauge series per requested quantile,
 // labelled q="<quantile>", reading live from the sketch.
 func (r *Registry) SketchQuantiles(name string, labels []Label, help string, s *Sketch, qs ...float64) error {

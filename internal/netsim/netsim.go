@@ -324,15 +324,12 @@ type Iface struct {
 	OnDrop func(pkt *packet.Packet)
 
 	// QueueDelay, if set, observes each dequeued packet's time in this
-	// output queue (virtual time between Enqueue and Dequeue). A single
-	// nil check on the dequeue path; nil costs nothing.
-	QueueDelay *telemetry.Histogram
-
-	// WaitSketch, if set, streams the same per-packet queue wait into
-	// the metrics layer's quantile sketch, feeding the live
-	// tva_queue_wait_ns series. Same contract as QueueDelay: one nil
-	// check, zero allocation.
-	WaitSketch *metrics.Sketch
+	// output queue (virtual time between Enqueue and Dequeue, in
+	// nanoseconds). The same sketch feeds the run's queue-delay
+	// quantiles and, with metrics on, the live tva_queue_wait_ns
+	// series. A single nil check on the dequeue path; nil costs
+	// nothing.
+	QueueDelay *metrics.Sketch
 
 	// Hop is this interface's identity in the span flight recorder
 	// (registered by Connect when Sim.Spans is attached), or
@@ -485,10 +482,7 @@ func (i *Iface) txNext() {
 	i.deq[0] = nil
 	sim.TxBursts++
 	if i.QueueDelay != nil {
-		i.QueueDelay.Observe(sim.now.Sub(pkt.EnqueuedAt))
-	}
-	if i.WaitSketch != nil {
-		i.WaitSketch.Observe(int64(sim.now.Sub(pkt.EnqueuedAt)))
+		i.QueueDelay.Observe(int64(sim.now.Sub(pkt.EnqueuedAt)))
 	}
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeDequeue))

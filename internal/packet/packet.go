@@ -231,7 +231,7 @@ type Packet struct {
 	Payload any
 
 	// SentAt is stamped by the sending host shim (virtual time) and
-	// EnqueuedAt by each interface at Enqueue; telemetry histograms
+	// EnqueuedAt by each interface at Enqueue; the delay sketches
 	// read them at delivery/dequeue. Neither is on the wire.
 	SentAt     tvatime.Time
 	EnqueuedAt tvatime.Time

@@ -1,22 +1,14 @@
 // Package telemetry is the vocabulary every data-path package shares
 // for observability: the drop-reason taxonomy that attributes each
-// discarded or demoted packet to one cause, and the power-of-two
-// histogram the simulator keeps its delay distributions in. Counting
-// is a plain array increment, so the forwarding hot path stays
-// allocation-free with accounting on. Time series live in
-// internal/metrics and per-packet tracing in internal/trace.
+// discarded or demoted packet to one cause. Counting is a plain array
+// increment, so the forwarding hot path stays allocation-free with
+// accounting on. Histograms and time series live in internal/metrics
+// and per-packet tracing in internal/trace.
 //
-// The package sits below every data-path package: it may import only
-// the standard library and tvatime, never packet/sched/core, so all of
-// those can depend on it without cycles.
+// The package sits below every data-path package: it imports nothing,
+// never packet/sched/core, so all of those can depend on it without
+// cycles.
 package telemetry
-
-import (
-	"math"
-	"math/bits"
-
-	"tva/internal/tvatime"
-)
 
 // DropReason says why a packet died. Every drop site in the router
 // pipeline attributes exactly one reason; the set is the union of the
@@ -136,107 +128,4 @@ func (c *DropCounters) Merge(other *DropCounters) {
 	for i := range c {
 		c[i] += other[i]
 	}
-}
-
-// histBuckets is one bucket per bit position of an int64 nanosecond
-// duration, plus a zero bucket: bucket 0 holds d <= 0, bucket i holds
-// 2^(i-1) <= d < 2^i. 64 buckets cover every representable duration,
-// so Observe never branches on range.
-const histBuckets = 64
-
-// Histogram is a fixed-bucket power-of-two (HDR-style) histogram of
-// durations, used for queueing delay and end-to-end latency recorded
-// in virtual time. Observe is one bits.Len64 plus two array
-// increments — no allocation, no floating point — so it can sit on
-// the dequeue path of every interface. The zero value is ready to use.
-type Histogram struct {
-	counts [histBuckets]uint64
-	count  uint64
-	sum    int64 // total observed nanoseconds
-}
-
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d tvatime.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(d))
-}
-
-// BucketLower returns the inclusive lower bound of bucket i in
-// nanoseconds (0 for the zero bucket).
-func BucketLower(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << (i - 1)
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d tvatime.Duration) {
-	h.counts[bucketOf(d)%histBuckets]++
-	h.count++
-	h.sum += int64(d)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the total of all observed durations.
-func (h *Histogram) Sum() tvatime.Duration { return tvatime.Duration(h.sum) }
-
-// Mean returns the average observed duration (0 if empty).
-func (h *Histogram) Mean() tvatime.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return tvatime.Duration(h.sum / int64(h.count))
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= histBuckets {
-		return 0
-	}
-	return h.counts[i]
-}
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return histBuckets }
-
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1):
-// the upper edge of the bucket containing that rank. Power-of-two
-// buckets make this exact to within a factor of two, which is all the
-// time-series plots need.
-func (h *Histogram) Quantile(q float64) tvatime.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen uint64
-	for i, n := range h.counts {
-		seen += n
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			if i == histBuckets-1 {
-				break // upper edge would overflow; clamp to max
-			}
-			return tvatime.Duration(int64(1) << i) // upper edge
-		}
-	}
-	return tvatime.Duration(math.MaxInt64)
-}
-
-// Merge adds other's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.count += other.count
-	h.sum += other.sum
 }

@@ -147,7 +147,7 @@ func runReal(sc Scenario) (*PlaneResult, error) {
 	}
 
 	routerAddr := topo.Router(0).Addr().String()
-	atkInterval := time.Duration(int64(sc.AttackPktSize) * 8 * int64(time.Second) / sc.AttackRateBps)
+	atkInterval := sc.attackInterval()
 	atkStart := time.Duration(sc.AttackStartMS) * time.Millisecond
 	for i := 0; i < sc.Attackers; i++ {
 		wire, err := attackPacket(exp.AttackerAddr(i), sc.AttackPktSize)

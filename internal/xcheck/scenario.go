@@ -12,8 +12,12 @@ package xcheck
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"time"
+
+	"tva/internal/metrics"
 )
 
 // Scenario is one cross-plane experiment spec. Durations are integer
@@ -146,6 +150,52 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// validate rejects a defaulted scenario that either plane would crash
+// on or could not run. Each error names the offending JSON field.
+func (s Scenario) validate() error {
+	bad := func(field, rule string, got any) error {
+		return fmt.Errorf("xcheck: scenario %q: %s must be %s, got %v", s.Name, field, rule, got)
+	}
+	switch {
+	case s.Users < 0:
+		return bad("users", ">= 0", s.Users)
+	case s.Attackers < 0:
+		return bad("attackers", ">= 0", s.Attackers)
+	case s.MsgBytes <= 0:
+		return bad("msg_bytes", "> 0", s.MsgBytes)
+	case s.MsgIntervalMS <= 0:
+		return bad("msg_interval_ms", "> 0", s.MsgIntervalMS)
+	case s.AttackRateBps <= 0:
+		return bad("attack_rate_bps", "> 0", s.AttackRateBps)
+	case s.AttackPktSize <= 0:
+		return bad("attack_pkt_size", "> 0", s.AttackPktSize)
+	case s.LinkBps <= 0:
+		return bad("link_bps", "> 0", s.LinkBps)
+	case s.DurationMS <= 0:
+		return bad("duration_ms", "> 0", s.DurationMS)
+	case s.AttackStartMS < 0:
+		return bad("attack_start_ms", ">= 0", s.AttackStartMS)
+	case s.LinkDelayMS < 0:
+		return bad("link_delay_ms", ">= 0", s.LinkDelayMS)
+	case s.DrainMS >= s.DurationMS:
+		return bad("drain_ms", fmt.Sprintf("shorter than duration_ms (%d)", s.DurationMS), s.DrainMS)
+	case !(s.RequestFraction > 0 && s.RequestFraction <= 1):
+		return bad("request_fraction", "in (0, 1]", s.RequestFraction)
+	case s.WaitFloorBucket < 0 || s.WaitFloorBucket >= metrics.SketchBuckets:
+		return bad("wait_floor_bucket", fmt.Sprintf("in [0, %d]", metrics.SketchBuckets-1), s.WaitFloorBucket)
+	case s.attackInterval() < 1:
+		return fmt.Errorf("xcheck: scenario %q: attack_pkt_size %d at attack_rate_bps %d gives an attacker send interval under 1 ns",
+			s.Name, s.AttackPktSize, s.AttackRateBps)
+	}
+	return nil
+}
+
+// attackInterval is one attacker's packet spacing: attack_pkt_size
+// bytes at attack_rate_bps. Both planes pace their floods by it.
+func (s Scenario) attackInterval() time.Duration {
+	return time.Duration(int64(s.AttackPktSize) * 8 * int64(time.Second) / s.AttackRateBps)
+}
+
 // tolerance resolves one check's bound: scenario override first, then
 // the package default; checks without either are informational.
 func (s Scenario) tolerance(check string) (float64, bool) {
@@ -187,18 +237,33 @@ func Builtin(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
+// ParseScenario decodes one JSON scenario spec. It rejects a spec
+// without a name, and one that fails validation once defaults are
+// filled in. The result is the spec as written; RunScenario fills in
+// the defaults.
+func ParseScenario(data []byte) (Scenario, error) {
+	var s Scenario
+	if err := json.Unmarshal(data, &s); err != nil {
+		return Scenario{}, fmt.Errorf("xcheck: parse: %w", err)
+	}
+	if s.Name == "" {
+		return Scenario{}, errors.New("xcheck: scenario needs a name")
+	}
+	if err := s.withDefaults().validate(); err != nil {
+		return Scenario{}, err
+	}
+	return s, nil
+}
+
 // LoadScenario reads one scenario spec from a JSON file.
 func LoadScenario(path string) (Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Scenario{}, err
 	}
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("xcheck: parse %s: %w", path, err)
-	}
-	if s.Name == "" {
-		return Scenario{}, fmt.Errorf("xcheck: %s: scenario needs a name", path)
+	s, err := ParseScenario(data)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +55,11 @@ func TestBuiltins(t *testing.T) {
 		}
 		if s.Name != name || s.Seed == 0 {
 			t.Errorf("builtin %q malformed: %+v", name, s)
+		}
+	}
+	for _, s := range Builtins {
+		if err := s.withDefaults().validate(); err != nil {
+			t.Errorf("builtin %q does not validate: %v", s.Name, err)
 		}
 	}
 	if _, ok := Builtin("nope"); ok {
@@ -125,4 +131,94 @@ func TestRunScenarioQuick(t *testing.T) {
 	if c.Sim.LegitSent == 0 || c.Real.LegitSent == 0 {
 		t.Errorf("no traffic: sim %d real %d", c.Sim.LegitSent, c.Real.LegitSent)
 	}
+}
+
+// TestParseScenarioRejects holds each validation rule to a spec that
+// breaks only that rule: the error must name the field. The accepted
+// rows sit on the rules' boundaries.
+func TestParseScenarioRejects(t *testing.T) {
+	cases := []struct {
+		spec  string
+		field string // "" = accepted
+	}{
+		{`"users": -1`, "users"},
+		{`"attackers": -1`, "attackers"},
+		{`"msg_bytes": -1`, "msg_bytes"},
+		{`"msg_interval_ms": -1`, "msg_interval_ms"},
+		{`"attack_rate_bps": -5`, "attack_rate_bps"},
+		{`"attack_pkt_size": -1`, "attack_pkt_size"},
+		{`"link_bps": -1`, "link_bps"},
+		{`"duration_ms": -1`, "duration_ms"},
+		{`"attack_start_ms": -1`, "attack_start_ms"},
+		{`"link_delay_ms": -1`, "link_delay_ms"},
+		{`"duration_ms": 500, "drain_ms": 500`, "drain_ms"},
+		{`"duration_ms": 500, "drain_ms": 900`, "drain_ms"},
+		{`"request_fraction": -0.1`, "request_fraction"},
+		{`"request_fraction": 1.5`, "request_fraction"},
+		{`"wait_floor_bucket": -1`, "wait_floor_bucket"},
+		{`"wait_floor_bucket": 64`, "wait_floor_bucket"},
+		{`"attack_pkt_size": 1, "attack_rate_bps": 9000000000`, "attack_rate_bps"},
+		{`"users": 0, "attackers": 0`, ""},
+		{`"duration_ms": 501, "drain_ms": 500`, ""},
+		{`"request_fraction": 1`, ""},
+		{`"wait_floor_bucket": 63`, ""},
+		{`"wait_shift_buckets": -1`, ""},
+		{`"attack_pkt_size": 1, "attack_rate_bps": 8000000000`, ""},
+	}
+	for _, tc := range cases {
+		_, err := ParseScenario([]byte(`{"name": "x", ` + tc.spec + `}`))
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("{%s}: rejected: %v", tc.spec, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("{%s}: accepted, want an error naming %s", tc.spec, tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("{%s}: error %q does not name %s", tc.spec, err, tc.field)
+		}
+	}
+	if _, err := ParseScenario([]byte(`{"name": `)); err == nil {
+		t.Error("truncated JSON accepted")
+	}
+}
+
+// FuzzLoadScenario feeds arbitrary bytes to the scenario parser. It
+// must never panic, and a spec it accepts must, once defaulted, meet
+// what the two planes need to run without crashing: non-negative
+// populations (they size slices), positive message and attacker send
+// intervals (they seed rand.Int63n), a send window inside the run, and
+// a wait floor inside the sketch.
+func FuzzLoadScenario(f *testing.F) {
+	for _, s := range Builtins {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"name":"x","users":-1}`))
+	f.Add([]byte(`{"name":"x","attack_rate_bps":-5}`))
+	f.Add([]byte(`{"name":"x","attack_pkt_size":1,"attack_rate_bps":8000000001}`))
+	f.Add([]byte(`{"name":"x","duration_ms":400,"request_fraction":1,"wait_floor_bucket":63}`))
+	f.Add([]byte(`{"name":"x","tolerances":{"metric:tva_x":0.1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		d := s.withDefaults()
+		if s.Name == "" || d.Users < 0 || d.Attackers < 0 || d.MsgBytes <= 0 || d.AttackPktSize <= 0 ||
+			d.MsgIntervalMS <= 0 || d.attackInterval() < 1 || d.AttackStartMS < 0 || d.LinkDelayMS < 0 ||
+			d.LinkBps <= 0 || d.DrainMS >= d.DurationMS ||
+			d.RequestFraction <= 0 || d.RequestFraction > 1 ||
+			d.WaitFloorBucket < 0 || d.WaitFloorBucket > 63 {
+			t.Fatalf("accepted a spec the planes cannot run: %+v", d)
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseScenario(b); err != nil {
+			t.Fatalf("accepted spec rejected after a JSON round trip: %v\n%s", err, b)
+		}
+	})
 }

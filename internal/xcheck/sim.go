@@ -43,14 +43,12 @@ func runSim(sc Scenario) (*PlaneResult, error) {
 		DropsTotal:      res.BottleneckDrops,
 		DropReasons:     dropReasonMap(res.Telemetry.SchedDrops),
 		DemotionsTotal:  res.Telemetry.Demotions.Total(),
+		WaitCounts:      res.Telemetry.QueueDelay.Counts(),
 	}
 	for _, f := range res.PerFlow {
 		out.PerFlow = append(out.PerFlow, FlowCount{
 			Addr: f.Addr.String(), Sent: f.Sent, Delivered: f.Delivered,
 		})
-	}
-	if res.WaitSketch != nil {
-		out.WaitCounts = res.WaitSketch.Counts()
 	}
 	if res.Telemetry.Metrics == nil {
 		return nil, fmt.Errorf("xcheck: sim run produced no metrics registry")

@@ -7,9 +7,8 @@ import "fmt"
 // overlay deployment and returns the scored comparison.
 func RunScenario(sc Scenario) (*Comparison, error) {
 	sc = sc.withDefaults()
-	if sc.DrainMS >= sc.DurationMS {
-		return nil, fmt.Errorf("xcheck: scenario %q: drain (%d ms) must be shorter than duration (%d ms)",
-			sc.Name, sc.DrainMS, sc.DurationMS)
+	if err := sc.validate(); err != nil {
+		return nil, err
 	}
 	sim, err := runSim(sc)
 	if err != nil {
