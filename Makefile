@@ -19,9 +19,13 @@ build:
 # vets the overlay's real mmsg path for linux/arm64: mmsg_fallback.go
 # is the only datagram I/O everywhere but linux/{amd64,arm64}, nothing
 # else builds it, and nothing else builds mmsg_linux_arm64.go either.
+# It also vets the capability hashes for linux/arm64, where the
+# standard-library MAC and SHA-1 are the only path (the kernels are
+# amd64's).
 cross:
 	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/overlay
+	GOOS=linux GOARCH=arm64 go vet ./internal/mac ./internal/capability
 
 # vet is kept for manual use; `make check` gets full vet coverage from
 # the test target instead, so the tool runs exactly once per check.
@@ -48,11 +52,13 @@ test:
 # against arrivals and Close) so the race detector sees router startup
 # and teardown twice in one process: the window the goleak analyzer
 # reasons about statically. The capability pass does the same for one
-# authority shared by concurrent minters across secret rotations.
+# authority shared by concurrent minters across secret rotations, and
+# for the standard-library Keyed such minters share on CPUs without
+# AES-NI.
 race:
 	go test -race -vet=off ./...
 	go test -race -vet=off -count=2 -run 'Batch|Handshake|Refused|Segment|Pace' ./internal/overlay
-	go test -race -vet=off -count=2 -run 'ConcurrentRotation' ./internal/capability
+	go test -race -vet=off -count=2 -run 'ConcurrentRotation' ./internal/capability ./internal/mac
 
 # bench writes a machine-readable snapshot (Table 1 ns/op + allocs/op,
 # Fig. 12 peak kpps, scenario completion fractions) keyed by revision.
@@ -106,6 +112,8 @@ fuzz-smoke:
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadDump -fuzztime $(FUZZTIME)
 	go test ./internal/metrics -run '^$$' -fuzz FuzzParseProm -fuzztime $(FUZZTIME)
 	go test ./internal/xcheck -run '^$$' -fuzz FuzzLoadScenario -fuzztime $(FUZZTIME)
+	go test ./internal/mac -run '^$$' -fuzz FuzzSHA56 -fuzztime $(FUZZTIME)
+	go test ./internal/mac -run '^$$' -fuzz FuzzMAC56 -fuzztime $(FUZZTIME)
 
 # cover writes a coverage profile, then the gate script extracts the
 # repo-total and per-package statement coverage, surfaces them (in the

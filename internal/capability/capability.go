@@ -16,11 +16,13 @@
 // Router secrets rotate every SecretPeriod (128 s by default, half the
 // modulo-256-second timestamp rollover); the high-order bit of the
 // timestamp selects the current or previous secret, so a router tries
-// exactly one secret per validation.
+// exactly one secret per validation. Minting and validation take no
+// lock: a Ring publishes each epoch's secrets as one immutable value.
 package capability
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"tva/internal/mac"
 	"tva/internal/packet"
@@ -74,25 +76,32 @@ func Age(ts uint8, nowSec int64) (age int64, ok bool) {
 // Ring holds one router's rotating secrets: the secret of the newest
 // epoch it has seen and of the epoch before it (an epoch is one period
 // long). TVA's Authority and SIFF's Marker both keep their secrets in
-// one. Ring is safe for concurrent use: every MAC runs under its lock,
-// which is also where the epoch is checked and the ring rotated,
-// because Keyed instances carry scratch state (mac.Keyed).
+// one. Ring is safe for concurrent use, and a MAC takes no lock: the
+// secrets and their epoch are one immutable ringState behind an atomic
+// pointer (mac.Keyed is safe for concurrent use). Only rotation locks,
+// so that exactly one caller draws each epoch's secret.
 type Ring struct {
 	period tvatime.Duration
+	state  atomic.Pointer[ringState]
+	mu     sync.Mutex // serializes rotate
+}
 
-	mu sync.Mutex
-	// keyed[i] is the MAC for epochs with parity i; epoch is the newest
-	// epoch installed. Before the first rotation, the previous slot
-	// holds a secret nothing was minted under.
+// ringState is one immutable generation of a Ring. keyed[i] is the MAC
+// for epochs with parity i; epoch is the newest epoch installed. Before
+// the first rotation, the previous slot holds a secret nothing was
+// minted under.
+type ringState struct {
 	keyed [2]mac.Keyed
 	epoch int64
 }
 
 // NewRing returns a Ring rotating its secret every period (> 0).
 func NewRing(period tvatime.Duration) *Ring {
-	return &Ring{period: period, keyed: [2]mac.Keyed{
+	r := &Ring{period: period}
+	r.state.Store(&ringState{keyed: [2]mac.Keyed{
 		mac.NewAES(mac.NewSecret()), mac.NewAES(mac.NewSecret()),
-	}}
+	}})
+	return r
 }
 
 // Epoch returns the secret epoch in effect at t.
@@ -105,27 +114,35 @@ func (r *Ring) Epoch(t tvatime.Time) int64 { return int64(t) / int64(r.period) }
 //
 //tva:hotpath
 func (r *Ring) MAC56(cur, e int64, a, b, c uint64) (h uint64, ok bool) {
-	r.mu.Lock()
-	if cur > r.epoch {
-		r.rotate(cur)
+	s := r.state.Load()
+	if cur > s.epoch {
+		s = r.rotate(cur)
 	}
-	if e < r.epoch-1 || e > r.epoch {
-		r.mu.Unlock()
+	if e < s.epoch-1 || e > s.epoch {
 		return 0, false
 	}
-	h = r.keyed[e&1].MAC56(a, b, c)
-	r.mu.Unlock()
-	return h, true
+	return s.keyed[e&1].MAC56(a, b, c), true
 }
 
-// rotate installs fresh secrets up to epoch e > r.epoch, regenerating
-// both slots when both are stale. Caller holds mu.
-func (r *Ring) rotate(e int64) {
-	if e-r.epoch >= 2 {
-		r.keyed[(e-1)&1] = mac.NewAES(mac.NewSecret())
+// rotate installs fresh secrets up to epoch e, regenerating both slots
+// when both are stale, and returns the state in effect: a copy of the
+// current one with the new secrets, or the current one when another
+// caller has already rotated to e or beyond.
+func (r *Ring) rotate(e int64) *ringState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.state.Load()
+	if e <= s.epoch {
+		return s
 	}
-	r.keyed[e&1] = mac.NewAES(mac.NewSecret())
-	r.epoch = e
+	next := *s
+	if e-next.epoch >= 2 {
+		next.keyed[(e-1)&1] = mac.NewAES(mac.NewSecret())
+	}
+	next.keyed[e&1] = mac.NewAES(mac.NewSecret())
+	next.epoch = e
+	r.state.Store(&next)
+	return &next
 }
 
 // Authority mints and validates capabilities for one router. Its
@@ -169,10 +186,10 @@ func (a *Authority) PreCap(src, dst packet.Addr, now tvatime.Time) uint64 {
 // Minter is a per-burst snapshot of the authority's minting state: the
 // secret epoch and the modulo-256 timestamp are resolved once when the
 // snapshot is taken, so batched request processing pays them per burst
-// instead of per packet. Each PreCap takes the ring's lock once for
-// the MAC. A Minter is only valid for the instant it was taken at —
-// take a fresh one whenever now advances (core.Router.ProcessBatch
-// takes one per burst, which runs at a single timestamp).
+// instead of per packet. A Minter is only valid for the instant it was
+// taken at — take a fresh one whenever now advances
+// (core.Router.ProcessBatch takes one per burst, which runs at a single
+// timestamp).
 type Minter struct {
 	ring  *Ring
 	epoch int64

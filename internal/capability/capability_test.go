@@ -255,3 +255,50 @@ func TestAuthorityConcurrentRotation(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestRingEpochWindow pins the ring's epoch semantics: it holds the
+// newest epoch it has seen and the one before, rotates forward only,
+// and a jump of two or more epochs replaces both secrets.
+func TestRingEpochWindow(t *testing.T) {
+	r := NewRing(tvatime.Second)
+	mac := func(cur, e int64) (uint64, bool) { return r.MAC56(cur, e, 1, 2, 3) }
+	h0, ok := mac(0, 0)
+	if !ok {
+		t.Fatal("epoch 0 not held at epoch 0")
+	}
+	if _, ok := mac(0, 1); ok {
+		t.Error("epoch 1 held before it was issued")
+	}
+	h1, ok := mac(1, 1)
+	if !ok {
+		t.Fatal("epoch 1 not held after rotating to it")
+	}
+	if h, ok := mac(0, 0); !ok || h != h0 {
+		t.Errorf("epoch 0 at a stale clock: %#x, %v; want %#x, true (the ring never rotates back)", h, ok, h0)
+	}
+	if _, ok := mac(2, 0); ok {
+		t.Error("epoch 0 still held at epoch 2")
+	}
+	if h, ok := mac(2, 1); !ok || h != h1 {
+		t.Errorf("epoch 1 at epoch 2: %#x, %v; want %#x, true", h, ok, h1)
+	}
+	if _, ok := mac(4, 2); ok {
+		t.Error("epoch 2 held at epoch 4")
+	}
+	if h, ok := mac(4, 3); !ok || h == h1 {
+		t.Errorf("epoch 3 after a two-epoch jump: %#x, %v; want a fresh secret", h, ok)
+	}
+}
+
+// TestRingMACDoesNotAllocate holds Ring.MAC56 to zero allocations once
+// the epoch is installed.
+func TestRingMACDoesNotAllocate(t *testing.T) {
+	r := NewRing(DefaultSecretPeriod)
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		h, _ := r.MAC56(0, 0, sink, 2, 3)
+		sink += h
+	}); n != 0 {
+		t.Errorf("Ring.MAC56: %v allocs/op, want 0", n)
+	}
+}

@@ -221,18 +221,27 @@ func (r *Router) process1(pkt *packet.Packet, inIface int, now tvatime.Time, bc 
 		r.verdict(pkt, now)
 		return pkt.Class
 	}
-	// Header mutation (appended pre-capabilities and path identifiers)
-	// grows the packet on the wire; keep Size consistent.
-	before := h.WireSize()
+	// Header mutation (stamps, demotion cause bytes) grows the packet
+	// on the wire; grow counts the bytes it adds (packet's field
+	// sizes, which CapHdr.WireSize also counts) so that Size stays
+	// consistent.
+	grow := 0
 	switch h.Kind {
 	case packet.KindRequest:
-		r.stampRequest(pkt, h, inIface, now, bc)
+		r.Stats.Requests++
+		grow = r.stamp(pkt, h, inIface, now, bc)
 		pkt.Class = packet.ClassRequest
 	default:
-		if ok, reason := r.processRegular(pkt, h, inIface, now, bc); ok {
+		if ok, reason := r.processRegular(pkt, h, now); ok {
+			if h.Kind == packet.KindRenewal {
+				// Mint a fresh pre-capability into the renewal (§4.3).
+				r.Stats.Renewals++
+				grow = r.stamp(pkt, h, inIface, now, bc)
+			}
 			pkt.Class = packet.ClassRegular
 		} else {
 			h.Demoted = true
+			grow = packet.DemoteLen
 			// Carry the failed check and the demoting router back to
 			// the sender (via return info at the destination) so tools
 			// like tvaping can name the hop and reason.
@@ -249,7 +258,7 @@ func (r *Router) process1(pkt *packet.Packet, inIface int, now tvatime.Time, bc 
 			}
 		}
 	}
-	pkt.Size += h.WireSize() - before
+	pkt.Size += grow
 	r.Flows.Observe(pkt)
 	r.verdict(pkt, now)
 	return pkt.Class
@@ -283,33 +292,38 @@ func (r *Router) verdict(pkt *packet.Packet, now tvatime.Time) {
 	r.Spans.Record(r.span(pkt, now, trace.EdgeVerdict))
 }
 
-// stampRequest adds this router's pre-capability (and path identifier
-// at trust boundaries) to a request.
+// stamp adds this router's pre-capability, its path identifier at a
+// trust boundary and its hop stamp when asked for to a request or a
+// valid renewal, and returns the bytes they add on the wire.
 //
 //tva:hotpath
-func (r *Router) stampRequest(pkt *packet.Packet, h *packet.CapHdr, inIface int, now tvatime.Time, bc *batchCtx) {
-	r.Stats.Requests++
+func (r *Router) stamp(pkt *packet.Packet, h *packet.CapHdr, inIface int, now tvatime.Time, bc *batchCtx) int {
+	grow := 0
 	if len(h.Request.PreCaps) < packet.MaxCaps {
 		h.Request.PreCaps = append(h.Request.PreCaps, r.burstMinter(bc, now).PreCap(pkt.Src, pkt.Dst))
+		grow += packet.PreCapLen
 	}
 	if r.cfg.TrustBoundary && len(h.Request.PathIDs) < 255 {
 		pathid.Stamp(h, r.cfg.Tagger.ForInterface(inIface))
+		grow += packet.PathIDLen
 	}
-	r.stampHop(h)
+	return grow + r.stampHop(h)
 }
 
 // stampHop appends this router's queue-wait report to a request that
-// opted into hop stamps (RequestHdr.WantHops). The destination echoes
-// the list in return info; tvaping prints the breakdown.
-func (r *Router) stampHop(h *packet.CapHdr) {
+// opted into hop stamps (RequestHdr.WantHops) and returns the bytes it
+// adds. The destination echoes the list in return info; tvaping prints
+// the breakdown.
+func (r *Router) stampHop(h *packet.CapHdr) int {
 	if !h.Request.WantHops || len(h.Request.HopWaits) >= 255 {
-		return
+		return 0
 	}
 	var wait uint32
 	if r.HopWait != nil {
 		wait = r.HopWait()
 	}
 	h.Request.HopWaits = append(h.Request.HopWaits, packet.HopStamp{Router: r.cfg.ID, WaitUs: wait})
+	return packet.HopStampLen
 }
 
 // processRegular implements the regular/renewal arm of Fig. 6 and
@@ -324,7 +338,7 @@ func (r *Router) stampHop(h *packet.CapHdr) {
 //     the bounded flow cache could not admit it, or its cache entry is
 //     gone (evicted/expired) and it carries only a nonce to revalidate
 //     with.
-func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, inIface int, now tvatime.Time, bc *batchCtx) (bool, telemetry.DropReason) {
+func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, now tvatime.Time) (bool, telemetry.DropReason) {
 	// This router's capability, if the packet carries a list: the
 	// capability pointer names this router's slot and is advanced
 	// unconditionally so downstream routers index their own slot even
@@ -391,17 +405,6 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, inIface in
 		}
 	}
 
-	if valid && h.Kind == packet.KindRenewal {
-		// Mint a fresh pre-capability into the renewal (§4.3).
-		r.Stats.Renewals++
-		if len(h.Request.PreCaps) < packet.MaxCaps {
-			h.Request.PreCaps = append(h.Request.PreCaps, r.burstMinter(bc, now).PreCap(pkt.Src, pkt.Dst))
-		}
-		if r.cfg.TrustBoundary && len(h.Request.PathIDs) < 255 {
-			pathid.Stamp(h, r.cfg.Tagger.ForInterface(inIface))
-		}
-		r.stampHop(h)
-	}
 	if valid {
 		return true, telemetry.DropNone
 	}

@@ -404,8 +404,8 @@ func (h ttlHeap) down(i int) {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && h[r].key < h[l].key {
-			j = r
+		if r := l + 1; r < n {
+			j += b2i(h[r].key < h[l].key)
 		}
 		if h[j].key >= nd.key {
 			break
@@ -414,4 +414,15 @@ func (h ttlHeap) down(i int) {
 		i = j
 	}
 	h[i] = nd
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+//
+//tva:hotpath
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -254,6 +254,15 @@ type Packet struct {
 // OuterHdrLen is the size of the IPv4-like outer header.
 const OuterHdrLen = 20
 
+// Wire sizes of the shim fields a router appends while forwarding;
+// WireSize counts them, and a router grows Packet.Size by them.
+const (
+	PreCapLen   = 8 // one pre-capability (timestamp, hash)
+	PathIDLen   = 2 // one path identifier
+	HopStampLen = 5 // one hop stamp (router, wait_us)
+	DemoteLen   = 2 // demotion cause: demote reason, demoting router
+)
+
 // HdrWireSize returns the marshaled size of the shim header in bytes,
 // or 0 if the packet is legacy.
 func (p *Packet) HdrWireSize() int {
@@ -269,7 +278,7 @@ func (h *CapHdr) WireSize() int {
 	// demotion cause bytes when the demoted bit is set.
 	n := 2
 	if h.Demoted {
-		n += 2 // demote reason, demoting router
+		n += DemoteLen
 	}
 	switch h.Kind {
 	case KindRequest:
@@ -285,22 +294,22 @@ func (h *CapHdr) WireSize() int {
 	if h.Return != nil {
 		n++ // return type byte
 		if h.Return.DemotionNotice {
-			n += 2 // echoed demote reason, demoting router
+			n += DemoteLen // echoed
 		}
 		if h.Return.Grant != nil {
 			n += 1 + 2 + 8*len(h.Return.Grant.Caps) // count, N|T, caps
 		}
 		if len(h.Return.Hops) > 0 {
-			n += 1 + 5*len(h.Return.Hops) // count, (router, wait_us) stamps
+			n += 1 + HopStampLen*len(h.Return.Hops) // count, stamps
 		}
 	}
 	return n
 }
 
 func requestWireSize(r *RequestHdr) int {
-	n := 2 + 2*len(r.PathIDs) + 8*len(r.PreCaps)
+	n := 2 + PathIDLen*len(r.PathIDs) + PreCapLen*len(r.PreCaps)
 	if r.WantHops {
-		n += 1 + 5*len(r.HopWaits) // count, (router, wait_us) stamps
+		n += 1 + HopStampLen*len(r.HopWaits) // count, stamps
 	}
 	return n
 }

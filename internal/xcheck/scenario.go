@@ -14,10 +14,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"tva/internal/metrics"
+	"tva/internal/packet"
 )
 
 // Scenario is one cross-plane experiment spec. Durations are integer
@@ -150,11 +152,30 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// maxMS is the longest duration a spec may give: the planes scale
+// milliseconds to int64 nanoseconds.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
+// maxUDPPayload is the largest IPv4 UDP payload; the overlay sends each
+// attack packet, outer header included, as one datagram.
+const maxUDPPayload = 65507
+
 // validate rejects a defaulted scenario that either plane would crash
 // on or could not run. Each error names the offending JSON field.
 func (s Scenario) validate() error {
 	bad := func(field, rule string, got any) error {
 		return fmt.Errorf("xcheck: scenario %q: %s must be %s, got %v", s.Name, field, rule, got)
+	}
+	for _, d := range []struct {
+		field string
+		ms    int
+	}{
+		{"duration_ms", s.DurationMS}, {"msg_interval_ms", s.MsgIntervalMS}, {"drain_ms", s.DrainMS},
+		{"attack_start_ms", s.AttackStartMS}, {"link_delay_ms", s.LinkDelayMS},
+	} {
+		if int64(d.ms) > maxMS {
+			return bad(d.field, fmt.Sprintf("at most %d (int64 nanoseconds)", maxMS), d.ms)
+		}
 	}
 	switch {
 	case s.Users < 0:
@@ -169,6 +190,8 @@ func (s Scenario) validate() error {
 		return bad("attack_rate_bps", "> 0", s.AttackRateBps)
 	case s.AttackPktSize <= 0:
 		return bad("attack_pkt_size", "> 0", s.AttackPktSize)
+	case s.AttackPktSize > maxUDPPayload-packet.OuterHdrLen:
+		return bad("attack_pkt_size", fmt.Sprintf("at most %d (one UDP datagram)", maxUDPPayload-packet.OuterHdrLen), s.AttackPktSize)
 	case s.LinkBps <= 0:
 		return bad("link_bps", "> 0", s.LinkBps)
 	case s.DurationMS <= 0:
@@ -177,6 +200,8 @@ func (s Scenario) validate() error {
 		return bad("attack_start_ms", ">= 0", s.AttackStartMS)
 	case s.LinkDelayMS < 0:
 		return bad("link_delay_ms", ">= 0", s.LinkDelayMS)
+	case s.DrainMS < 0:
+		return bad("drain_ms", ">= 0", s.DrainMS)
 	case s.DrainMS >= s.DurationMS:
 		return bad("drain_ms", fmt.Sprintf("shorter than duration_ms (%d)", s.DurationMS), s.DrainMS)
 	case !(s.RequestFraction > 0 && s.RequestFraction <= 1):

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestScenarioDefaults(t *testing.T) {
@@ -164,6 +165,17 @@ func TestParseScenarioRejects(t *testing.T) {
 		{`"wait_floor_bucket": 63`, ""},
 		{`"wait_shift_buckets": -1`, ""},
 		{`"attack_pkt_size": 1, "attack_rate_bps": 8000000000`, ""},
+		// Durations whose nanoseconds overflow int64, and datagrams
+		// over the IPv4 UDP payload limit (65507 = 20 + 65487).
+		{`"duration_ms": 9223372036855`, "duration_ms"},
+		{`"msg_interval_ms": 9223372036855`, "msg_interval_ms"},
+		{`"drain_ms": 9223372036855`, "drain_ms"},
+		{`"drain_ms": -1`, "drain_ms"},
+		{`"attack_start_ms": 9223372036855`, "attack_start_ms"},
+		{`"link_delay_ms": 9223372036855`, "link_delay_ms"},
+		{`"attack_pkt_size": 65488`, "attack_pkt_size"},
+		{`"duration_ms": 9223372036854, "msg_interval_ms": 9223372036854, "drain_ms": 9223372036853, "attack_start_ms": 9223372036854, "link_delay_ms": 9223372036854`, ""},
+		{`"attack_pkt_size": 65487`, ""},
 	}
 	for _, tc := range cases {
 		_, err := ParseScenario([]byte(`{"name": "x", ` + tc.spec + `}`))
@@ -186,7 +198,8 @@ func TestParseScenarioRejects(t *testing.T) {
 // what the two planes need to run without crashing: non-negative
 // populations (they size slices), positive message and attacker send
 // intervals (they seed rand.Int63n), a send window inside the run, and
-// a wait floor inside the sketch.
+// a wait floor inside the sketch, every duration in range once scaled
+// to nanoseconds, and attack packets that fit one UDP datagram.
 func FuzzLoadScenario(f *testing.F) {
 	for _, s := range Builtins {
 		b, err := json.Marshal(s)
@@ -200,6 +213,8 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"x","attack_pkt_size":1,"attack_rate_bps":8000000001}`))
 	f.Add([]byte(`{"name":"x","duration_ms":400,"request_fraction":1,"wait_floor_bucket":63}`))
 	f.Add([]byte(`{"name":"x","tolerances":{"metric:tva_x":0.1}}`))
+	f.Add([]byte(`{"name":"x","duration_ms":9223372036855,"attack_pkt_size":65488}`))
+	f.Add([]byte(`{"name":"x","duration_ms":9223372036854,"drain_ms":1,"attack_pkt_size":65487}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseScenario(data)
 		if err != nil {
@@ -212,6 +227,14 @@ func FuzzLoadScenario(f *testing.F) {
 			d.RequestFraction <= 0 || d.RequestFraction > 1 ||
 			d.WaitFloorBucket < 0 || d.WaitFloorBucket > 63 {
 			t.Fatalf("accepted a spec the planes cannot run: %+v", d)
+		}
+		for _, ms := range []int{d.DurationMS, d.MsgIntervalMS, d.DrainMS, d.AttackStartMS, d.LinkDelayMS} {
+			if ns := time.Duration(ms) * time.Millisecond; ns < 0 || ns/time.Millisecond != time.Duration(ms) {
+				t.Fatalf("accepted a duration of %d ms, which overflows in nanoseconds: %+v", ms, d)
+			}
+		}
+		if wire, err := attackPacket(1, d.AttackPktSize); err != nil || len(wire) > maxUDPPayload {
+			t.Fatalf("accepted attack_pkt_size %d: datagram of %d bytes (%v)", d.AttackPktSize, len(wire), err)
 		}
 		b, err := json.Marshal(s)
 		if err != nil {

@@ -16,10 +16,13 @@ floor=${COVER_FLOOR:-70}
 profile=${1:-cover.out}
 
 # Per-package floors, about three points under each package's figure
-# when the floor was set: the data-plane packages, the keyed index with
-# its two users, the metrics layer and its one histogram, the
-# cross-plane gate, and tvasim (its golden test).
+# when the floor was set: the data-plane packages, the capability
+# hashes and secret ring, the keyed index with its two users, the
+# metrics layer and its one histogram, the cross-plane gate, and tvasim
+# (its golden test).
 pkg_floors='tva/internal/core 88
+tva/internal/mac 90
+tva/internal/capability 90
 tva/internal/sched 84
 tva/internal/overlay 77
 tva/internal/packet 84
