@@ -108,6 +108,7 @@ fuzz-smoke:
 	go test ./internal/flowcache -run '^$$' -fuzz FuzzCacheOps -fuzztime $(FUZZTIME)
 	go test ./internal/keyhash -run '^$$' -fuzz FuzzIndexOps -fuzztime $(FUZZTIME)
 	go test ./internal/flowstats -run '^$$' -fuzz FuzzMergeSamples -fuzztime $(FUZZTIME)
+	go test ./internal/flowstats -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)
 	go test ./internal/fq -run '^$$' -fuzz FuzzDRROps -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadDump -fuzztime $(FUZZTIME)
 	go test ./internal/metrics -run '^$$' -fuzz FuzzParseProm -fuzztime $(FUZZTIME)

@@ -7,10 +7,11 @@
 //
 // Everything on the record path is preallocated at construction and
 // //tva:hotpath-clean: no maps, no closures, no allocation — a table
-// touch is a keyhash.Index probe plus a heap sift. Collectors are not
-// synchronized; each owner (a core engine, a port scheduler) holds its
-// own collector under its own lock and snapshots merge
-// deterministically off the hot path (DESIGN.md §16).
+// touch is one keyhash.Index probe plus a replay of one slot's path in
+// a tournament tree, and a new sender adds an index delete and insert.
+// Collectors are not synchronized; each owner (a core engine, a port
+// scheduler) holds its own collector under its own lock and snapshots
+// merge deterministically off the hot path (DESIGN.md §16).
 //
 // Senders are keyed the way the paper holds them accountable (§3.2):
 // request packets by their most recent path identifier (source

@@ -125,6 +125,28 @@ func TestTableEviction(t *testing.T) {
 		t.Fatalf("evictee slot = %+v, want key %v bytes 15 err 10", samples[1], c)
 	}
 
+	// Among equal minima the lowest slot is evicted. b's hit brings all
+	// three slots to 10, so d takes slot 0 (a) and e then slot 1 (b). A
+	// binary min-heap evicts b first here: b reached the root at its
+	// insert and no sift moves a root that only ties its children.
+	var tie Table
+	tie.Init(3)
+	d, e := KeyFor(4, 0), KeyFor(5, 0)
+	for _, op := range []struct {
+		k     Key
+		bytes uint64
+	}{{a, 10}, {b, 5}, {c, 10}, {b, 5}, {d, 1}, {e, 1}} {
+		tie.touch(op.k, op.bytes, 1, 0, 0)
+	}
+	want := []Sample{
+		{Key: d, Bytes: 11, Pkts: 1, Err: 10},
+		{Key: e, Bytes: 11, Pkts: 1, Err: 10},
+		{Key: c, Bytes: 10, Pkts: 1},
+	}
+	if got := tie.AppendSamples(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie eviction: slots = %+v, want %+v", got, want)
+	}
+
 	// Drops on an untracked sender must not evict anyone.
 	tbl.touch(KeyFor(9, 0), 0, 0, 1, 0)
 	if tbl.Len() != 2 || tbl.idx.Find(uint64(KeyFor(9, 0))) >= 0 {
@@ -331,5 +353,29 @@ func TestSampleFairness(t *testing.T) {
 	}
 	if len(prev) != 1 {
 		t.Fatalf("prev kept departed keys: %v", prev)
+	}
+}
+
+// TestCollectorAccessors: a collector reports what its table and byte
+// total hold, and a nil collector reports nothing.
+func TestCollectorAccessors(t *testing.T) {
+	c := New(2, DefaultSketchWidth)
+	if c.TopShare() != 0 {
+		t.Fatal("TopShare before any traffic must be 0")
+	}
+	for _, p := range []packet.Packet{{Src: 1, Size: 300}, {Src: 2, Size: 100}, {Src: 1, Size: 100}} {
+		c.Observe(&p)
+	}
+	if c.Tracked() != 2 || c.TotalBytes() != 500 || c.TopShare() != 0.8 {
+		t.Fatalf("tracked %d, total %d, top share %v; want 2, 500, 0.8", c.Tracked(), c.TotalBytes(), c.TopShare())
+	}
+	want := []Sample{{Key: KeyFor(1, 0), Bytes: 400, Pkts: 2}, {Key: KeyFor(2, 0), Bytes: 100, Pkts: 1}}
+	if got := c.AppendSamples(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples %+v, want %+v", got, want)
+	}
+
+	var nilC *Collector
+	if nilC.Tracked() != 0 || nilC.TotalBytes() != 0 || nilC.TopShare() != 0 || nilC.AppendSamples(nil) != nil {
+		t.Fatal("nil collector must report nothing")
 	}
 }

@@ -1,13 +1,15 @@
 package flowstats
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"tva/internal/keyhash"
 )
 
 // entry is one tracked sender. Its byte count, the space-saving
-// ranking counter, lives in the entry's heap node: on eviction the
+// ranking counter, lives in the entry's tree leaf: on eviction the
 // replacement inherits the evicted minimum (so Bytes is an
 // overestimate by at most Err); the auxiliary counters restart from
 // zero at takeover, since inheriting another sender's drops would be
@@ -40,41 +42,46 @@ type Sample struct {
 // 1/16, which costs 8 KB of 16-byte slots at DefaultTopK.
 const tableIndexFactor = 16
 
-// heapNode is one heap slot: an entry's byte count (its ranking
-// counter, kept here so sifts compare contiguous memory) and the
-// entry's index.
-type heapNode struct {
+// node is one tournament-tree node: the byte count of the slot that
+// wins its subtree, and that slot.
+type node struct {
 	bytes uint64
-	idx   int32
+	slot  uint32
 }
 
 // Table is a space-saving top-K heavy-hitter table: K preallocated
-// entries, a keyhash.Index from key to entry (no Go map — the hot path
-// must not hash through runtime map code or allocate), and a min-heap
-// over the ranking counter so eviction of the current minimum is
-// O(log K). Keys are sender addresses, so the index hash is keyed per
-// table; slot placement never reaches samples or merges, which stay
-// deterministic.
+// entry slots, a keyhash.Index from key to slot (no Go map — the hot
+// path must not hash through runtime map code or allocate), and a
+// tournament tree over the slots' byte counts. The tree has 2L nodes,
+// L being K rounded up to a power of two: node L+s is slot s's leaf
+// (MaxUint64 while the slot is unfilled), and every internal node holds
+// the smaller of its two children, the left one on ties. So tree[1] is
+// the minimum and, among equal minima, the lowest slot: the entry a new
+// sender evicts. Entries never move; a touch replays only its slot's
+// leaf-to-root path. Keys are sender addresses, so the index hash is
+// keyed per table; slot placement in the index never reaches samples
+// or merges, which stay deterministic.
 type Table struct {
-	k       int
 	n       int
 	entries []entry
-	heap    []heapNode // min-heap by bytes
-	pos     []int32    // entry index -> heap position
+	tree    []node
 	idx     keyhash.Index
 }
 
 // Init sizes the table for k tracked senders. It is the only method
 // that allocates.
 func (t *Table) Init(k int) {
-	if k < 1 {
-		k = 1
-	}
-	t.k = k
+	k = max(k, 1)
+	l := 1 << bits.Len(uint(k-1))
 	t.n = 0
 	t.entries = make([]entry, k)
-	t.heap = make([]heapNode, k)
-	t.pos = make([]int32, k)
+	t.tree = make([]node, 2*l)
+	for s := range l {
+		t.tree[l+s] = node{math.MaxUint64, uint32(s)}
+	}
+	for p := l - 1; p > 0; p-- {
+		t.tree[p] = t.tree[2*p]
+	}
 	t.idx = keyhash.NewIndex(k, tableIndexFactor)
 }
 
@@ -82,54 +89,28 @@ func (t *Table) Init(k int) {
 func (t *Table) Len() int { return t.n }
 
 // K returns the table's capacity.
-func (t *Table) K() int { return t.k }
+func (t *Table) K() int { return len(t.entries) }
 
-// siftDown restores heap order downward from heap position p after
-// the ranking counter there grew.
+// replay sets slot s's leaf to b and recomputes the leaf's ancestors up
+// to node top. The winner rides in registers, and each level picks
+// between it and the sibling without a data-dependent branch: the
+// sibling wins when its (bytes, slot) pair is the smaller, which is the
+// tree's ties-go-left rule because left subtrees hold the lower slots.
 //
 //tva:hotpath
-func (t *Table) siftDown(p int32) {
-	h := t.heap
-	n := int32(t.n)
-	nd := h[p]
-	for {
-		l := 2*p + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].bytes < h[l].bytes {
-			m = r
-		}
-		if h[m].bytes >= nd.bytes {
-			break
-		}
-		h[p] = h[m]
-		t.pos[h[p].idx] = p
-		p = m
+func (t *Table) replay(s uint32, b uint64, top uint32) {
+	tr := t.tree
+	p := uint32(len(tr)/2) + s
+	tr[p].bytes = b
+	for ; p > top; p >>= 1 {
+		sib := tr[p^1]
+		_, lt := bits.Sub64(uint64(sib.slot), uint64(s), 0)
+		_, lt = bits.Sub64(sib.bytes, b, lt)
+		m := -lt // all ones when the sibling wins
+		b ^= (b ^ sib.bytes) & m
+		s ^= (s ^ sib.slot) & uint32(m)
+		tr[p>>1] = node{b, s}
 	}
-	h[p] = nd
-	t.pos[nd.idx] = p
-}
-
-// heapPush adds entry idx (already in entries) with its byte count at
-// the heap's end and sifts it up.
-//
-//tva:hotpath
-func (t *Table) heapPush(idx int32, bytes uint64) {
-	h := t.heap
-	p := int32(t.n) - 1 // caller bumped t.n; new element goes last
-	for p > 0 {
-		parent := (p - 1) / 2
-		if h[parent].bytes <= bytes {
-			break
-		}
-		h[p] = h[parent]
-		t.pos[h[p].idx] = p
-		p = parent
-	}
-	h[p] = heapNode{bytes: bytes, idx: idx}
-	t.pos[idx] = p
 }
 
 // touch accounts one event to key k: bytes/pkts on observation,
@@ -142,51 +123,52 @@ func (t *Table) heapPush(idx int32, bytes uint64) {
 //
 //tva:hotpath
 func (t *Table) touch(k Key, bytes, pkts, drops, demotions uint64) {
-	if idx := t.idx.Find(uint64(k)); idx >= 0 {
-		e := &t.entries[idx]
+	h, home := t.idx.FindHome(uint64(k))
+	if h >= 0 {
+		e := &t.entries[h]
 		e.pkts += pkts
 		e.drops += drops
 		e.demotions += demotions
 		if bytes > 0 {
-			p := t.pos[idx]
-			t.heap[p].bytes += bytes
-			t.siftDown(p)
+			// Counts only grow, so the nodes to replay are the ones
+			// this slot was winning.
+			s, leaf := uint32(h), uint32(len(t.tree)/2)+uint32(h)
+			top := leaf
+			for top > 1 && t.tree[top>>1].slot == s {
+				top >>= 1
+			}
+			t.replay(s, t.tree[leaf].bytes+bytes, top)
 		}
 		return
 	}
-	if t.n < t.k {
-		idx := int32(t.n)
+	s, err := uint32(t.n), uint64(0)
+	switch {
+	case t.n < len(t.entries):
 		t.n++
-		e := &t.entries[idx]
-		e.key = k
-		e.pkts = pkts
-		e.drops = drops
-		e.demotions = demotions
-		e.err = 0
-		t.idx.Insert(uint64(k), idx)
-		t.heapPush(idx, bytes)
+	case bytes == 0:
 		return
+	default:
+		s, err = t.tree[1].slot, t.tree[1].bytes
+		t.idx.Delete(uint64(t.entries[s].key))
 	}
-	if bytes == 0 {
-		return
-	}
-	root := &t.heap[0]
-	e := &t.entries[root.idx]
-	t.idx.Delete(uint64(e.key))
-	e.err = root.bytes
-	e.key = k
-	root.bytes += bytes
-	e.pkts = pkts
-	e.drops = drops
-	e.demotions = demotions
-	t.idx.Insert(uint64(k), root.idx)
-	t.siftDown(0)
+	// Field by field: a composite literal is built on the stack and
+	// copied in 16-byte moves that stall on its 8-byte stores.
+	e := &t.entries[s]
+	e.key, e.pkts, e.drops, e.demotions, e.err = k, pkts, drops, demotions, err
+	t.idx.InsertHome(uint64(k), home, int32(s))
+	t.replay(s, err+bytes, 1)
+}
+
+// leaves returns the filled slots' leaves, in slot order.
+func (t *Table) leaves() []node {
+	l := len(t.tree) / 2
+	return t.tree[l : l+t.n]
 }
 
 // MaxBytes returns the largest tracked byte count (0 when empty).
 func (t *Table) MaxBytes() uint64 {
 	var top uint64
-	for _, nd := range t.heap[:t.n] {
+	for _, nd := range t.leaves() {
 		top = max(top, nd.bytes)
 	}
 	return top
@@ -194,10 +176,10 @@ func (t *Table) MaxBytes() uint64 {
 
 // AppendSamples appends the live entries to dst, unsorted.
 func (t *Table) AppendSamples(dst []Sample) []Sample {
-	for i := 0; i < t.n; i++ {
+	for i, nd := range t.leaves() {
 		e := &t.entries[i]
 		dst = append(dst, Sample{
-			Key: e.key, Bytes: t.heap[t.pos[i]].bytes, Pkts: e.pkts,
+			Key: e.key, Bytes: nd.bytes, Pkts: e.pkts,
 			Drops: e.drops, Demotions: e.demotions, Err: e.err,
 		})
 	}

@@ -2,6 +2,7 @@ package keyhash
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -33,9 +34,12 @@ func opsIndex(seedByte, capByte byte) (Index, int) {
 // indexOps runs the operation sequence encoded in data against an
 // Index and a map and returns the first disagreement. data[0] and
 // data[1] pick the index (opsIndex); each following 2-byte group
-// [op, key] is an Insert, Delete, Find or (rarely) Clear. An Insert
-// whose key is present, or that would exceed the capacity, is a Find
-// instead, since Insert's contract excludes both.
+// [op, key] is an Insert, a replace, a Delete, a Find or (rarely) a
+// Clear. A replace is flowstats' new-sender touch: FindHome for an
+// absent key, a Delete of the smallest key when the index is full, and
+// an InsertHome at the home FindHome returned. An Insert whose key is
+// present, or that would exceed the capacity, and a replace whose key
+// is present, are a Find instead, since their contracts exclude both.
 func indexOps(data []byte) error {
 	if len(data) < 2 {
 		return nil
@@ -46,8 +50,23 @@ func indexOps(data []byte) error {
 		op, k := p[0]%8, opsKey(p[1])
 		_, present := ref[k]
 		switch {
-		case op < 3 && !present && len(ref) < n:
+		case op < 2 && !present && len(ref) < n:
 			x.Insert(k, int32(step))
+			ref[k] = int32(step)
+		case op == 2 && !present:
+			h, home := x.FindHome(k)
+			if h != -1 || home != x.home(k) {
+				return fmt.Errorf("step %d: FindHome(%#x) = %d, %d, want -1, %d", step, k, h, home, x.home(k))
+			}
+			if len(ref) == n {
+				old := uint64(math.MaxUint64)
+				for rk := range ref {
+					old = min(old, rk)
+				}
+				x.Delete(old)
+				delete(ref, old)
+			}
+			x.InsertHome(k, home, int32(step))
 			ref[k] = int32(step)
 		case op == 3 || op == 4:
 			x.Delete(k)
@@ -60,8 +79,10 @@ func indexOps(data []byte) error {
 			if !ok {
 				want = -1
 			}
-			if got := x.Find(k); got != want {
-				return fmt.Errorf("step %d: Find(%#x) = %d, want %d", step, k, got, want)
+			got, home := x.FindHome(k)
+			if got != want || home != x.home(k) || x.Find(k) != got {
+				return fmt.Errorf("step %d: Find/FindHome(%#x) = %d/%d, %d, want %d, %d",
+					step, k, x.Find(k), got, home, want, x.home(k))
 			}
 		}
 		if err := checkIndex(&x, ref); err != nil {

@@ -100,12 +100,22 @@ func (x *Index) probe(key uint64, home uint32) uint32 {
 	return i
 }
 
-// Find returns key's handle, or -1 when the key is absent (an empty
-// slot's h1 is 0).
+// Find returns key's handle, or -1 when the key is absent.
 //
 //tva:hotpath
 func (x *Index) Find(key uint64) int32 {
-	return x.slots[x.probe(key, x.home(key))].h1 - 1
+	h, _ := x.FindHome(key)
+	return h
+}
+
+// FindHome is Find that also returns key's home, which InsertHome takes
+// so that an absent key is hashed once. A home depends only on the key
+// and the index, so other inserts and deletes leave it valid.
+//
+//tva:hotpath
+func (x *Index) FindHome(key uint64) (int32, uint32) {
+	home := x.home(key)
+	return x.slots[x.probe(key, home)].h1 - 1, home // an empty slot's h1 is 0
 }
 
 // Insert adds key with handle h. The key must be absent, and the index
@@ -113,7 +123,13 @@ func (x *Index) Find(key uint64) int32 {
 //
 //tva:hotpath
 func (x *Index) Insert(key uint64, h int32) {
-	home := x.home(key)
+	x.InsertHome(key, x.home(key), h)
+}
+
+// InsertHome is Insert for a key whose home FindHome returned.
+//
+//tva:hotpath
+func (x *Index) InsertHome(key uint64, home uint32, h int32) {
 	x.slots[x.probe(key, home)] = slot{key: key, home: home, h1: h + 1}
 	x.n++
 }

@@ -84,9 +84,6 @@ func (imp *Impairment) extraDelay() tvatime.Duration {
 	return tvatime.Duration(imp.rng.Int63n(int64(imp.cfg.Jitter)))
 }
 
-// Down reports whether the interface is inside a down window.
-func (i *Iface) Down() bool { return i.down }
-
 // SetDown changes the interface's up/down state. Going down stops
 // transmission (the output queue keeps building and drains on the
 // next up); packets already in flight are cut at delivery time.

@@ -380,11 +380,6 @@ func (s *TVA) Flush(release func(*packet.Packet)) {
 	s.legacy.Flush(release)
 }
 
-// LegacyDrops exposes drops in the legacy class (used in tests).
-func (s *TVA) LegacyDrops() uint64 {
-	return s.Drops.Get(telemetry.DropLegacyQueueFull) + s.Drops.Get(telemetry.DropDemoted)
-}
-
 // RequestBacklog returns queued request packets (including a holdover
 // parked at the rate limiter). Metrics gauge.
 func (s *TVA) RequestBacklog() int {

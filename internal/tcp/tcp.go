@@ -315,9 +315,6 @@ func (c *Conn) Received() uint64 { return c.received }
 // Done reports whether the connection has finished (either way).
 func (c *Conn) Done() bool { return c.state == stateDone || c.state == stateFailed }
 
-// Succeeded reports whether a client transfer completed.
-func (c *Conn) Succeeded() bool { return c.state == stateDone }
-
 func (c *Conn) emit(seg *Segment) {
 	seg.SrcPort, seg.DstPort = c.local, c.remote
 	c.st.SegsSent++

@@ -27,7 +27,7 @@ tva/internal/sched 84
 tva/internal/overlay 77
 tva/internal/packet 84
 tva/internal/flowcache 93
-tva/internal/flowstats 82
+tva/internal/flowstats 89
 tva/internal/keyhash 97
 tva/internal/metrics 89
 tva/internal/xcheck 82
