@@ -48,13 +48,24 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestSweepGolden pins the figure sweeps' tables: four schemes at
-// attacker counts 1 and 10, 3 simulated seconds, seed 1.
+// TestSweepGolden pins every figure's table at seed 1: Figs. 8–10 for
+// four schemes at attacker counts 1 and 10 over 3 simulated seconds,
+// and Fig. 11's two attack schedules over 14 s (the attack starts at
+// 10 s). Together they run each of the four attacker kinds.
 func TestSweepGolden(t *testing.T) {
-	for _, fig := range []string{"8", "10"} {
-		t.Run("fig"+fig, func(t *testing.T) {
-			got := runMain(t, "-fig", fig, "-attackers", "1,10", "-duration", "3", "-seed", "1")
-			checkGolden(t, "fig"+fig+".txt", got)
+	sweep := []string{"-attackers", "1,10", "-duration", "3", "-seed", "1"}
+	for _, tc := range []struct {
+		fig  string
+		args []string
+	}{
+		{"8", sweep},
+		{"9", sweep},
+		{"10", sweep},
+		{"11", []string{"-duration", "14", "-seed", "1"}},
+	} {
+		t.Run("fig"+tc.fig, func(t *testing.T) {
+			got := runMain(t, append([]string{"-fig", tc.fig}, tc.args...)...)
+			checkGolden(t, "fig"+tc.fig+".txt", got)
 		})
 	}
 }
