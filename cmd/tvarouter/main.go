@@ -17,7 +17,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -48,7 +47,7 @@ func main() {
 	rate := flag.Int64("rate", 0, "per-neighbour link pacing in bits/s (0 = unpaced)")
 	reqFrac := flag.Float64("request-fraction", 0.05, "request channel share of the link")
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 = never)")
-	debugAddr := flag.String("pprof", "", "serve pprof and expvar diagnostics on this address (e.g. 127.0.0.1:6060)")
+	debugAddr := flag.String("pprof", "", "serve pprof profiles at /debug/pprof, plus /metrics and /flows, on this address (e.g. 127.0.0.1:6060)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text exposition at /metrics on this address (e.g. 127.0.0.1:9100)")
 	metricsEvery := flag.Duration("metrics-interval", time.Second, "metrics sampling / health detector tick interval")
 	metricsWindow := flag.Int("metrics-window", 600, "retained metrics rows (ticks)")
@@ -106,7 +105,7 @@ func main() {
 
 	// The registry is built after every route is installed, so each
 	// neighbour port gets its labelled series; it is the single source
-	// of truth behind /metrics, /debug/vars, and the health engine.
+	// of truth behind /metrics and the health engine.
 	m := r.Metrics(*metricsWindow, metrics.DetectorConfig{})
 	m.Health.OnTransition = func(tr metrics.Transition) {
 		fmt.Printf("health: %s\n", tr)
@@ -154,9 +153,8 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// /debug/pprof (profiles) and /debug/vars (expvar) on the
-		// default mux; both packages register themselves on import.
-		expvar.Publish("tva", expvar.Func(func() any { return diagnostics(m, r.Gauges()) }))
+		// /debug/pprof on the default mux; the package registers
+		// itself on import.
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pprof:", err)
@@ -170,7 +168,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "pprof:", err)
 			}
 		}()
-		fmt.Printf("diagnostics on http://%s/debug/pprof and /debug/vars\n", ln.Addr())
+		fmt.Printf("pprof on http://%s/debug/pprof\n", ln.Addr())
 	}
 
 	if *stats > 0 {
@@ -255,103 +253,6 @@ func flowsHandler(r *overlay.Router) http.Handler {
 // listener during shutdown — expected, not worth logging.
 func isClosed(err error) bool {
 	return errors.Is(err, net.ErrClosed)
-}
-
-// diagnostics renders the legacy /debug/vars block by re-reading the
-// metrics registry — the expvar names survive as aliases, but every
-// value now has exactly one source of truth, so /metrics and
-// /debug/vars can never disagree. The shape matches the pre-metrics
-// output: forwarding totals, reason-attributed scheduler drops,
-// demotion causes, flow-cache occupancy, the hop-wait estimate, burst
-// fill levels, and one structured gauge block per neighbour port. The
-// three egress figures with no registry series — datagrams that failed
-// to leave, kernel messages used (sent_pkts / tx_msgs is the segment
-// coalescing ratio) and send bursts (sent_pkts / tx_bursts is
-// datagrams per port wake-up, which pacing sets) — come from the port
-// gauges.
-func diagnostics(m *overlay.RouterMetrics, gauges []overlay.PortGauges) map[string]any {
-	out := map[string]any{}
-	drops := map[string]uint64{}
-	demotions := map[string]uint64{}
-	portBlocks := map[string]map[string]any{}
-	var portOrder []string
-	portFor := func(name string) map[string]any {
-		blk, ok := portBlocks[name]
-		if !ok {
-			blk = map[string]any{"neighbor": name}
-			portBlocks[name] = blk
-			portOrder = append(portOrder, name)
-		}
-		return blk
-	}
-	var dropsTotal uint64
-	m.Registry.Each(func(s metrics.SeriesView) {
-		switch s.Name {
-		case metrics.NameRouterReceived:
-			out["received"] = uint64(s.Value)
-		case metrics.NameRouterForwarded:
-			out["forwarded"] = uint64(s.Value)
-		case metrics.NameRouterUnroutable:
-			out["unroutable"] = uint64(s.Value)
-		case metrics.NameRouterMalformed:
-			out["malformed"] = uint64(s.Value)
-		case metrics.NameSchedDrops:
-			dropsTotal += uint64(s.Value)
-			if s.Value > 0 {
-				drops[label(s, "reason")] = uint64(s.Value)
-			}
-		case metrics.NameDemotions:
-			if s.Value > 0 {
-				demotions[label(s, "reason")] = uint64(s.Value)
-			}
-		case metrics.NameFlowCacheEntries:
-			out["flowcache_entries"] = int(s.Value)
-		case metrics.NameQueueWaitEWMA:
-			out["queue_wait_us"] = uint32(s.Value)
-		case metrics.NameRxBurstFill:
-			out["rx_burst_fill"] = s.Value
-		case metrics.NameTxBurstFill:
-			out["tx_burst_fill"] = s.Value
-		case metrics.NameQueuePkts:
-			blk := portFor(label(s, "port"))
-			blk["queue_"+label(s, "class")+"_pkts"] = int(s.Value)
-		case metrics.NameRegularQueues:
-			portFor(label(s, "port"))["regular_queues"] = int(s.Value)
-		case metrics.NameTokenBucket:
-			portFor(label(s, "port"))["token_bucket_bytes"] = s.Value
-		case metrics.NamePortSent:
-			portFor(label(s, "port"))["sent_pkts"] = uint64(s.Value)
-		case metrics.NamePortDropped:
-			portFor(label(s, "port"))["dropped_pkts"] = uint64(s.Value)
-		case metrics.NameHealthState:
-			out["health"] = metrics.State(s.Value).String()
-		}
-	})
-	for _, g := range gauges {
-		if blk, ok := portBlocks[g.Neighbor]; ok {
-			blk["tx_failed_pkts"] = g.TxFailed
-			blk["tx_msgs"] = g.TxMsgs
-			blk["tx_bursts"] = g.TxBursts
-		}
-	}
-	out["sched_drops"] = drops
-	out["sched_drops_total"] = dropsTotal
-	out["demotions"] = demotions
-	ports := make([]map[string]any, 0, len(portOrder))
-	for _, name := range portOrder {
-		ports = append(ports, portBlocks[name])
-	}
-	out["ports"] = ports
-	return out
-}
-
-func label(s metrics.SeriesView, key string) string {
-	for _, l := range s.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
 }
 
 func parseAddr(s string) (packet.Addr, error) {

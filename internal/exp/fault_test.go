@@ -178,7 +178,7 @@ func TestRunReturnsPoolToBaseline(t *testing.T) {
 			}
 		}
 	}
-	RunStream(StreamConfig{Attackers: 20, Seed: 5})
+	RunStream(stream(Config{NumAttackers: 20, Duration: 3 * tvatime.Second, Seed: 5}))
 	if got := packet.Live(); got != baseline {
 		t.Fatalf("pool gauge %d after RunStream, want baseline %d", got, baseline)
 	}

@@ -1,6 +1,7 @@
 // Topology construction and the simulation driver: the Fig. 7 dumbbell
 // with 10 legitimate users, 1–100 attackers, a destination and a
-// colluder behind a 10 Mb/s bottleneck.
+// colluder behind a 10 Mb/s bottleneck. Run and RunStream (stream.go)
+// build on the same builder.
 package exp
 
 import (
@@ -38,28 +39,137 @@ const DestPort = 80
 // packets in the destination's misbehaviour detector.
 const rawFloodThreshold = 200
 
-// builder carries run-scoped construction state.
+// builder carries run-scoped construction state: the simulator, the
+// run's telemetry and the Fig. 7 dumbbell newBuilder puts on it.
 type builder struct {
 	cfg Config
 	sim *netsim.Sim
+	tel RunTelemetry
 
-	tvaRouters  []*core.Router
-	siffRouters []*siff.Router
-	taggerSeed  uint64
-	stops       []func() // periodic-ticker stops to run after the sim
+	left, right   *netsim.Node  // user-side and destination-side routers
+	lr            *netsim.Iface // forward bottleneck, left to right
+	leftDeployed  bool
+	rightDeployed bool
+
+	tvaRouters []*core.Router
+	taggerSeed uint64
+	stops      []func() // periodic-ticker stops to run after the sim
 
 	hostEgs      []sched.Scheduler // host egress queues (silent-loss audit)
 	spans        *trace.Recorder   // nil unless cfg.SpanCapacity > 0
 	finalMetrics func()            // end-of-run registry/health tick
 }
 
-// linkSched builds the scheme's output scheduler for a link direction
-// owned by an upgraded router; legacy boxes get drop-tail.
-func (b *builder) linkSched(bps int64) sched.Scheduler {
-	return b.linkSchedFor(bps, true)
+// newBuilder builds the Fig. 7 dumbbell both drivers run on: the
+// simulator, the run's telemetry and span recorder, the two routers
+// (possibly only partially deployed, §8), and the bottleneck with its
+// accounting hooks and faults. Hosts join it through attachLeft and
+// attachRight; simulate runs it.
+func newBuilder(cfg Config) *builder {
+	sim := netsim.New(cfg.Seed + 1)
+	b := &builder{
+		cfg:           cfg,
+		sim:           sim,
+		tel:           newRunTelemetry(cfg.NumUsers),
+		leftDeployed:  cfg.Deployment != DeployNone,
+		rightDeployed: cfg.Deployment == DeployFull,
+	}
+	// The span recorder must exist before any topology is built: Connect
+	// registers each interface as a hop at construction time.
+	if cfg.SpanCapacity > 0 {
+		b.spans = trace.NewRecorder(cfg.SpanCapacity)
+		sim.Spans = b.spans
+		b.tel.Spans = b.spans
+	}
+
+	left, prLeft := b.newRouterNode("L", b.leftDeployed)
+	right, _ := b.newRouterNode("R", b.rightDeployed)
+	b.left, b.right = left, right
+
+	// Bottleneck link (Fig. 7).
+	lr, rl := netsim.Connect(left, right, cfg.BottleneckBps, cfg.LinkDelay,
+		b.linkSched(cfg.BottleneckBps, b.leftDeployed),
+		b.linkSched(cfg.BottleneckBps, b.rightDeployed))
+	left.SetDefault(lr)
+	right.SetDefault(rl)
+	b.lr = lr
+	b.attachPushback(prLeft, lr)
+
+	// Per-sender accounting watches the congested point: the left
+	// router's engine (TVA observes/demotes there) and the forward
+	// bottleneck's scheduler (all schemes drop there).
+	flows := b.tel.Flows
+	if len(b.tvaRouters) > 0 {
+		b.tvaRouters[0].Flows = flows
+	}
+	switch q := lr.Sched.(type) {
+	case *sched.TVA:
+		q.Flows = flows
+	case *sched.SIFF:
+		q.Flows = flows
+	case *sched.DropTail:
+		q.Flows = flows
+	}
+	lr.QueueDelay = b.tel.QueueDelay
+
+	b.applyFaults(lr, rl, left)
+	return b
 }
 
-func (b *builder) linkSchedFor(bps int64, deployed bool) sched.Scheduler {
+// attachLeft connects a host to the user-side router over an access
+// link; attachRight does the same on the destination side.
+func (b *builder) attachLeft(h *host)  { b.attach(h, b.left, b.leftDeployed) }
+func (b *builder) attachRight(h *host) { b.attach(h, b.right, b.rightDeployed) }
+
+func (b *builder) attach(h *host, rtr *netsim.Node, deployed bool) {
+	hi, ri := netsim.Connect(h.node, rtr, b.cfg.AccessBps, b.cfg.LinkDelay,
+		b.hostEgress(), b.linkSched(b.cfg.AccessBps, deployed))
+	h.node.SetDefault(hi)
+	rtr.AddRoute(h.addr, ri)
+}
+
+// newDest builds the destination, a public server granting the
+// configured allowance, and attaches it on the right. The caller
+// decides what its raw deliveries do.
+func (b *builder) newDest() (*host, *core.ServerPolicy) {
+	policy := core.NewServerPolicy()
+	policy.GrantKB = b.cfg.GrantKB
+	policy.GrantTSec = b.cfg.GrantTSec
+	dest := newHost(b.sim, "dest", DestAddr, policy, b.cfg)
+	b.instrumentDest(dest)
+	b.traceDelivery(dest.node)
+	b.attachRight(dest)
+	return dest, policy
+}
+
+// newUser builds legitimate user i and attaches it on the left.
+func (b *builder) newUser(i int) *host {
+	policy := core.NewClientPolicy()
+	policy.Window = b.cfg.Duration + 120*tvatime.Second
+	u := newHost(b.sim, "user"+strconv.Itoa(i), UserAddr(i), policy, b.cfg)
+	b.traceDelivery(u.node)
+	b.attachLeft(u)
+	return u
+}
+
+// simulate runs the dumbbell to cfg.Duration with the sampler and the
+// drop-storm watch on, then stops every ticker and snapshots the
+// end-of-run counters into b.tel. completion is the live SLO the
+// sampler reports. The caller reads its results before calling
+// b.sim.Teardown, which returns packets still in flight to the pool.
+func (b *builder) simulate(completion func() float64) {
+	b.startMetrics(completion)
+	b.watchDropStorm()
+	b.sim.Run(tvatime.Time(b.cfg.Duration))
+	for _, stop := range b.stops {
+		stop()
+	}
+	b.finishTelemetry()
+}
+
+// linkSched builds the scheme's output scheduler for a link direction
+// owned by a router; legacy (undeployed) boxes get drop-tail.
+func (b *builder) linkSched(bps int64, deployed bool) sched.Scheduler {
 	if !deployed {
 		return sched.NewDropTailPkts(50)
 	}
@@ -115,7 +225,6 @@ func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *push
 			}
 		case SchemeSIFF:
 			rtr := siff.NewRouter(b.cfg.SIFFSecretPeriod)
-			b.siffRouters = append(b.siffRouters, rtr)
 			forward = func(pkt *packet.Packet, _ *netsim.Iface) bool {
 				_, drop := rtr.Process(pkt, b.sim.Now())
 				return !drop
@@ -174,90 +283,25 @@ func Run(cfg Config) *Result { return run(cfg, hooks{}) }
 
 func run(cfg Config, hk hooks) *Result {
 	cfg = cfg.withDefaults()
-	sim := netsim.New(cfg.Seed + 1)
-	b := &builder{cfg: cfg, sim: sim}
-
-	tel := newRunTelemetry(cfg.NumUsers)
-	// The span recorder must exist before any topology is built: Connect
-	// registers each interface as a hop at construction time.
-	if cfg.SpanCapacity > 0 {
-		rec := trace.NewRecorder(cfg.SpanCapacity)
-		sim.Spans = rec
-		tel.Spans = rec
-		b.spans = rec
-	}
-
-	// Routers (possibly only partially deployed, §8).
-	leftDeployed := cfg.Deployment != DeployNone
-	rightDeployed := cfg.Deployment == DeployFull
-	left, prLeft := b.newRouterNode("L", leftDeployed)
-	right, _ := b.newRouterNode("R", rightDeployed)
-
-	// Bottleneck link (Fig. 7).
-	lr, rl := netsim.Connect(left, right, cfg.BottleneckBps, cfg.LinkDelay,
-		b.linkSchedFor(cfg.BottleneckBps, leftDeployed),
-		b.linkSchedFor(cfg.BottleneckBps, rightDeployed))
-	left.SetDefault(lr)
-	right.SetDefault(rl)
-	b.attachPushback(prLeft, lr)
-
-	// Per-sender accounting watches the congested point: the left
-	// router's engine (TVA observes/demotes there) and the forward
-	// bottleneck's scheduler (all schemes drop there).
-	if len(b.tvaRouters) > 0 {
-		b.tvaRouters[0].Flows = tel.Flows
-	}
-	switch q := lr.Sched.(type) {
-	case *sched.TVA:
-		q.Flows = tel.Flows
-	case *sched.SIFF:
-		q.Flows = tel.Flows
-	case *sched.DropTail:
-		q.Flows = tel.Flows
-	}
-
-	lr.QueueDelay = tel.QueueDelay
-
-	b.applyFaults(lr, rl, left)
-
+	b := newBuilder(cfg)
+	sim := b.sim
 	if hk.bottleneck != nil {
-		hk.bottleneck(lr)
+		hk.bottleneck(b.lr)
 	}
 
-	attachLeft := func(h *host) {
-		hi, li := netsim.Connect(h.node, left, cfg.AccessBps, cfg.LinkDelay,
-			b.hostEgress(), b.linkSchedFor(cfg.AccessBps, leftDeployed))
-		h.node.SetDefault(hi)
-		left.AddRoute(h.addr, li)
-	}
-	attachRight := func(h *host) {
-		hi, ri := netsim.Connect(h.node, right, cfg.AccessBps, cfg.LinkDelay,
-			b.hostEgress(), b.linkSchedFor(cfg.AccessBps, rightDeployed))
-		h.node.SetDefault(hi)
-		right.AddRoute(h.addr, ri)
-	}
-
-	// Destination: a public server granting the default allowance and
-	// blacklisting raw flooders.
-	destPolicy := core.NewServerPolicy()
-	destPolicy.GrantKB = cfg.GrantKB
-	destPolicy.GrantTSec = cfg.GrantTSec
-	dest := newHost(sim, "dest", DestAddr, destPolicy, cfg)
+	// Destination: blacklists raw flooders.
+	dest, destPolicy := b.newDest()
 	dest.stack.Listen(DestPort, nil)
 	dest.onRaw = func(src packet.Addr, size int, demoted bool) {
 		if size >= rawFloodThreshold {
 			destPolicy.MarkMisbehaving(src, sim.Now())
 		}
 	}
-	b.instrumentDest(dest, &tel)
-	b.traceDelivery(dest.node)
-	attachRight(dest)
 
-	// Colluder: authorizes anything (§5.3).
+	// Colluder: authorizes anything (§5.3) and sinks the flood.
 	colluder := newHost(sim, "colluder", ColluderAddr, &core.AllowAllPolicy{}, cfg)
-	colluder.onRaw = func(packet.Addr, int, bool) {} // flood sink
 	b.traceDelivery(colluder.node)
-	attachRight(colluder)
+	b.attachRight(colluder)
 
 	// In the request-flood scenario the paper assumes the destination
 	// can tell attacker requests from user requests (§5.2); mark the
@@ -272,21 +316,17 @@ func run(cfg Config, hk hooks) *Result {
 	var transfers []TransferRecord
 	var users []*host
 	for i := 0; i < cfg.NumUsers; i++ {
-		policy := core.NewClientPolicy()
-		policy.Window = cfg.Duration + 120*tvatime.Second
-		u := newHost(sim, "user"+strconv.Itoa(i), UserAddr(i), policy, cfg)
-		b.traceDelivery(u.node)
-		attachLeft(u)
+		u := b.newUser(i)
 		startUser(sim, u, i, cfg, &transfers)
 		users = append(users, u)
 	}
 
 	// Attackers.
 	for i := 0; i < cfg.NumAttackers; i++ {
-		b.startAttacker(i, attachLeft)
+		b.startAttacker(i)
 	}
 
-	b.startMetrics(&tel, lr, func() float64 {
+	b.simulate(func() float64 {
 		done, decided := 0, 0
 		for _, t := range transfers {
 			decided++
@@ -299,23 +339,17 @@ func run(cfg Config, hk hooks) *Result {
 		}
 		return float64(done) / float64(decided)
 	})
-	b.watchDropStorm(&tel, lr)
-
-	sim.Run(tvatime.Time(cfg.Duration))
-	for _, stop := range b.stops {
-		stop()
-	}
-	b.finishTelemetry(&tel, lr)
 
 	if hk.done != nil {
 		hk.done(users, dest, b.tvaRouters)
 	}
 
+	tel := b.tel
 	res := &Result{
 		Cfg:                   cfg,
 		Transfers:             transfers,
-		BottleneckUtilization: lr.Utilization(cfg.Duration),
-		BottleneckDrops:       lr.Stats.DroppedPkts,
+		BottleneckUtilization: b.lr.Utilization(cfg.Duration),
+		BottleneckDrops:       b.lr.Stats.DroppedPkts,
 		FairnessJain:          flowstats.JainIndex(tel.Fairness.Totals()),
 		MaxMinRatio:           flowstats.MaxMinRatio(tel.Fairness.Totals()),
 		Telemetry:             tel,
@@ -370,13 +404,10 @@ func startUser(sim *netsim.Sim, u *host, idx int, cfg Config, out *[]TransferRec
 	sim.At(tvatime.Time(offset), next)
 }
 
-// startAttacker builds attacker i's host and schedules its flood.
-func (b *builder) startAttacker(i int, attach func(*host)) {
+// startAttacker builds attacker i for cfg.Attack and schedules its
+// flood on the group schedule (Fig. 11's low-intensity attack).
+func (b *builder) startAttacker(i int) {
 	cfg := b.cfg
-	sim := b.sim
-	addr := AttackerAddr(i)
-
-	// Group schedule (Fig. 11's low-intensity attack).
 	group := 0
 	if cfg.AttackGroups > 1 {
 		perGroup := (cfg.NumAttackers + cfg.AttackGroups - 1) / cfg.AttackGroups
@@ -385,63 +416,66 @@ func (b *builder) startAttacker(i int, attach func(*host)) {
 	start := tvatime.Time(cfg.AttackStart) + tvatime.Time(group)*tvatime.Time(cfg.GroupInterval)
 	stop := start.Add(cfg.GroupDuration)
 
-	interval := tvatime.Duration(int64(cfg.AttackPktSize) * 8 * int64(tvatime.Second) / cfg.AttackRateBps)
-
 	switch cfg.Attack {
-	case AttackNone:
-		return
-
 	case AttackLegacyFlood:
-		node := sim.NewNode("atk" + strconv.Itoa(i))
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, _ *netsim.Iface) {
-			packet.Release(pkt) // reverse traffic sink
-		})
-		b.traceDelivery(node)
-		h := &host{addr: addr, node: node}
-		attach(h)
-		flood(sim, start, stop, interval, func() {
-			pkt := packet.AcquirePacket()
-			pkt.Src, pkt.Dst, pkt.TTL = addr, DestAddr, 64
-			pkt.Proto = packet.ProtoRaw
-			pkt.Size = packet.OuterHdrLen + cfg.AttackPktSize
-			pkt.SentAt = sim.Now()
-			node.Send(pkt)
-		})
-
+		b.rawFlooder(i, start, stop, b.legacyPacket)
 	case AttackRequestFlood:
-		node := sim.NewNode("atk" + strconv.Itoa(i))
-		node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, _ *netsim.Iface) {
-			packet.Release(pkt) // reverse traffic sink
-		})
-		b.traceDelivery(node)
-		h := &host{addr: addr, node: node}
-		attach(h)
-		flood(sim, start, stop, interval, func() {
-			pkt := packet.AcquirePacket()
-			hdr := pkt.NewHdr()
-			hdr.Kind = packet.KindRequest
-			hdr.Proto = packet.ProtoRaw
-			pkt.Src, pkt.Dst, pkt.TTL = addr, DestAddr, 64
-			pkt.Proto = packet.ProtoRaw
-			pkt.Size = packet.OuterHdrLen + hdr.WireSize() + cfg.AttackPktSize
-			pkt.SentAt = sim.Now()
-			node.Send(pkt)
-		})
-
+		b.rawFlooder(i, start, stop, b.requestPacket)
 	case AttackAuthorizedFlood:
-		h := newHost(sim, "atk"+strconv.Itoa(i), addr, core.RefuseAllPolicy{}, cfg)
-		h.onRaw = func(packet.Addr, int, bool) {}
-		b.traceDelivery(h.node)
-		attach(h)
-		b.floodWithCaps(h, ColluderAddr, start, stop, interval)
-
+		b.shimFlooder(i, ColluderAddr, start, stop)
 	case AttackImpreciseAuth:
-		h := newHost(sim, "atk"+strconv.Itoa(i), addr, core.RefuseAllPolicy{}, cfg)
-		h.onRaw = func(packet.Addr, int, bool) {}
-		b.traceDelivery(h.node)
-		attach(h)
-		b.floodWithCaps(h, DestAddr, start, stop, interval)
+		b.shimFlooder(i, DestAddr, start, stop)
 	}
+}
+
+// attackInterval is one attacker's mean packet spacing: AttackPktSize
+// bytes at AttackRateBps.
+func (b *builder) attackInterval() tvatime.Duration {
+	return tvatime.Duration(int64(b.cfg.AttackPktSize) * 8 * int64(tvatime.Second) / b.cfg.AttackRateBps)
+}
+
+// rawFlooder builds attacker i as a bare node, with no shim or stack,
+// and floods the destination within [start, stop). Each packet leaves
+// addressed and stamped; fill gives it its kind and size.
+func (b *builder) rawFlooder(i int, start, stop tvatime.Time, fill func(*packet.Packet)) {
+	sim := b.sim
+	h := &host{addr: AttackerAddr(i), node: sim.NewNode("atk" + strconv.Itoa(i))}
+	h.node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, _ *netsim.Iface) {
+		packet.Release(pkt) // reverse traffic sink
+	})
+	b.traceDelivery(h.node)
+	b.attachLeft(h)
+	flood(sim, start, stop, b.attackInterval(), func() {
+		pkt := packet.AcquirePacket()
+		pkt.Src, pkt.Dst, pkt.TTL = h.addr, DestAddr, 64
+		pkt.Proto = packet.ProtoRaw
+		pkt.SentAt = sim.Now()
+		fill(pkt)
+		h.node.Send(pkt)
+	})
+}
+
+// legacyPacket makes a flood packet plain legacy traffic (§5.1).
+func (b *builder) legacyPacket(pkt *packet.Packet) {
+	pkt.Size = packet.OuterHdrLen + b.cfg.AttackPktSize
+}
+
+// requestPacket makes a flood packet a capability request (§5.2).
+func (b *builder) requestPacket(pkt *packet.Packet) {
+	hdr := pkt.NewHdr()
+	hdr.Kind = packet.KindRequest
+	hdr.Proto = packet.ProtoRaw
+	pkt.Size = packet.OuterHdrLen + hdr.WireSize() + b.cfg.AttackPktSize
+}
+
+// shimFlooder builds attacker i as a host whose shim refuses every
+// grant and floods raw payloads at target within [start, stop): the
+// colluder (§5.3) or the destination (§5.4).
+func (b *builder) shimFlooder(i int, target packet.Addr, start, stop tvatime.Time) {
+	h := newHost(b.sim, "atk"+strconv.Itoa(i), AttackerAddr(i), core.RefuseAllPolicy{}, b.cfg)
+	b.traceDelivery(h.node)
+	b.attachLeft(h)
+	b.shimFlood(h, target, b.cfg.AttackPktSize, start, stop, b.attackInterval(), nil)
 }
 
 // flood schedules fn at the given pacing within [start, stop). Packet
@@ -463,18 +497,21 @@ func flood(sim *netsim.Sim, start, stop tvatime.Time, interval tvatime.Duration,
 	sim.At(start.Add(tvatime.Duration(rng.Int63n(int64(interval)+1))), tick)
 }
 
-// floodWithCaps floods raw payloads through the scheme's shim: while
-// unauthorized it sends small bare requests paced at one per 100 ms
-// (the attacker wants a grant, and fat requests would only clog the
-// rate-limited request channel ahead of it); once granted it floods at
-// full rate and lets the shim renew.
-func (b *builder) floodWithCaps(h *host, dst packet.Addr, start, stop tvatime.Time, interval tvatime.Duration) {
+// shimFlood sends size-byte raw payloads from h to dst through h's
+// shim within [start, stop): while unauthorized it sends small bare
+// requests paced at one per 100 ms (a sender wants a grant, and fat
+// requests would only clog the rate-limited request channel ahead of
+// it); once granted it sends every interval and lets the shim renew.
+// sent, if set, runs after each full-size payload.
+func (b *builder) shimFlood(h *host, dst packet.Addr, size int, start, stop tvatime.Time, interval tvatime.Duration, sent func()) {
 	sim := b.sim
-	size := b.cfg.AttackPktSize
 	var lastReq tvatime.Time = -tvatime.Time(tvatime.Second)
 	flood(sim, start, stop, interval, func() {
 		if h.hasCaps(dst) {
 			h.sendRaw(dst, size)
+			if sent != nil {
+				sent()
+			}
 			return
 		}
 		if sim.Now().Sub(lastReq) >= 100*tvatime.Millisecond {

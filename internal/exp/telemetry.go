@@ -122,8 +122,8 @@ func userIndex(addr packet.Addr) int {
 // instrumentDest wraps the destination host's handler to record
 // end-to-end latency, delivered bytes and per-sender fairness
 // accounting.
-func (b *builder) instrumentDest(dest *host, tel *RunTelemetry) {
-	sim := b.sim
+func (b *builder) instrumentDest(dest *host) {
+	sim, tel := b.sim, &b.tel
 	inner := dest.node.Handler
 	dest.node.Handler = netsim.HandlerFunc(func(pkt *packet.Packet, in *netsim.Iface) {
 		if pkt.SentAt > 0 {
@@ -163,10 +163,11 @@ func (b *builder) traceDelivery(n *netsim.Node) {
 // Config.DropStormPkts and latches tel.DropStorm on the first
 // crossing. The window is MetricsInterval when metrics are on, else
 // 100 ms.
-func (b *builder) watchDropStorm(tel *RunTelemetry, lr *netsim.Iface) {
+func (b *builder) watchDropStorm() {
 	if b.cfg.DropStormPkts <= 0 {
 		return
 	}
+	tel, lr := &b.tel, b.lr
 	threshold := uint64(b.cfg.DropStormPkts)
 	window := b.cfg.MetricsInterval
 	if window <= 0 {
@@ -192,11 +193,12 @@ func (b *builder) watchDropStorm(tel *RunTelemetry, lr *netsim.Iface) {
 // the live fraction of decided legitimate transfers that completed —
 // the run's service-level objective, sampled as
 // tva_legit_completion_fraction.
-func (b *builder) startMetrics(tel *RunTelemetry, lr *netsim.Iface, completion func() float64) {
+func (b *builder) startMetrics(completion func() float64) {
 	cfg := b.cfg
 	if cfg.MetricsInterval <= 0 {
 		return
 	}
+	tel, lr := &b.tel, b.lr
 	window := cfg.MetricsCapacity
 	if window <= 0 {
 		window = int(cfg.Duration/cfg.MetricsInterval) + 2
@@ -370,11 +372,12 @@ func mustReg(err error) {
 	}
 }
 
-// finishTelemetry copies end-of-run counter snapshots into tel.
-func (b *builder) finishTelemetry(tel *RunTelemetry, lr *netsim.Iface) {
+// finishTelemetry copies end-of-run counter snapshots into b.tel.
+func (b *builder) finishTelemetry() {
 	if b.finalMetrics != nil {
 		b.finalMetrics()
 	}
+	tel, lr := &b.tel, b.lr
 	tel.SchedDrops = *lr.Sched.DropReasons()
 	// Fault losses can happen on any interface either router owns (the
 	// restart flush hits the left router's access links too).

@@ -160,7 +160,8 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 		return nil
 	}
 	ik := indexKey(key)
-	if old := c.idx.Find(ik); old >= 0 {
+	old, home := c.idx.FindHome(ik)
+	if old >= 0 {
 		// Re-creating a live flow: the new entry replaces the old one
 		// (the cache cannot be over capacity after dropping it); the
 		// old heap node is drained lazily.
@@ -182,7 +183,7 @@ func (c *Cache) Create(key Key, nonce, cap uint64, n int64, tsec uint8, expiry t
 		Bytes:     int64(l),
 		TTLExpire: now.Add(ttlDelta(l, n, tsec)),
 	}
-	c.idx.Insert(ik, h)
+	c.idx.InsertHome(ik, home, h)
 	c.byTTL.push(ttlNode{key: e.TTLExpire, h: h})
 	c.Creates++
 	c.maybeCompact()

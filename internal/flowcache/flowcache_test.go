@@ -288,3 +288,26 @@ func BenchmarkLookupCharge(b *testing.B) {
 		c.Charge(e, 0, now)
 	}
 }
+
+// BenchmarkCreateEvict times a new flow at the cache's bound: each
+// Create first evicts the entry whose ttl ran out longest ago.
+func BenchmarkCreateEvict(b *testing.B) {
+	const n = 4096
+	c := New(n)
+	now := at(0)
+	for i := 0; i < n; i++ {
+		c.Create(key(i+1), 1, 1, 1<<20, 60, at(60), 40, now)
+	}
+	next := n + 1
+	now = now.Add(tvatime.Second) // every ttl has run out
+	expiry := at(1e6)             // outlives any b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(10 * tvatime.Microsecond)
+		if c.Create(key(next), 1, 1, 1<<20, 60, expiry, 40, now) == nil {
+			b.Fatal("create at the bound failed")
+		}
+		next++
+	}
+}

@@ -23,6 +23,9 @@ func registerAll(r *metrics.Registry, fn func() float64) {
 	_ = r.Gauge(metrics.NameTokenBucket, nil, "", fn)
 	_ = r.Counter(metrics.NamePortSent, nil, "", fn)
 	_ = r.Counter(metrics.NamePortDropped, nil, "", fn)
+	_ = r.Counter(metrics.NamePortTxFailed, nil, "", fn)
+	_ = r.Counter(metrics.NamePortTxMsgs, nil, "", fn)
+	_ = r.Counter(metrics.NamePortTxBursts, nil, "", fn)
 	_ = r.Gauge(metrics.NameFlowTrackedSenders, nil, "", fn)
 	_ = r.Counter(metrics.NameFlowBytes, nil, "", fn)
 	_ = r.Gauge(metrics.NameFlowTopShare, nil, "", fn)

@@ -34,9 +34,15 @@ const (
 	NameRxBurstFill   = "tva_rx_burst_fill"
 	NameTxBurstFill   = "tva_tx_burst_fill"
 
-	// Per-neighbour port counters (overlay only).
-	NamePortSent    = "tva_port_sent_pkts_total"
-	NamePortDropped = "tva_port_dropped_pkts_total"
+	// Per-neighbour port counters (overlay only). Dequeued packets are
+	// sent or tx-failed; sent ones left in tx-msgs kernel messages
+	// (sent/msgs is the segment coalescing ratio) over tx-bursts send
+	// bursts (sent/bursts is datagrams per port wake-up).
+	NamePortSent     = "tva_port_sent_pkts_total"
+	NamePortDropped  = "tva_port_dropped_pkts_total"
+	NamePortTxFailed = "tva_port_tx_failed_pkts_total"
+	NamePortTxMsgs   = "tva_port_tx_msgs_total"
+	NamePortTxBursts = "tva_port_tx_bursts_total"
 
 	// Attack-onset health engine (both planes).
 	NameHealthState       = "tva_health_state"
@@ -108,6 +114,9 @@ var OverlaySeries = []string{
 	NameTokenBucket,
 	NamePortSent,
 	NamePortDropped,
+	NamePortTxFailed,
+	NamePortTxMsgs,
+	NamePortTxBursts,
 	NameHealthState,
 	NameHealthTransitions,
 	NameFlowTrackedSenders,

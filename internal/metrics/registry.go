@@ -92,8 +92,7 @@ type series struct {
 }
 
 // SeriesView is a snapshot of one series' identity and live value,
-// handed to Each callbacks (used by tvarouter to keep the legacy
-// expvar names as aliases of registry-owned values).
+// handed to Each callbacks.
 type SeriesView struct {
 	Name   string
 	Labels []Label

@@ -41,8 +41,8 @@ type RouterMetrics struct {
 // quantiles, burst fill, one labelled gauge set per neighbour port,
 // and the health state. window is the number of retained tick rows.
 // Every value has exactly one source of truth — the router's own
-// counters — and the expvar diagnostics in tvarouter re-read the same
-// registry, so /metrics and /debug/vars can never disagree.
+// counters — and this registry is the router's one exposition
+// surface: tvarouter serves it at /metrics.
 func (r *Router) Metrics(window int, health metrics.DetectorConfig) *RouterMetrics {
 	reg := metrics.New(window)
 	det := metrics.NewDetector(health)
@@ -119,6 +119,15 @@ func (r *Router) Metrics(window int, health metrics.DetectorConfig) *RouterMetri
 		mustReg(reg.Counter(metrics.NamePortDropped, metrics.L("port", k),
 			"Packets dropped at this port's scheduler.",
 			func() float64 { return float64(p.Dropped.Load()) }))
+		mustReg(reg.Counter(metrics.NamePortTxFailed, metrics.L("port", k),
+			"Dequeued packets that never left as a datagram.",
+			func() float64 { return float64(p.TxFailed.Load()) }))
+		mustReg(reg.Counter(metrics.NamePortTxMsgs, metrics.L("port", k),
+			"Kernel messages that carried the sent datagrams.",
+			func() float64 { return float64(p.TxMsgs.Load()) }))
+		mustReg(reg.Counter(metrics.NamePortTxBursts, metrics.L("port", k),
+			"Send bursts toward the neighbour.",
+			func() float64 { return float64(p.TxBursts.Load()) }))
 	}
 
 	// Per-sender flow accounting (shared-name series; per-sender detail

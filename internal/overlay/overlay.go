@@ -148,7 +148,8 @@ type port struct {
 
 	// Sent/Dropped and the burst counters are written by the port
 	// goroutine (Dropped by the receive goroutine) and read concurrently
-	// by diagnostics — atomics for the same reason as the Router totals.
+	// by the metrics registry — atomics for the same reason as the
+	// Router totals.
 	// Every dequeued packet ends in exactly one of Sent (the kernel took
 	// its datagram) or TxFailed (it would not marshal, or the kernel
 	// rejected it). TxBursts/TxBurstPkts count egress send bursts and
@@ -538,47 +539,6 @@ func (r *Router) SchedDrops() telemetry.DropCounters {
 	var total telemetry.DropCounters
 	r.eachPort(func(p *port) { total.Merge(p.q.DropReasons()) })
 	return total
-}
-
-// PortGauges is one neighbour link's scheduler occupancy snapshot.
-type PortGauges struct {
-	Neighbor      string
-	RequestPkts   int
-	RegularPkts   int
-	LegacyPkts    int
-	RegularQueues int
-	TokenBytes    float64
-	Sent, Dropped uint64
-	// TxFailed counts dequeued packets that never became a datagram on
-	// the wire (dequeued = Sent + TxFailed); TxMsgs the kernel messages
-	// that carried the Sent ones (fewer than Sent where runs coalesce);
-	// TxBursts the send bursts, one sendBatch call each, so roughly
-	// (Sent + TxFailed) / TxBursts is datagrams per burst.
-	TxFailed, TxMsgs, TxBursts uint64
-}
-
-// Gauges snapshots every port's scheduler occupancy, sorted by
-// neighbour address for stable output. Diagnostics only — it takes
-// each port's lock briefly.
-func (r *Router) Gauges() []PortGauges {
-	now := r.clock.Now()
-	var out []PortGauges
-	r.eachPort(func(p *port) {
-		out = append(out, PortGauges{
-			Neighbor:      p.key,
-			RequestPkts:   p.q.RequestBacklog(),
-			RegularPkts:   p.q.RegularBacklog(),
-			LegacyPkts:    p.q.LegacyBacklog(),
-			RegularQueues: p.q.RegularQueues(),
-			TokenBytes:    p.q.TokenLevel(now),
-			Sent:          p.Sent.Load(),
-			Dropped:       p.Dropped.Load(),
-			TxFailed:      p.TxFailed.Load(),
-			TxMsgs:        p.TxMsgs.Load(),
-			TxBursts:      p.TxBursts.Load(),
-		})
-	})
-	return out
 }
 
 // Close shuts the router down and waits for its goroutines.

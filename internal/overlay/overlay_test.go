@@ -156,7 +156,11 @@ func forEachWidth(t *testing.T, aPolicy, bPolicy func() core.Policy, f func(t *t
 				time.Sleep(5 * time.Millisecond)
 			}
 			if !settled() {
-				t.Errorf("forwarded=%d not conserved across ports: %+v", r.Forwarded.Load(), r.Gauges())
+				for _, p := range r.portList() {
+					t.Logf("port %s: sent %d tx-failed %d dropped %d",
+						p.key, p.Sent.Load(), p.TxFailed.Load(), p.Dropped.Load())
+				}
+				t.Errorf("forwarded=%d not conserved across ports", r.Forwarded.Load())
 			}
 			alice.Close()
 			bob.Close()
@@ -374,10 +378,9 @@ func TestPortBatchFailuresCostOnlyThemselves(t *testing.T) {
 	p.out = [][]byte{want[0], make([]byte, 65508), want[1]}
 	r.transmit(p)
 	expectDatagrams(t, sink, sinkConn, want)
-	g := r.Gauges()[0]
-	if g.Sent != 2 || g.TxFailed != 2 || g.TxMsgs != 2 || p.TxBurstPkts.Load() != 3 {
-		t.Errorf("after one oversize datagram of three: %+v, offered %d; want Sent 2, TxFailed 2 (with the marshal failure), TxMsgs 2",
-			g, p.TxBurstPkts.Load())
+	if sent, failed, msgs := p.Sent.Load(), p.TxFailed.Load(), p.TxMsgs.Load(); sent != 2 || failed != 2 || msgs != 2 || p.TxBurstPkts.Load() != 3 {
+		t.Errorf("after one oversize datagram of three: Sent %d, TxFailed %d, TxMsgs %d, offered %d; want Sent 2, TxFailed 2 (with the marshal failure), TxMsgs 2",
+			sent, failed, msgs, p.TxBurstPkts.Load())
 	}
 	r.Close()
 	if got := packet.Live(); got != live {

@@ -14,24 +14,26 @@ const simSpanCapacity = 1 << 17
 
 func runSim(sc Scenario) (*PlaneResult, error) {
 	res := exp.RunStream(exp.StreamConfig{
-		Users:           sc.Users,
-		MsgBytes:        sc.MsgBytes,
-		MsgInterval:     tvatime.Duration(sc.MsgIntervalMS) * tvatime.Millisecond,
-		Attackers:       sc.Attackers,
-		AttackRateBps:   sc.AttackRateBps,
-		AttackPktSize:   sc.AttackPktSize,
-		AttackStart:     tvatime.Duration(sc.AttackStartMS) * tvatime.Millisecond,
-		BottleneckBps:   sc.LinkBps,
-		AccessBps:       sc.LinkBps,
-		LinkDelay:       tvatime.Duration(sc.LinkDelayMS) * tvatime.Millisecond,
-		Duration:        tvatime.Duration(sc.DurationMS) * tvatime.Millisecond,
-		Drain:           tvatime.Duration(sc.DrainMS) * tvatime.Millisecond,
-		RequestFraction: sc.RequestFraction,
-		GrantKB:         sc.GrantKB,
-		GrantTSec:       sc.GrantTSec,
-		MetricsInterval: 100 * tvatime.Millisecond,
-		SpanCapacity:    simSpanCapacity,
-		Seed:            sc.Seed,
+		Config: exp.Config{
+			NumUsers:        sc.Users,
+			NumAttackers:    sc.Attackers,
+			AttackRateBps:   sc.AttackRateBps,
+			AttackPktSize:   sc.AttackPktSize,
+			AttackStart:     tvatime.Duration(sc.AttackStartMS) * tvatime.Millisecond,
+			BottleneckBps:   sc.LinkBps,
+			AccessBps:       sc.LinkBps,
+			LinkDelay:       tvatime.Duration(sc.LinkDelayMS) * tvatime.Millisecond,
+			Duration:        tvatime.Duration(sc.DurationMS) * tvatime.Millisecond,
+			RequestFraction: sc.RequestFraction,
+			GrantKB:         sc.GrantKB,
+			GrantTSec:       sc.GrantTSec,
+			MetricsInterval: 100 * tvatime.Millisecond,
+			SpanCapacity:    simSpanCapacity,
+			Seed:            sc.Seed,
+		},
+		MsgBytes:    sc.MsgBytes,
+		MsgInterval: tvatime.Duration(sc.MsgIntervalMS) * tvatime.Millisecond,
+		Drain:       tvatime.Duration(sc.DrainMS) * tvatime.Millisecond,
 	})
 
 	out := &PlaneResult{
