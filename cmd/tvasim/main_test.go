@@ -48,24 +48,29 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestSweepGolden pins every figure's table at seed 1: Figs. 8–10 for
-// four schemes at attacker counts 1 and 10 over 3 simulated seconds,
-// and Fig. 11's two attack schedules over 14 s (the attack starts at
-// 10 s). Together they run each of the four attacker kinds.
+// TestSweepGolden pins every table tvasim prints at seed 1: Figs. 8–10
+// for four schemes at attacker counts 1 and 10 over 3 simulated
+// seconds, Fig. 11's two attack schedules over 14 s (the attack starts
+// at 10 s), the -fairness sender sweep, and both -fault sweeps (the
+// last restart comes too late for any transfer to recover). Together
+// they run each of the four attacker kinds and every fault column.
 func TestSweepGolden(t *testing.T) {
 	sweep := []string{"-attackers", "1,10", "-duration", "3", "-seed", "1"}
+	short := []string{"-duration", "3", "-seed", "1"}
 	for _, tc := range []struct {
-		fig  string
+		name string
 		args []string
 	}{
-		{"8", sweep},
-		{"9", sweep},
-		{"10", sweep},
-		{"11", []string{"-duration", "14", "-seed", "1"}},
+		{"fig8", append([]string{"-fig", "8"}, sweep...)},
+		{"fig9", append([]string{"-fig", "9"}, sweep...)},
+		{"fig10", append([]string{"-fig", "10"}, sweep...)},
+		{"fig11", []string{"-fig", "11", "-duration", "14", "-seed", "1"}},
+		{"fairness", append([]string{"-fairness", "-users", "2,5", "-attackers", "10"}, short...)},
+		{"fault_loss", append([]string{"-fault", "loss", "-loss-rates", "0,0.1"}, short...)},
+		{"fault_restart", append([]string{"-fault", "restart", "-restart-times", "1,2,2.99"}, short...)},
 	} {
-		t.Run("fig"+tc.fig, func(t *testing.T) {
-			got := runMain(t, append([]string{"-fig", tc.fig}, tc.args...)...)
-			checkGolden(t, "fig"+tc.fig+".txt", got)
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc.name+".txt", runMain(t, tc.args...))
 		})
 	}
 }
