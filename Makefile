@@ -32,11 +32,12 @@ cross:
 vet:
 	go vet ./...
 
-# lint runs the repo's own seven-analyzer suite (internal/lint):
+# lint runs the repo's own six-analyzer suite (internal/lint):
 # hot-path allocation freedom, simulation determinism, drop-reason
 # attribution, packet-pool ownership, lock discipline (typed atomics
-# only), goroutine shutdown edges, and cross-plane metric-name
-# consistency. Non-zero exit on any finding.
+# only), and goroutine shutdown edges. Non-zero exit on any finding.
+# Cross-plane metric names are checked by tests (TestPlaneSeries,
+# TestNoLiteralSeriesNames), not here.
 lint:
 	go run ./cmd/tvalint ./...
 

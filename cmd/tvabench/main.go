@@ -367,15 +367,13 @@ func writeSnapshot(label, path string, dur time.Duration, workers int, simSec fl
 
 	fmt.Fprintln(os.Stderr, "tvabench: scenario sweep...")
 	simDur := tvatime.FromSeconds(simSec).Sub(0)
-	spec := exp.SweepSpec{
-		Base: exp.Config{Duration: simDur, Seed: 1},
-		Schemes: []exp.Scheme{
-			exp.SchemeInternet, exp.SchemeSIFF, exp.SchemePushback, exp.SchemeTVA,
-		},
-		Attacks:   []exp.Attack{exp.AttackLegacyFlood},
-		Attackers: []int{100},
+	var cfgs []exp.Config
+	for _, scheme := range []exp.Scheme{exp.SchemeInternet, exp.SchemeSIFF, exp.SchemePushback, exp.SchemeTVA} {
+		cfgs = append(cfgs, exp.Config{
+			Scheme: scheme, Attack: exp.AttackLegacyFlood, NumAttackers: 100,
+			Duration: simDur, Seed: 1,
+		})
 	}
-	cfgs := spec.Expand()
 	for _, res := range exp.RunMany(cfgs, workers) {
 		snap.Scenarios = append(snap.Scenarios, scenarioRow{
 			Scheme:     res.Cfg.Scheme.String(),

@@ -1,6 +1,6 @@
 // Command tvalint runs the repository's custom analyzers (hotpath,
-// determinism, dropreason, poolowner, lockorder, goleak, metricname —
-// see internal/lint) over the module and exits non-zero if any
+// determinism, dropreason, poolowner, lockorder, goleak — see
+// internal/lint) over the module and exits non-zero if any
 // invariant is violated. `tvalint -list` prints the suite with
 // one-line descriptions.
 //

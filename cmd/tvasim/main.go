@@ -45,7 +45,8 @@
 // With -fault, tvasim runs the recovery experiments instead of a
 // figure: a bottleneck loss-rate sweep or a router restart-time sweep,
 // reporting completion fraction and (for restarts) time to recover.
-// Both are bit-identical across same-seed runs:
+// Like the figure sweeps they run across -workers and are
+// bit-identical across same-seed runs at any worker count:
 //
 //	tvasim -fault loss    -loss-rates 0,0.05,0.1,0.2 -duration 30
 //	tvasim -fault restart -restart-times 10,15,20 -duration 30
@@ -59,6 +60,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -82,7 +84,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS); results are identical at any worker count")
 	metricsOut := flag.String("metrics", "", "run one instrumented simulation and write its metrics time series to this file (.csv or .json)")
 	promOut := flag.String("prom", "", "with an instrumented run, write the final Prometheus text-exposition snapshot to this file")
-	metricsIntervalMs := flag.Float64("metrics-interval", 100, "metrics/health tick interval in virtual milliseconds (with -metrics)")
+	metricsIntervalMs := flag.Float64("metrics-interval", 100, "metrics/health tick interval of an instrumented run, in virtual milliseconds (> 0)")
 	traceN := flag.Int("trace", 0, "run one instrumented simulation with the span flight recorder on and print its last N spans")
 	traceFile := flag.String("tracefile", "", "run one instrumented simulation with the span flight recorder on and write the binary dump here (query with tvatrace)")
 	traceSpans := flag.Int("trace-spans", 0, "flight-recorder capacity in spans (0 = default with -trace or -tracefile, off otherwise)")
@@ -94,31 +96,36 @@ func main() {
 	restartTimesFlag := flag.String("restart-times", "10,20,30", "restart times in seconds for -fault restart")
 	flag.Parse()
 
+	// Every flag value is checked before anything runs: exp reads a
+	// zero as "use the default" and a negative count as "none", so an
+	// unchecked value would run something other than what the output
+	// row says.
 	schemes, err := parseSchemes(*schemesFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		badFlag(err)
 	}
-	counts, err := parseInts(*attackersFlag)
+	counts, err := parseList("attackers", *attackersFlag, strconv.Atoi,
+		func(k int) bool { return k >= 0 }, "counts ≥ 0")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		badFlag(err)
 	}
 	dur := tvatime.FromSeconds(*durationSec).Sub(0)
+	if dur <= 0 {
+		badFlag(fmt.Errorf("-duration %g: want a positive number of seconds", *durationSec))
+	}
 
 	if *faultMode != "" {
-		if err := faultSweep(*faultMode, schemes, dur, *seed, *lossRatesFlag, *restartTimesFlag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := faultSweep(*faultMode, schemes, dur, *seed, *workers, *lossRatesFlag, *restartTimesFlag); err != nil {
+			badFlag(err)
 		}
 		return
 	}
 
 	if *fairness {
-		userCounts, err := parseInts(*usersFlag)
+		userCounts, err := parseList("users", *usersFlag, strconv.Atoi,
+			func(n int) bool { return n >= 1 }, "counts ≥ 1")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			badFlag(err)
 		}
 		fairnessSweep(schemes, userCounts, counts, dur, *seed, *workers)
 		return
@@ -131,11 +138,14 @@ func main() {
 
 	if *metricsOut != "" || *promOut != "" || *traceN > 0 || *traceFile != "" || *traceSpans > 0 {
 		if len(figs) != 1 {
-			fmt.Fprintln(os.Stderr, "-metrics/-prom/-trace/-tracefile need a single -fig (8, 9, 10 or 11)")
-			os.Exit(2)
+			badFlag(errors.New("-metrics/-prom/-trace/-tracefile need a single -fig (8, 9, 10 or 11)"))
+		}
+		interval := tvatime.Duration(*metricsIntervalMs * float64(tvatime.Millisecond))
+		if interval <= 0 {
+			badFlag(fmt.Errorf("-metrics-interval %g: want a positive number of milliseconds", *metricsIntervalMs))
 		}
 		if err := instrumentedRun(figs[0], schemes, counts, dur, *seed,
-			*metricsOut, *promOut, *metricsIntervalMs, *traceN,
+			*metricsOut, *promOut, interval, *traceN,
 			*traceFile, *traceSpans, *stormPkts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -154,10 +164,16 @@ func main() {
 		case "11":
 			figure11(schemes, dur, *seed, *workers)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", f)
-			os.Exit(2)
+			badFlag(fmt.Errorf("unknown figure %q", f))
 		}
 	}
+}
+
+// badFlag reports a flag value tvasim refuses and exits 2, as the flag
+// package does for one it cannot parse.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }
 
 // figAttack maps a figure number to its attack workload.
@@ -180,15 +196,12 @@ func figAttack(fig string) (exp.Attack, error) {
 // and prints the drop-attribution summary plus the health transition
 // log. It verifies the accounting invariant: the per-reason drop
 // counters must sum to the bottleneck's drop total.
-func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime.Duration, seed int64, out, promOut string, intervalMs float64, traceN int, traceFile string, traceSpans, stormPkts int) error {
+func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime.Duration, seed int64, out, promOut string, interval tvatime.Duration, traceN int, traceFile string, traceSpans, stormPkts int) error {
 	attack, err := figAttack(fig)
 	if err != nil {
 		return err
 	}
-	scheme := exp.SchemeTVA
-	if len(schemes) > 0 {
-		scheme = schemes[0]
-	}
+	scheme := schemes[0]
 	attackers := 0
 	for _, k := range counts {
 		if k > attackers {
@@ -201,7 +214,7 @@ func instrumentedRun(fig string, schemes []exp.Scheme, counts []int, dur tvatime
 		NumAttackers:    attackers,
 		Duration:        dur,
 		Seed:            seed,
-		MetricsInterval: tvatime.Duration(intervalMs * float64(tvatime.Millisecond)),
+		MetricsInterval: interval,
 	}
 	// -tracefile and -trace-spans arm the recorder for a dump, and
 	// with it the drop-storm auto-dump; -trace alone only prints.
@@ -417,62 +430,98 @@ func topDrops(c *telemetry.DropCounters) string {
 }
 
 // faultSweep runs the recovery experiments: per scheme, either a
-// bottleneck loss-rate sweep or a router restart-time sweep.
-func faultSweep(mode string, schemes []exp.Scheme, dur tvatime.Duration, seed int64, lossRates, restartTimes string) error {
+// bottleneck loss-rate sweep or a router restart-time sweep, all runs
+// through exp.RunMany. It checks mode and the swept values before
+// running anything; every error it returns is a bad flag value.
+func faultSweep(mode string, schemes []exp.Scheme, dur tvatime.Duration, seed int64, workers int, lossRates, restartTimes string) error {
+	var (
+		xs            []float64
+		err           error
+		set           func(*exp.Config, float64)
+		title, header string
+		row           func(x float64, res *exp.Result) string
+	)
 	switch mode {
 	case "loss":
-		rates, err := parseFloats(lossRates)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# fault: bottleneck loss sweep (no attack, %.0fs, seed %d)\n", dur.Seconds(), seed)
-		fmt.Printf("%-10s %10s %12s %14s %12s\n",
-			"scheme", "loss", "completion", "xfer-time(s)", "link-drops")
-		for _, scheme := range schemes {
-			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed}
-			for _, p := range exp.LossSweep(base, rates) {
-				fmt.Printf("%-10s %10.3f %12.3f %14.3f %12d\n",
-					scheme, p.LossRate, p.CompletionFraction, p.AvgTransferTime, p.LinkDrops)
-			}
-			fmt.Println()
+		xs, err = parseList("loss-rates", lossRates, parseFloat,
+			func(p float64) bool { return p >= 0 && p <= 1 }, "probabilities in [0, 1]")
+		set = func(c *exp.Config, p float64) { c.LossRate = p }
+		title = "bottleneck loss sweep"
+		header = fmt.Sprintf("%10s %12s %14s %12s", "loss", "completion", "xfer-time(s)", "link-drops")
+		row = func(p float64, res *exp.Result) string {
+			return fmt.Sprintf("%10.3f %12.3f %14.3f %12d",
+				p, res.CompletionFraction(), res.AvgTransferTime(), res.Telemetry.LinkDrops.Total())
 		}
 	case "restart":
-		times, err := parseFloats(restartTimes)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# fault: router restart sweep (no attack, %.0fs, seed %d)\n", dur.Seconds(), seed)
-		fmt.Printf("%-10s %12s %12s %16s %12s\n",
-			"scheme", "restart(s)", "completion", "recover-in(s)", "flushed")
-		for _, scheme := range schemes {
-			base := exp.Config{Scheme: scheme, Duration: dur, Seed: seed}
-			for _, p := range exp.RestartSweep(base, times) {
-				rec := "never"
-				if p.TimeToRecoverSec >= 0 {
-					rec = fmt.Sprintf("%.3f", p.TimeToRecoverSec)
-				}
-				fmt.Printf("%-10s %12.1f %12.3f %16s %12d\n",
-					scheme, p.RestartAtSec, p.CompletionFraction, rec, p.FlushedPkts)
+		// A RestartAt of zero or less means no restart at all.
+		xs, err = parseList("restart-times", restartTimes, parseFloat,
+			func(sec float64) bool { return restartAt(sec) > 0 }, "times > 0 s")
+		set = func(c *exp.Config, sec float64) { c.RestartAt = restartAt(sec) }
+		title = "router restart sweep"
+		header = fmt.Sprintf("%12s %12s %16s %12s", "restart(s)", "completion", "recover-in(s)", "flushed")
+		row = func(sec float64, res *exp.Result) string {
+			rec := "never"
+			if d, ok := res.TimeToRecover(res.Cfg.RestartAt); ok {
+				rec = fmt.Sprintf("%.3f", d.Seconds())
 			}
-			fmt.Println()
+			return fmt.Sprintf("%12.1f %12.3f %16s %12d",
+				sec, res.CompletionFraction(), rec, res.Telemetry.LinkDrops.Get(telemetry.DropRouterRestart))
 		}
 	default:
-		return fmt.Errorf("unknown -fault mode %q (want loss or restart)", mode)
+		err = fmt.Errorf("unknown -fault mode %q (want loss or restart)", mode)
+	}
+	if err != nil {
+		return err
+	}
+
+	cfgs := make([]exp.Config, 0, len(schemes)*len(xs))
+	for _, scheme := range schemes {
+		for _, x := range xs {
+			cfg := exp.Config{Scheme: scheme, Duration: dur, Seed: seed}
+			set(&cfg, x)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	results := exp.RunMany(cfgs, workers)
+
+	fmt.Printf("# fault: %s (no attack, %.0fs, seed %d)\n", title, dur.Seconds(), seed)
+	fmt.Printf("%-10s %s\n", "scheme", header)
+	i := 0
+	for _, scheme := range schemes {
+		for _, x := range xs {
+			fmt.Printf("%-10s %s\n", scheme, row(x, results[i]))
+			i++
+		}
+		fmt.Println()
 	}
 	return nil
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
+// restartAt converts a -restart-times entry to Config.RestartAt.
+func restartAt(sec float64) tvatime.Duration {
+	return tvatime.Duration(sec * float64(tvatime.Second))
+}
+
+// parseList parses the comma-separated value s of the named flag with
+// parse, and refuses any element that does not parse or that valid
+// rejects (want says what valid accepts).
+func parseList[T any](flagName, s string, parse func(string) (T, error), valid func(T) bool, want string) ([]T, error) {
+	var out []T
 	for _, p := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		p = strings.TrimSpace(p)
+		v, err := parse(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad value %q", p)
+			return nil, fmt.Errorf("-%s: bad value %q", flagName, p)
 		}
-		out = append(out, f)
+		if !valid(v) {
+			return nil, fmt.Errorf("-%s %s: want %s", flagName, p, want)
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func parseSchemes(s string) ([]exp.Scheme, error) {
 	var out []exp.Scheme
@@ -488,20 +537,11 @@ func parseSchemes(s string) ([]exp.Scheme, error) {
 			out = append(out, exp.SchemePushback)
 		case "":
 		default:
-			return nil, fmt.Errorf("unknown scheme %q", name)
+			return nil, fmt.Errorf("-schemes: unknown scheme %q", name)
 		}
 	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad attacker count %q", p)
-		}
-		out = append(out, n)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-schemes %q: want at least one of internet, siff, pushback, tva", s)
 	}
 	return out, nil
 }

@@ -1,13 +1,28 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain doubles as tvasim itself: with TVASIM_AS_MAIN=1 in its
+// environment the test binary runs main on its arguments, so a test
+// can watch a real exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("TVASIM_AS_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet("tvasim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // runMain runs tvasim's main in-process with args, on a fresh flag
 // set, and returns what it printed to stdout.
@@ -93,6 +108,52 @@ func TestInstrumentedGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkGolden(t, filepath.Base(f), string(b))
+			}
+		})
+	}
+}
+
+// TestRejectsBadFlagValues runs tvasim on flag values exp would
+// silently reinterpret (a zero read as "use the default", a negative
+// count as "none", a probability outside [0, 1], a restart time at
+// which no restart happens, a metrics interval that turns sampling
+// off, an empty scheme list the instrumented run would replace with
+// TVA). Each must exit 2 before running anything, naming the flag.
+func TestRejectsBadFlagValues(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "f.csv")
+	one := []string{"-fig", "8", "-schemes", "tva", "-attackers", "1", "-duration", "1"}
+	for _, tc := range []struct {
+		name, flag string
+		args       []string
+	}{
+		{"users_zero", "-users", []string{"-fairness", "-users", "0", "-schemes", "tva", "-attackers", "1", "-duration", "1"}},
+		{"users_negative", "-users", []string{"-fairness", "-users", "-1", "-schemes", "tva", "-attackers", "1", "-duration", "1"}},
+		{"duration_negative", "-duration", append(one, "-duration", "-1")},
+		{"duration_zero", "-duration", append(one, "-duration", "0")},
+		{"attackers_negative", "-attackers", append(one, "-attackers", "-2")},
+		{"schemes_empty", "-schemes", append(one, "-schemes", ",", "-metrics", csv)},
+		{"loss_above_one", "-loss-rates", []string{"-fault", "loss", "-loss-rates", "1.5", "-schemes", "tva", "-duration", "1"}},
+		{"loss_negative", "-loss-rates", []string{"-fault", "loss", "-loss-rates", "0.1,-0.2", "-schemes", "tva", "-duration", "1"}},
+		{"restart_negative", "-restart-times", []string{"-fault", "restart", "-restart-times", "-3", "-schemes", "tva", "-duration", "1"}},
+		{"restart_zero", "-restart-times", []string{"-fault", "restart", "-restart-times", "0.5,0", "-schemes", "tva", "-duration", "1"}},
+		{"metrics_interval_zero", "-metrics-interval", append(one, "-metrics", csv, "-metrics-interval", "0")},
+		{"metrics_interval_negative", "-metrics-interval", append(one, "-metrics", csv, "-metrics-interval", "-5")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "TVASIM_AS_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("tvasim %s: err %v, want exit status 2\nstdout:\n%s", strings.Join(tc.args, " "), err, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Errorf("message %q does not name %s", stderr.String(), tc.flag)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("printed output before refusing:\n%s", stdout.String())
 			}
 		})
 	}

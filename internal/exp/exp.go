@@ -349,32 +349,3 @@ func (r *Result) Series() (startSec, durSec []float64) {
 	}
 	return startSec, durSec
 }
-
-// SweepPoint is one x-axis point of Figs. 8–10, plus the fairness pair
-// (Fig. 11-style: how evenly the survivors shared the bottleneck).
-type SweepPoint struct {
-	Attackers          int
-	CompletionFraction float64
-	AvgTransferTime    float64
-	FairnessJain       float64
-	MaxMinRatio        float64
-}
-
-// Sweep runs the config at each attacker count and collects the two
-// paper metrics.
-func Sweep(base Config, counts []int) []SweepPoint {
-	points := make([]SweepPoint, 0, len(counts))
-	for _, n := range counts {
-		cfg := base
-		cfg.NumAttackers = n
-		res := Run(cfg)
-		points = append(points, SweepPoint{
-			Attackers:          n,
-			CompletionFraction: res.CompletionFraction(),
-			AvgTransferTime:    res.AvgTransferTime(),
-			FairnessJain:       res.FairnessJain,
-			MaxMinRatio:        res.MaxMinRatio,
-		})
-	}
-	return points
-}

@@ -150,17 +150,23 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestSweepHelper(t *testing.T) {
+// TestRunManyAttackerSweep runs a two-point attacker sweep through
+// RunMany: one result per config, in order, each with completions.
+func TestRunManyAttackerSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation integration test skipped in -short mode")
 	}
-	pts := Sweep(Config{Scheme: SchemeTVA, Attack: AttackLegacyFlood, Duration: 5 * tvatime.Second, Seed: 1}, []int{1, 10})
-	if len(pts) != 2 || pts[0].Attackers != 1 || pts[1].Attackers != 10 {
-		t.Fatalf("sweep points wrong: %+v", pts)
+	var cfgs []Config
+	for _, n := range []int{1, 10} {
+		cfgs = append(cfgs, Config{Scheme: SchemeTVA, Attack: AttackLegacyFlood, NumAttackers: n, Duration: 5 * tvatime.Second, Seed: 1})
 	}
-	for _, p := range pts {
-		if p.CompletionFraction <= 0 {
-			t.Errorf("k=%d: no completions", p.Attackers)
+	results := RunMany(cfgs, 0)
+	if len(results) != 2 || results[0].Cfg.NumAttackers != 1 || results[1].Cfg.NumAttackers != 10 {
+		t.Fatalf("sweep results wrong: %d results", len(results))
+	}
+	for _, res := range results {
+		if res.CompletionFraction() <= 0 {
+			t.Errorf("k=%d: no completions", res.Cfg.NumAttackers)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Fault injection and recovery wiring (DESIGN.md §10): bottleneck
 // impairments, scheduled outages, and router crash/restart, plus the
-// recovery sweeps (loss rate, restart time) the failure experiments
-// report. Everything here is driven by Config knobs and derives its
+// recovery metric (TimeToRecover) the failure experiments report.
+// Everything here is driven by Config knobs and derives its
 // randomness from Config.Seed, so faulted runs are bit-identical per
 // seed like every other run.
 package exp
@@ -90,63 +90,4 @@ func (r *Result) TimeToRecover(at tvatime.Duration) (tvatime.Duration, bool) {
 		return 0, false
 	}
 	return best.Sub(t), true
-}
-
-// FaultPoint is one x-axis point of a loss-rate sweep.
-type FaultPoint struct {
-	LossRate           float64
-	CompletionFraction float64
-	AvgTransferTime    float64
-	LinkDrops          uint64
-}
-
-// LossSweep runs the config at each bottleneck loss rate and collects
-// the degradation curve: how transfer completion and time degrade as
-// the wire gets lossier.
-func LossSweep(base Config, rates []float64) []FaultPoint {
-	points := make([]FaultPoint, 0, len(rates))
-	for _, rate := range rates {
-		cfg := base
-		cfg.LossRate = rate
-		res := Run(cfg)
-		points = append(points, FaultPoint{
-			LossRate:           rate,
-			CompletionFraction: res.CompletionFraction(),
-			AvgTransferTime:    res.AvgTransferTime(),
-			LinkDrops:          res.Telemetry.LinkDrops.Total(),
-		})
-	}
-	return points
-}
-
-// RestartPoint is one x-axis point of a restart-time sweep.
-type RestartPoint struct {
-	RestartAtSec       float64
-	CompletionFraction float64
-	// TimeToRecoverSec is the delay from the restart to the first
-	// completed transfer after it; -1 when nothing recovered.
-	TimeToRecoverSec float64
-	FlushedPkts      uint64
-}
-
-// RestartSweep crashes the left router at each time and collects how
-// completion and recovery latency respond.
-func RestartSweep(base Config, atSec []float64) []RestartPoint {
-	points := make([]RestartPoint, 0, len(atSec))
-	for _, at := range atSec {
-		cfg := base
-		cfg.RestartAt = tvatime.Duration(at * float64(tvatime.Second))
-		res := Run(cfg)
-		p := RestartPoint{
-			RestartAtSec:       at,
-			CompletionFraction: res.CompletionFraction(),
-			TimeToRecoverSec:   -1,
-			FlushedPkts:        res.Telemetry.LinkDrops.Get(telemetry.DropRouterRestart),
-		}
-		if d, ok := res.TimeToRecover(cfg.RestartAt); ok {
-			p.TimeToRecoverSec = d.Seconds()
-		}
-		points = append(points, p)
-	}
-	return points
 }

@@ -16,24 +16,27 @@ import (
 // instead of killing them.
 func TestLossyBottleneckDegradesGracefully(t *testing.T) {
 	d := short(t)
-	base := Config{Scheme: SchemeTVA, Attack: AttackNone, Duration: d, Seed: 3}
-	pts := LossSweep(base, []float64{0, 0.1, 0.2})
+	var cfgs []Config
+	for _, rate := range []float64{0, 0.1, 0.2} {
+		cfgs = append(cfgs, Config{Scheme: SchemeTVA, Attack: AttackNone, Duration: d, Seed: 3, LossRate: rate})
+	}
+	res := RunMany(cfgs, 0)
 	// Not 1.0: each user's final transfer is still in flight when the
 	// measurement window closes and counts as incomplete.
-	if pts[0].CompletionFraction < 0.95 {
-		t.Fatalf("lossless completion %.3f, want ≥0.95", pts[0].CompletionFraction)
+	if c := res[0].CompletionFraction(); c < 0.95 {
+		t.Fatalf("lossless completion %.3f, want ≥0.95", c)
 	}
-	for _, p := range pts[1:] {
-		if p.CompletionFraction == 0 {
-			t.Errorf("completion 0 at loss %.0f%%; transfers should degrade, not die", p.LossRate*100)
+	for _, r := range res[1:] {
+		if r.CompletionFraction() == 0 {
+			t.Errorf("completion 0 at loss %.0f%%; transfers should degrade, not die", r.Cfg.LossRate*100)
 		}
-		if p.LinkDrops == 0 {
-			t.Errorf("no link drops recorded at loss %.0f%%", p.LossRate*100)
+		if r.Telemetry.LinkDrops.Total() == 0 {
+			t.Errorf("no link drops recorded at loss %.0f%%", r.Cfg.LossRate*100)
 		}
 	}
-	if pts[2].CompletionFraction > pts[0].CompletionFraction {
+	if res[2].CompletionFraction() > res[0].CompletionFraction() {
 		t.Errorf("completion rose with loss: %.3f at 0%% vs %.3f at 20%%",
-			pts[0].CompletionFraction, pts[2].CompletionFraction)
+			res[0].CompletionFraction(), res[2].CompletionFraction())
 	}
 }
 

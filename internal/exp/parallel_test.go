@@ -13,8 +13,8 @@ import (
 func summarize(results []*Result) string {
 	var b strings.Builder
 	for i, r := range results {
-		fmt.Fprintf(&b, "run %d: util=%.9f drops=%d transfers=%d\n",
-			i, r.BottleneckUtilization, r.BottleneckDrops, len(r.Transfers))
+		fmt.Fprintf(&b, "run %d: util=%.9f drops=%d transfers=%d jain=%.9f maxmin=%.9f\n",
+			i, r.BottleneckUtilization, r.BottleneckDrops, len(r.Transfers), r.FairnessJain, r.MaxMinRatio)
 		for _, tr := range r.Transfers {
 			fmt.Fprintf(&b, "  u%d %d..%d %v\n", tr.User, tr.Start, tr.End, tr.Completed)
 		}
@@ -22,24 +22,30 @@ func summarize(results []*Result) string {
 	return b.String()
 }
 
-// TestRunManyDeterministicAcrossWorkers runs the same sweep serially
-// and with 8 workers and requires byte-identical results: worker count
-// must never leak into simulation outcomes.
+// TestRunManyDeterministicAcrossWorkers runs the same configs serially
+// and with 8 workers and requires byte-identical results, fairness
+// included: worker count must never leak into simulation outcomes.
 func TestRunManyDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation integration test skipped in -short mode")
 	}
-	d := 6 * tvatime.Second
-	spec := SweepSpec{
-		Base:      Config{Duration: d, AttackRateBps: 2_000_000},
-		Schemes:   []Scheme{SchemeTVA, SchemeInternet},
-		Attacks:   []Attack{AttackLegacyFlood, AttackRequestFlood},
-		Attackers: []int{5},
-		Seeds:     []int64{1, 2},
+	var cfgs []Config
+	for _, scheme := range []Scheme{SchemeTVA, SchemeInternet} {
+		for _, attack := range []Attack{AttackLegacyFlood, AttackRequestFlood} {
+			for _, seed := range []int64{1, 2} {
+				cfgs = append(cfgs, Config{
+					Scheme: scheme, Attack: attack, NumAttackers: 5,
+					Duration: 6 * tvatime.Second, AttackRateBps: 2_000_000, Seed: seed,
+				})
+			}
+		}
 	}
-	cfgs := spec.Expand()
-	if len(cfgs) != 8 {
-		t.Fatalf("grid expanded to %d configs, want 8", len(cfgs))
+	// An attacker-count sweep of one scheme, the figures' shape.
+	for _, n := range []int{1, 4, 8} {
+		cfgs = append(cfgs, Config{
+			Scheme: SchemeTVA, Attack: AttackLegacyFlood, NumAttackers: n,
+			Duration: 5 * tvatime.Second, Seed: 3,
+		})
 	}
 
 	serial := summarize(RunMany(cfgs, 1))
@@ -48,28 +54,8 @@ func TestRunManyDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("serial and 8-worker sweeps diverge:\n--- serial ---\n%s--- parallel ---\n%s",
 			serial, parallel)
 	}
-	if !strings.Contains(serial, "transfers=") || strings.Count(serial, "run ") != 8 {
+	if !strings.Contains(serial, "transfers=") || strings.Count(serial, "run ") != len(cfgs) {
 		t.Fatalf("summary malformed:\n%s", serial)
-	}
-}
-
-// TestSweepParallelMatchesSweep checks the parallel sweep façade
-// returns exactly what the serial Sweep does.
-func TestSweepParallelMatchesSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation integration test skipped in -short mode")
-	}
-	base := Config{Scheme: SchemeTVA, Attack: AttackLegacyFlood, Duration: 5 * tvatime.Second, Seed: 3}
-	counts := []int{1, 4, 8}
-	want := Sweep(base, counts)
-	got := SweepParallel(base, counts, 4)
-	if len(got) != len(want) {
-		t.Fatalf("point counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, got[i], want[i])
-		}
 	}
 }
 

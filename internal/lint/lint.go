@@ -1,6 +1,6 @@
 // Package lint is the repository's custom static-analysis framework:
 // a stdlib-only (go/parser + go/types, no golang.org/x/tools) driver
-// plus the seven analyzers that machine-check the invariants the rest
+// plus the six analyzers that machine-check the invariants the rest
 // of the tree merely promises in comments:
 //
 //   - hotpath: functions annotated //tva:hotpath, and everything they
@@ -19,10 +19,11 @@
 //     //tva:hotpath function holds a lock, and no sync/atomic function
 //     calls (only the typed atomics);
 //   - goleak: every go statement carries a provable shutdown edge
-//     (done-channel receive, WaitGroup, or a loop-free body);
-//   - metricname: metric series names come from the internal/metrics
-//     constants, and each data plane registers exactly the series its
-//     declared list promises.
+//     (done-channel receive, WaitGroup, or a loop-free body).
+//
+// The metric-series contract is not an analyzer: internal/metrics'
+// TestNoLiteralSeriesNames and internal/xcheck's TestPlaneSeries check
+// it against the source and the registries the planes really build.
 //
 // Findings can be suppressed one at a time with
 //
@@ -65,7 +66,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{HotPath, Determinism, DropReasonCheck, PoolOwner, LockOrder, GoLeak, MetricName}
+	return []*Analyzer{HotPath, Determinism, DropReasonCheck, PoolOwner, LockOrder, GoLeak}
 }
 
 // ByName returns the named analyzers, or an error naming the first

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"tva/internal/lint"
-	"tva/internal/metrics"
 )
 
 var (
@@ -131,76 +130,6 @@ func TestLockOrderFixture(t *testing.T) {
 
 func TestGoLeakFixture(t *testing.T) {
 	runFixture(t, lint.GoLeak, "testdata/src/goleak", loadProg(t).Module+"/fixture/goleak")
-}
-
-func TestMetricNameFixture(t *testing.T) {
-	// Registered under an enforced cmd/ import path so the analyzer's
-	// package filter covers it.
-	runFixture(t, lint.MetricName, "testdata/src/metricname", loadProg(t).Module+"/cmd/tvatop")
-}
-
-// TestMetricNameCrossPlane pins the plane-coverage rule against the
-// real exported lists: a plane fixture that registers only the shared
-// contract must be missing exactly the sim-only series, and an overlay
-// fixture registering a sim-only series must be told the overlay list
-// does not declare it.
-func TestMetricNameCrossPlane(t *testing.T) {
-	p := loadProg(t)
-
-	overlayPkg := loadFixture(t, p, "testdata/src/metricoverlay", p.Module+"/internal/overlay")
-	got := lint.Run(p, []*lint.Package{overlayPkg}, []*lint.Analyzer{lint.MetricName})
-	if len(got) != 1 || !strings.Contains(got[0].Message, strconv.Quote(metrics.NameGoodputBytes)) ||
-		!strings.Contains(got[0].Message, "does not declare") {
-		for _, f := range got {
-			t.Logf("finding: %s", f)
-		}
-		t.Fatalf("overlay fixture: want exactly one undeclared-registration finding for %s, got %d findings",
-			metrics.NameGoodputBytes, len(got))
-	}
-
-	shared := map[string]bool{}
-	for _, name := range metrics.SharedSeries {
-		shared[name] = true
-	}
-	wantMissing := map[string]bool{}
-	for _, name := range metrics.SimSeries {
-		if !shared[name] {
-			wantMissing[name] = true
-		}
-	}
-	if len(wantMissing) == 0 {
-		t.Fatal("metrics.SimSeries has no sim-only series; fixture premise broken")
-	}
-
-	simPkg := loadFixture(t, p, "testdata/src/metricsim", p.Module+"/internal/exp")
-	got = lint.Run(p, []*lint.Package{simPkg}, []*lint.Analyzer{lint.MetricName})
-	if len(got) != len(wantMissing) {
-		for _, f := range got {
-			t.Logf("finding: %s", f)
-		}
-		t.Fatalf("sim fixture: got %d findings, want %d (SimSeries minus SharedSeries)", len(got), len(wantMissing))
-	}
-	for _, f := range got {
-		if !strings.Contains(f.Message, "not registered") {
-			t.Errorf("sim fixture: finding is not a missing-series report: %s", f)
-			continue
-		}
-		matched := ""
-		for name := range wantMissing {
-			if strings.Contains(f.Message, strconv.Quote(name)) {
-				matched = name
-				break
-			}
-		}
-		if matched == "" {
-			t.Errorf("sim fixture: finding names an unexpected series: %s", f)
-			continue
-		}
-		delete(wantMissing, matched)
-	}
-	for name := range wantMissing {
-		t.Errorf("sim fixture: no finding reported missing series %q", name)
-	}
 }
 
 // TestIgnoreDirectives asserts suppression and malformed-directive

@@ -3,11 +3,12 @@
 // (overlay.Router.Metrics), the simulator harness (exp.startMetrics),
 // the tvatop console, and scripts/metrics_smoke.sh all refer to these
 // constants (the script indirectly, via `tvatop -require-set`), so a
-// renamed or dropped series is a compile error or a lint finding —
-// never silent sim-vs-real drift. The metricname analyzer
-// (internal/lint) enforces the contract: registrations in the plane
-// packages must use these constants, and the plane lists below must
-// match what each plane actually registers.
+// renamed or dropped series is a compile error or a test failure —
+// never silent sim-vs-real drift. Two tests hold the contract:
+// TestNoLiteralSeriesNames (this package) fails on any "tva_..." string
+// literal elsewhere in the module, and internal/xcheck's
+// TestPlaneSeries builds both planes' registries and checks that the
+// lists below name exactly what each plane registers.
 package metrics
 
 // Metric series names shared by, or specific to, the two data planes.
@@ -74,8 +75,9 @@ const (
 // SharedSeries is the sim-vs-real contract: every name here must be
 // registered by BOTH data planes (overlay.Router.Metrics and
 // exp.startMetrics), so tvatop and offline tooling read either plane
-// identically. The metricname analyzer fails the build when a name
-// listed here is missing from either plane.
+// identically. A name listed here and missing from either plane is a
+// compile error (the constant is gone) or a test failure
+// (TestPlaneSeries).
 var SharedSeries = []string{
 	NameQueuePkts,
 	NameRegularQueues,
@@ -147,16 +149,6 @@ var SimSeries = []string{
 	NameFlowTopShare,
 	NameFlowFairnessJain,
 	NameFlowMaxMinRatio,
-}
-
-// BenchSeries is the registry set overlay.BenchMetrics attaches to the
-// Table 1 bench loops; it is not part of either plane's scrape
-// contract but lives here so every series name has one home.
-var BenchSeries = []string{
-	NameBenchForwarded,
-	NameBenchDemoted,
-	NameBenchWireBytes,
-	NameFlowCacheEntries,
 }
 
 // RequiredFor returns the series names `tvatop -require-set <plane>`

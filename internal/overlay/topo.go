@@ -109,9 +109,6 @@ func NewTopology(cfg TopoConfig) (*Topology, error) {
 	return t, nil
 }
 
-// Routers returns the chain length.
-func (t *Topology) Routers() int { return len(t.routers) }
-
 // Router returns the i-th router of the chain.
 func (t *Topology) Router(i int) *Router { return t.routers[i] }
 

@@ -87,9 +87,6 @@ func NewRouter(secretPeriod tvatime.Duration) *Router {
 	return &Router{marker: NewMarker(secretPeriod)}
 }
 
-// Marker exposes the router's marker (tests).
-func (r *Router) Marker() *Marker { return r.marker }
-
 // Process classifies one packet. Requests are stamped with this
 // router's mark and forwarded as legacy traffic; packets with valid
 // marks are high-priority; packets with invalid marks are dropped

@@ -306,9 +306,6 @@ type Conn struct {
 	OnData func(n int)
 }
 
-// Peer returns the remote address.
-func (c *Conn) Peer() packet.Addr { return c.peer }
-
 // Received returns the in-order bytes delivered to a server conn.
 func (c *Conn) Received() uint64 { return c.received }
 

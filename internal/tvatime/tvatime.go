@@ -16,7 +16,6 @@ type Duration = time.Duration
 
 // Common durations re-exported for convenience.
 const (
-	Nanosecond  = time.Nanosecond
 	Microsecond = time.Microsecond
 	Millisecond = time.Millisecond
 	Second      = time.Second

@@ -75,8 +75,9 @@ done
 echo "# metrics-smoke: scraping $url with tvatop -once"
 # -require-set resolves to internal/metrics.OverlaySeries (plus the
 # :rate proof that the sampler ticked), so the required series set and
-# the router's registrations come from the same constants — the
-# metricname analyzer keeps both sides honest.
+# the router's registrations come from the same constants, and
+# internal/xcheck's TestPlaneSeries checks that the list names exactly
+# what the router registers.
 "$dir/tvatop" -once -require-set overlay "$url"
 
 echo "# metrics-smoke: requiring the per-sender flow series explicitly"

@@ -147,9 +147,6 @@ type SimResult = exp.Result
 // TransferRecord is one user transfer's outcome.
 type TransferRecord = exp.TransferRecord
 
-// SweepPoint is one attacker-count point of Figs. 8–10.
-type SweepPoint = exp.SweepPoint
-
 // Scheme selects the DoS defense under test.
 type Scheme = exp.Scheme
 
@@ -187,12 +184,6 @@ const (
 // RunSim executes one simulation run.
 func RunSim(cfg SimConfig) *SimResult { return exp.Run(cfg) }
 
-// SweepSim runs cfg at each attacker count, collecting the paper's two
-// metrics.
-func SweepSim(cfg SimConfig, attackerCounts []int) []SweepPoint {
-	return exp.Sweep(cfg, attackerCounts)
-}
-
 // RunSims executes independent simulation runs across worker
 // goroutines, returning results in input order. workers <= 0 uses
 // GOMAXPROCS. Each run's outcome depends only on its configuration,
@@ -200,22 +191,6 @@ func SweepSim(cfg SimConfig, attackerCounts []int) []SweepPoint {
 func RunSims(cfgs []SimConfig, workers int) []*SimResult {
 	return exp.RunMany(cfgs, workers)
 }
-
-// SweepSimParallel is SweepSim fanned across workers; it returns the
-// same points in the same order.
-func SweepSimParallel(cfg SimConfig, attackerCounts []int, workers int) []SweepPoint {
-	return exp.SweepParallel(cfg, attackerCounts, workers)
-}
-
-// SimSweepSpec enumerates a (scheme, attack, attacker-count, seed)
-// grid over a base configuration for parallel execution.
-type SimSweepSpec = exp.SweepSpec
-
-// Well-known simulation addresses.
-var (
-	SimDestAddr     = exp.DestAddr
-	SimColluderAddr = exp.ColluderAddr
-)
 
 // --- Userspace overlay (paper §6/§8) ---
 

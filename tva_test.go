@@ -98,32 +98,37 @@ func TestHeadlineClaim(t *testing.T) {
 }
 
 // TestSweepShapeFig8 checks the qualitative Fig. 8 curve through the
-// facade sweep helper: TVA flat, Internet monotonically collapsing.
+// facade's RunSims: TVA flat, Internet monotonically collapsing.
 func TestSweepShapeFig8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test skipped in -short mode")
 	}
 	counts := []int{1, 30, 100}
-	base := tva.SimConfig{Attack: tva.AttackLegacyFlood, Duration: 12 * time.Second, Seed: 1}
-
-	tvaCfg := base
-	tvaCfg.Scheme = tva.SchemeTVA
-	tvaPts := tva.SweepSim(tvaCfg, counts)
-	for _, p := range tvaPts {
-		if p.CompletionFraction < 0.95 {
-			t.Errorf("TVA k=%d completion %.3f", p.Attackers, p.CompletionFraction)
+	var cfgs []tva.SimConfig
+	for _, scheme := range []tva.Scheme{tva.SchemeTVA, tva.SchemeInternet} {
+		for _, k := range counts {
+			cfgs = append(cfgs, tva.SimConfig{
+				Scheme: scheme, Attack: tva.AttackLegacyFlood, NumAttackers: k,
+				Duration: 12 * time.Second, Seed: 1,
+			})
 		}
-		if p.AvgTransferTime > 0.4 {
-			t.Errorf("TVA k=%d transfer time %.3f", p.Attackers, p.AvgTransferTime)
+	}
+	res := tva.RunSims(cfgs, 0)
+
+	for _, r := range res[:len(counts)] {
+		if c := r.CompletionFraction(); c < 0.95 {
+			t.Errorf("TVA k=%d completion %.3f", r.Cfg.NumAttackers, c)
+		}
+		if x := r.AvgTransferTime(); x > 0.4 {
+			t.Errorf("TVA k=%d transfer time %.3f", r.Cfg.NumAttackers, x)
 		}
 	}
 
-	netCfg := base
-	netCfg.Scheme = tva.SchemeInternet
-	netPts := tva.SweepSim(netCfg, counts)
-	if !(netPts[0].CompletionFraction > netPts[1].CompletionFraction &&
-		netPts[1].CompletionFraction >= netPts[2].CompletionFraction) {
-		t.Errorf("Internet completion not monotone under rising attack: %+v", netPts)
+	net := res[len(counts):]
+	if !(net[0].CompletionFraction() > net[1].CompletionFraction() &&
+		net[1].CompletionFraction() >= net[2].CompletionFraction()) {
+		t.Errorf("Internet completion not monotone under rising attack: %.3f %.3f %.3f",
+			net[0].CompletionFraction(), net[1].CompletionFraction(), net[2].CompletionFraction())
 	}
 }
 
