@@ -40,13 +40,6 @@ func TestRunManyDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	// An attacker-count sweep of one scheme, the figures' shape.
-	for _, n := range []int{1, 4, 8} {
-		cfgs = append(cfgs, Config{
-			Scheme: SchemeTVA, Attack: AttackLegacyFlood, NumAttackers: n,
-			Duration: 5 * tvatime.Second, Seed: 3,
-		})
-	}
 
 	serial := summarize(RunMany(cfgs, 1))
 	parallel := summarize(RunMany(cfgs, 8))
@@ -56,6 +49,34 @@ func TestRunManyDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(serial, "transfers=") || strings.Count(serial, "run ") != len(cfgs) {
 		t.Fatalf("summary malformed:\n%s", serial)
+	}
+}
+
+// TestSweepParallelMatchesSweep runs an attacker-count sweep of one
+// scheme, the figures' shape, serially and across 4 workers and
+// requires every point to match, fairness included.
+func TestSweepParallelMatchesSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation integration test skipped in -short mode")
+	}
+	var cfgs []Config
+	for _, n := range []int{1, 4, 8} {
+		cfgs = append(cfgs, Config{
+			Scheme: SchemeTVA, Attack: AttackLegacyFlood, NumAttackers: n,
+			Duration: 5 * tvatime.Second, Seed: 3,
+		})
+	}
+	want := RunMany(cfgs, 1)
+	got := RunMany(cfgs, 4)
+	if len(got) != len(want) {
+		t.Fatalf("point counts differ: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := summarize(want[i:i+1]), summarize(got[i:i+1])
+		if g != w {
+			t.Fatalf("point %d (k=%d) differs:\n--- serial ---\n%s--- parallel ---\n%s",
+				i, cfgs[i].NumAttackers, w, g)
+		}
 	}
 }
 
