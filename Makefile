@@ -1,5 +1,3 @@
-GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
-
 # Per-target native fuzzing budget for fuzz-smoke; CI's scheduled fuzz
 # job raises it (make fuzz-smoke FUZZTIME=30s).
 FUZZTIME ?= 10s
@@ -8,7 +6,7 @@ FUZZTIME ?= 10s
 # per-package floors live in scripts/cover_gate.sh).
 COVER_FLOOR ?= 70
 
-.PHONY: all build cross vet lint test race bench bench-build bench-guard bench-batch bench-pairs fuzz-smoke cover trace-smoke metrics-smoke xcheck check
+.PHONY: all build cross vet lint test race bench-build bench-batch bench-pairs fuzz-smoke cover trace-smoke metrics-smoke xcheck check
 
 all: check
 
@@ -61,11 +59,6 @@ race:
 	go test -race -vet=off -count=2 -run 'Batch|Handshake|Refused|Segment|Pace' ./internal/overlay
 	go test -race -vet=off -count=2 -run 'ConcurrentRotation' ./internal/capability ./internal/mac
 
-# bench writes a machine-readable snapshot (Table 1 ns/op + allocs/op,
-# Fig. 12 peak kpps, scenario completion fractions) keyed by revision.
-bench:
-	go run ./cmd/tvabench -label $(GIT_SHA)
-
 # bench-build vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root does not reach: a rename of anything
 # bench/api.go pins fails here instead of in the benchmark pipeline.
@@ -73,14 +66,6 @@ bench:
 bench-build:
 	go -C bench vet ./...
 	go -C bench test ./...
-
-# bench-guard fails if any Table 1 row allocates more per packet than
-# the committed baseline — the zero-allocation forwarding path must
-# survive telemetry and whatever comes after it. The PR 10 baseline
-# pins every row at 0 allocs/op with per-sender flow accounting
-# (heavy-hitter table + count-min sketch) attached to the bench router.
-bench-guard:
-	go run ./cmd/tvabench -guard BENCH_pr10.json
 
 # bench-batch measures the overlay data path end to end over loopback
 # sockets and fails unless batch=32 still forwards at >=2x the batch=1
@@ -157,4 +142,4 @@ metrics-smoke:
 xcheck:
 	sh scripts/xcheck_smoke.sh
 
-check: build cross lint test bench-build race bench-guard bench-batch
+check: build cross lint test bench-build race bench-batch

@@ -113,6 +113,14 @@ func main() {
 	if dur <= 0 {
 		badFlag(fmt.Errorf("-duration %g: want a positive number of seconds", *durationSec))
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"trace", *traceN}, {"trace-spans", *traceSpans}, {"storm-pkts", *stormPkts}} {
+		if f.v < 0 {
+			badFlag(fmt.Errorf("-%s %d: want a count ≥ 0", f.name, f.v))
+		}
+	}
 
 	if *faultMode != "" {
 		if err := faultSweep(*faultMode, schemes, dur, *seed, *workers, *lossRatesFlag, *restartTimesFlag); err != nil {

@@ -118,9 +118,11 @@ func TestInstrumentedGolden(t *testing.T) {
 // count as "none", a probability outside [0, 1], a restart time at
 // which no restart happens, a metrics interval that turns sampling
 // off, an empty scheme list the instrumented run would replace with
-// TVA). Each must exit 2 before running anything, naming the flag.
+// TVA, a negative span count or drop-storm threshold read as "off").
+// Each must exit 2 before running anything, naming the flag.
 func TestRejectsBadFlagValues(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "f.csv")
+	dump := filepath.Join(t.TempDir(), "f.trace")
 	one := []string{"-fig", "8", "-schemes", "tva", "-attackers", "1", "-duration", "1"}
 	for _, tc := range []struct {
 		name, flag string
@@ -138,6 +140,9 @@ func TestRejectsBadFlagValues(t *testing.T) {
 		{"restart_zero", "-restart-times", []string{"-fault", "restart", "-restart-times", "0.5,0", "-schemes", "tva", "-duration", "1"}},
 		{"metrics_interval_zero", "-metrics-interval", append(one, "-metrics", csv, "-metrics-interval", "0")},
 		{"metrics_interval_negative", "-metrics-interval", append(one, "-metrics", csv, "-metrics-interval", "-5")},
+		{"trace_negative", "-trace", append(one, "-trace", "-3")},
+		{"trace_spans_negative", "-trace-spans", append(one, "-trace-spans", "-5")},
+		{"storm_pkts_negative", "-storm-pkts", append(one, "-tracefile", dump, "-storm-pkts", "-1")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -323,19 +323,6 @@ func (r *Result) AvgTransferTime() float64 {
 	return sum / float64(n)
 }
 
-// MaxTransferTime returns the slowest completed transfer in seconds.
-func (r *Result) MaxTransferTime() float64 {
-	var m float64
-	for _, t := range r.Transfers {
-		if t.Completed {
-			if d := t.Duration().Seconds(); d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
 // Series returns (start-time, duration) points of completed transfers
 // ordered by start time — the Fig. 11 time series.
 func (r *Result) Series() (startSec, durSec []float64) {

@@ -183,9 +183,6 @@ func TestResultHelpers(t *testing.T) {
 	if avg := r.AvgTransferTime(); avg != 2.0 {
 		t.Errorf("avg = %f, want 2.0", avg)
 	}
-	if m := r.MaxTransferTime(); m != 3.0 {
-		t.Errorf("max = %f, want 3.0", m)
-	}
 	starts, durs := r.Series()
 	if len(starts) != 2 || len(durs) != 2 || starts[0] != 0 || durs[1] != 3 {
 		t.Errorf("series wrong: %v %v", starts, durs)

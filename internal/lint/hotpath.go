@@ -1,6 +1,6 @@
-// The hotpath analyzer: the static twin of `make bench-guard`.
+// The hotpath analyzer: the static twin of overlay's TestTable1NoAllocs.
 //
-// The bench guard pins Table 1 allocs/op after the fact; this check
+// That test pins Table 1 allocs/op after the fact; this check
 // explains *why* the number stays zero, by proving no construct that
 // allocates (or formats, or reads the wall clock) is reachable from an
 // annotated entry point. A function opts in with

@@ -5,7 +5,7 @@
 //
 //   - hotpath: functions annotated //tva:hotpath, and everything they
 //     statically call within the module, must stay allocation-free
-//     (the static twin of the tvabench bench-guard);
+//     (the static twin of overlay's TestTable1NoAllocs);
 //   - determinism: simulator-facing code may not read wall clocks, use
 //     the global math/rand, or iterate maps where order leaks into
 //     results;

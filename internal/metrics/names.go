@@ -54,11 +54,6 @@ const (
 	NameLinkFaultDrops  = "tva_link_fault_drops_total"
 	NameLegitCompletion = "tva_legit_completion_fraction"
 
-	// Table 1 bench harness series (overlay.BenchMetrics).
-	NameBenchForwarded = "tva_bench_forwarded_total"
-	NameBenchDemoted   = "tva_bench_demoted_total"
-	NameBenchWireBytes = "tva_bench_wire_bytes"
-
 	// Per-sender flow accounting (internal/flowstats, both planes):
 	// bounded-memory top-K aggregates plus the streaming fairness
 	// indices over the legit-sender population. Per-sender detail is

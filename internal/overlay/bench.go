@@ -14,8 +14,6 @@ import (
 
 	"tva/internal/capability"
 	"tva/internal/core"
-	"tva/internal/flowstats"
-	"tva/internal/metrics"
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -221,91 +219,6 @@ func (w *Workload) ForwardOne(now tvatime.Time) bool {
 // Len returns the workload's cycle length.
 func (w *Workload) Len() int { return len(w.pkts) }
 
-// BenchTickEvery spaces registry samples through a Table 1 loop: often
-// enough that Tick's cost is part of the measured steady state, rare
-// enough that per-packet numbers stay per-packet.
-const BenchTickEvery = 1024
-
-// BenchMetrics threads the streaming observability layer through a
-// Table 1 loop: every forwarded packet lands two counter hits, one
-// sketch observation, and a per-sender flowstats touch (heavy-hitter
-// table and byte total, attached to the workload router exactly as
-// the exp harness and overlay attach theirs), and a live registry
-// is sampled on a virtual clock every BenchTickEvery packets. The
-// bench guard runs Table 1 with this harness attached, so its
-// 0 allocs/op rows prove the metrics instruments ride the forwarding
-// path for free — the dynamic twin of the //tva:hotpath annotations
-// on Record/Set/Observe.
-type BenchMetrics struct {
-	Reg *metrics.Registry
-
-	forwarded metrics.Counter
-	demoted   metrics.Counter
-	wire      metrics.Sketch
-	now       tvatime.Time
-}
-
-// NewBenchMetrics builds and seals a registry over w's router. The
-// first Tick happens here, so every later Tick is allocation-free.
-func NewBenchMetrics(w *Workload) *BenchMetrics {
-	m := &BenchMetrics{Reg: metrics.New(64), now: tvatime.FromSeconds(1)}
-	must := func(err error) {
-		if err != nil {
-			panic("overlay: bench metrics: " + err.Error())
-		}
-	}
-	must(m.Reg.CounterVar(metrics.NameBenchForwarded, nil,
-		"Packets pushed through the Table 1 forwarding loop.", &m.forwarded))
-	must(m.Reg.CounterVar(metrics.NameBenchDemoted, nil,
-		"Forwarded packets that lost their class.", &m.demoted))
-	must(m.Reg.SketchQuantiles(metrics.NameBenchWireBytes, nil,
-		"Wire size of forwarded packets.", &m.wire, 0.5, 0.99))
-	cache := w.Router.Cache()
-	must(m.Reg.Gauge(metrics.NameFlowCacheEntries, nil,
-		"Live flow-cache entries at the bench router.",
-		func() float64 { return float64(cache.Len()) }))
-	// Per-sender accounting on the measured path: the router observes
-	// every processed packet into this collector, so Table 1 numbers
-	// include the flowstats cost (and the alloc guard proves it's 0).
-	flows := flowstats.New(flowstats.DefaultTopK, flowstats.DefaultSketchWidth)
-	w.Router.Flows = flows
-	must(m.Reg.Gauge(metrics.NameFlowTrackedSenders, nil,
-		"Heavy-hitter table entries at the bench router.",
-		func() float64 { return float64(flows.Tracked()) }))
-	must(m.Reg.Counter(metrics.NameFlowBytes, nil,
-		"Total bytes observed by the bench router's flow accounting.",
-		func() float64 { return float64(flows.TotalBytes()) }))
-	m.Reg.Tick(m.now)
-	return m
-}
-
-// Observe records one forwarding operation into the instruments.
-//
-//tva:hotpath
-func (m *BenchMetrics) Observe(kept bool, wireBytes int64) {
-	m.forwarded.Record(1)
-	if !kept {
-		m.demoted.Record(1)
-	}
-	m.wire.Observe(wireBytes)
-}
-
-// Tick advances the virtual clock one interval and samples the
-// registry — rates, EWMAs, and the gauge closure included.
-func (m *BenchMetrics) Tick() {
-	m.now = m.now.Add(tvatime.Millisecond)
-	m.Reg.Tick(m.now)
-}
-
-// ForwardOneObserved is ForwardOne with the streaming instruments on
-// the path, for instrumented Table 1 runs.
-func (w *Workload) ForwardOneObserved(now tvatime.Time, m *BenchMetrics) bool {
-	wire := int64(len(w.pkts[w.i]))
-	kept := w.ForwardOne(now)
-	m.Observe(kept, wire)
-	return kept
-}
-
 // MeasureForwarding offers inputPPS of the workload's packets to a
 // single forwarding goroutine through a bounded ring (drop-on-full,
 // like a NIC) for dur, and returns the measured output rate in
@@ -377,7 +290,7 @@ func MeasureForwarding(w *Workload, inputPPS int, dur time.Duration) (outputPPS 
 }
 
 // BatchSizes are the burst widths of the batched-forwarding series
-// (the fig12_batch section of BENCH_*.json snapshots).
+// that tvabench prints under Fig. 12.
 var BatchSizes = []int{1, 8, 32, 128}
 
 // MeasureForwardingBatch measures the production overlay data path end
