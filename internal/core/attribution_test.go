@@ -70,6 +70,19 @@ func TestDemotionAttribution(t *testing.T) {
 			reason: telemetry.DropCapExpired,
 		},
 		{
+			// Create would refuse the packet too, for pressure: the
+			// router's own check must come first and name the budget.
+			name:   "first packet over the byte budget",
+			router: func() *Router { return attrRouter(routerID, 64, 0, 0) },
+			drive: func(t *testing.T, r *Router) *packet.Packet {
+				cap := grantFor(t, r, 1, 2, 1, 10, at(1)) // N = 1 KB
+				pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap}, 1, 10, 1100)
+				r.Process(pkt, 0, at(1))
+				return pkt
+			},
+			reason: telemetry.DropCapExpired,
+		},
+		{
 			name:   "authorization expired",
 			router: func() *Router { return attrRouter(routerID, 64, 0, 0) },
 			drive: func(t *testing.T, r *Router) *packet.Packet {

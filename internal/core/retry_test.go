@@ -147,3 +147,25 @@ func TestProactiveRenewalSkipsIdleFlow(t *testing.T) {
 		t.Errorf("ProactiveRenewals = %d for an idle flow, want 0", client.Stats.ProactiveRenewals)
 	}
 }
+
+// TestRetryRefusalEndsEpisode answers a request with a refusal,
+// piggybacked on the destination's own reply: an empty grant is an
+// answer (§4.2), so no retry follows it.
+func TestRetryRefusalEndsEpisode(t *testing.T) {
+	w := newWire(1)
+	tm := &timers{w: w}
+	client := w.addHost(1, NewClientPolicy())
+	client.After = tm.After
+	server := w.addHost(2, RefuseAllPolicy{})
+
+	client.Send(2, packet.ProtoRaw, nil, 100) // request; the refusal waits at the server
+	server.Send(1, packet.ProtoRaw, nil, 100) // carries it back
+	if client.Stats.Refusals != 1 {
+		t.Fatalf("Refusals = %d, want 1", client.Stats.Refusals)
+	}
+	tm.runUntil(tvatime.FromSeconds(120))
+	if client.Stats.RetriesSent != 0 || client.Stats.RetriesAbandoned != 0 {
+		t.Errorf("after a refusal: %d retries sent, %d episodes abandoned; want none",
+			client.Stats.RetriesSent, client.Stats.RetriesAbandoned)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"tva/internal/flowcache"
 	"tva/internal/packet"
 	"tva/internal/pathid"
+	"tva/internal/telemetry"
 	"tva/internal/tvatime"
 )
 
@@ -267,6 +268,43 @@ func TestMinRateEnforced(t *testing.T) {
 	pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap}, 1, 60, 50)
 	if r.Process(pkt, 0, now) != packet.ClassLegacy {
 		t.Error("authorization below (N/T)min accepted")
+	}
+}
+
+// TestMinRateBoundary walks grants across the (N/T)min boundary of
+// §3.6. With MinNKB 4 and MinTSec 10 the minimum is 4096/10 = 409
+// bytes/s in the router's integer arithmetic; a grant's rate is
+// N·1024/T, rounded down the same way.
+func TestMinRateBoundary(t *testing.T) {
+	for _, c := range []struct {
+		nkb    uint16
+		tsec   uint8
+		accept bool
+	}{
+		{4, 10, true},   // 409: the minimum itself
+		{2, 5, true},    // 409
+		{3, 7, true},    // 438
+		{4, 11, false},  // 372
+		{2, 6, false},   // 341
+		{1, 3, false},   // 341
+		{1, 1, true},    // 1024
+		{24, 60, true},  // 409
+		{24, 61, false}, // 402
+		{0, 10, false},  // no bytes at all
+		{4, 0, false},   // no lifetime
+	} {
+		r := NewRouter(RouterConfig{CacheEntries: 16, MinNKB: 4, MinTSec: 10})
+		now := at(1)
+		cap := grantFor(t, r, 1, 2, c.nkb, c.tsec, now)
+		pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap}, c.nkb, c.tsec, 0)
+		class := r.Process(pkt, 0, now)
+		if got := class == packet.ClassRegular; got != c.accept {
+			t.Errorf("N=%d KB, T=%d s: accepted %v, want %v", c.nkb, c.tsec, got, c.accept)
+		}
+		if !c.accept && telemetry.DropReason(pkt.Hdr.DemoteReason) != telemetry.DropCapInvalid {
+			t.Errorf("N=%d KB, T=%d s: demoted for %v, want %v", c.nkb, c.tsec,
+				telemetry.DropReason(pkt.Hdr.DemoteReason), telemetry.DropCapInvalid)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tva/internal/packet"
+	"tva/internal/telemetry"
 	"tva/internal/tvatime"
 )
 
@@ -327,5 +328,33 @@ func TestControlCarrierDoesNotTriggerGrantLoop(t *testing.T) {
 	// Bounded control chatter: a handful of carriers at most.
 	if a.Stats.AutoReturns+b.Stats.AutoReturns > 4 {
 		t.Errorf("carrier storm: a=%d b=%d", a.Stats.AutoReturns, b.Stats.AutoReturns)
+	}
+}
+
+// TestDemotionNoticeRecorded loses a granted flow's cache entry at
+// the router: its next nonce-only packet is demoted, the receiver
+// echoes a demotion notice, and the sender records who demoted it and
+// why (§3.8), which LastDemotion reports.
+func TestDemotionNoticeRecorded(t *testing.T) {
+	w := newWire(1)
+	const routerID = 9
+	w.routers[0] = NewRouter(RouterConfig{ID: routerID, CacheEntries: 128, TrustBoundary: true})
+	client := w.addHost(1, NewClientPolicy())
+	w.addHost(2, NewServerPolicy())
+
+	client.Send(2, packet.ProtoRaw, nil, 100) // request → grant
+	client.Send(2, packet.ProtoRaw, nil, 100) // regular: cache entry
+	if _, ok := client.LastDemotion(2); ok {
+		t.Fatal("demotion recorded before any packet was demoted")
+	}
+	w.routers[0].Restart()
+	w.advance(tvatime.Second)
+	client.Send(2, packet.ProtoRaw, nil, 100) // nonce-only, entry gone
+	d, ok := client.LastDemotion(2)
+	if !ok {
+		t.Fatal("sender recorded no demotion from the echoed notice")
+	}
+	if want := (Demotion{Reason: telemetry.DropFlowCachePressure, Router: routerID, At: w.now}); d != want {
+		t.Errorf("LastDemotion = %+v, want %+v", d, want)
 	}
 }

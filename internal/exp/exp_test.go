@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"tva/internal/netsim"
 	"tva/internal/tvatime"
 )
 
@@ -239,5 +240,26 @@ func TestIncrementalDeployment(t *testing.T) {
 	if noneRes.CompletionFraction() > internet.CompletionFraction()+0.15 {
 		t.Errorf("undeployed TVA (%.3f) should match the Internet baseline (%.3f)",
 			noneRes.CompletionFraction(), internet.CompletionFraction())
+	}
+}
+
+// TestFig8EventBudget counts the events of one Fig. 8 run per scheme:
+// the simulator's work, which deferring an idle link's transmit-done
+// cut by nearly a third (DESIGN.md §7). The bounds sit a little above
+// the counts; a flood packet that costs a third event again breaks
+// them.
+func TestFig8EventBudget(t *testing.T) {
+	d := short(t)
+	for _, c := range []struct {
+		s   Scheme
+		max uint64
+	}{{SchemeInternet, 430_000}, {SchemeTVA, 490_000}} {
+		var sim *netsim.Sim
+		run(Config{Scheme: c.s, Attack: AttackLegacyFlood, NumAttackers: 100, Duration: d, Seed: 1},
+			hooks{bottleneck: func(lr *netsim.Iface) { sim = lr.Node.Sim }})
+		if sim.Events > c.max {
+			t.Errorf("%v: %d events, want at most %d", c.s, sim.Events, c.max)
+		}
+		t.Logf("%v: %d events", c.s, sim.Events)
 	}
 }

@@ -260,8 +260,9 @@ func (b *builder) attachPushback(pr *pushback.Router, out *netsim.Iface) {
 	out.OnDrop = pr.RecordDrop
 	var lastSent uint64
 	stop := b.sim.Every(pr.Interval(), func() {
-		pr.RecordSent(out.Stats.SentBytes - lastSent)
-		lastSent = out.Stats.SentBytes
+		sent := out.Stats().SentBytes
+		pr.RecordSent(sent - lastSent)
+		lastSent = sent
 		pr.Tick(b.sim.Now())
 	})
 	b.stops = append(b.stops, stop)
@@ -349,7 +350,7 @@ func run(cfg Config, hk hooks) *Result {
 		Cfg:                   cfg,
 		Transfers:             transfers,
 		BottleneckUtilization: b.lr.Utilization(cfg.Duration),
-		BottleneckDrops:       b.lr.Stats.DroppedPkts,
+		BottleneckDrops:       b.lr.Stats().DroppedPkts,
 		FairnessJain:          flowstats.JainIndex(tel.Fairness.Totals()),
 		MaxMinRatio:           flowstats.MaxMinRatio(tel.Fairness.Totals()),
 		Telemetry:             tel,

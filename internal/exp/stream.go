@@ -124,7 +124,7 @@ func RunStream(scfg StreamConfig) *StreamResult {
 	b.simulate(res.DeliveredFraction)
 
 	res.BottleneckUtilization = b.lr.Utilization(cfg.Duration)
-	res.BottleneckDrops = b.lr.Stats.DroppedPkts
+	res.BottleneckDrops = b.lr.Stats().DroppedPkts
 	res.Telemetry = b.tel
 	b.sim.Teardown()
 	return res

@@ -176,7 +176,7 @@ func (b *builder) watchDropStorm() {
 	sim := b.sim
 	var last uint64
 	stop := sim.Every(window, func() {
-		cur := lr.Stats.DroppedPkts
+		cur := lr.Stats().DroppedPkts
 		if !tel.DropStorm && cur-last >= threshold {
 			tel.DropStorm = true
 			tel.DropStormAt = sim.Now()

@@ -36,12 +36,12 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 	for i := 0; i < 4*numBuckets; i++ {
 		round()
 	}
-	sent := ia.Stats.SentPkts
+	sent := ia.Stats().SentPkts
 	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
 		t.Errorf("%.1f allocs per round, want 0", allocs)
 	}
-	if ia.Stats.SentPkts-sent < 4*500 {
-		t.Errorf("measured rounds moved %d packets, want %d", ia.Stats.SentPkts-sent, 4*500)
+	if ia.Stats().SentPkts-sent < 4*500 {
+		t.Errorf("measured rounds moved %d packets, want %d", ia.Stats().SentPkts-sent, 4*500)
 	}
 }
 
@@ -82,14 +82,14 @@ func TestTeardownReturnsPoolToBaseline(t *testing.T) {
 	if inFlight < 2 || rb.Sched.Len() == 0 {
 		t.Fatalf("test setup: %d packets on events, %d queued; want both", inFlight, rb.Sched.Len())
 	}
-	stats, lost := rb.Stats, rb.FaultDrops.Total()
+	stats, lost := rb.Stats(), rb.FaultDrops.Total()
 	s.Teardown()
 	if got := packet.Live(); got != baseline {
 		t.Errorf("pool gauge %d after Teardown, want baseline %d", got, baseline)
 	}
-	if rb.Stats != stats || rb.FaultDrops.Total() != lost || tva.Drops.Total() != 0 {
+	if rb.Stats() != stats || rb.FaultDrops.Total() != lost || tva.Drops.Total() != 0 {
 		t.Errorf("Teardown moved a counter: stats %+v -> %+v, fault drops %d -> %d, enqueue drops %d",
-			stats, rb.Stats, lost, rb.FaultDrops.Total(), tva.Drops.Total())
+			stats, rb.Stats(), lost, rb.FaultDrops.Total(), tva.Drops.Total())
 	}
 	if s.Step() {
 		t.Error("an event survived Teardown")

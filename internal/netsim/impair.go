@@ -64,7 +64,9 @@ type Impairment struct {
 // inspection.
 func (i *Iface) SetImpairment(cfg ImpairConfig) *Impairment {
 	imp := &Impairment{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	i.settle()
 	i.impair = imp
+	i.resumeTx()
 	return imp
 }
 
@@ -92,8 +94,11 @@ func (i *Iface) SetDown(down bool) {
 	if i.down == down {
 		return
 	}
+	i.settle()
 	i.down = down
-	if !down && i.Sched.Len() > 0 {
+	if down {
+		i.resumeTx()
+	} else if i.Sched.Len() > 0 {
 		i.kick()
 	}
 }
@@ -111,8 +116,8 @@ func (i *Iface) ScheduleOutage(start tvatime.Time, dur tvatime.Duration) {
 // for every non-enqueue discard on an interface.
 func (i *Iface) fault(pkt *packet.Packet, reason telemetry.DropReason) {
 	i.FaultDrops.Inc(reason)
-	i.Stats.LostPkts++
-	i.Stats.LostBytes += uint64(pkt.Size)
+	i.stats.LostPkts++
+	i.stats.LostBytes += uint64(pkt.Size)
 	if sim := i.Node.Sim; sim.Spans != nil && pkt.TraceID != 0 {
 		sp := i.span(pkt, trace.EdgeDrop)
 		sp.Reason = reason
@@ -145,26 +150,31 @@ func (i *Iface) launch(pkt *packet.Packet) {
 	}
 	imp := i.impair
 	if imp == nil {
-		i.scheduleDeliver(pkt, i.Delay)
+		i.scheduleDeliver(pkt)
 		return
 	}
 	if imp.lose(pkt) {
 		i.fault(pkt, telemetry.DropLinkLoss)
 		return
 	}
+	// An impaired link's arrivals queue as new events, in launch order:
+	// a duplicate and its original may arrive at the same instant.
+	sim := i.Node.Sim
 	if imp.cfg.DupProb > 0 && imp.rng.Float64() < imp.cfg.DupProb {
 		imp.Duplicated++
-		i.scheduleDeliver(pkt.Clone(), i.Delay+imp.extraDelay())
+		sim.schedule(sim.now.Add(i.Delay+imp.extraDelay()), payload{kind: evDeliver, iface: i, pkt: pkt.Clone()})
 	}
-	i.scheduleDeliver(pkt, i.Delay+imp.extraDelay())
+	sim.schedule(sim.now.Add(i.Delay+imp.extraDelay()), payload{kind: evDeliver, iface: i, pkt: pkt})
 }
 
-// scheduleDeliver arms the arrival event d from now.
+// scheduleDeliver arms pkt's arrival one propagation delay from its
+// transmit-done, the running event. The arrival takes the
+// transmit-done's seq, as a deferred transmission's does (txNext).
 //
 //tva:hotpath
-func (i *Iface) scheduleDeliver(pkt *packet.Packet, d tvatime.Duration) {
+func (i *Iface) scheduleDeliver(pkt *packet.Packet) {
 	sim := i.Node.Sim
-	sim.schedule(sim.now.Add(d), payload{kind: evDeliver, iface: i, pkt: pkt})
+	sim.scheduleSeq(sim.now.Add(i.Delay), sim.cur, payload{kind: evDeliver, iface: i, pkt: pkt})
 }
 
 // arrive ends pkt's propagation: an interface that went down in the

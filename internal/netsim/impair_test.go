@@ -59,9 +59,9 @@ func TestImpairLossAllAccounted(t *testing.T) {
 	if got := ia.FaultDrops.Get(telemetry.DropLinkLoss); got != n {
 		t.Errorf("link-loss drops = %d, want %d", got, n)
 	}
-	if ia.Stats.LostPkts != n || ia.Stats.DroppedPkts != 0 {
+	if ia.Stats().LostPkts != n || ia.Stats().DroppedPkts != 0 {
 		t.Errorf("LostPkts=%d DroppedPkts=%d, want %d and 0 (wire loss is not an enqueue drop)",
-			ia.Stats.LostPkts, ia.Stats.DroppedPkts, n)
+			ia.Stats().LostPkts, ia.Stats().DroppedPkts, n)
 	}
 	if got := packet.Live(); got != baseline {
 		t.Errorf("pool gauge %d after run, want baseline %d (lost packets must be released)", got, baseline)
@@ -75,7 +75,7 @@ func TestImpairLossDeterministicPerSeed(t *testing.T) {
 			sendPooled(s, a, packet.Addr(i+1), 125)
 		}
 		s.Run(tvatime.FromSeconds(10))
-		return sink.srcs, sink.at, ia.Stats.LostPkts
+		return sink.srcs, sink.at, ia.Stats().LostPkts
 	}
 	s1, t1, l1 := run(42)
 	s2, t2, l2 := run(42)

@@ -13,6 +13,16 @@
 // overlay's paced ports use, one packet wide: Send enqueues a batch of
 // one and the transmit loop dequeues into a one-slot array, so both
 // planes run the same queue code.
+//
+// A transmission normally ends at a transmit-done event, which counts
+// the packet as sent, puts it on the wire and serves the queue again.
+// It ends at its delivery instead when nothing needs that event: the
+// packet left its queue empty, the link has a propagation delay and no
+// impairment, and no flight recorder is attached. The arrival is then
+// scheduled at the dequeue, and the transmit-done is settled when the
+// link is next read or sent on (deferredTx), in the order the event
+// would have had. A flood packet over an idle access link so costs two
+// events, its sender's tick and its arrival, instead of three.
 package netsim
 
 import (
@@ -35,6 +45,7 @@ type Sim struct {
 	slab   []payload // what each pending event does, indexed by event.slot
 	free   []uint32  // retired slab slots
 	seq    uint64
+	cur    uint64 // the running event's seq; all ones once Run has run everything due by now
 	rng    *rand.Rand
 	ifaces []*Iface // every link direction, for Teardown
 
@@ -48,6 +59,9 @@ type Sim struct {
 	// TxBursts counts transmit-loop visits that moved a packet. Each
 	// moves exactly one, so the burst fill gauge reads 1 once any has.
 	TxBursts uint64
+
+	// Events counts the events run: the simulator's unit of work.
+	Events uint64
 }
 
 // New returns a simulator with a deterministic RNG.
@@ -67,11 +81,12 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 type evKind uint8
 
 const (
-	evFree    evKind = iota // retired slab slot
-	evFunc                  // timer or ticker: run fn
-	evTxDone                // pkt finished serializing on iface
-	evDeliver               // pkt finished propagating from iface
-	evRetry                 // iface's rate-limited scheduler may serve again
+	evFree     evKind = iota // retired slab slot
+	evFunc                   // timer or ticker: run fn
+	evTxDone                 // pkt finished serializing on iface
+	evTxResume               // iface's deferred transmission finished serializing
+	evDeliver                // pkt finished propagating from iface
+	evRetry                  // iface's rate-limited scheduler may serve again
 )
 
 // payload is what a pending event does. The per-packet events name
@@ -84,11 +99,21 @@ type payload struct {
 	fn    func()
 }
 
-// schedule queues p at absolute time t (>= now), reusing a retired
-// slab slot when there is one.
+// schedule queues p at absolute time t (>= now), after every event
+// already scheduled for t.
 //
 //tva:hotpath
 func (s *Sim) schedule(t tvatime.Time, p payload) {
+	s.seq++
+	s.scheduleSeq(t, s.seq, p)
+}
+
+// scheduleSeq queues p at absolute time t (>= now) in the place seq
+// gives it among t's events, reusing a retired slab slot when there
+// is one, and returns the slot.
+//
+//tva:hotpath
+func (s *Sim) scheduleSeq(t tvatime.Time, seq uint64, p payload) uint32 {
 	if t < s.now {
 		t = s.now
 	}
@@ -101,8 +126,8 @@ func (s *Sim) schedule(t tvatime.Time, p payload) {
 		slot = uint32(len(s.slab))
 		s.slab = append(s.slab, p)
 	}
-	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, slot: slot})
+	s.queue.push(event{at: t, seq: seq, slot: slot})
+	return slot
 }
 
 // At schedules fn at absolute time t (>= now).
@@ -146,7 +171,8 @@ func (s *Sim) step(until tvatime.Time) bool {
 	if !ok {
 		return false
 	}
-	s.now = ev.at
+	s.now, s.cur = ev.at, ev.seq
+	s.Events++
 	p := s.slab[ev.slot]
 	s.slab[ev.slot] = payload{}
 	s.free = append(s.free, ev.slot)
@@ -156,6 +182,8 @@ func (s *Sim) step(until tvatime.Time) bool {
 	case evTxDone:
 		p.iface.txComplete(p.pkt)
 		p.iface.txNext()
+	case evTxResume:
+		p.iface.txResume()
 	case evDeliver:
 		p.iface.arrive(p.pkt)
 	case evRetry:
@@ -169,8 +197,10 @@ func (s *Sim) step(until tvatime.Time) bool {
 func (s *Sim) Run(until tvatime.Time) {
 	for s.step(until) {
 	}
-	if s.now < until {
-		s.now = until
+	if s.now <= until {
+		// Every event due by until has run, so every deferred
+		// transmit-done due by then is over too (settle).
+		s.now, s.cur = until, ^uint64(0)
 	}
 }
 
@@ -317,7 +347,7 @@ type Iface struct {
 	Delay tvatime.Duration
 	Sched sched.Scheduler
 
-	Stats IfaceStats
+	stats IfaceStats // read through Stats, which settles a deferred transmission first
 
 	// OnDrop, if set, observes packets dropped at enqueue (pushback's
 	// drop-history hook).
@@ -344,6 +374,7 @@ type Iface struct {
 	retryPending bool
 	down         bool
 	impair       *Impairment
+	tx           deferredTx
 
 	// The scheduler's burst operands, built once by Connect so the
 	// per-packet path allocates nothing: the one-slot batch Send
@@ -390,8 +421,8 @@ func (i *Iface) Send(pkt *packet.Packet) {
 	if i.Sched.EnqueueBatch(i.enq, sim.now, i.dropFn) == 0 {
 		return
 	}
-	i.Stats.EnqueuedPkts++
-	i.Stats.EnqueuedBytes += uint64(pkt.Size)
+	i.stats.EnqueuedPkts++
+	i.stats.EnqueuedBytes += uint64(pkt.Size)
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeEnqueue))
 	}
@@ -403,8 +434,8 @@ func (i *Iface) Send(pkt *packet.Packet) {
 // scheduler's reason, and the release. It must not call Send: the
 // scheduler is mid-enqueue when it runs.
 func (i *Iface) dropped(pkt *packet.Packet) {
-	i.Stats.DroppedPkts++
-	i.Stats.DroppedBytes += uint64(pkt.Size)
+	i.stats.DroppedPkts++
+	i.stats.DroppedBytes += uint64(pkt.Size)
 	if i.OnDrop != nil {
 		i.OnDrop(pkt)
 	}
@@ -430,9 +461,13 @@ func (i *Iface) span(pkt *packet.Packet, edge trace.Edge) trace.Span {
 	return sp
 }
 
-// kick starts the transmit loop if idle.
+// kick starts the transmit loop if idle. A deferred transmission
+// still serializing gets its transmit-done back, to serve what was
+// just queued behind it.
 func (i *Iface) kick() {
+	i.settle()
 	if i.busy {
+		i.resumeTx()
 		return
 	}
 	i.busy = true
@@ -443,6 +478,7 @@ func (i *Iface) kick() {
 // packets it may not serve yet.
 func (i *Iface) retry() {
 	i.retryPending = false
+	i.settle()
 	if !i.busy && i.Sched.Len() > 0 {
 		i.kick()
 	}
@@ -459,6 +495,15 @@ func (i *Iface) txTime(size int) tvatime.Duration {
 // txNext serves the output queue: it dequeues one packet and arms its
 // transmission-complete event, or idles the link — arming a retry when
 // a rate-limited class is the only backlog.
+//
+// A packet that leaves the queue empty on a plain link (a propagation
+// delay, no impairment, no flight recorder) gets no transmit-done
+// event: its delivery is scheduled at once and the transmit-done is
+// deferred (deferredTx). The seq the transmit-done would have taken
+// is reserved either way, and the packet's delivery takes it too, so
+// the event order does not depend on which path a packet took.
+// Without a delay the delivery would share its (time, seq) with a
+// re-armed transmit-done, which must run first.
 //
 //tva:hotpath
 func (i *Iface) txNext() {
@@ -487,19 +532,96 @@ func (i *Iface) txNext() {
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeDequeue))
 	}
-	sim.schedule(sim.now.Add(i.txTime(pkt.Size)), payload{kind: evTxDone, iface: i, pkt: pkt})
+	sim.seq++
+	done := sim.now.Add(i.txTime(pkt.Size))
+	if i.Delay > 0 && i.impair == nil && sim.Spans == nil && i.Sched.Len() == 0 {
+		slot := sim.scheduleSeq(done.Add(i.Delay), sim.seq, payload{kind: evDeliver, iface: i, pkt: pkt})
+		i.tx = deferredTx{done: done, seq: sim.seq, size: pkt.Size, slot: slot, pending: true}
+		return
+	}
+	sim.scheduleSeq(done, sim.seq, payload{kind: evTxDone, iface: i, pkt: pkt})
 }
 
 // txComplete finishes one packet's transmission: accounting, the tx
 // span, and the move onto the wire.
 func (i *Iface) txComplete(pkt *packet.Packet) {
 	sim := i.Node.Sim
-	i.Stats.SentPkts++
-	i.Stats.SentBytes += uint64(pkt.Size)
+	i.stats.SentPkts++
+	i.stats.SentBytes += uint64(pkt.Size)
 	if sim.Spans != nil && pkt.TraceID != 0 {
 		sim.Spans.Record(i.span(pkt, trace.EdgeTx))
 	}
 	i.launch(pkt)
+}
+
+// deferredTx is a transmission txNext scheduled the delivery of
+// directly. Its transmit-done is the event at (done, seq) it never
+// queued: the transmission is over once the simulation has passed
+// that point, and whatever reads the link first books it then
+// (settle). A Send before done re-arms the transmit-done as an
+// evTxResume at that very point, to serve the new packet; so do an
+// outage or an impairment beginning before done, which decide the
+// packet's fate at its transmit-done.
+type deferredTx struct {
+	done    tvatime.Time
+	seq     uint64
+	size    int
+	slot    uint32 // the delivery event's slab slot
+	pending bool   // not yet booked
+	resumed bool   // an evTxResume is armed at (done, seq)
+}
+
+// settle books a deferred transmission that is over and frees the
+// link, leaving what its transmit-done would have. It is over once
+// that event would have run: the running event comes after (done,
+// seq), or Run has returned with the clock at or past done. Every
+// reader of the link's state calls settle first.
+func (i *Iface) settle() {
+	sim := i.Node.Sim
+	if i.tx.pending && !i.tx.resumed &&
+		(sim.now > i.tx.done || sim.now == i.tx.done && sim.cur > i.tx.seq) {
+		i.bookTx()
+		i.busy = false
+	}
+}
+
+// bookTx counts the deferred transmission as sent.
+func (i *Iface) bookTx() {
+	i.tx.pending = false
+	i.stats.SentPkts++
+	i.stats.SentBytes += uint64(i.tx.size)
+}
+
+// resumeTx arms the deferred transmission's transmit-done, if it has
+// one still to come.
+func (i *Iface) resumeTx() {
+	if i.tx.pending && !i.tx.resumed {
+		i.tx.resumed = true
+		i.Node.Sim.scheduleSeq(i.tx.done, i.tx.seq, payload{kind: evTxResume, iface: i})
+	}
+}
+
+// txResume is a deferred transmission's transmit-done. Over a link
+// that went down or took an impairment since the dequeue, the packet
+// leaves its delivery event (which then pops inert) and goes through
+// launch, as at any transmit-done.
+func (i *Iface) txResume() {
+	i.tx.resumed = false
+	i.bookTx()
+	if i.down || i.impair != nil {
+		ev := &i.Node.Sim.slab[i.tx.slot]
+		pkt := ev.pkt
+		*ev = payload{}
+		i.launch(pkt)
+	}
+	i.txNext()
+}
+
+// Stats returns the link direction's counters, with any transmission
+// that has finished serializing counted as sent.
+func (i *Iface) Stats() IfaceStats {
+	i.settle()
+	return i.stats
 }
 
 func (i *Iface) deliver(pkt *packet.Packet) {
@@ -521,5 +643,5 @@ func (i *Iface) Utilization(elapsed tvatime.Duration) float64 {
 		return 0
 	}
 	capacity := float64(i.Bps) / 8 * elapsed.Seconds()
-	return float64(i.Stats.SentBytes) / capacity
+	return float64(i.Stats().SentBytes) / capacity
 }

@@ -164,8 +164,8 @@ func TestQueueDropWhenFull(t *testing.T) {
 	if len(sink.pkts) != 3 {
 		t.Errorf("delivered %d, want 3", len(sink.pkts))
 	}
-	if dropped != 3 || ia.Stats.DroppedPkts != 3 {
-		t.Errorf("dropped %d (stats %d), want 3", dropped, ia.Stats.DroppedPkts)
+	if dropped != 3 || ia.Stats().DroppedPkts != 3 {
+		t.Errorf("dropped %d (stats %d), want 3", dropped, ia.Stats().DroppedPkts)
 	}
 }
 

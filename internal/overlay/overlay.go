@@ -565,9 +565,10 @@ func (r *Router) Close() error {
 // time: rx.recvBatch → decode → core.ProcessBatch → dispatch. It is
 // the only goroutine that reads the socket and the only one that
 // enqueues onto ports, so packets leave toward each port in arrival
-// order. The overlay's socket is one ingress, so every burst is
-// processed on interface 0; deployments with several trust boundaries
-// run one router process per boundary.
+// order. The overlay's socket is one ingress and a datagram's sender
+// is not read, so every burst is processed on interface 0: a trust
+// boundary here tags every request with the same path identifier, and
+// all requests share one fair queue.
 func (r *Router) receiveLoop() {
 	defer r.wg.Done()
 	// One burst and one same-port run scratch for the goroutine's

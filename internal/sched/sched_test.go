@@ -94,6 +94,36 @@ func TestTVARequestRateLimit(t *testing.T) {
 	}
 }
 
+// TestTVARequestRateSaturated keeps the request class backlogged for
+// ten seconds, refilling it after every dequeue: §3.2's channel must
+// pass its rate (1% of 10 Mb/s, 12.5 KB/s) times the duration plus the
+// bucket's depth of three MTUs, and not a packet more.
+func TestTVARequestRateSaturated(t *testing.T) {
+	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RequestFraction: 0.01})
+	const size = 125
+	now := tvatime.Time(0)
+	for i := 0; i < 8; i++ {
+		enqueue(s, reqPkt(1, size), now)
+	}
+	served := 0
+	end := now.Add(10 * tvatime.Second)
+	for now < end {
+		p, retry := dequeue(s, now)
+		if p == nil {
+			if retry <= now {
+				t.Fatalf("backlogged request class blocked at %v with retry %v", now, retry)
+			}
+			now = retry
+			continue
+		}
+		served += p.Size
+		enqueue(s, reqPkt(1, size), now)
+	}
+	if want := 12_500*10 + 3*1500; served > want || served <= want-2*size {
+		t.Errorf("request bytes served in 10s = %d, want at most %d and within a packet of it", served, want)
+	}
+}
+
 func TestTVARequestsDoNotStarveRegular(t *testing.T) {
 	// With request backlog but no tokens, regular traffic must flow.
 	s := NewTVA(TVAConfig{LinkBps: 10_000_000, RequestFraction: 0.01})

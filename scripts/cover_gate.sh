@@ -19,7 +19,8 @@ profile=${1:-cover.out}
 # when the floor was set: the data-plane packages, the capability
 # hashes and secret ring, the keyed index with its two users, the
 # metrics layer and its one histogram, the cross-plane gate, the
-# experiment drivers, and tvasim (its golden and flag-refusal tests).
+# simulator's event core, the experiment drivers, and tvasim (its
+# golden and flag-refusal tests).
 pkg_floors='tva/internal/core 88
 tva/internal/mac 90
 tva/internal/capability 90
@@ -31,6 +32,7 @@ tva/internal/flowstats 89
 tva/internal/keyhash 97
 tva/internal/metrics 89
 tva/internal/xcheck 82
+tva/internal/netsim 91
 tva/internal/exp 86
 tva/cmd/tvasim 79'
 
