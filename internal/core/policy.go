@@ -95,9 +95,6 @@ type ServerPolicy struct {
 	BlacklistFor tvatime.Duration
 
 	black map[packet.Addr]tvatime.Time // time of blacklisting
-
-	// Stats.
-	Granted, Refused, Marked uint64
 }
 
 // NewServerPolicy returns a server policy granting the default
@@ -112,7 +109,6 @@ func (p *ServerPolicy) Authorize(src packet.Addr, now tvatime.Time) (uint16, uin
 		if p.BlacklistFor > 0 && now.Sub(at) > p.BlacklistFor {
 			delete(p.black, src) // parole
 		} else {
-			p.Refused++
 			return 0, 0, false
 		}
 	}
@@ -123,7 +119,6 @@ func (p *ServerPolicy) Authorize(src packet.Addr, now tvatime.Time) (uint16, uin
 	if tsec == 0 {
 		tsec = DefaultGrantTSec
 	}
-	p.Granted++
 	return nkb, tsec, true
 }
 
@@ -131,9 +126,6 @@ func (p *ServerPolicy) Authorize(src packet.Addr, now tvatime.Time) (uint16, uin
 // e.g. traffic to a port with no service, raw floods, or protocol
 // violations (§3.3 leaves the detector abstract; DESIGN.md §2).
 func (p *ServerPolicy) MarkMisbehaving(src packet.Addr, now tvatime.Time) {
-	if _, bad := p.black[src]; !bad {
-		p.Marked++
-	}
 	p.black[src] = now
 }
 

@@ -34,14 +34,13 @@ type ShimConfig struct {
 	ReattachMinGap tvatime.Duration
 	// AutoReturn emits a standalone packet to carry return information
 	// (grants, demotion notices) when no outbound traffic picked it up
-	// in the same event (default true). Pure receivers need it.
+	// in the same event. Pure receivers need it.
 	AutoReturn bool
 	// CollectHops marks outgoing requests with the WantHops wire flag,
 	// asking every capability router on the path to stamp its ID and
-	// current queue-wait estimate. The destination shim echoes the
-	// stamps in return info and LastHopReport exposes them — the data
-	// behind tvaping's per-hop breakdown. Off by default: stamps cost
-	// five wire bytes per hop.
+	// queue-wait estimate; the destination echoes the stamps back and
+	// LastHopReport exposes them (tvaping's per-hop breakdown). Off by
+	// default: stamps cost five wire bytes per hop.
 	CollectHops bool
 
 	// Reliability engine (active only when Shim.After is set): a
@@ -50,6 +49,8 @@ type ShimConfig struct {
 	// RetryRTOMax, for at most RetryCap attempts per episode. Defaults:
 	// 250 ms / 4 s / 8. Lost requests and lost grants both look the
 	// same from here — no fresh grant — so one timer covers both.
+	// Whether or not After is set, an answer is believed only up to
+	// RetryCap timeouts of RetryRTOMax after the last request or renewal.
 	RetryRTO    tvatime.Duration
 	RetryRTOMax tvatime.Duration
 	RetryCap    int
@@ -59,40 +60,20 @@ func (c ShimConfig) withDefaults() ShimConfig {
 	if c.RenewAt <= 0 || c.RenewAt >= 1 {
 		c.RenewAt = 0.75
 	}
-	if c.CapsOnFirst <= 0 {
-		c.CapsOnFirst = 1
-	}
-	if c.IdleReattach <= 0 {
-		c.IdleReattach = tvatime.Second
-	}
-	if c.ReattachMinGap <= 0 {
-		c.ReattachMinGap = 100 * tvatime.Millisecond
-	}
-	if c.RetryRTO <= 0 {
-		c.RetryRTO = 250 * tvatime.Millisecond
-	}
-	if c.RetryRTOMax <= 0 {
-		c.RetryRTOMax = 4 * tvatime.Second
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 8
-	}
+	orDefault(&c.CapsOnFirst, 1)
+	orDefault(&c.IdleReattach, tvatime.Second)
+	orDefault(&c.ReattachMinGap, 100*tvatime.Millisecond)
+	orDefault(&c.RetryRTO, 250*tvatime.Millisecond)
+	orDefault(&c.RetryRTOMax, 4*tvatime.Second)
+	orDefault(&c.RetryCap, 8)
 	return c
 }
 
-// sendState tracks the shim's authorization toward one destination.
-type sendState struct {
-	granted    bool
-	nonce      uint64
-	caps       []uint64
-	nkb        uint16
-	tsec       uint8
-	grantedAt  tvatime.Time
-	bytesSent  int64
-	capsSent   int // packets sent carrying the full list
-	everSent   bool
-	lastSend   tvatime.Time
-	lastRepair tvatime.Time
+// orDefault sets *v to d unless *v is positive.
+func orDefault[T int | tvatime.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
 // ShimStats counts shim activity.
@@ -109,6 +90,8 @@ type ShimStats struct {
 	Reacquires     uint64
 	ReturnsCarried uint64
 	AutoReturns    uint64
+	Unsolicited    uint64 // grants and refusals that answered no request or renewal
+	PeersEvicted   uint64 // peer records dropped to stay within peerCap
 
 	// Reliability engine (Shim.After).
 	RetriesSent       uint64 // bare knocks sent because no grant answered in time
@@ -134,38 +117,77 @@ type Shim struct {
 	// After, when set, schedules fn after d and turns on the shim's
 	// reliability engine: unanswered requests and renewals are
 	// retransmitted with exponential backoff, and grants are renewed
-	// proactively at RenewAt of their lifetime even when no traffic is
-	// flowing to piggyback the renewal on. Left nil (the overlay, old
-	// tests), the shim is exactly as lossy as the network: a lost
-	// request stays lost until the upper layer resends.
+	// proactively at RenewAt of their lifetime even when no traffic
+	// flows. Left nil (the overlay, old tests), a lost request stays
+	// lost until the upper layer resends.
 	After func(d tvatime.Duration, fn func())
 
-	sends      map[packet.Addr]*sendState
-	pending    map[packet.Addr]*packet.ReturnInfo
-	demotions  map[packet.Addr]Demotion
-	retries    map[packet.Addr]*retryState
-	hopReports map[packet.Addr][]packet.HopStamp
+	// peers holds at most peerCap records; receivers and senders are
+	// the sentinels of its two eviction lists, oldest first.
+	peers              map[packet.Addr]*peer
+	receivers, senders peer
 
 	Stats ShimStats
 }
 
-// retryState is one destination's retransmission episode: armed when a
-// request or renewal goes out, disarmed when any grant or refusal
-// answers. gen invalidates timers from superseded episodes, so a stale
-// closure firing after the answer arrived is a no-op.
-type retryState struct {
-	gen      uint64
+// peerCap bounds the peer table. Sources are spoofable, so a full table
+// evicts its oldest receive-only record, or else its oldest sender.
+const peerCap = 4096
+
+// peer is all the shim knows about one remote address.
+type peer struct {
+	addr       packet.Addr
+	prev, next *peer
+	sender     bool // the upper layer has sent to the peer
+
+	grant    grant
+	grantGen uint64 // voids proactive-renewal timers of replaced grants
+
+	// unanswered counts requests and renewals sent to the peer and not
+	// yet answered; they lapse at answerBy. Any source can claim to be
+	// the peer: only an answer is believed.
+	unanswered int
+	answerBy   tvatime.Time
+
+	// The retransmission episode, armed while rto > 0.
+	gen      uint64 // voids the timers of superseded episodes
 	attempts int
 	rto      tvatime.Duration
-	waiting  bool
+
+	pending  *packet.ReturnInfo // return information awaiting a carrier
+	demotion Demotion
+	demoted  bool
+	hops     []packet.HopStamp
 }
+
+// grant is the authorization the peer gave this host (§4.2).
+type grant struct {
+	granted    bool
+	nonce      uint64
+	caps       []uint64
+	nkb        uint16
+	tsec       uint8
+	grantedAt  tvatime.Time
+	bytesSent  int64
+	capsSent   int // packets sent carrying the full list
+	everSent   bool
+	lastSend   tvatime.Time
+	lastRepair tvatime.Time
+}
+
+// link appends p to the list whose sentinel is l.
+func (l *peer) link(p *peer) {
+	p.prev, p.next = l.prev, l
+	l.prev.next, l.prev = p, p
+}
+
+func (p *peer) unlink() { p.prev.next, p.next.prev = p.next, p.prev }
 
 // Demotion is the most recent demotion evidence involving a peer: the
 // router that cleared the capability bits and its reason, carried in
 // the demoted packet's two-byte extension and echoed back in return
 // information (§3.8). Diagnostics like tvaping use it to say *where*
-// and *why* a path stopped honouring capabilities instead of reporting
-// a bare timeout.
+// and *why* a path stopped honouring capabilities.
 type Demotion struct {
 	Reason telemetry.DropReason
 	Router uint8
@@ -175,45 +197,61 @@ type Demotion struct {
 // NewShim builds a host shim for addr with the given authorization
 // policy (nil means refuse everything inbound).
 func NewShim(addr packet.Addr, policy Policy, clock tvatime.Clock, rng *rand.Rand, cfg ShimConfig) *Shim {
-	return &Shim{
-		cfg:        cfg.withDefaults(),
-		addr:       addr,
-		clock:      clock,
-		rng:        rng,
-		policy:     policy,
-		sends:      make(map[packet.Addr]*sendState),
-		pending:    make(map[packet.Addr]*packet.ReturnInfo),
-		demotions:  make(map[packet.Addr]Demotion),
-		retries:    make(map[packet.Addr]*retryState),
-		hopReports: make(map[packet.Addr][]packet.HopStamp),
-	}
+	s := &Shim{cfg: cfg.withDefaults(), addr: addr, clock: clock, rng: rng, policy: policy,
+		peers: make(map[packet.Addr]*peer)}
+	s.receivers.prev, s.receivers.next = &s.receivers, &s.receivers
+	s.senders.prev, s.senders.next = &s.senders, &s.senders
+	return s
 }
 
-// Addr returns the host address.
-func (s *Shim) Addr() packet.Addr { return s.addr }
+// record returns addr's record, adding a receive-only one if there is
+// none. A full table first evicts one, whose timers and return
+// information die with it.
+func (s *Shim) record(addr packet.Addr) *peer {
+	if p := s.peers[addr]; p != nil {
+		return p
+	}
+	if len(s.peers) >= peerCap {
+		v := s.receivers.next
+		if v == &s.receivers {
+			v = s.senders.next
+		}
+		v.unlink()
+		delete(s.peers, v.addr)
+		v.grant.granted, v.rto, v.pending = false, 0, nil
+		s.Stats.PeersEvicted++
+	}
+	p := &peer{addr: addr}
+	s.receivers.link(p)
+	s.peers[addr] = p
+	return p
+}
+
+var noPeer peer // what the accessors read for an address without a record
+
+func (s *Shim) lookup(addr packet.Addr) *peer {
+	if p := s.peers[addr]; p != nil {
+		return p
+	}
+	return &noPeer
+}
 
 // HasCaps reports whether the shim currently holds a grant toward dst
 // (for tests and sender-side diagnostics).
-func (s *Shim) HasCaps(dst packet.Addr) bool {
-	st := s.sends[dst]
-	return st != nil && st.granted
-}
+func (s *Shim) HasCaps(dst packet.Addr) bool { return s.lookup(dst).grant.granted }
 
 // LastDemotion reports the most recent demotion evidence involving
 // peer: either a demotion notice echoed back from the receiver (sender
 // side) or a demoted packet that arrived here (receiver side).
 func (s *Shim) LastDemotion(peer packet.Addr) (Demotion, bool) {
-	d, ok := s.demotions[peer]
-	return d, ok
+	p := s.lookup(peer)
+	return p.demotion, p.demoted
 }
 
 // LastHopReport returns the most recent per-hop queue-wait stamps
 // echoed back from peer (collected by a CollectHops request on its way
-// there), ordered first hop to last. The slice is owned by the shim;
-// callers must not mutate it.
-func (s *Shim) LastHopReport(peer packet.Addr) []packet.HopStamp {
-	return s.hopReports[peer]
-}
+// there), first hop first. The slice is owned by the shim.
+func (s *Shim) LastHopReport(peer packet.Addr) []packet.HopStamp { return s.lookup(peer).hops }
 
 // Send wraps an upper-layer payload toward dst and transmits it. size
 // is the payload's wire size in bytes (e.g. seg.WireLen()). Packets
@@ -224,26 +262,28 @@ func (s *Shim) Send(dst packet.Addr, proto packet.Proto, payload any, size int) 
 	pkt := packet.AcquirePacket()
 	h := pkt.NewHdr()
 	h.Proto = proto
-	st := s.sends[dst]
+	p := s.record(dst)
+	if proto != packet.ProtoControl && !p.sender {
+		p.sender = true
+		p.unlink()
+		s.senders.link(p)
+	}
 
-	switch {
-	case st == nil || !st.granted:
-		s.makeRequest(dst, h, now)
+	if !p.grant.granted {
+		s.makeRequest(p, h, now)
 		if proto != packet.ProtoControl {
-			// Arm retransmission only for requests something is waiting
-			// on. A return-info carrier that doubles as a request is
-			// opportunistic: retrying it would have every grant issued
-			// to a silent peer spawn a knock storm toward it.
-			s.armRetry(dst)
+			// A return-info carrier that doubles as a request is not
+			// retried: every grant issued to a silent peer would spawn
+			// a knock storm toward it.
+			s.armRetry(p)
 		}
-	default:
-		s.fillGranted(dst, st, h, size, now)
+	} else {
+		s.fillGranted(p, h, size, now)
 	}
 
 	// Piggyback any pending return information (§4.1).
-	if ret := s.pending[dst]; ret != nil {
-		h.Return = ret
-		delete(s.pending, dst)
+	if p.pending != nil {
+		h.Return, p.pending = p.pending, nil
 		s.Stats.ReturnsCarried++
 	}
 
@@ -255,20 +295,18 @@ func (s *Shim) Send(dst packet.Addr, proto packet.Proto, payload any, size int) 
 	pkt.Payload = payload
 	pkt.SentAt = now
 
-	if st = s.sends[dst]; st != nil && st.granted {
-		st.bytesSent += int64(pkt.Size)
-		st.lastSend = now
-		st.everSent = true
+	if g := &p.grant; g.granted {
+		g.bytesSent += int64(pkt.Size)
+		g.lastSend, g.everSent = now, true
 	}
 	s.Output(pkt)
 }
 
-// pathPreCaps is the pre-capability (and path identifier) list
-// capacity preallocated on requests, sized to a typical path length so
-// routers appending their stamps do not reallocate per hop.
+// pathPreCaps is the pre-capability (and path identifier) list capacity
+// preallocated on requests: a typical path, so routers need not grow it.
 const pathPreCaps = 8
 
-func (s *Shim) makeRequest(dst packet.Addr, h *packet.CapHdr, now tvatime.Time) {
+func (s *Shim) makeRequest(p *peer, h *packet.CapHdr, now tvatime.Time) {
 	h.Kind = packet.KindRequest
 	if cap(h.Request.PreCaps) == 0 {
 		h.Request.PreCaps = make([]uint64, 0, pathPreCaps)
@@ -283,110 +321,98 @@ func (s *Shim) makeRequest(dst packet.Addr, h *packet.CapHdr, now tvatime.Time) 
 		}
 	}
 	s.Stats.RequestsSent++
+	s.ask(p, now)
 	if oa, ok := s.policy.(OutboundAware); ok {
-		oa.NoteOutboundRequest(dst, now)
+		oa.NoteOutboundRequest(p.addr, now)
 	}
 }
 
-// armRetry starts a retransmission episode toward dst if none is
-// pending. It is called for every request and renewal sent, so the
-// first send of an episode arms the timer and the rest (TCP's own
-// retransmissions, renewals piggybacked on data) leave it alone.
-func (s *Shim) armRetry(dst packet.Addr) {
-	if s.After == nil {
-		return
+// ask counts a request or renewal sent to p, restarting a lapsed count.
+// The answer may sit behind a flood in the request channel for seconds,
+// so the count lapses only after as long as a whole retry episode.
+func (s *Shim) ask(p *peer, now tvatime.Time) {
+	if now > p.answerBy {
+		p.unanswered = 0
 	}
-	rs := s.retries[dst]
-	if rs == nil {
-		rs = &retryState{}
-		s.retries[dst] = rs
-	}
-	if rs.waiting {
-		return
-	}
-	rs.waiting = true
-	rs.attempts = 0
-	rs.rto = s.cfg.RetryRTO
-	s.scheduleRetry(dst, rs)
+	p.unanswered++
+	p.answerBy = now.Add(tvatime.Duration(s.cfg.RetryCap) * s.cfg.RetryRTOMax)
 }
 
-func (s *Shim) scheduleRetry(dst packet.Addr, rs *retryState) {
-	rs.gen++
-	gen := rs.gen
-	s.After(rs.rto, func() { s.retryFire(dst, gen) })
+// armRetry starts a retransmission episode toward p unless one is
+// running: TCP's own retransmissions and later renewals join it.
+func (s *Shim) armRetry(p *peer) {
+	if s.After == nil || p.rto > 0 {
+		return
+	}
+	p.attempts, p.rto = 0, s.cfg.RetryRTO
+	s.scheduleRetry(p)
+}
+
+func (s *Shim) scheduleRetry(p *peer) {
+	p.gen++
+	gen := p.gen
+	s.After(p.rto, func() { s.retryFire(p, gen) })
 }
 
 // retryFire retransmits an unanswered request or renewal as a bare
-// ProtoRaw knock (a control carrier would skip authorization at the
-// receiver) and re-arms with the backed-off timeout. Send rebuilds the
-// right header from current state: a fresh request if the grant is
-// gone, a renewal if the old grant is still usable.
-func (s *Shim) retryFire(dst packet.Addr, gen uint64) {
-	rs := s.retries[dst]
-	if rs == nil || !rs.waiting || rs.gen != gen {
+// ProtoRaw knock (a control carrier would skip authorization) and
+// re-arms with the backed-off timeout; Send picks renewal or request.
+func (s *Shim) retryFire(p *peer, gen uint64) {
+	if p.rto == 0 || p.gen != gen {
 		return
 	}
-	if rs.attempts >= s.cfg.RetryCap {
-		rs.waiting = false
+	if p.attempts >= s.cfg.RetryCap {
+		p.rto = 0
 		s.Stats.RetriesAbandoned++
 		return
 	}
-	rs.attempts++
-	rs.rto *= 2
-	if rs.rto > s.cfg.RetryRTOMax {
-		rs.rto = s.cfg.RetryRTOMax
-	}
+	p.attempts++
+	p.rto = min(2*p.rto, s.cfg.RetryRTOMax)
 	s.Stats.RetriesSent++
-	s.scheduleRetry(dst, rs)
-	s.Send(dst, packet.ProtoRaw, nil, 0)
+	s.scheduleRetry(p)
+	s.Send(p.addr, packet.ProtoRaw, nil, 0)
 }
 
-// clearRetry ends the episode: the request or renewal was answered.
-func (s *Shim) clearRetry(dst packet.Addr) {
-	if rs := s.retries[dst]; rs != nil && rs.waiting {
-		rs.waiting = false
-		rs.gen++
-	}
-}
-
-func (s *Shim) fillGranted(dst packet.Addr, st *sendState, h *packet.CapHdr, size int, now tvatime.Time) {
-	n := st.n()
-	age := now.Sub(st.grantedAt)
-	life := tvatime.Duration(st.tsec) * tvatime.Second
+func (s *Shim) fillGranted(p *peer, h *packet.CapHdr, size int, now tvatime.Time) {
+	g := &p.grant
+	n := int64(g.nkb) * 1024
+	age := now.Sub(g.grantedAt)
+	life := tvatime.Duration(g.tsec) * tvatime.Second
 
 	// A dead grant (expired or out of bytes) forces a fresh request.
-	if age >= life || st.bytesSent+int64(size)+64 > n {
-		s.sends[dst] = nil
+	if age >= life || g.bytesSent+int64(size)+64 > n {
+		g.granted = false
 		s.Stats.Reacquires++
-		s.makeRequest(dst, h, now)
+		s.makeRequest(p, h, now)
 		return
 	}
 
-	renew := float64(st.bytesSent) >= s.cfg.RenewAt*float64(n) ||
+	renew := float64(g.bytesSent) >= s.cfg.RenewAt*float64(n) ||
 		age >= tvatime.Duration(s.cfg.RenewAt*float64(life))
 
-	attachCaps := st.capsSent < s.cfg.CapsOnFirst ||
-		(st.everSent && now.Sub(st.lastSend) > s.cfg.IdleReattach)
+	attachCaps := g.capsSent < s.cfg.CapsOnFirst ||
+		(g.everSent && now.Sub(g.lastSend) > s.cfg.IdleReattach)
 
-	h.Nonce = st.nonce
+	h.Nonce = g.nonce
 	switch {
 	case renew:
 		h.Kind = packet.KindRenewal
-		h.Caps = append(h.Caps[:0], st.caps...)
-		h.NKB, h.TSec = st.nkb, st.tsec
+		h.Caps = append(h.Caps[:0], g.caps...)
+		h.NKB, h.TSec = g.nkb, g.tsec
 		if s.cfg.CollectHops {
 			h.Request.WantHops = true
 		}
-		st.capsSent++
+		g.capsSent++
 		s.Stats.RenewalsSent++
+		s.ask(p, now)
 		if h.Proto != packet.ProtoControl {
-			s.armRetry(dst) // same carrier exemption as requests
+			s.armRetry(p) // same carrier exemption as requests
 		}
 	case attachCaps:
 		h.Kind = packet.KindRegular
-		h.Caps = append(h.Caps[:0], st.caps...)
-		h.NKB, h.TSec = st.nkb, st.tsec
-		st.capsSent++
+		h.Caps = append(h.Caps[:0], g.caps...)
+		h.NKB, h.TSec = g.nkb, g.tsec
+		g.capsSent++
 		s.Stats.RegularSent++
 	default:
 		h.Kind = packet.KindNonceOnly
@@ -394,17 +420,12 @@ func (s *Shim) fillGranted(dst packet.Addr, st *sendState, h *packet.CapHdr, siz
 	}
 }
 
-func (st *sendState) n() int64 { return int64(st.nkb) * 1024 }
-
-// pendingFor returns (creating if needed) the return info accumulating
-// toward dst.
-func (s *Shim) pendingFor(dst packet.Addr) *packet.ReturnInfo {
-	r := s.pending[dst]
-	if r == nil {
-		r = &packet.ReturnInfo{}
-		s.pending[dst] = r
+// pendingFor returns (creating if needed) the return info toward p.
+func pendingFor(p *peer) *packet.ReturnInfo {
+	if p.pending == nil {
+		p.pending = &packet.ReturnInfo{}
 	}
-	return r
+	return p.pending
 }
 
 // Receive processes an incoming packet: applies return information,
@@ -419,161 +440,153 @@ func (s *Shim) Receive(pkt *packet.Packet) {
 		}
 		return
 	}
+	p := s.record(pkt.Src)
 
 	if h.Demoted {
-		// Echo the demotion to the sender on the reverse channel
-		// (§3.8) so it repairs the path, carrying the demoting router
-		// and its reason along.
+		// Echo the demotion, with the demoting router and its reason,
+		// to the sender on the reverse channel so it repairs (§3.8).
 		s.Stats.DemotionsSeen++
-		ret := s.pendingFor(pkt.Src)
+		ret := pendingFor(p)
 		ret.DemotionNotice = true
 		ret.DemoteReason = h.DemoteReason
 		ret.DemoteRouter = h.DemoteRouter
-		s.demotions[pkt.Src] = Demotion{
-			Reason: telemetry.DropReason(h.DemoteReason),
-			Router: h.DemoteRouter,
-			At:     now,
-		}
+		p.demotion, p.demoted = Demotion{Reason: telemetry.DropReason(h.DemoteReason), Router: h.DemoteRouter, At: now}, true
 	}
 
 	if h.Return != nil {
-		s.applyReturn(pkt.Src, h.Return, now)
+		s.applyReturn(p, h.Return, now)
 	}
 
-	// Echo hop stamps collected on the way here back to the sender
-	// (they describe the sender's forward path, which only the sender
-	// can act on). They ride the same pending return info as grants.
+	// Echo hop stamps collected on the way here: they describe the
+	// sender's forward path, which only the sender can act on.
 	if len(h.Request.HopWaits) > 0 &&
 		(h.Kind == packet.KindRequest || h.Kind == packet.KindRenewal) {
-		ret := s.pendingFor(pkt.Src)
+		ret := pendingFor(p)
 		ret.Hops = append(ret.Hops[:0], h.Request.HopWaits...)
 	}
 
-	// Authorization decisions for requests and (valid, undemoted)
-	// renewals that carry fresh pre-capabilities. Pure control
+	// Authorize requests and (valid, undemoted) renewals. Control
 	// carriers never trigger authorization: answering them could
-	// ping-pong refusal carriers between two shims through the
-	// rate-limited request channel indefinitely.
+	// ping-pong refusal carriers between two shims indefinitely.
 	if !h.Demoted && h.Proto != packet.ProtoControl && len(h.Request.PreCaps) > 0 &&
 		(h.Kind == packet.KindRequest || h.Kind == packet.KindRenewal) {
-		s.authorize(pkt.Src, h, now)
+		s.authorize(p, h, now)
 	}
 
 	if s.Deliver != nil && h.Proto != packet.ProtoControl {
 		s.Deliver(pkt.Src, h.Proto, pkt.Payload, pkt.Size, h.Demoted)
 	}
 
-	// If the upper layer produced no reverse traffic to piggyback the
-	// return info on, emit a bare carrier packet. Refusals (empty
-	// grants) are not worth a packet of their own: the refused sender
-	// simply times out, and answering every refused request would let
-	// attackers solicit carrier traffic.
-	if s.cfg.AutoReturn {
-		if ret := s.pending[pkt.Src]; ret != nil &&
-			((ret.Grant != nil && len(ret.Grant.Caps) > 0) || ret.DemotionNotice) {
-			s.Stats.AutoReturns++
-			s.Send(pkt.Src, packet.ProtoControl, nil, 0)
-		}
+	// If the upper layer sent nothing to piggyback the return info on,
+	// emit a bare carrier. Refusals do not get one: answering every
+	// refused request would let attackers solicit carrier traffic.
+	if ret := p.pending; s.cfg.AutoReturn && ret != nil &&
+		((ret.Grant != nil && len(ret.Grant.Caps) > 0) || ret.DemotionNotice) {
+		s.Stats.AutoReturns++
+		s.Send(pkt.Src, packet.ProtoControl, nil, 0)
 	}
 }
 
-func (s *Shim) applyReturn(src packet.Addr, ret *packet.ReturnInfo, now tvatime.Time) {
+// applyReturn applies return information from p. A grant or refusal is
+// believed only while p owes an answer, and settles one request.
+func (s *Shim) applyReturn(p *peer, ret *packet.ReturnInfo, now tvatime.Time) {
 	if len(ret.Hops) > 0 {
 		// Copy: ret aliases the decoded packet's scratch storage.
-		s.hopReports[src] = append(s.hopReports[src][:0], ret.Hops...)
+		p.hops = append(p.hops[:0], ret.Hops...)
 	}
-	if ret.Grant != nil {
-		if len(ret.Grant.Caps) == 0 {
-			// An empty capability list is an explicit refusal (§4.2).
-			// An answer all the same: retrying a refused request would
-			// just be unwanted traffic.
-			s.Stats.Refusals++
-			s.clearRetry(src)
-			return
-		}
+	switch g := ret.Grant; {
+	case g == nil:
+	case p.unanswered == 0 || now > p.answerBy:
+		s.Stats.Unsolicited++
+	case len(g.Caps) == 0:
+		// An empty capability list is an explicit refusal (§4.2), and
+		// an answer: retrying a refused request is unwanted traffic.
+		p.unanswered--
+		s.Stats.Refusals++
+		s.clearRetry(p)
+		return
+	default:
+		p.unanswered--
 		s.Stats.GrantsReceived++
-		s.clearRetry(src)
-		st := &sendState{
+		s.clearRetry(p)
+		p.grant = grant{
 			granted:   true,
 			nonce:     s.rng.Uint64() & packet.NonceMask,
-			caps:      append([]uint64(nil), ret.Grant.Caps...),
-			nkb:       ret.Grant.NKB,
-			tsec:      ret.Grant.TSec,
+			caps:      append(p.grant.caps[:0], g.Caps...),
+			nkb:       g.NKB,
+			tsec:      g.TSec,
 			grantedAt: now,
 		}
-		s.sends[src] = st
-		s.scheduleProactiveRenew(src, st)
+		p.grantGen++
+		s.scheduleProactiveRenew(p)
 	}
 	if ret.DemotionNotice {
-		s.demotions[src] = Demotion{
-			Reason: telemetry.DropReason(ret.DemoteReason),
-			Router: ret.DemoteRouter,
-			At:     now,
-		}
-		s.repair(src, now)
+		p.demotion, p.demoted = Demotion{Reason: telemetry.DropReason(ret.DemoteReason), Router: ret.DemoteRouter, At: now}, true
+		s.repair(p, now)
 	}
+}
+
+// clearRetry ends p's episode: the request or renewal was answered.
+func (s *Shim) clearRetry(p *peer) {
+	p.rto = 0
+	p.gen++
 }
 
 // scheduleProactiveRenew arms a one-shot timer at RenewAt of the
-// grant's lifetime. A busy flow renews through its own data packets
-// long before the timer fires (the grant has usually been superseded,
-// making the closure a no-op); the timer exists for flows idle or slow
-// enough that no data packet crosses the renewal threshold before T
-// runs out — without it, such a flow's next send after expiry falls
-// all the way back to a request through the contended request channel.
-func (s *Shim) scheduleProactiveRenew(dst packet.Addr, st *sendState) {
+// grant's lifetime, for flows too idle or slow for a data packet to
+// cross the renewal threshold before T runs out (a busy flow renews
+// first, and the timer finds its grant superseded).
+func (s *Shim) scheduleProactiveRenew(p *peer) {
 	if s.After == nil {
 		return
 	}
-	life := tvatime.Duration(st.tsec) * tvatime.Second
+	gen, g := p.grantGen, &p.grant
+	life := tvatime.Duration(g.tsec) * tvatime.Second
 	s.After(tvatime.Duration(s.cfg.RenewAt*float64(life)), func() {
-		if cur := s.sends[dst]; cur != st || !cur.granted {
+		if p.grantGen != gen || !g.granted {
 			return // superseded or torn down; a newer grant has its own timer
 		}
-		if !st.everSent || s.clock.Now().Sub(st.lastSend) >= s.cfg.IdleReattach {
-			// The flow has gone quiet (or never spoke): renewing would
-			// keep dead authorizations alive indefinitely — 100 finished
-			// attackers re-knocking every period. Let an idle flow's
-			// next send fall back to a request instead.
+		if !g.everSent || s.clock.Now().Sub(g.lastSend) >= s.cfg.IdleReattach {
+			// A quiet flow lets its grant lapse: renewing would keep
+			// dead authorizations (finished attackers) alive forever.
 			return
 		}
 		s.Stats.ProactiveRenewals++
-		// A bare knock: fillGranted sees age >= RenewAt*life and builds
-		// the renewal (or a fresh request if the grant died meanwhile).
-		s.Send(dst, packet.ProtoRaw, nil, 0)
+		// A bare knock: fillGranted builds the renewal (or a request).
+		s.Send(p.addr, packet.ProtoRaw, nil, 0)
 	})
 }
 
 // repair responds to a demotion echo: first re-attach the capability
 // list so routers can rebuild cache state; if notices keep coming,
 // fall back to a fresh request (§3.8).
-func (s *Shim) repair(src packet.Addr, now tvatime.Time) {
-	st := s.sends[src]
-	if st == nil || !st.granted {
+func (s *Shim) repair(p *peer, now tvatime.Time) {
+	g := &p.grant
+	if !g.granted {
 		return // already re-acquiring
 	}
-	if now.Sub(st.grantedAt) < s.cfg.ReattachMinGap {
+	if now.Sub(g.grantedAt) < s.cfg.ReattachMinGap {
 		return // notices about packets that predate the fresh grant
 	}
-	if st.lastRepair == 0 || now.Sub(st.lastRepair) > s.cfg.ReattachMinGap {
-		st.capsSent = 0 // re-attach caps on next packets
-		st.lastRepair = now
+	if g.lastRepair == 0 || now.Sub(g.lastRepair) > s.cfg.ReattachMinGap {
+		g.capsSent = 0 // re-attach caps on next packets
+		g.lastRepair = now
 		s.Stats.Repairs++
 		return
 	}
 	// Re-attachment did not stick: re-acquire from scratch.
-	s.sends[src] = nil
+	g.granted = false
 	s.Stats.Reacquires++
 }
 
-func (s *Shim) authorize(src packet.Addr, h *packet.CapHdr, now tvatime.Time) {
+func (s *Shim) authorize(p *peer, h *packet.CapHdr, now tvatime.Time) {
 	if s.policy == nil {
 		return
 	}
-	nkb, tsec, ok := s.policy.Authorize(src, now)
+	nkb, tsec, ok := s.policy.Authorize(p.addr, now)
 	if !ok {
 		// Refusal: an empty capability list (§4.2).
-		s.pendingFor(src).Grant = &packet.Grant{}
+		pendingFor(p).Grant = &packet.Grant{}
 		return
 	}
 	if tsec > packet.MaxTSeconds {
@@ -584,5 +597,5 @@ func (s *Shim) authorize(src packet.Addr, h *packet.CapHdr, now tvatime.Time) {
 		caps[i] = capability.Crypto.MakeCap(pre, nkb, tsec)
 	}
 	s.Stats.GrantsIssued++
-	s.pendingFor(src).Grant = &packet.Grant{NKB: nkb, TSec: tsec, Caps: caps}
+	pendingFor(p).Grant = &packet.Grant{NKB: nkb, TSec: tsec, Caps: caps}
 }

@@ -96,7 +96,7 @@ func (a siffPolicyAdapter) Authorize(src packet.Addr, now tvatime.Time) bool {
 // newSIFFHost builds a SIFF end system.
 func newSIFFHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy, cfg Config) *host {
 	h := &host{addr: addr, node: sim.NewNode(name)}
-	shim := siff.NewShim(addr, siffPolicyAdapter{policy}, sim, sim.Rand(), siff.ShimConfig{
+	shim := siff.NewShim(addr, siffPolicyAdapter{policy}, sim, siff.ShimConfig{
 		SecretPeriod: cfg.SIFFSecretPeriod,
 		AutoReturn:   true,
 	})

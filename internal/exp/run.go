@@ -274,6 +274,9 @@ type hooks struct {
 	// bottleneck receives the forward bottleneck interface after
 	// construction, before any traffic starts.
 	bottleneck func(lr *netsim.Iface)
+	// start receives the simulator and the user hosts once the users
+	// are built, before the attackers are.
+	start func(sim *netsim.Sim, users []*host)
 	// done receives the user hosts, destination host and TVA routers
 	// after the run completes.
 	done func(users []*host, dest *host, routers []*core.Router)
@@ -320,6 +323,9 @@ func run(cfg Config, hk hooks) *Result {
 		u := b.newUser(i)
 		startUser(sim, u, i, cfg, &transfers)
 		users = append(users, u)
+	}
+	if hk.start != nil {
+		hk.start(sim, users)
 	}
 
 	// Attackers.

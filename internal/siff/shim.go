@@ -6,8 +6,6 @@
 package siff
 
 import (
-	"math/rand"
-
 	"tva/internal/packet"
 	"tva/internal/tvatime"
 )
@@ -35,13 +33,18 @@ func (c ShimConfig) withDefaults() ShimConfig {
 	return c
 }
 
-type sendState struct {
+// peer is the shim's record of one remote address: the marks it
+// granted and the return information waiting for a carrier toward it.
+// Unlike core.Shim, a grant is believed whether or not a request is
+// outstanding: that is SIFF as the paper evaluates it.
+type peer struct {
 	granted        bool
 	caps           []uint64
 	grantedAt      tvatime.Time
 	heard          bool
 	lastHeard      tvatime.Time
 	sentSinceHeard int
+	pending        *packet.ReturnInfo
 }
 
 // Policy mirrors core.Policy but SIFF grants are binary (no N/T).
@@ -69,35 +72,31 @@ type Shim struct {
 	cfg    ShimConfig
 	addr   packet.Addr
 	clock  tvatime.Clock
-	rng    *rand.Rand
 	policy Policy
 
 	Output  func(pkt *packet.Packet)
 	Deliver func(src packet.Addr, proto packet.Proto, payload any, size int, demoted bool)
 
-	sends   map[packet.Addr]*sendState
-	pending map[packet.Addr]*packet.ReturnInfo
+	peers map[packet.Addr]*peer
 
 	Stats ShimStats
 }
 
 // NewShim builds a SIFF host shim.
-func NewShim(addr packet.Addr, policy Policy, clock tvatime.Clock, rng *rand.Rand, cfg ShimConfig) *Shim {
+func NewShim(addr packet.Addr, policy Policy, clock tvatime.Clock, cfg ShimConfig) *Shim {
 	return &Shim{
-		cfg:     cfg.withDefaults(),
-		addr:    addr,
-		clock:   clock,
-		rng:     rng,
-		policy:  policy,
-		sends:   make(map[packet.Addr]*sendState),
-		pending: make(map[packet.Addr]*packet.ReturnInfo),
+		cfg:    cfg.withDefaults(),
+		addr:   addr,
+		clock:  clock,
+		policy: policy,
+		peers:  make(map[packet.Addr]*peer),
 	}
 }
 
 // HasCaps reports whether the shim holds (presumed live) marks for dst.
 func (s *Shim) HasCaps(dst packet.Addr) bool {
-	st := s.sends[dst]
-	return st != nil && st.granted
+	p := s.peers[dst]
+	return p != nil && p.granted
 }
 
 // Send wraps an upper-layer payload toward dst. Packets come from the
@@ -107,22 +106,21 @@ func (s *Shim) Send(dst packet.Addr, proto packet.Proto, payload any, size int) 
 	pkt := packet.AcquirePacket()
 	h := pkt.NewHdr()
 	h.Proto = proto
-	st := s.sends[dst]
-
-	if st != nil && st.granted {
-		stale := now.Sub(st.grantedAt) >= s.cfg.SecretPeriod
-		silent := st.sentSinceHeard > 0 && st.heard &&
-			now.Sub(st.lastHeard) > s.cfg.SilenceTimeout
-		if stale || silent {
-			st.granted = false
-			s.Stats.ReRequests++
-		}
+	p := s.peers[dst]
+	if p == nil {
+		p = &peer{}
 	}
 
-	if st != nil && st.granted {
+	if p.granted && (now.Sub(p.grantedAt) >= s.cfg.SecretPeriod ||
+		p.sentSinceHeard > 0 && p.heard && now.Sub(p.lastHeard) > s.cfg.SilenceTimeout) {
+		p.granted = false // stale or silent
+		s.Stats.ReRequests++
+	}
+
+	if p.granted {
 		h.Kind = packet.KindRegular
-		h.Caps = append(h.Caps[:0], st.caps...)
-		st.sentSinceHeard++
+		h.Caps = append(h.Caps[:0], p.caps...)
+		p.sentSinceHeard++
 		s.Stats.RegularSent++
 	} else {
 		h.Kind = packet.KindRequest
@@ -132,10 +130,7 @@ func (s *Shim) Send(dst packet.Addr, proto packet.Proto, payload any, size int) 
 		s.Stats.RequestsSent++
 	}
 
-	if ret := s.pending[dst]; ret != nil {
-		h.Return = ret
-		delete(s.pending, dst)
-	}
+	h.Return, p.pending = p.pending, nil
 
 	pkt.Src = s.addr
 	pkt.Dst = dst
@@ -157,53 +152,47 @@ func (s *Shim) Receive(pkt *packet.Packet) {
 		}
 		return
 	}
-	if st := s.sends[pkt.Src]; st != nil {
-		st.heard = true
-		st.lastHeard = now
-		st.sentSinceHeard = 0
+	p := s.peers[pkt.Src]
+	if p != nil {
+		p.heard, p.lastHeard, p.sentSinceHeard = true, now, 0
 	}
-	if h.Return != nil && h.Return.Grant != nil {
-		if len(h.Return.Grant.Caps) > 0 {
-			s.Stats.GrantsReceived++
-			s.sends[pkt.Src] = &sendState{
-				granted:   true,
-				caps:      append([]uint64(nil), h.Return.Grant.Caps...),
-				grantedAt: now,
-				heard:     true,
-				lastHeard: now,
-			}
-		}
+	if h.Return != nil && h.Return.Grant != nil && len(h.Return.Grant.Caps) > 0 {
+		s.Stats.GrantsReceived++
+		p = s.record(pkt.Src, p)
+		p.granted, p.grantedAt, p.heard, p.lastHeard = true, now, true, now
+		p.caps = append(p.caps[:0], h.Return.Grant.Caps...)
 	}
 	if h.Kind == packet.KindRequest && h.Proto != packet.ProtoControl &&
-		len(h.Request.PreCaps) > 0 && s.policy != nil {
-		if s.policy.Authorize(pkt.Src, now) {
-			s.Stats.GrantsIssued++
-			s.pendingFor(pkt.Src).Grant = &packet.Grant{
-				Caps: append([]uint64(nil), h.Request.PreCaps...),
-			}
-		}
+		len(h.Request.PreCaps) > 0 && s.policy != nil && s.policy.Authorize(pkt.Src, now) {
+		s.Stats.GrantsIssued++
+		p = s.record(pkt.Src, p)
+		p.pending = &packet.ReturnInfo{Grant: &packet.Grant{
+			Caps: append([]uint64(nil), h.Request.PreCaps...),
+		}}
 	}
 	if s.Deliver != nil && h.Proto != packet.ProtoControl {
 		s.Deliver(pkt.Src, h.Proto, pkt.Payload, pkt.Size, false)
 	}
-	if s.cfg.AutoReturn {
-		if ret := s.pending[pkt.Src]; ret != nil && ret.Grant != nil {
-			s.Send(pkt.Src, packet.ProtoControl, nil, 0)
-		}
+	if s.cfg.AutoReturn && p != nil && p.pending != nil {
+		s.Send(pkt.Src, packet.ProtoControl, nil, 0)
 	}
 }
 
-func (s *Shim) pendingFor(dst packet.Addr) *packet.ReturnInfo {
-	r := s.pending[dst]
-	if r == nil {
-		r = &packet.ReturnInfo{}
-		s.pending[dst] = r
+// record returns p, or a new record for addr when p is nil.
+func (s *Shim) record(addr packet.Addr, p *peer) *peer {
+	if p == nil {
+		p = &peer{}
+		s.peers[addr] = p
 	}
-	return r
+	return p
 }
 
 // Forget drops any marks held toward dst, forcing the next packet to
 // re-request. The evaluation uses it to model per-connection SIFF
 // handshakes (each transfer's SYN carries a request, matching the
 // paper's 1-p^9 completion model in §5.1).
-func (s *Shim) Forget(dst packet.Addr) { delete(s.sends, dst) }
+func (s *Shim) Forget(dst packet.Addr) {
+	if p := s.peers[dst]; p != nil {
+		p.granted = false
+	}
+}

@@ -1,7 +1,6 @@
 package siff
 
 import (
-	"math/rand"
 	"testing"
 
 	"tva/internal/packet"
@@ -142,7 +141,7 @@ func newSIFFWire() *siffWire {
 }
 
 func (w *siffWire) addHost(addr packet.Addr, policy Policy) *Shim {
-	s := NewShim(addr, policy, w, rand.New(rand.NewSource(int64(addr))), ShimConfig{AutoReturn: true})
+	s := NewShim(addr, policy, w, ShimConfig{AutoReturn: true})
 	s.Output = func(pkt *packet.Packet) {
 		if _, drop := w.router.Process(pkt, w.now); drop {
 			w.drops++

@@ -16,12 +16,13 @@ floor=${COVER_FLOOR:-70}
 profile=${1:-cover.out}
 
 # Per-package floors, about three points under each package's figure
-# when the floor was set: the data-plane packages, the capability
-# hashes and secret ring, the keyed index with its two users, the
+# when the floor was set: the data-plane packages, the SIFF baseline,
+# the capability hashes and secret ring, the keyed index with its two users, the
 # metrics layer and its one histogram, the cross-plane gate, the
 # simulator's event core, the experiment drivers, and tvasim (its
 # golden and flag-refusal tests).
-pkg_floors='tva/internal/core 88
+pkg_floors='tva/internal/core 89
+tva/internal/siff 85
 tva/internal/mac 90
 tva/internal/capability 90
 tva/internal/sched 84
