@@ -106,7 +106,7 @@ func main() {
 	// The registry is built after every route is installed, so each
 	// neighbour port gets its labelled series; it is the single source
 	// of truth behind /metrics and the health engine.
-	m := r.Metrics(*metricsWindow, metrics.DetectorConfig{})
+	m := r.Metrics(*metricsWindow)
 	m.Health.OnTransition = func(tr metrics.Transition) {
 		fmt.Printf("health: %s\n", tr)
 	}

@@ -14,40 +14,58 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tva/internal/xcheck"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is tvaxcheck with its arguments and output streams passed in; it
+// returns the exit status: 0 when every gated check passes, 1 when one
+// fails or a scenario cannot run, 2 for a bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tvaxcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list builtin scenarios and exit")
-		specPath = flag.String("scenario", "", "path to a JSON scenario spec (may repeat via args)")
-		out      = flag.String("o", "", "write the JSON divergence report to this file")
+		list     = fs.Bool("list", false, "list builtin scenarios and exit")
+		specPath = fs.String("scenario", "", "path to a JSON scenario spec (may repeat via args)")
+		out      = fs.String("o", "", "write the JSON divergence report to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tvaxcheck:", err)
+		return 1
+	}
 
 	if *list {
 		for _, s := range xcheck.Builtins {
-			fmt.Printf("%-12s %s\n", s.Name, s.Description)
+			fmt.Fprintf(stdout, "%-12s %s\n", s.Name, s.Description)
 		}
-		return
+		return 0
 	}
 
 	var scenarios []xcheck.Scenario
 	if *specPath != "" {
 		sc, err := xcheck.LoadScenario(*specPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		scenarios = append(scenarios, sc)
 	}
-	for _, name := range flag.Args() {
+	for _, name := range fs.Args() {
 		sc, ok := xcheck.Builtin(name)
 		if !ok {
-			fatal(fmt.Errorf("unknown scenario %q (try -list)", name))
+			return fail(fmt.Errorf("unknown scenario %q (try -list)", name))
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -57,37 +75,33 @@ func main() {
 
 	var comparisons []*xcheck.Comparison
 	for _, sc := range scenarios {
-		fmt.Fprintf(os.Stderr, "xcheck: running %s on both planes...\n", sc.Name)
+		fmt.Fprintf(stderr, "xcheck: running %s on both planes...\n", sc.Name)
 		c, err := xcheck.RunScenario(sc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		comparisons = append(comparisons, c)
 	}
 	report := xcheck.NewReport(comparisons)
 
-	if err := report.WriteText(os.Stdout); err != nil {
-		fatal(err)
+	if err := report.WriteText(stdout); err != nil {
+		return fail(err)
 	}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := report.WriteJSON(f); err != nil {
 			f.Close()
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if !report.Pass {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tvaxcheck:", err)
-	os.Exit(1)
+	return 0
 }

@@ -212,22 +212,41 @@ func (m Minter) PreCap(src, dst packet.Addr) uint64 {
 	return compose(m.ts, h)
 }
 
-// ValidateCap checks a full capability for (src, dst) with the claimed
+// Verdict is CheckCap's outcome.
+type Verdict uint8
+
+const (
+	// Valid: the capability authenticates and is within its T.
+	Valid Verdict = iota
+	// Invalid: the capability does not authenticate for (src, dst, N,
+	// T) — forged or tampered, or its minting secret is retired.
+	Invalid
+	// Expired: the capability authenticates but is older than its T.
+	Expired
+)
+
+// CheckCap checks a full capability for (src, dst) with the claimed
 // grant parameters (N in KB, T in seconds): it recomputes the
-// pre-capability under the mint-epoch secret, recomputes the public
-// hash, and checks the expiry time (§3.5: local time must not exceed
-// timestamp + T). The byte-count check lives in the flow cache.
-func (a *Authority) ValidateCap(src, dst packet.Addr, cap uint64, nkb uint16, tsec uint8, now tvatime.Time) bool {
+// pre-capability under the mint-epoch secret and the public hash, and
+// only for a capability that authenticates checks the expiry time
+// (§3.5: local time must not exceed timestamp + T), so a forged
+// capability reads Invalid whatever its timestamp claims. The
+// byte-count check lives in the flow cache.
+func (a *Authority) CheckCap(src, dst packet.Addr, cap uint64, nkb uint16, tsec uint8, now tvatime.Time) Verdict {
 	ts := Timestamp(cap)
-	age, ok := Age(ts, now.Seconds())
-	if !ok || age > int64(tsec) {
-		return false // expired (or ambiguous, which implies long expired)
-	}
 	h, ok := a.mac56For(ts, now, src, dst)
-	if !ok {
-		return false
+	if !ok || hashOf(Crypto.MakeCap(compose(ts, h), nkb, tsec)) != hashOf(cap) {
+		return Invalid
 	}
-	return hashOf(Crypto.MakeCap(compose(ts, h), nkb, tsec)) == hashOf(cap)
+	if age, _ := Age(ts, now.Seconds()); age > int64(tsec) {
+		return Expired
+	}
+	return Valid
+}
+
+// ValidateCap reports whether CheckCap finds the capability Valid.
+func (a *Authority) ValidateCap(src, dst packet.Addr, cap uint64, nkb uint16, tsec uint8, now tvatime.Time) bool {
+	return a.CheckCap(src, dst, cap, nkb, tsec, now) == Valid
 }
 
 // ValidatePre checks that a pre-capability was minted by this authority
@@ -244,7 +263,7 @@ func (a *Authority) ValidatePre(src, dst packet.Addr, pre uint64, now tvatime.Ti
 }
 
 // Expiry returns the first instant at which a capability with the
-// given timestamp and period T stops validating (ValidateCap compares
+// given timestamp and period T stops validating (CheckCap compares
 // whole seconds, so a capability minted in second s is good through
 // the end of second s+T). Callers must treat the returned time as
 // exclusive: the capability is valid strictly before it.

@@ -78,6 +78,13 @@ func TestExpiryByT(t *testing.T) {
 	if a.ValidateCap(1, 2, cap, 32, 5, now.Add(6*tvatime.Second)) {
 		t.Error("capability valid past its T")
 	}
+	// Age is judged only once the capability authenticates.
+	if got := a.CheckCap(1, 2, cap, 32, 5, now.Add(6*tvatime.Second)); got != Expired {
+		t.Errorf("authentic capability past its T: verdict %d, want Expired", got)
+	}
+	if got := a.CheckCap(1, 2, cap^1, 32, 5, now.Add(6*tvatime.Second)); got != Invalid {
+		t.Errorf("forged capability past its T: verdict %d, want Invalid", got)
+	}
 }
 
 func TestSecretRotation(t *testing.T) {

@@ -98,6 +98,30 @@ func TestDemotionAttribution(t *testing.T) {
 			reason: telemetry.DropCapExpired,
 		},
 		{
+			// No cache entry, so the capability itself is checked: it
+			// authenticates, so its age is what refuses it.
+			name:   "authenticated capability older than T",
+			router: func() *Router { return attrRouter(routerID, 64, 0, 0) },
+			drive: func(t *testing.T, r *Router) *packet.Packet {
+				cap := grantFor(t, r, 1, 2, 32, 2, at(1)) // T = 2s
+				pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap}, 32, 2, 100)
+				r.Process(pkt, 0, at(4))
+				return pkt
+			},
+			reason: telemetry.DropCapExpired,
+		},
+		{
+			name:   "forged capability with a stale timestamp",
+			router: func() *Router { return attrRouter(routerID, 64, 0, 0) },
+			drive: func(t *testing.T, r *Router) *packet.Packet {
+				cap := grantFor(t, r, 1, 2, 32, 2, at(1))
+				pkt := regPacket(1, 2, packet.KindRegular, 5, []uint64{cap ^ 4}, 32, 2, 100)
+				r.Process(pkt, 0, at(4))
+				return pkt
+			},
+			reason: telemetry.DropCapInvalid,
+		},
+		{
 			name:   "flow cache cannot admit",
 			router: func() *Router { return attrRouter(routerID, 1, 0, 0) },
 			drive: func(t *testing.T, r *Router) *packet.Packet {

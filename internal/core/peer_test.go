@@ -65,8 +65,7 @@ func forge(dst *Shim, src packet.Addr, caps ...uint64) {
 }
 
 // A grant or refusal is believed only while it can answer a request or
-// renewal, and only until RetryCap timeouts of RetryRTOMax after the
-// last one.
+// renewal, and only until answerWindow after the last one.
 func TestUnsolicitedReturnIgnored(t *testing.T) {
 	w := newWire(1)
 	client := w.addHost(1, NewClientPolicy())
@@ -87,7 +86,7 @@ func TestUnsolicitedReturnIgnored(t *testing.T) {
 	other := w.addHost(3, NewClientPolicy())
 	w.dropNext = 1
 	other.Send(2, packet.ProtoRaw, nil, 100)
-	w.advance(tvatime.Duration(other.cfg.RetryCap)*other.cfg.RetryRTOMax + tvatime.Millisecond)
+	w.advance(answerWindow + tvatime.Millisecond)
 	forge(other, 2, 1, 2, 3, 4)
 	if other.HasCaps(2) {
 		t.Error("a grant long after the last request was believed")

@@ -333,7 +333,8 @@ func (r *Router) stampHop(h *packet.CapHdr) int {
 //   - cap-invalid: malformed capability pointer, a failed MAC/secret
 //     validation, or an authorization below the architectural (N/T)min;
 //   - cap-expired: the authorization is used up — expiry passed or the
-//     N-byte budget exhausted (both of §3.5's router checks);
+//     N-byte budget exhausted (both of §3.5's router checks); a
+//     capability's age counts only once its MAC verifies;
 //   - flowcache-pressure: the packet was cryptographically valid but
 //     the bounded flow cache could not admit it, or its cache entry is
 //     gone (evicted/expired) and it carries only a nonce to revalidate
@@ -379,7 +380,9 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, now tvatim
 	case entry != nil && hasCap:
 		// Possibly the first packet carrying a renewed capability:
 		// validate and, if good, replace the entry (§4.3).
-		if r.auth.ValidateCap(pkt.Src, pkt.Dst, myCap, h.NKB, h.TSec, now) {
+		if v := r.auth.CheckCap(pkt.Src, pkt.Dst, myCap, h.NKB, h.TSec, now); v != capability.Valid {
+			reason = refusedCapReason(v)
+		} else {
 			expiry := capability.Expiry(myCap, h.TSec, now)
 			valid = r.cache.Replace(entry, h.Nonce, myCap, int64(h.NKB)*1024, h.TSec, expiry, pkt.Size, now)
 			if valid {
@@ -387,21 +390,21 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, now tvatim
 			} else {
 				reason = telemetry.DropCapExpired
 			}
-		} else {
-			reason = telemetry.DropCapInvalid
 		}
 	case entry == nil && hasCap:
-		if r.auth.ValidateCap(pkt.Src, pkt.Dst, myCap, h.NKB, h.TSec, now) {
-			expiry := capability.Expiry(myCap, h.TSec, now)
-			if !now.Before(expiry) || int64(pkt.Size) > int64(h.NKB)*1024 {
+		if v := r.auth.CheckCap(pkt.Src, pkt.Dst, myCap, h.NKB, h.TSec, now); v != capability.Valid {
+			reason = refusedCapReason(v)
+		} else {
+			// CheckCap passed at now, so Expiry is after now: only
+			// the byte budget can refuse the first packet.
+			if int64(pkt.Size) > int64(h.NKB)*1024 {
 				reason = telemetry.DropCapExpired
 			} else {
 				key := flowcache.Key{Src: pkt.Src, Dst: pkt.Dst}
+				expiry := capability.Expiry(myCap, h.TSec, now)
 				valid = r.cache.Create(key, h.Nonce, myCap, int64(h.NKB)*1024, h.TSec, expiry, pkt.Size, now) != nil
 			}
 			r.Stats.RegularMiss++
-		} else {
-			reason = telemetry.DropCapInvalid
 		}
 	}
 
@@ -409,4 +412,12 @@ func (r *Router) processRegular(pkt *packet.Packet, h *packet.CapHdr, now tvatim
 		return true, telemetry.DropNone
 	}
 	return false, reason
+}
+
+// refusedCapReason attributes a capability CheckCap refused.
+func refusedCapReason(v capability.Verdict) telemetry.DropReason {
+	if v == capability.Expired {
+		return telemetry.DropCapExpired
+	}
+	return telemetry.DropCapInvalid
 }

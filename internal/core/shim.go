@@ -18,20 +18,6 @@ type ShimConfig struct {
 	// Suite selects nothing: capability.Crypto is the only
 	// construction. The field stays because bench/ sets it.
 	Suite capability.Suite
-	// RenewAt is the fraction of N (bytes) or T (time) consumed at
-	// which the sender starts renewing (default 0.75).
-	RenewAt float64
-	// CapsOnFirst is how many packets carry the full capability list
-	// after a grant before switching to nonce-only (default 1: the
-	// first packet seeds every router's cache).
-	CapsOnFirst int
-	// IdleReattach re-attaches the capability list after this much
-	// send silence, in case routers evicted the flow (default 1s):
-	// the host-side cache model of §3.7, optimistic variant.
-	IdleReattach tvatime.Duration
-	// ReattachMinGap rate-limits demotion-triggered re-attachment so a
-	// burst of stale demotion notices cannot thrash a fresh grant.
-	ReattachMinGap tvatime.Duration
 	// AutoReturn emits a standalone packet to carry return information
 	// (grants, demotion notices) when no outbound traffic picked it up
 	// in the same event. Pure receivers need it.
@@ -42,39 +28,38 @@ type ShimConfig struct {
 	// LastHopReport exposes them (tvaping's per-hop breakdown). Off by
 	// default: stamps cost five wire bytes per hop.
 	CollectHops bool
+}
+
+// The shim's timing and renewal policy.
+const (
+	// renewAt is the fraction of N (bytes) or T (time) consumed at
+	// which the sender starts renewing.
+	renewAt = 0.75
+	// capsOnFirst is how many packets carry the full capability list
+	// after a grant before switching to nonce-only: the first packet
+	// seeds every router's cache.
+	capsOnFirst = 1
+	// idleReattach re-attaches the capability list after this much
+	// send silence, in case routers evicted the flow: the host-side
+	// cache model of §3.7, optimistic variant.
+	idleReattach = tvatime.Second
+	// reattachMinGap rate-limits demotion-triggered re-attachment so a
+	// burst of stale demotion notices cannot thrash a fresh grant.
+	reattachMinGap = 100 * tvatime.Millisecond
 
 	// Reliability engine (active only when Shim.After is set): a
-	// request or renewal whose answer does not arrive within RetryRTO
+	// request or renewal whose answer does not arrive within retryRTO
 	// is retransmitted as a bare knock, with the timeout doubling up to
-	// RetryRTOMax, for at most RetryCap attempts per episode. Defaults:
-	// 250 ms / 4 s / 8. Lost requests and lost grants both look the
-	// same from here — no fresh grant — so one timer covers both.
-	// Whether or not After is set, an answer is believed only up to
-	// RetryCap timeouts of RetryRTOMax after the last request or renewal.
-	RetryRTO    tvatime.Duration
-	RetryRTOMax tvatime.Duration
-	RetryCap    int
-}
-
-func (c ShimConfig) withDefaults() ShimConfig {
-	if c.RenewAt <= 0 || c.RenewAt >= 1 {
-		c.RenewAt = 0.75
-	}
-	orDefault(&c.CapsOnFirst, 1)
-	orDefault(&c.IdleReattach, tvatime.Second)
-	orDefault(&c.ReattachMinGap, 100*tvatime.Millisecond)
-	orDefault(&c.RetryRTO, 250*tvatime.Millisecond)
-	orDefault(&c.RetryRTOMax, 4*tvatime.Second)
-	orDefault(&c.RetryCap, 8)
-	return c
-}
-
-// orDefault sets *v to d unless *v is positive.
-func orDefault[T int | tvatime.Duration](v *T, d T) {
-	if *v <= 0 {
-		*v = d
-	}
-}
+	// retryRTOMax, for at most retryCap attempts per episode. Lost
+	// requests and lost grants both look the same from here — no fresh
+	// grant — so one timer covers both. Whether or not After is set,
+	// an answer is believed only up to answerWindow after the last
+	// request or renewal.
+	retryRTO     = 250 * tvatime.Millisecond
+	retryRTOMax  = 4 * tvatime.Second
+	retryCap     = 8
+	answerWindow = retryCap * retryRTOMax
+)
 
 // ShimStats counts shim activity.
 type ShimStats struct {
@@ -95,7 +80,7 @@ type ShimStats struct {
 
 	// Reliability engine (Shim.After).
 	RetriesSent       uint64 // bare knocks sent because no grant answered in time
-	RetriesAbandoned  uint64 // episodes that exhausted RetryCap
+	RetriesAbandoned  uint64 // episodes that exhausted retryCap
 	ProactiveRenewals uint64 // renewals initiated by the timer, not by traffic
 }
 
@@ -117,7 +102,7 @@ type Shim struct {
 	// After, when set, schedules fn after d and turns on the shim's
 	// reliability engine: unanswered requests and renewals are
 	// retransmitted with exponential backoff, and grants are renewed
-	// proactively at RenewAt of their lifetime even when no traffic
+	// proactively at renewAt of their lifetime even when no traffic
 	// flows. Left nil (the overlay, old tests), a lost request stays
 	// lost until the upper layer resends.
 	After func(d tvatime.Duration, fn func())
@@ -197,7 +182,7 @@ type Demotion struct {
 // NewShim builds a host shim for addr with the given authorization
 // policy (nil means refuse everything inbound).
 func NewShim(addr packet.Addr, policy Policy, clock tvatime.Clock, rng *rand.Rand, cfg ShimConfig) *Shim {
-	s := &Shim{cfg: cfg.withDefaults(), addr: addr, clock: clock, rng: rng, policy: policy,
+	s := &Shim{cfg: cfg, addr: addr, clock: clock, rng: rng, policy: policy,
 		peers: make(map[packet.Addr]*peer)}
 	s.receivers.prev, s.receivers.next = &s.receivers, &s.receivers
 	s.senders.prev, s.senders.next = &s.senders, &s.senders
@@ -335,7 +320,7 @@ func (s *Shim) ask(p *peer, now tvatime.Time) {
 		p.unanswered = 0
 	}
 	p.unanswered++
-	p.answerBy = now.Add(tvatime.Duration(s.cfg.RetryCap) * s.cfg.RetryRTOMax)
+	p.answerBy = now.Add(answerWindow)
 }
 
 // armRetry starts a retransmission episode toward p unless one is
@@ -344,7 +329,7 @@ func (s *Shim) armRetry(p *peer) {
 	if s.After == nil || p.rto > 0 {
 		return
 	}
-	p.attempts, p.rto = 0, s.cfg.RetryRTO
+	p.attempts, p.rto = 0, retryRTO
 	s.scheduleRetry(p)
 }
 
@@ -361,13 +346,13 @@ func (s *Shim) retryFire(p *peer, gen uint64) {
 	if p.rto == 0 || p.gen != gen {
 		return
 	}
-	if p.attempts >= s.cfg.RetryCap {
+	if p.attempts >= retryCap {
 		p.rto = 0
 		s.Stats.RetriesAbandoned++
 		return
 	}
 	p.attempts++
-	p.rto = min(2*p.rto, s.cfg.RetryRTOMax)
+	p.rto = min(2*p.rto, retryRTOMax)
 	s.Stats.RetriesSent++
 	s.scheduleRetry(p)
 	s.Send(p.addr, packet.ProtoRaw, nil, 0)
@@ -387,11 +372,11 @@ func (s *Shim) fillGranted(p *peer, h *packet.CapHdr, size int, now tvatime.Time
 		return
 	}
 
-	renew := float64(g.bytesSent) >= s.cfg.RenewAt*float64(n) ||
-		age >= tvatime.Duration(s.cfg.RenewAt*float64(life))
+	renew := float64(g.bytesSent) >= renewAt*float64(n) ||
+		age >= tvatime.Duration(renewAt*float64(life))
 
-	attachCaps := g.capsSent < s.cfg.CapsOnFirst ||
-		(g.everSent && now.Sub(g.lastSend) > s.cfg.IdleReattach)
+	attachCaps := g.capsSent < capsOnFirst ||
+		(g.everSent && now.Sub(g.lastSend) > idleReattach)
 
 	h.Nonce = g.nonce
 	switch {
@@ -532,7 +517,7 @@ func (s *Shim) clearRetry(p *peer) {
 	p.gen++
 }
 
-// scheduleProactiveRenew arms a one-shot timer at RenewAt of the
+// scheduleProactiveRenew arms a one-shot timer at renewAt of the
 // grant's lifetime, for flows too idle or slow for a data packet to
 // cross the renewal threshold before T runs out (a busy flow renews
 // first, and the timer finds its grant superseded).
@@ -542,11 +527,11 @@ func (s *Shim) scheduleProactiveRenew(p *peer) {
 	}
 	gen, g := p.grantGen, &p.grant
 	life := tvatime.Duration(g.tsec) * tvatime.Second
-	s.After(tvatime.Duration(s.cfg.RenewAt*float64(life)), func() {
+	s.After(tvatime.Duration(renewAt*float64(life)), func() {
 		if p.grantGen != gen || !g.granted {
 			return // superseded or torn down; a newer grant has its own timer
 		}
-		if !g.everSent || s.clock.Now().Sub(g.lastSend) >= s.cfg.IdleReattach {
+		if !g.everSent || s.clock.Now().Sub(g.lastSend) >= idleReattach {
 			// A quiet flow lets its grant lapse: renewing would keep
 			// dead authorizations (finished attackers) alive forever.
 			return
@@ -565,10 +550,10 @@ func (s *Shim) repair(p *peer, now tvatime.Time) {
 	if !g.granted {
 		return // already re-acquiring
 	}
-	if now.Sub(g.grantedAt) < s.cfg.ReattachMinGap {
+	if now.Sub(g.grantedAt) < reattachMinGap {
 		return // notices about packets that predate the fresh grant
 	}
-	if g.lastRepair == 0 || now.Sub(g.lastRepair) > s.cfg.ReattachMinGap {
+	if g.lastRepair == 0 || now.Sub(g.lastRepair) > reattachMinGap {
 		g.capsSent = 0 // re-attach caps on next packets
 		g.lastRepair = now
 		s.Stats.Repairs++

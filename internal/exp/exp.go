@@ -118,18 +118,13 @@ type Config struct {
 	AttackRateBps int64 // per attacker (default 1 Mb/s)
 	AttackPktSize int   // attack payload bytes (default 1000)
 
-	FileKB int // transfer size (default 20 KB)
-
 	Duration    tvatime.Duration // simulated time (default 60s)
 	AttackStart tvatime.Duration // when flooding begins (default 1s)
 
 	// AttackGroups splits attackers into sequential groups for the
 	// imprecise-authorization attack (Fig. 11: 1 = all at once,
-	// 10 = ten at a time). GroupInterval is their spacing (default 3s),
-	// GroupDuration how long each attacker floods (default 3s).
-	AttackGroups  int
-	GroupInterval tvatime.Duration
-	GroupDuration tvatime.Duration
+	// 10 = ten at a time), groupInterval apart.
+	AttackGroups int
 
 	// RequestFraction is TVA's request-channel share (the simulations
 	// stress the design at 1%, §5).
@@ -139,9 +134,6 @@ type Config struct {
 	// authorization (default 32 KB / 10 s, §5.4).
 	GrantKB   uint16
 	GrantTSec uint8
-
-	// SIFFSecretPeriod is the SIFF router secret lifetime (default 3s).
-	SIFFSecretPeriod tvatime.Duration
 
 	// Fault injection: all zeros model a perfect network. LossRate and
 	// DupProb are per-packet probabilities on the bottleneck link (both
@@ -170,9 +162,6 @@ type Config struct {
 	// (its own simulator events), so zero vs non-zero does not change
 	// packet-level outcomes.
 	MetricsInterval tvatime.Duration
-	// MetricsCapacity bounds the registry's window (rows kept; oldest
-	// overwritten). Zero sizes it to Duration/MetricsInterval.
-	MetricsCapacity int
 
 	// SpanCapacity, if positive, attaches a span flight recorder
 	// (internal/trace) of that many retained spans to the whole
@@ -212,9 +201,6 @@ func (c Config) withDefaults() Config {
 	if c.AttackPktSize == 0 {
 		c.AttackPktSize = 1000
 	}
-	if c.FileKB == 0 {
-		c.FileKB = 20
-	}
 	if c.Duration == 0 {
 		c.Duration = 60 * tvatime.Second
 	}
@@ -223,16 +209,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttackGroups == 0 {
 		c.AttackGroups = 1
-	}
-	if c.GroupInterval == 0 {
-		c.GroupInterval = 3 * tvatime.Second
-	}
-	if c.GroupDuration == 0 {
-		if c.Attack == AttackImpreciseAuth {
-			c.GroupDuration = 3 * tvatime.Second
-		} else {
-			c.GroupDuration = c.Duration // flood to the end
-		}
 	}
 	if c.RequestFraction == 0 {
 		c.RequestFraction = 0.01
@@ -243,10 +219,23 @@ func (c Config) withDefaults() Config {
 	if c.GrantTSec == 0 {
 		c.GrantTSec = 10
 	}
-	if c.SIFFSecretPeriod == 0 {
-		c.SIFFSecretPeriod = 3 * tvatime.Second
-	}
 	return c
+}
+
+// The §5 workload's fixed settings.
+const (
+	fileKB = 20 // each user's transfer size
+	// groupInterval spaces Fig. 11's attacker groups.
+	groupInterval = 3 * tvatime.Second
+)
+
+// groupDuration is how long each attacker floods: 3 s for Fig. 11's
+// imprecise-authorization groups, to the end of the run otherwise.
+func (c Config) groupDuration() tvatime.Duration {
+	if c.Attack == AttackImpreciseAuth {
+		return 3 * tvatime.Second
+	}
+	return c.Duration
 }
 
 // TransferRecord is one user file transfer's outcome.

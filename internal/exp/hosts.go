@@ -57,7 +57,7 @@ func newTCPStack(sim *netsim.Sim, addr packet.Addr, send func(packet.Addr, *tcp.
 
 // newTVAHost builds a TVA end system with the given authorization
 // policy.
-func newTVAHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy, cfg Config) *host {
+func newTVAHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy) *host {
 	h := &host{addr: addr, node: sim.NewNode(name)}
 	shim := core.NewShim(addr, policy, sim, sim.Rand(), core.ShimConfig{
 		AutoReturn: true,
@@ -94,11 +94,10 @@ func (a siffPolicyAdapter) Authorize(src packet.Addr, now tvatime.Time) bool {
 }
 
 // newSIFFHost builds a SIFF end system.
-func newSIFFHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy, cfg Config) *host {
+func newSIFFHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy) *host {
 	h := &host{addr: addr, node: sim.NewNode(name)}
 	shim := siff.NewShim(addr, siffPolicyAdapter{policy}, sim, siff.ShimConfig{
-		SecretPeriod: cfg.SIFFSecretPeriod,
-		AutoReturn:   true,
+		AutoReturn: true,
 	})
 	shim.Output = func(pkt *packet.Packet) { h.node.Send(pkt) }
 	shim.Deliver = h.deliver
@@ -158,9 +157,9 @@ func newPlainHost(sim *netsim.Sim, name string, addr packet.Addr) *host {
 func newHost(sim *netsim.Sim, name string, addr packet.Addr, policy core.Policy, cfg Config) *host {
 	switch cfg.Scheme {
 	case SchemeTVA:
-		return newTVAHost(sim, name, addr, policy, cfg)
+		return newTVAHost(sim, name, addr, policy)
 	case SchemeSIFF:
-		return newSIFFHost(sim, name, addr, policy, cfg)
+		return newSIFFHost(sim, name, addr, policy)
 	default:
 		return newPlainHost(sim, name, addr)
 	}

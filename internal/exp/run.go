@@ -15,7 +15,6 @@ import (
 	"tva/internal/pushback"
 	"tva/internal/sched"
 	"tva/internal/siff"
-	"tva/internal/tcp"
 	"tva/internal/trace"
 	"tva/internal/tvatime"
 )
@@ -224,13 +223,13 @@ func (b *builder) newRouterNode(name string, deployed bool) (*netsim.Node, *push
 				return true
 			}
 		case SchemeSIFF:
-			rtr := siff.NewRouter(b.cfg.SIFFSecretPeriod)
+			rtr := siff.NewRouter()
 			forward = func(pkt *packet.Packet, _ *netsim.Iface) bool {
 				_, drop := rtr.Process(pkt, b.sim.Now())
 				return !drop
 			}
 		case SchemePushback:
-			pr = pushback.NewRouter(b.cfg.BottleneckBps, pushback.Config{})
+			pr = pushback.NewRouter(b.cfg.BottleneckBps)
 			forward = func(pkt *packet.Packet, in *netsim.Iface) bool {
 				return pr.Arrival(pkt, in.Index, b.sim.Now())
 			}
@@ -382,7 +381,7 @@ func startUser(sim *netsim.Sim, u *host, idx int, cfg Config, out *[]TransferRec
 		if u.beforeTransfer != nil {
 			u.beforeTransfer(DestAddr)
 		}
-		conn := u.stack.Dial(DestAddr, DestPort, cfg.FileKB*1024, tcp.Config{})
+		conn := u.stack.Dial(DestAddr, DestPort, fileKB*1024)
 		conn.OnDone = func(ok bool) {
 			decided = true
 			*out = append(*out, TransferRecord{
@@ -420,8 +419,8 @@ func (b *builder) startAttacker(i int) {
 		perGroup := (cfg.NumAttackers + cfg.AttackGroups - 1) / cfg.AttackGroups
 		group = i / perGroup
 	}
-	start := tvatime.Time(cfg.AttackStart) + tvatime.Time(group)*tvatime.Time(cfg.GroupInterval)
-	stop := start.Add(cfg.GroupDuration)
+	start := tvatime.Time(cfg.AttackStart) + tvatime.Time(group)*tvatime.Time(groupInterval)
+	stop := start.Add(cfg.groupDuration())
 
 	switch cfg.Attack {
 	case AttackLegacyFlood:

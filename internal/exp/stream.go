@@ -16,10 +16,10 @@ import (
 
 // StreamConfig parameterizes one stream run: Config's dumbbell and
 // attackers plus the stream's message pace. RunStream fixes Scheme to
-// TVA and Attack to the legacy flood (§5.1), and ignores FileKB and
-// the Fig. 11 group schedule: its attackers flood from AttackStart
-// until the drain. Config's defaults apply; the overlay runner gives
-// the same values to both planes.
+// TVA and Attack to the legacy flood (§5.1), and sends messages, not
+// the 20 KB file transfers, with no Fig. 11 group schedule: its
+// attackers flood from AttackStart until the drain. Config's defaults
+// apply; the overlay runner gives the same values to both planes.
 type StreamConfig struct {
 	Config
 

@@ -199,15 +199,9 @@ func (b *builder) startMetrics(completion func() float64) {
 		return
 	}
 	tel, lr := &b.tel, b.lr
-	window := cfg.MetricsCapacity
-	if window <= 0 {
-		window = int(cfg.Duration/cfg.MetricsInterval) + 2
-		if window > 1<<16 {
-			window = 1 << 16
-		}
-	}
+	window := min(int(cfg.Duration/cfg.MetricsInterval)+2, 1<<16)
 	reg := metrics.New(window)
-	det := metrics.NewDetector(metrics.DetectorConfig{})
+	det := metrics.NewDetector()
 	tel.Metrics = reg
 	tel.Health = det
 	sim := b.sim

@@ -7,10 +7,10 @@ import (
 )
 
 // State is the router's attack-onset health, derived online from the
-// drop-rate slope and request-channel pressure. The progression
-// mirrors what an operator watching the paper's Fig. 11 would call
-// out by hand: drops ramp (degraded), sustain (under-attack), fall
-// back (recovered), and stay quiet (healthy again).
+// drop-rate slope. The progression mirrors what an operator watching
+// the paper's Fig. 11 would call out by hand: drops ramp (degraded),
+// sustain (under-attack), fall back (recovered), and stay quiet
+// (healthy again).
 type State uint8
 
 const (
@@ -61,69 +61,37 @@ func (t Transition) String() string {
 		" pressure=" + strconv.FormatFloat(t.Pressure, 'f', 1, 64)
 }
 
-// DetectorConfig tunes the change-point detector. The zero value is
-// usable: withDefaults fills each field the caller leaves zero.
-type DetectorConfig struct {
-	// K is the deviation multiplier: a tick is "hot" when the drop
-	// rate exceeds baseline + K*deviation (and MinDropRate).
-	K float64
-	// MinDropRate (drops/sec) is an absolute floor under which a tick
+// The change-point detector's settings.
+const (
+	// detectK is the deviation multiplier: a tick is "hot" when the
+	// drop rate exceeds baseline + detectK*deviation (and
+	// minDropRate).
+	detectK = 4
+	// minDropRate (drops/sec) is an absolute floor under which a tick
 	// is never hot, so idle-network noise cannot trip the detector.
-	MinDropRate float64
-	// MinPressure, when > 0, marks a tick hot whenever the
-	// request-channel pressure (backlogged request packets) reaches
-	// it, independent of the drop slope — the paper's request-flood
-	// signature (§5.2) shows up here before capability drops do.
-	MinPressure float64
-	// DegradedTicks / OnsetTicks are the consecutive hot ticks needed
+	minDropRate = 50
+	// degradedTicks / onsetTicks are the consecutive hot ticks needed
 	// to enter Degraded / UnderAttack (hysteresis against blips).
-	DegradedTicks int
-	OnsetTicks    int
-	// RecoverTicks is the consecutive cool ticks needed to leave an
-	// attack state for Recovered; ClearTicks the further cool ticks
+	degradedTicks = 1
+	onsetTicks    = 3
+	// recoverTicks is the consecutive cool ticks needed to leave an
+	// attack state for Recovered; clearTicks the further cool ticks
 	// from Recovered back to Healthy.
-	RecoverTicks int
-	ClearTicks   int
-	// MaxTransitions bounds the preallocated transition log.
-	MaxTransitions int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.MinDropRate == 0 {
-		c.MinDropRate = 50
-	}
-	if c.DegradedTicks == 0 {
-		c.DegradedTicks = 1
-	}
-	if c.OnsetTicks == 0 {
-		c.OnsetTicks = 3
-	}
-	if c.RecoverTicks == 0 {
-		c.RecoverTicks = 5
-	}
-	if c.ClearTicks == 0 {
-		c.ClearTicks = 5
-	}
-	if c.MaxTransitions == 0 {
-		c.MaxTransitions = 64
-	}
-	return c
-}
+	recoverTicks = 5
+	clearTicks   = 5
+	// maxTransitions bounds the preallocated transition log.
+	maxTransitions = 64
+)
 
 // Detector is a streaming change-point detector over the drop-rate
-// slope and request-channel pressure. It keeps an EWMA baseline of
-// the drop rate plus an EWMA of absolute deviation (both updated only
-// while Healthy, so an attack cannot teach the detector that attacks
-// are normal), and advances a four-state machine with hysteresis on
+// slope. It keeps an EWMA baseline of the drop rate plus an EWMA of
+// absolute deviation (both updated only while Healthy, so an attack
+// cannot teach the detector that attacks are normal), and advances a four-state machine with hysteresis on
 // every ObserveTick. All state is a handful of floats: ticking is
 // allocation-free, and — fed from sampled values in virtual time — a
 // pure function of the tick sequence, so same-seed simulations
 // transition at identical sample offsets.
 type Detector struct {
-	cfg   DetectorConfig
 	state State
 
 	mean float64 // EWMA baseline of drop rate while healthy
@@ -145,13 +113,9 @@ type Detector struct {
 	OnTransition func(Transition)
 }
 
-// NewDetector returns a detector with cfg's zeros defaulted.
-func NewDetector(cfg DetectorConfig) *Detector {
-	c := cfg.withDefaults()
-	return &Detector{
-		cfg:         c,
-		transitions: make([]Transition, 0, c.MaxTransitions),
-	}
+// NewDetector returns a detector in the Healthy state.
+func NewDetector() *Detector {
+	return &Detector{transitions: make([]Transition, 0, maxTransitions)}
 }
 
 // State returns the current health state.
@@ -170,6 +134,8 @@ func (d *Detector) Overflow() int { return d.overflow }
 
 // ObserveTick feeds the detector one sample: the cumulative drop
 // count and the instantaneous request-channel pressure at time now.
+// Only the drop rate decides the state; pressure is recorded in any
+// Transition the tick fires.
 // Call it once per registry tick, before Registry.Tick, so the
 // tva_health_state gauge row reflects this tick's verdict.
 func (d *Detector) ObserveTick(now tvatime.Time, dropsTotal, pressure float64) {
@@ -184,10 +150,7 @@ func (d *Detector) ObserveTick(now tvatime.Time, dropsTotal, pressure float64) {
 	d.prevT = now
 	d.ticked = true
 
-	hot := rate >= d.cfg.MinDropRate && rate > d.mean+d.cfg.K*d.dev
-	if d.cfg.MinPressure > 0 && pressure >= d.cfg.MinPressure {
-		hot = true
-	}
+	hot := rate >= minDropRate && rate > d.mean+detectK*d.dev
 	if hot {
 		d.hot++
 		d.cool = 0
@@ -213,25 +176,25 @@ func (d *Detector) ObserveTick(now tvatime.Time, dropsTotal, pressure float64) {
 
 	switch d.state {
 	case Healthy:
-		if d.hot >= d.cfg.OnsetTicks {
+		if d.hot >= onsetTicks {
 			d.transition(now, UnderAttack, rate, pressure)
-		} else if d.hot >= d.cfg.DegradedTicks {
+		} else if d.hot >= degradedTicks {
 			d.transition(now, Degraded, rate, pressure)
 		}
 	case Degraded:
-		if d.hot >= d.cfg.OnsetTicks {
+		if d.hot >= onsetTicks {
 			d.transition(now, UnderAttack, rate, pressure)
-		} else if d.cool >= d.cfg.RecoverTicks {
+		} else if d.cool >= recoverTicks {
 			d.transition(now, Recovered, rate, pressure)
 		}
 	case UnderAttack:
-		if d.cool >= d.cfg.RecoverTicks {
+		if d.cool >= recoverTicks {
 			d.transition(now, Recovered, rate, pressure)
 		}
 	case Recovered:
-		if d.hot >= d.cfg.DegradedTicks {
+		if d.hot >= degradedTicks {
 			d.transition(now, Degraded, rate, pressure)
-		} else if d.cool >= d.cfg.ClearTicks {
+		} else if d.cool >= clearTicks {
 			d.transition(now, Healthy, rate, pressure)
 		}
 	}

@@ -30,17 +30,14 @@ func tickSeq(d *Detector, rates []float64) {
 }
 
 func TestDetectorAttackLifecycle(t *testing.T) {
-	d := NewDetector(DetectorConfig{
-		K: 4, MinDropRate: 50, DegradedTicks: 1, OnsetTicks: 3,
-		RecoverTicks: 2, ClearTicks: 2,
-	})
+	d := NewDetector()
 	var fired []Transition
 	d.OnTransition = func(tr Transition) { fired = append(fired, tr) }
 
 	// Quiet baseline, then a sustained flood, then quiet again.
 	rates := []float64{0, 2, 1, 2, 1, // baseline
 		5000, 5000, 5000, 5000, 5000, // attack
-		1, 0, 1, 0, 1} // recovery
+		1, 0, 1, 0, 1, 0, 1, 0, 1, 0} // recovery
 	tickSeq(d, rates)
 
 	var got []string
@@ -60,7 +57,7 @@ func TestDetectorAttackLifecycle(t *testing.T) {
 		t.Fatalf("OnTransition fired %d times, log has %d", len(fired), len(d.Transitions()))
 	}
 	// First hot tick is sample index 5 (0-based): degraded fires
-	// there; under-attack after OnsetTicks more hot ticks.
+	// there; under-attack after onsetTicks more hot ticks.
 	if d.Transitions()[0].Sample != 5 {
 		t.Fatalf("degraded at sample %d, want 5", d.Transitions()[0].Sample)
 	}
@@ -74,7 +71,7 @@ func TestDetectorAttackLifecycle(t *testing.T) {
 
 func TestDetectorDeterministicReplay(t *testing.T) {
 	run := func() []string {
-		d := NewDetector(DetectorConfig{})
+		d := NewDetector()
 		rates := []float64{0, 1, 0, 2, 900, 900, 900, 900, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 		tickSeq(d, rates)
 		var out []string
@@ -97,8 +94,7 @@ func TestDetectorDeterministicReplay(t *testing.T) {
 }
 
 func TestDetectorBaselineFrozenDuringAttack(t *testing.T) {
-	d := NewDetector(DetectorConfig{K: 4, MinDropRate: 50, DegradedTicks: 1, OnsetTicks: 2,
-		RecoverTicks: 3, ClearTicks: 3})
+	d := NewDetector()
 	// Baseline ~10 pps, then a long attack at 10k pps: if the attack
 	// leaked into the baseline the detector would adapt and declare
 	// recovery while the flood still runs.
@@ -115,30 +111,19 @@ func TestDetectorBaselineFrozenDuringAttack(t *testing.T) {
 	}
 }
 
-func TestDetectorPressureSignal(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinPressure: 32, DegradedTicks: 1, OnsetTicks: 2})
-	// No drops at all, but the request channel backs up: the pressure
-	// signal alone must trip the detector (request floods starve the
-	// channel before they overflow queues).
-	d.ObserveTick(tvatime.FromSeconds(1), 0, 0)
-	d.ObserveTick(tvatime.FromSeconds(2), 0, 100) // hot -> degraded
-	d.ObserveTick(tvatime.FromSeconds(3), 0, 100) // hot ticks count from entry
-	d.ObserveTick(tvatime.FromSeconds(4), 0, 100)
-	if d.State() != UnderAttack {
-		t.Fatalf("state = %v, want under-attack from pressure", d.State())
-	}
-}
-
 func TestDetectorTransitionLogBounded(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinPressure: 1, DegradedTicks: 1, OnsetTicks: 100,
-		RecoverTicks: 1, ClearTicks: 100, MaxTransitions: 4})
-	// Alternate hot/cool ticks to thrash degraded<->recovered.
-	for i := 0; i < 40; i++ {
-		p := float64(i % 2)
-		d.ObserveTick(tvatime.FromSeconds(float64(i)), 0, p)
+	d := NewDetector()
+	// One hot tick after every recoverTicks cool ones thrashes
+	// degraded<->recovered: two transitions a cycle.
+	var cum float64
+	for i := 0; i < (recoverTicks+1)*maxTransitions; i++ {
+		if i%(recoverTicks+1) == 1 {
+			cum += 1000
+		}
+		d.ObserveTick(tvatime.FromSeconds(float64(i)), cum, 0)
 	}
-	if len(d.Transitions()) != 4 {
-		t.Fatalf("log len = %d, want cap 4", len(d.Transitions()))
+	if len(d.Transitions()) != maxTransitions {
+		t.Fatalf("log len = %d, want cap %d", len(d.Transitions()), maxTransitions)
 	}
 	if d.Overflow() == 0 {
 		t.Fatal("expected overflow count after thrash")
@@ -146,7 +131,7 @@ func TestDetectorTransitionLogBounded(t *testing.T) {
 }
 
 func TestDetectorTickNoAllocs(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	var now tvatime.Time
 	var cum float64
 	if n := testing.AllocsPerRun(200, func() {

@@ -158,16 +158,27 @@ func (h *Host) Send(dst packet.Addr, payload []byte) error {
 	}
 }
 
+// query runs f on the event loop, which owns the shim, and returns its
+// result, or T's zero value once the host is closed.
+func query[T any](h *Host, f func() T) (v T) {
+	res := make(chan T, 1)
+	select {
+	case h.ops <- func() { res <- f() }:
+	case <-h.closed:
+		return v
+	}
+	// A closure queued after the loop's final drain never runs.
+	select {
+	case v = <-res:
+	case <-h.closed:
+	}
+	return v
+}
+
 // HasCaps reports whether the host currently holds capabilities toward
 // dst (for diagnostics and tests).
 func (h *Host) HasCaps(dst packet.Addr) bool {
-	res := make(chan bool, 1)
-	select {
-	case h.ops <- func() { res <- h.shim.HasCaps(dst) }:
-		return <-res
-	case <-h.closed:
-		return false
-	}
+	return query(h, func() bool { return h.shim.HasCaps(dst) })
 }
 
 // LastDemotion reports the most recent demotion evidence involving
@@ -179,17 +190,11 @@ func (h *Host) LastDemotion(peer packet.Addr) (core.Demotion, bool) {
 		d  core.Demotion
 		ok bool
 	}
-	res := make(chan answer, 1)
-	select {
-	case h.ops <- func() {
+	a := query(h, func() answer {
 		d, ok := h.shim.LastDemotion(peer)
-		res <- answer{d, ok}
-	}:
-		a := <-res
-		return a.d, a.ok
-	case <-h.closed:
-		return core.Demotion{}, false
-	}
+		return answer{d, ok}
+	})
+	return a.d, a.ok
 }
 
 // HopReport returns the most recent per-hop queue-wait report for the
@@ -197,26 +202,14 @@ func (h *Host) LastDemotion(peer packet.Addr) (core.Demotion, bool) {
 // router the request traversed, carried back in return information.
 // Empty unless the shim was configured with CollectHops.
 func (h *Host) HopReport(peer packet.Addr) []packet.HopStamp {
-	res := make(chan []packet.HopStamp, 1)
-	select {
-	case h.ops <- func() {
-		res <- append([]packet.HopStamp(nil), h.shim.LastHopReport(peer)...)
-	}:
-		return <-res
-	case <-h.closed:
-		return nil
-	}
+	return query(h, func() []packet.HopStamp {
+		return append([]packet.HopStamp(nil), h.shim.LastHopReport(peer)...)
+	})
 }
 
 // Stats snapshots the shim's counters.
 func (h *Host) Stats() core.ShimStats {
-	res := make(chan core.ShimStats, 1)
-	select {
-	case h.ops <- func() { res <- h.shim.Stats }:
-		return <-res
-	case <-h.closed:
-		return core.ShimStats{}
-	}
+	return query(h, func() core.ShimStats { return h.shim.Stats })
 }
 
 // Close shuts the proxy down.

@@ -43,9 +43,9 @@ type RouterMetrics struct {
 // Every value has exactly one source of truth — the router's own
 // counters — and this registry is the router's one exposition
 // surface: tvarouter serves it at /metrics.
-func (r *Router) Metrics(window int, health metrics.DetectorConfig) *RouterMetrics {
+func (r *Router) Metrics(window int) *RouterMetrics {
 	reg := metrics.New(window)
-	det := metrics.NewDetector(health)
+	det := metrics.NewDetector()
 	m := &RouterMetrics{Registry: reg, Health: det, router: r}
 
 	// Forwarding totals (overlay-plane series).

@@ -106,7 +106,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 		bob.Close()
 		r.Close()
 
-		m := r.Metrics(16, metrics.DetectorConfig{})
+		m := r.Metrics(16)
 		m.Tick(tvatime.WallClock{}.Now())
 		m.Tick(tvatime.WallClock{}.Now() + tvatime.Time(tvatime.Second))
 

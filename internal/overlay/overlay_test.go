@@ -480,3 +480,32 @@ func TestMeasureForwardingReportsRate(t *testing.T) {
 		t.Errorf("output rate %.0f pps exceeds offered 20k input", out)
 	}
 }
+
+// After Close every query answers its zero value at once, however often
+// it is asked: the event loop that would run it is gone.
+func TestHostQueriesAfterClose(t *testing.T) {
+	h, err := NewHost(HostConfig{
+		Addr:    packet.AddrFrom(10, 0, 0, 1),
+		Listen:  "127.0.0.1:0",
+		Gateway: "127.0.0.1:9",
+	})
+	if err != nil {
+		t.Fatalf("host: %v", err)
+	}
+	h.Close()
+	peer := packet.AddrFrom(10, 0, 0, 2)
+	for i := 0; i < 32; i++ {
+		if h.HasCaps(peer) {
+			t.Fatal("HasCaps true after Close")
+		}
+		if _, ok := h.LastDemotion(peer); ok {
+			t.Fatal("LastDemotion found after Close")
+		}
+		if hops := h.HopReport(peer); hops != nil {
+			t.Fatalf("HopReport = %v after Close", hops)
+		}
+		if st := h.Stats(); st != (core.ShimStats{}) {
+			t.Fatalf("Stats = %+v after Close", st)
+		}
+	}
+}

@@ -186,7 +186,7 @@ func (t *Topology) LinkSchedDrops(i int) telemetry.DropCounters {
 // every AddHost, so per-port series cover the ports that exist) and,
 // when interval > 0, starts one wall-clock ticker goroutine driving
 // all of them. The goroutine exits on Close (stop-channel pattern).
-func (t *Topology) StartMetrics(window int, health metrics.DetectorConfig, interval time.Duration) ([]*RouterMetrics, error) {
+func (t *Topology) StartMetrics(window int, interval time.Duration) ([]*RouterMetrics, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.metrics != nil {
@@ -194,7 +194,7 @@ func (t *Topology) StartMetrics(window int, health metrics.DetectorConfig, inter
 	}
 	ms := make([]*RouterMetrics, len(t.routers))
 	for i, r := range t.routers {
-		ms[i] = r.Metrics(window, health)
+		ms[i] = r.Metrics(window)
 	}
 	t.metrics = ms
 	if interval > 0 {

@@ -9,7 +9,6 @@ import (
 
 	"tva/internal/core"
 	"tva/internal/exp"
-	"tva/internal/metrics"
 	"tva/internal/trace"
 )
 
@@ -113,7 +112,7 @@ func TestTopologyDeterministicSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := topo.StartMetrics(64, metrics.DetectorConfig{}, 0); err != nil {
+		if _, err := topo.StartMetrics(64, 0); err != nil {
 			t.Fatal(err)
 		}
 		delivered = sendUntilDelivered(t, user, dest, make([]byte, 256), 10)
@@ -155,10 +154,10 @@ func TestTopologyStartMetricsOnce(t *testing.T) {
 	if _, err := topo.AddHost(exp.DestAddr, 1, core.NewServerPolicy(), streamShim()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.StartMetrics(16, metrics.DetectorConfig{}, time.Millisecond); err != nil {
+	if _, err := topo.StartMetrics(16, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.StartMetrics(16, metrics.DetectorConfig{}, time.Millisecond); err == nil {
+	if _, err := topo.StartMetrics(16, time.Millisecond); err == nil {
 		t.Fatal("second StartMetrics succeeded")
 	}
 }
@@ -179,7 +178,7 @@ func TestTopologyCloseNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.StartMetrics(16, metrics.DetectorConfig{}, 5*time.Millisecond); err != nil {
+	if _, err := topo.StartMetrics(16, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	sendUntilDelivered(t, user, dest, make([]byte, 128), 5)

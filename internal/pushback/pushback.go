@@ -25,40 +25,21 @@ import (
 	"tva/internal/tvatime"
 )
 
-// Config tunes the pushback control loop.
-type Config struct {
-	// Interval is the detection/refresh period (default 500ms).
-	Interval tvatime.Duration
-	// DropRateThreshold triggers aggregate detection (default 0.05).
-	DropRateThreshold float64
-	// TargetUtilization is the fraction of the congested link's
-	// capacity total arrivals are limited toward (default 0.95).
-	TargetUtilization float64
-	// ReleaseAfter is how many consecutive calm intervals release a
-	// filter (default 4).
-	ReleaseAfter int
-	// MaxDepth bounds upstream propagation (default 2).
-	MaxDepth int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 500 * tvatime.Millisecond
-	}
-	if c.DropRateThreshold <= 0 {
-		c.DropRateThreshold = 0.05
-	}
-	if c.TargetUtilization <= 0 {
-		c.TargetUtilization = 0.95
-	}
-	if c.ReleaseAfter <= 0 {
-		c.ReleaseAfter = 4
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 2
-	}
-	return c
-}
+// The control loop's settings, as the paper's §5 runs it.
+const (
+	// interval is the detection/refresh period.
+	interval = 500 * tvatime.Millisecond
+	// dropRateThreshold triggers aggregate detection.
+	dropRateThreshold = 0.05
+	// targetUtilization is the fraction of the congested link's
+	// capacity total arrivals are limited toward.
+	targetUtilization = 0.95
+	// releaseAfter is how many consecutive calm intervals release a
+	// filter.
+	releaseAfter = 4
+	// maxDepth bounds upstream propagation.
+	maxDepth = 2
+)
 
 // linkID identifies an input link (an interface index on this router).
 type linkID int
@@ -104,10 +85,8 @@ type Stats struct {
 // Router is one pushback router's control state. The owning node calls
 // Arrival for every received packet (and honours its verdict), reports
 // output-queue drops via RecordDrop, and ticks the control loop with
-// Tick every Config.Interval.
+// Tick every Interval.
 type Router struct {
-	cfg Config
-
 	// arrivals accumulates bytes per (input link, destination) within
 	// the current interval.
 	arrivals map[aggKey]float64
@@ -119,8 +98,6 @@ type Router struct {
 	outBps    int64 // congested output capacity (bits/sec)
 	filters   map[aggKey]*filter
 	upstream  map[linkID]*Router // neighbouring pushback routers
-	lastSweep tvatime.Time
-	interval  tvatime.Duration
 	Stats     Stats
 	// Drops attributes packets discarded by rate-limit filters.
 	Drops telemetry.DropCounters
@@ -131,16 +108,13 @@ func (r *Router) FilterDrops() uint64 { return r.Drops.Get(telemetry.DropFilter)
 
 // NewRouter returns a pushback router watching one congested output
 // link of capacity outBps.
-func NewRouter(outBps int64, cfg Config) *Router {
-	cfg = cfg.withDefaults()
+func NewRouter(outBps int64) *Router {
 	return &Router{
-		cfg:      cfg,
 		arrivals: make(map[aggKey]float64),
 		drops:    make(map[packet.Addr]float64),
 		outBps:   outBps,
 		filters:  make(map[aggKey]*filter),
 		upstream: make(map[linkID]*Router),
-		interval: cfg.Interval,
 	}
 }
 
@@ -149,7 +123,7 @@ func NewRouter(outBps int64, cfg Config) *Router {
 func (r *Router) SetUpstream(in int, up *Router) { r.upstream[linkID(in)] = up }
 
 // Interval returns the control period (the owner schedules Tick).
-func (r *Router) Interval() tvatime.Duration { return r.interval }
+func (r *Router) Interval() tvatime.Duration { return interval }
 
 // Arrival records an incoming packet and applies any filter for its
 // (input link, destination). It reports whether to forward the packet.
@@ -186,11 +160,11 @@ func (r *Router) Tick(now tvatime.Time) {
 		dropRate = r.dropBytes / total
 	}
 
-	if dropRate > r.cfg.DropRateThreshold {
+	if dropRate > dropRateThreshold {
 		dst, ok := r.worstAggregate()
 		if ok {
 			r.Stats.AggregatesFound++
-			r.limitAggregate(dst, now, r.cfg.MaxDepth)
+			r.limitAggregate(dst, now, maxDepth)
 		}
 	}
 
@@ -213,7 +187,7 @@ func (r *Router) worstAggregate() (packet.Addr, bool) {
 // limitAggregate computes the aggregate's allowed rate and installs
 // per-input-link filters at their max-min shares.
 func (r *Router) limitAggregate(dst packet.Addr, now tvatime.Time, depth int) {
-	secs := r.interval.Seconds()
+	secs := interval.Seconds()
 	var aggRate, otherRate float64 // bytes/sec
 	contrib := make(map[linkID]float64)
 	for key, bytes := range r.arrivals {
@@ -228,7 +202,7 @@ func (r *Router) limitAggregate(dst packet.Addr, now tvatime.Time, depth int) {
 	if aggRate <= 0 {
 		return
 	}
-	capacityBps := float64(r.outBps) / 8 * r.cfg.TargetUtilization
+	capacityBps := float64(r.outBps) / 8 * targetUtilization
 	limit := capacityBps - otherRate
 	if limit < capacityBps*0.05 {
 		limit = capacityBps * 0.05 // never choke the aggregate entirely
@@ -261,7 +235,7 @@ func (r *Router) limitAggregate(dst packet.Addr, now tvatime.Time, depth int) {
 // aggregate toward dst to rateBps (bytes/sec) across this router's
 // inputs, max-min by contribution.
 func (r *Router) AcceptLimit(dst packet.Addr, rateBps float64, now tvatime.Time, depth int) {
-	secs := r.interval.Seconds()
+	secs := interval.Seconds()
 	contrib := make(map[linkID]float64)
 	for key, bytes := range r.arrivals {
 		if key.dst == dst {
@@ -290,14 +264,14 @@ func (r *Router) AcceptLimit(dst packet.Addr, rateBps float64, now tvatime.Time,
 }
 
 // reviewFilters releases filters whose aggregate arrivals stayed under
-// the limit for ReleaseAfter consecutive intervals.
+// the limit for releaseAfter consecutive intervals.
 func (r *Router) reviewFilters(now tvatime.Time) {
-	secs := r.interval.Seconds()
+	secs := interval.Seconds()
 	for key, f := range r.filters {
 		arrRate := r.arrivals[key] / secs
 		if arrRate <= f.rateBps {
 			f.calm++
-			if f.calm >= r.cfg.ReleaseAfter {
+			if f.calm >= releaseAfter {
 				delete(r.filters, key)
 				r.Stats.Releases++
 			}

@@ -93,7 +93,7 @@ func TestDetectionInstallsFilters(t *testing.T) {
 	// 10 Mb/s output = 625 KB per 500ms interval. One heavy aggregate
 	// (dst 9) from links 1..4 at 400 KB/interval each, plus a light
 	// flow (dst 5) at 50 KB/interval.
-	r := NewRouter(10_000_000, Config{})
+	r := NewRouter(10_000_000)
 	now := at(0)
 	arrivals := map[aggKey]int{
 		{1, 9}: 400_000, {2, 9}: 400_000, {3, 9}: 400_000, {4, 9}: 400_000,
@@ -119,7 +119,7 @@ func TestDetectionInstallsFilters(t *testing.T) {
 }
 
 func TestFiltersThrottleAggregate(t *testing.T) {
-	r := NewRouter(10_000_000, Config{})
+	r := NewRouter(10_000_000)
 	now := at(0)
 	arrivals := map[aggKey]int{
 		{1, 9}: 800_000, {2, 9}: 800_000,
@@ -143,7 +143,7 @@ func TestFiltersThrottleAggregate(t *testing.T) {
 }
 
 func TestFiltersReleaseWhenCalm(t *testing.T) {
-	r := NewRouter(10_000_000, Config{ReleaseAfter: 2})
+	r := NewRouter(10_000_000)
 	now := at(0)
 	arrivals := map[aggKey]int{{1, 9}: 1_200_000}
 	driveInterval(r, now, arrivals, 625_000)
@@ -152,8 +152,8 @@ func TestFiltersReleaseWhenCalm(t *testing.T) {
 	if r.Stats.FiltersActive == 0 {
 		t.Fatal("setup: no filter installed")
 	}
-	// Attack stops: a few calm intervals release the filter.
-	for i := 0; i < 3; i++ {
+	// Attack stops: releaseAfter calm intervals release the filter.
+	for i := 0; i < releaseAfter; i++ {
 		now = now.Add(r.Interval())
 		r.Tick(now)
 	}
@@ -169,7 +169,7 @@ func TestMaxMinSparesLightContributors(t *testing.T) {
 	// Links 1-2 are heavy (attackers); link 3 contributes little
 	// legitimate traffic to the same destination. After filtering,
 	// link 3's share must cover its demand.
-	r := NewRouter(10_000_000, Config{})
+	r := NewRouter(10_000_000)
 	now := at(0)
 	arrivals := map[aggKey]int{
 		{1, 9}: 900_000, {2, 9}: 900_000, {3, 9}: 30_000,
@@ -191,8 +191,8 @@ func TestMaxMinSparesLightContributors(t *testing.T) {
 }
 
 func TestUpstreamPropagation(t *testing.T) {
-	up := NewRouter(10_000_000, Config{})
-	down := NewRouter(10_000_000, Config{})
+	up := NewRouter(10_000_000)
+	down := NewRouter(10_000_000)
 	down.SetUpstream(1, up)
 	now := at(0)
 
@@ -217,7 +217,7 @@ func TestUpstreamPropagation(t *testing.T) {
 }
 
 func TestNoFalsePositiveWithoutCongestion(t *testing.T) {
-	r := NewRouter(10_000_000, Config{})
+	r := NewRouter(10_000_000)
 	now := at(0)
 	arrivals := map[aggKey]int{{1, 9}: 100_000, {2, 5}: 100_000}
 	driveInterval(r, now, arrivals, 625_000)

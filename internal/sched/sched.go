@@ -161,11 +161,6 @@ type TVAConfig struct {
 	RequestFraction float64
 	// Quantum is the DRR quantum in bytes for regular traffic (>= MTU).
 	Quantum int
-	// RequestQuantum is the DRR quantum for the request class. Requests
-	// are small, so a small quantum keeps the round short and a newly
-	// backlogged path's request from waiting behind a burst from every
-	// other path.
-	RequestQuantum int
 	// RequestQueueBytes caps each per-path-identifier request queue.
 	RequestQueueBytes int
 	// RegularQueueBytes caps each per-destination regular queue.
@@ -187,9 +182,6 @@ func (c *TVAConfig) fillDefaults() {
 	if c.Quantum <= 0 {
 		c.Quantum = 1500
 	}
-	if c.RequestQuantum <= 0 {
-		c.RequestQuantum = 256
-	}
 	if c.RequestQueueBytes <= 0 {
 		c.RequestQueueBytes = 8 * 1024
 	}
@@ -206,6 +198,12 @@ func (c *TVAConfig) fillDefaults() {
 		c.MaxRegularQueues = 1 << 20
 	}
 }
+
+// requestQuantum is the DRR quantum for the request class. Requests are
+// small, so a small quantum keeps the round short and a newly
+// backlogged path's request from waiting behind a burst from every
+// other path.
+const requestQuantum = 256
 
 // TVA is the three-class scheduler of Fig. 2:
 //
@@ -244,7 +242,7 @@ func NewTVA(cfg TVAConfig) *TVA {
 	reqRate := int64(float64(cfg.LinkBps) * cfg.RequestFraction)
 	s := &TVA{
 		cfg:     cfg,
-		request: fq.NewDRR(cfg.RequestQuantum, cfg.MaxRequestQueues, cfg.RequestQueueBytes),
+		request: fq.NewDRR(requestQuantum, cfg.MaxRequestQueues, cfg.RequestQueueBytes),
 		regular: fq.NewDRR(cfg.Quantum, cfg.MaxRegularQueues, cfg.RegularQueueBytes),
 		legacy:  fq.NewFIFO(cfg.LegacyQueueBytes),
 		// Burst of ~3 MTUs keeps the limiter from quantizing small

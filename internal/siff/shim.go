@@ -12,26 +12,14 @@ import (
 
 // ShimConfig parameterizes SIFF host behaviour.
 type ShimConfig struct {
-	// SecretPeriod is the sender's assumption about router rotation;
-	// marks older than this are presumed dead (default 3s).
-	SecretPeriod tvatime.Duration
-	// SilenceTimeout re-requests when packets have been sent but
-	// nothing has been heard from the peer for this long (default 1s):
-	// the sender's only signal that its marks died mid-epoch.
-	SilenceTimeout tvatime.Duration
 	// AutoReturn mirrors core.ShimConfig.AutoReturn.
 	AutoReturn bool
 }
 
-func (c ShimConfig) withDefaults() ShimConfig {
-	if c.SecretPeriod <= 0 {
-		c.SecretPeriod = DefaultSecretPeriod
-	}
-	if c.SilenceTimeout <= 0 {
-		c.SilenceTimeout = tvatime.Second
-	}
-	return c
-}
+// silenceTimeout re-requests when packets have been sent but nothing
+// has been heard from the peer for this long: the sender's only signal
+// that its marks died mid-epoch.
+const silenceTimeout = tvatime.Second
 
 // peer is the shim's record of one remote address: the marks it
 // granted and the return information waiting for a carrier toward it.
@@ -85,7 +73,7 @@ type Shim struct {
 // NewShim builds a SIFF host shim.
 func NewShim(addr packet.Addr, policy Policy, clock tvatime.Clock, cfg ShimConfig) *Shim {
 	return &Shim{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		addr:   addr,
 		clock:  clock,
 		policy: policy,
@@ -111,8 +99,8 @@ func (s *Shim) Send(dst packet.Addr, proto packet.Proto, payload any, size int) 
 		p = &peer{}
 	}
 
-	if p.granted && (now.Sub(p.grantedAt) >= s.cfg.SecretPeriod ||
-		p.sentSinceHeard > 0 && p.heard && now.Sub(p.lastHeard) > s.cfg.SilenceTimeout) {
+	if p.granted && (now.Sub(p.grantedAt) >= secretPeriod ||
+		p.sentSinceHeard > 0 && p.heard && now.Sub(p.lastHeard) > silenceTimeout) {
 		p.granted = false // stale or silent
 		s.Stats.ReRequests++
 	}

@@ -25,9 +25,10 @@ import (
 	"tva/internal/tvatime"
 )
 
-// DefaultSecretPeriod is the evaluation's aggressive SIFF secret
-// rotation (§5.4).
-const DefaultSecretPeriod = 3 * tvatime.Second
+// secretPeriod is the evaluation's aggressive SIFF secret rotation
+// (§5.4). Routers rotate on it and senders presume marks older than it
+// dead.
+const secretPeriod = 3 * tvatime.Second
 
 // Marker mints and checks one router's SIFF marks. A mark is a keyed
 // hash of the flow's addresses under the router's epoch secret; the
@@ -36,13 +37,9 @@ type Marker struct {
 	ring *capability.Ring
 }
 
-// NewMarker returns a Marker rotating its secret every period
-// (DefaultSecretPeriod if zero).
-func NewMarker(period tvatime.Duration) *Marker {
-	if period <= 0 {
-		period = DefaultSecretPeriod
-	}
-	return &Marker{ring: capability.NewRing(period)}
+// NewMarker returns a Marker rotating its secret every secretPeriod.
+func NewMarker() *Marker {
+	return &Marker{ring: capability.NewRing(secretPeriod)}
 }
 
 // Mark computes the current-epoch mark for a flow.
@@ -83,8 +80,8 @@ type Router struct {
 func (r *Router) Dropped() uint64 { return r.Drops.Total() }
 
 // NewRouter returns a SIFF router.
-func NewRouter(secretPeriod tvatime.Duration) *Router {
-	return &Router{marker: NewMarker(secretPeriod)}
+func NewRouter() *Router {
+	return &Router{marker: NewMarker()}
 }
 
 // Process classifies one packet. Requests are stamped with this

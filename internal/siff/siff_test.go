@@ -11,7 +11,7 @@ import (
 func at(sec float64) tvatime.Time { return tvatime.FromSeconds(sec) }
 
 func TestMarkerCheckCurrentAndPrevious(t *testing.T) {
-	m := NewMarker(3 * tvatime.Second)
+	m := NewMarker()
 	mark := m.Mark(1, 2, at(1))
 	if !m.Check(1, 2, mark, at(2)) {
 		t.Error("mark invalid within its own epoch")
@@ -32,7 +32,7 @@ func TestMarkerCheckCurrentAndPrevious(t *testing.T) {
 }
 
 func TestMarkerBinding(t *testing.T) {
-	m := NewMarker(0)
+	m := NewMarker()
 	mark := m.Mark(1, 2, at(1))
 	if m.Check(1, 3, mark, at(1)) || m.Check(9, 2, mark, at(1)) {
 		t.Error("mark validated for a different flow")
@@ -40,7 +40,7 @@ func TestMarkerBinding(t *testing.T) {
 	if m.Check(1, 2, mark^1, at(1)) {
 		t.Error("tampered mark validated")
 	}
-	other := NewMarker(0)
+	other := NewMarker()
 	if other.Check(1, 2, mark, at(1)) {
 		t.Error("mark validated at a different router")
 	}
@@ -53,7 +53,7 @@ func req(src, dst packet.Addr) *packet.Packet {
 }
 
 func TestRouterRequestIsLegacyPriority(t *testing.T) {
-	r := NewRouter(0)
+	r := NewRouter()
 	pkt := req(1, 2)
 	class, drop := r.Process(pkt, at(0))
 	if drop {
@@ -68,7 +68,7 @@ func TestRouterRequestIsLegacyPriority(t *testing.T) {
 }
 
 func TestRouterValidAndInvalidMarks(t *testing.T) {
-	r := NewRouter(0)
+	r := NewRouter()
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -96,7 +96,7 @@ func TestRouterValidAndInvalidMarks(t *testing.T) {
 func TestRouterNoByteLimit(t *testing.T) {
 	// SIFF places no limit on how much an authorized flow sends: the
 	// same mark forwards arbitrarily many bytes until rotation.
-	r := NewRouter(1000 * tvatime.Second)
+	r := NewRouter()
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -110,7 +110,7 @@ func TestRouterNoByteLimit(t *testing.T) {
 }
 
 func TestRouterMarkDiesOnRotation(t *testing.T) {
-	r := NewRouter(3 * tvatime.Second)
+	r := NewRouter()
 	rq := req(1, 2)
 	r.Process(rq, at(0))
 	mark := rq.Hdr.Request.PreCaps[0]
@@ -137,7 +137,7 @@ type siffWire struct {
 func (w *siffWire) Now() tvatime.Time { return w.now }
 
 func newSIFFWire() *siffWire {
-	return &siffWire{router: NewRouter(3 * tvatime.Second), shims: map[packet.Addr]*Shim{}}
+	return &siffWire{router: NewRouter(), shims: map[packet.Addr]*Shim{}}
 }
 
 func (w *siffWire) addHost(addr packet.Addr, policy Policy) *Shim {

@@ -67,50 +67,18 @@ func (s *Segment) String() string {
 	return fmt.Sprintf("[%s seq=%d ack=%d len=%d %d->%d]", f, s.Seq, s.Ack, s.Len, s.SrcPort, s.DstPort)
 }
 
-// Config holds per-connection TCP parameters. The zero value selects
-// the evaluation defaults.
-type Config struct {
-	MSS            int              // segment payload size (default 1000)
-	InitCwndSegs   int              // initial window in segments (default 2)
-	SYNTimeout     tvatime.Duration // fixed SYN retransmit interval (default 1s)
-	MaxSYNRetries  int              // SYN retransmissions before abort (default 8)
-	MinRTO         tvatime.Duration // RTO floor (default 200ms)
-	MaxRTO         tvatime.Duration // abort when RTO exceeds this (default 64s)
-	MaxSegRetrans  int              // abort when one segment exceeds this (default 10)
-	ReceiveWindow  int              // receiver window in bytes (default 1MB)
-	IdleReapPeriod tvatime.Duration // server-side idle connection reap (default 30s)
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1000
-	}
-	if c.InitCwndSegs <= 0 {
-		c.InitCwndSegs = 2
-	}
-	if c.SYNTimeout <= 0 {
-		c.SYNTimeout = tvatime.Second
-	}
-	if c.MaxSYNRetries <= 0 {
-		c.MaxSYNRetries = 8
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * tvatime.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 64 * tvatime.Second
-	}
-	if c.MaxSegRetrans <= 0 {
-		c.MaxSegRetrans = 10
-	}
-	if c.ReceiveWindow <= 0 {
-		c.ReceiveWindow = 1 << 20
-	}
-	if c.IdleReapPeriod <= 0 {
-		c.IdleReapPeriod = 30 * tvatime.Second
-	}
-	return c
-}
+// The evaluation's TCP settings (paper §5 and ns-2's defaults).
+const (
+	mss            = 1000                      // segment payload size in bytes
+	initCwndSegs   = 2                         // initial window in segments
+	synTimeout     = tvatime.Second            // fixed SYN retransmit interval
+	maxSYNRetries  = 8                         // SYN timeouts before abort
+	minRTO         = 200 * tvatime.Millisecond // RTO floor
+	maxRTO         = 64 * tvatime.Second       // abort when the RTO exceeds this
+	maxSegRetrans  = 10                        // abort when one segment exceeds this
+	receiveWindow  = 1 << 20                   // receiver window in bytes
+	idleReapPeriod = 30 * tvatime.Second       // server-side idle connection reap
+)
 
 // Stack is one host's TCP instance. It is single-threaded: the
 // simulator (or overlay event loop) serializes calls.
@@ -163,21 +131,19 @@ func (st *Stack) Listen(port uint16, onConn func(*Conn)) {
 // totalBytes of data once established. Callbacks may be set on the
 // returned Conn before the first event fires (the SYN is sent
 // immediately but responses arrive strictly later).
-func (st *Stack) Dial(dst packet.Addr, port uint16, totalBytes int, cfg Config) *Conn {
-	cfg = cfg.withDefaults()
+func (st *Stack) Dial(dst packet.Addr, port uint16, totalBytes int) *Conn {
 	local := st.allocPort(dst, port)
 	c := &Conn{
 		st:       st,
-		cfg:      cfg,
 		peer:     dst,
 		local:    local,
 		remote:   port,
 		isClient: true,
 		state:    stateSynSent,
 		total:    uint32(totalBytes),
-		cwnd:     float64(cfg.InitCwndSegs * cfg.MSS),
-		ssthresh: float64(cfg.ReceiveWindow),
-		rto:      cfg.SYNTimeout,
+		cwnd:     initCwndSegs * mss,
+		ssthresh: receiveWindow,
+		rto:      synTimeout,
 		retx:     make(map[uint32]int),
 		started:  st.clock.Now(),
 	}
@@ -220,10 +186,8 @@ func (st *Stack) Receive(src packet.Addr, seg *Segment) {
 }
 
 func (st *Stack) acceptConn(src packet.Addr, syn *Segment) *Conn {
-	cfg := Config{}.withDefaults()
 	c := &Conn{
 		st:       st,
-		cfg:      cfg,
 		peer:     src,
 		local:    syn.DstPort,
 		remote:   syn.SrcPort,
@@ -258,8 +222,7 @@ const (
 // Conn is one TCP connection. Client connections send data; server
 // connections acknowledge it.
 type Conn struct {
-	st  *Stack
-	cfg Config
+	st *Stack
 
 	peer          packet.Addr
 	local, remote uint16
@@ -323,7 +286,7 @@ func (c *Conn) emit(seg *Segment) {
 func (c *Conn) sendSYN() {
 	c.emit(&Segment{Flags: FlagSYN, Seq: 0})
 	gen := c.nextGen()
-	c.st.after(c.cfg.SYNTimeout, func() { c.synTimeout(gen) })
+	c.st.after(synTimeout, func() { c.synTimeout(gen) })
 }
 
 func (c *Conn) synTimeout(gen int) {
@@ -331,7 +294,7 @@ func (c *Conn) synTimeout(gen int) {
 		return
 	}
 	c.synRetries++
-	if c.synRetries >= c.cfg.MaxSYNRetries {
+	if c.synRetries >= maxSYNRetries {
 		c.fail()
 		return
 	}
@@ -386,7 +349,7 @@ func (c *Conn) clientReceive(seg *Segment) {
 			c.sndUna, c.sndNxt = 1, 1
 			c.rcvNxt = 1
 			c.nextGen() // cancel SYN timer
-			c.rto = c.cfg.MinRTO
+			c.rto = minRTO
 			if c.OnEstablished != nil {
 				c.OnEstablished()
 			}
@@ -418,7 +381,6 @@ func (c *Conn) handleAck(ack uint32) {
 			c.sndNxt = c.sndUna
 		}
 		c.dupAcks = 0
-		mss := float64(c.cfg.MSS)
 		if c.cwnd < c.ssthresh {
 			c.cwnd += mss // slow start
 		} else {
@@ -469,8 +431,8 @@ func (c *Conn) sampleRTT(ack uint32) {
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
+	if c.rto < minRTO {
+		c.rto = minRTO
 	}
 }
 
@@ -478,7 +440,7 @@ func (c *Conn) sampleRTT(ack uint32) {
 func (c *Conn) pump() {
 	end := 1 + c.total
 	for c.sndNxt < end && float64(c.sndNxt-c.sndUna) < c.cwnd {
-		l := uint32(c.cfg.MSS)
+		l := uint32(mss)
 		if end-c.sndNxt < l {
 			l = end - c.sndNxt
 		}
@@ -493,7 +455,7 @@ func (c *Conn) pump() {
 
 func (c *Conn) transmit(seq uint32, l int, isRetrans bool) {
 	c.retx[seq]++
-	if c.retx[seq] > c.cfg.MaxSegRetrans {
+	if c.retx[seq] > maxSegRetrans {
 		c.fail()
 		return
 	}
@@ -509,7 +471,6 @@ func (c *Conn) transmit(seq uint32, l int, isRetrans bool) {
 
 func (c *Conn) fastRetransmit() {
 	flight := float64(c.sndNxt - c.sndUna)
-	mss := float64(c.cfg.MSS)
 	c.ssthresh = flight / 2
 	if c.ssthresh < 2*mss {
 		c.ssthresh = 2 * mss
@@ -520,7 +481,7 @@ func (c *Conn) fastRetransmit() {
 }
 
 func (c *Conn) retransmitHead() {
-	l := uint32(c.cfg.MSS)
+	l := uint32(mss)
 	end := 1 + c.total
 	if end-c.sndUna < l {
 		l = end - c.sndUna
@@ -567,12 +528,11 @@ func (c *Conn) rtoTimeout(gen int) {
 	// (paper §5: 64 s) — checked before retransmitting so a dead path
 	// gives up rather than babbling.
 	c.rto *= 2
-	if c.rto > c.cfg.MaxRTO {
+	if c.rto > maxRTO {
 		c.fail()
 		return
 	}
 	flight := float64(c.sndNxt - c.sndUna)
-	mss := float64(c.cfg.MSS)
 	c.ssthresh = flight / 2
 	if c.ssthresh < 2*mss {
 		c.ssthresh = 2 * mss
@@ -585,7 +545,7 @@ func (c *Conn) rtoTimeout(gen int) {
 	if c.Done() {
 		return
 	}
-	c.sndNxt = c.sndUna + uint32(c.cfg.MSS)
+	c.sndNxt = c.sndUna + mss
 	if c.sndNxt > 1+c.total {
 		c.sndNxt = 1 + c.total
 	}
@@ -628,7 +588,7 @@ func (c *Conn) ingest(seq uint32, l int) {
 			c.advance(nl)
 		}
 	case seq > c.rcvNxt:
-		if len(c.ooo) < c.cfg.ReceiveWindow/c.cfg.MSS {
+		if len(c.ooo) < receiveWindow/mss {
 			if old, ok := c.ooo[seq]; !ok || old < l {
 				c.ooo[seq] = l
 			}
@@ -658,14 +618,14 @@ func (c *Conn) armReap() {
 		if c.Done() {
 			return
 		}
-		if c.st.clock.Now().Sub(c.lastSeen) > c.cfg.IdleReapPeriod {
+		if c.st.clock.Now().Sub(c.lastSeen) > idleReapPeriod {
 			c.state = stateDone
 			c.st.remove(c)
 			return
 		}
-		c.st.after(c.cfg.IdleReapPeriod, tick)
+		c.st.after(idleReapPeriod, tick)
 	}
-	c.st.after(c.cfg.IdleReapPeriod, tick)
+	c.st.after(idleReapPeriod, tick)
 }
 
 // DebugState formats the connection's internals for diagnostics.

@@ -63,7 +63,7 @@ func TestLosslessTransfer(t *testing.T) {
 	p := newPipe(t, 10_000_000, 10*tvatime.Millisecond)
 	p.b.Listen(80, nil)
 	done, ok := false, false
-	c := p.a.Dial(2, 80, 20480, Config{})
+	c := p.a.Dial(2, 80, 20480)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.Run(tvatime.FromSeconds(10))
 	if !done || !ok {
@@ -82,7 +82,7 @@ func TestTransferTimeMatchesPaperBaseline(t *testing.T) {
 	p := newPipe(t, 10_000_000, 30*tvatime.Millisecond)
 	p.b.Listen(80, nil)
 	var took tvatime.Duration
-	c := p.a.Dial(2, 80, 20480, Config{})
+	c := p.a.Dial(2, 80, 20480)
 	start := p.sim.Now()
 	c.OnDone = func(bool) { took = p.sim.Now().Sub(start) }
 	p.sim.Run(tvatime.FromSeconds(10))
@@ -98,7 +98,7 @@ func TestReceiverSeesAllBytes(t *testing.T) {
 	p := newPipe(t, 10_000_000, tvatime.Millisecond)
 	var serverConn *Conn
 	p.b.Listen(80, func(c *Conn) { serverConn = c })
-	c := p.a.Dial(2, 80, 12345, Config{})
+	c := p.a.Dial(2, 80, 12345)
 	_ = c
 	p.sim.Run(tvatime.FromSeconds(10))
 	if serverConn == nil {
@@ -120,7 +120,7 @@ func TestRandomLossStillCompletes(t *testing.T) {
 		p.dropBA = func(*Segment) bool { return rng.Float64() < 0.1 }
 		p.b.Listen(80, nil)
 		done, ok := false, false
-		c := p.a.Dial(2, 80, 20480, Config{})
+		c := p.a.Dial(2, 80, 20480)
 		c.OnDone = func(s bool) { done, ok = true, s }
 		p.sim.Run(tvatime.FromSeconds(200))
 		if !done {
@@ -141,7 +141,7 @@ func TestHeavyLossResolvesEitherWay(t *testing.T) {
 		p.dropAB = func(*Segment) bool { return rng.Float64() < 0.6 }
 		p.b.Listen(80, nil)
 		done := false
-		c := p.a.Dial(2, 80, 20480, Config{})
+		c := p.a.Dial(2, 80, 20480)
 		c.OnDone = func(bool) { done = true }
 		p.sim.Run(tvatime.FromSeconds(400))
 		if !done {
@@ -164,7 +164,7 @@ func TestSYNRetransmitFixedTimeout(t *testing.T) {
 	}
 	p.b.Listen(80, nil)
 	var established tvatime.Time
-	c := p.a.Dial(2, 80, 1000, Config{})
+	c := p.a.Dial(2, 80, 1000)
 	c.OnEstablished = func() { established = p.sim.Now() }
 	p.sim.Run(tvatime.FromSeconds(10))
 	if established == 0 {
@@ -182,7 +182,7 @@ func TestSYNAbortAfterEightRetries(t *testing.T) {
 	p.b.Listen(80, nil)
 	done, ok := false, true
 	var at tvatime.Time
-	c := p.a.Dial(2, 80, 1000, Config{})
+	c := p.a.Dial(2, 80, 1000)
 	c.OnDone = func(s bool) { done, ok, at = true, s, p.sim.Now() }
 	p.sim.Run(tvatime.FromSeconds(30))
 	if !done || ok {
@@ -201,7 +201,7 @@ func TestDataBlackholeAborts(t *testing.T) {
 	p.dropAB = func(s *Segment) bool { return s.Len > 0 }
 	p.b.Listen(80, nil)
 	done, ok := false, true
-	c := p.a.Dial(2, 80, 20480, Config{})
+	c := p.a.Dial(2, 80, 20480)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.Run(tvatime.FromSeconds(400))
 	if !done {
@@ -225,7 +225,7 @@ func TestDupSYNGetsSynAck(t *testing.T) {
 	}
 	p.b.Listen(80, nil)
 	done, ok := false, false
-	c := p.a.Dial(2, 80, 1000, Config{})
+	c := p.a.Dial(2, 80, 1000)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.Run(tvatime.FromSeconds(30))
 	if !done || !ok {
@@ -251,7 +251,7 @@ func TestSingleDataLossFastRetransmit(t *testing.T) {
 	p.b.Listen(80, nil)
 	var took tvatime.Duration
 	start := tvatime.Time(0)
-	c := p.a.Dial(2, 80, 40960, Config{})
+	c := p.a.Dial(2, 80, 40960)
 	c.OnDone = func(ok bool) {
 		if !ok {
 			t.Error("aborted")
@@ -288,7 +288,7 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	})
 	p.b.Listen(80, nil)
 	done, ok := false, false
-	c := p.a.Dial(2, 80, 20480, Config{})
+	c := p.a.Dial(2, 80, 20480)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.Run(tvatime.FromSeconds(30))
 	if !done || !ok {
@@ -302,7 +302,7 @@ func TestManySequentialTransfers(t *testing.T) {
 	completed := 0
 	var next func()
 	next = func() {
-		c := p.a.Dial(2, 80, 20480, Config{})
+		c := p.a.Dial(2, 80, 20480)
 		c.OnDone = func(ok bool) {
 			if ok {
 				completed++
@@ -325,7 +325,7 @@ func TestManySequentialTransfers(t *testing.T) {
 func TestServerConnReaping(t *testing.T) {
 	p := newPipe(t, 10_000_000, tvatime.Millisecond)
 	p.b.Listen(80, nil)
-	c := p.a.Dial(2, 80, 1000, Config{})
+	c := p.a.Dial(2, 80, 1000)
 	_ = c
 	p.sim.Run(tvatime.FromSeconds(90))
 	if n := p.b.NumConns(); n != 0 {
@@ -337,7 +337,7 @@ func TestZeroByteTransfer(t *testing.T) {
 	p := newPipe(t, 10_000_000, tvatime.Millisecond)
 	p.b.Listen(80, nil)
 	done, ok := false, false
-	c := p.a.Dial(2, 80, 0, Config{})
+	c := p.a.Dial(2, 80, 0)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.Run(tvatime.FromSeconds(5))
 	if !done || !ok {
@@ -348,7 +348,7 @@ func TestZeroByteTransfer(t *testing.T) {
 func TestUnmatchedSegmentsCounted(t *testing.T) {
 	p := newPipe(t, 10_000_000, tvatime.Millisecond)
 	// No listener on port 81.
-	p.a.Dial(2, 81, 1000, Config{})
+	p.a.Dial(2, 81, 1000)
 	p.sim.Run(tvatime.FromSeconds(2))
 	if p.b.Unmatched == 0 {
 		t.Error("SYN to a closed port should count as unmatched")
@@ -359,7 +359,7 @@ func TestRSTFailsConnection(t *testing.T) {
 	p := newPipe(t, 10_000_000, tvatime.Millisecond)
 	p.b.Listen(80, nil)
 	done, ok := false, true
-	c := p.a.Dial(2, 80, 100000, Config{})
+	c := p.a.Dial(2, 80, 100000)
 	c.OnDone = func(s bool) { done, ok = true, s }
 	p.sim.After(100*tvatime.Millisecond, func() {
 		// Forge an RST from the server side.

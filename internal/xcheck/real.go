@@ -16,7 +16,6 @@ import (
 
 	"tva/internal/core"
 	"tva/internal/exp"
-	"tva/internal/metrics"
 	"tva/internal/overlay"
 	"tva/internal/packet"
 )
@@ -52,7 +51,7 @@ func runReal(sc Scenario) (*PlaneResult, error) {
 		}
 	}
 	window := sc.DurationMS/100 + 4
-	if _, err := topo.StartMetrics(window, metrics.DetectorConfig{}, 100*time.Millisecond); err != nil {
+	if _, err := topo.StartMetrics(window, 100*time.Millisecond); err != nil {
 		return nil, err
 	}
 

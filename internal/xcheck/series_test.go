@@ -84,7 +84,7 @@ func TestPlaneSeries(t *testing.T) {
 	if _, err := topo.AddHost(exp.DestAddr, 0, core.NewServerPolicy(), core.ShimConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := topo.StartMetrics(4, metrics.DetectorConfig{}, 0)
+	ms, err := topo.StartMetrics(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

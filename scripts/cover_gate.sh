@@ -16,13 +16,15 @@ floor=${COVER_FLOOR:-70}
 profile=${1:-cover.out}
 
 # Per-package floors, about three points under each package's figure
-# when the floor was set: the data-plane packages, the SIFF baseline,
-# the capability hashes and secret ring, the keyed index with its two users, the
-# metrics layer and its one histogram, the cross-plane gate, the
-# simulator's event core, the experiment drivers, and tvasim (its
-# golden and flag-refusal tests).
+# when the floor was set: the data-plane packages, the SIFF and
+# pushback baselines, the capability hashes and secret ring, the keyed
+# index with its two users, the metrics layer and its one histogram,
+# the cross-plane gate, the simulator's event core and TCP, the
+# experiment drivers, tvasim (its golden and flag-refusal tests) and
+# tvaxcheck (-list and refusals; the scenario runs are xcheck's).
 pkg_floors='tva/internal/core 89
 tva/internal/siff 85
+tva/internal/pushback 90
 tva/internal/mac 90
 tva/internal/capability 90
 tva/internal/sched 84
@@ -34,8 +36,10 @@ tva/internal/keyhash 97
 tva/internal/metrics 89
 tva/internal/xcheck 82
 tva/internal/netsim 91
+tva/internal/tcp 85
 tva/internal/exp 86
-tva/cmd/tvasim 79'
+tva/cmd/tvasim 79
+tva/cmd/tvaxcheck 41'
 
 [ -f "$profile" ] || {
 	echo "cover-gate: no coverage profile at $profile (run 'make cover')" >&2
